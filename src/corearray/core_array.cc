@@ -19,10 +19,10 @@ CeilDiv(std::int64_t a, std::int64_t b)
 }  // namespace
 
 TileCostMemo::TileKey
-TileCostMemo::Key(LayerId layer, const Region &region)
+TileCostMemo::Key(LayerId layer, const Region &region, Bytes input_bytes)
 {
     return TileKey{static_cast<std::int32_t>(layer), region.Batches(),
-                   region.Rows(), region.Cols()};
+                   region.Rows(), region.Cols(), input_bytes};
 }
 
 std::size_t
@@ -38,6 +38,8 @@ TileCostMemo::KeyHash::operator()(const TileKey &key) const
           << 32) |
          static_cast<std::uint32_t>(key.cols);
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    z ^= static_cast<std::uint64_t>(key.input_bytes);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     return static_cast<std::size_t>(z ^ (z >> 31));
 }
 
@@ -101,10 +103,13 @@ CoreArrayEvaluator::CoreArrayEvaluator(const Graph &graph,
 const TileCost &
 CoreArrayEvaluator::Evaluate(LayerId layer, const Region &region)
 {
-    const TileCostMemo::TileKey key = TileCostMemo::Key(layer, region);
+    const Layer &l = graph_.layer(layer);
+    const Bytes input_bytes = region.Empty() ? 0 : InputBytes(l, region);
+    const TileCostMemo::TileKey key =
+        TileCostMemo::Key(layer, region, input_bytes);
     if (const TileCost *hit = memo_->Find(key)) return *hit;
     SOMA_PROF_SCOPE("tilecost.compute");
-    return memo_->Insert(key, Compute(layer, region));
+    return memo_->Insert(key, Compute(l, region, input_bytes));
 }
 
 Bytes
@@ -129,13 +134,13 @@ CoreArrayEvaluator::InputBytes(const Layer &layer, const Region &region) const
 }
 
 TileCost
-CoreArrayEvaluator::Compute(LayerId layer, const Region &region) const
+CoreArrayEvaluator::Compute(const Layer &layer, const Region &region,
+                            Bytes input_bytes) const
 {
     if (region.Empty()) return TileCost{};
-    const Layer &l = graph_.layer(layer);
-    Bytes input_bytes = InputBytes(l, region);
-    if (IsMatrixKind(l.kind())) return MatrixCost(l, region, input_bytes);
-    return VectorCost(l, region, input_bytes);
+    if (IsMatrixKind(layer.kind()))
+        return MatrixCost(layer, region, input_bytes);
+    return VectorCost(layer, region, input_bytes);
 }
 
 TileCost

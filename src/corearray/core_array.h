@@ -46,10 +46,11 @@ struct TileCost {
  * CoreArrayEvaluator of one search (all SearchDriver chains warm one
  * memo instead of each starting cold) and — via the service layer's
  * WarmStateCache — across every request scheduling the same (graph,
- * hardware preset). Keys carry (layer, batches, rows, cols) exactly —
- * no lossy hashing, full equality on lookup — so a hit always returns
- * the cost the key's tile shape deterministically computes to: results
- * never depend on which chain or request inserted an entry first.
+ * hardware preset). Keys carry everything the cost computation reads —
+ * (layer, batches, rows, cols, input bytes) — exactly, with no lossy
+ * hashing and full equality on lookup, so a hit always returns the cost
+ * the key deterministically computes to: results never depend on which
+ * chain or request inserted an entry first.
  * Entries are never erased, so returned references stay valid for the
  * memo's lifetime.
  *
@@ -62,22 +63,27 @@ struct TileCost {
  */
 class TileCostMemo {
   public:
-    /** Exact memo key: tiles of one layer with equal extents cost the
-     *  same; positions are irrelevant to the core array. */
+    /** Exact memo key: a tile's position reaches the core array only
+     *  through its input bytes (a border tile's halo is clipped), so
+     *  tiles of one layer with equal extents and equal input bytes
+     *  cost the same. */
     struct TileKey {
         std::int32_t layer = 0;
         std::int32_t batches = 0;
         std::int32_t rows = 0;
         std::int32_t cols = 0;
+        Bytes input_bytes = 0;
         bool operator==(const TileKey &o) const
         {
             return layer == o.layer && batches == o.batches &&
-                   rows == o.rows && cols == o.cols;
+                   rows == o.rows && cols == o.cols &&
+                   input_bytes == o.input_bytes;
         }
         bool operator!=(const TileKey &o) const { return !(*this == o); }
     };
 
-    static TileKey Key(LayerId layer, const Region &region);
+    static TileKey Key(LayerId layer, const Region &region,
+                       Bytes input_bytes);
 
     /** The cost stored for @p key, or nullptr on a miss. */
     const TileCost *Find(const TileKey &key) const;
@@ -145,7 +151,8 @@ class CoreArrayEvaluator {
     const std::shared_ptr<TileCostMemo> &memo() const { return memo_; }
 
   private:
-    TileCost Compute(LayerId layer, const Region &region) const;
+    TileCost Compute(const Layer &layer, const Region &region,
+                     Bytes input_bytes) const;
     TileCost MatrixCost(const Layer &layer, const Region &region,
                         Bytes input_bytes) const;
     TileCost VectorCost(const Layer &layer, const Region &region,

@@ -4,9 +4,9 @@
  * search can start warm from. Both members are content-addressed memos
  * of pure functions — a FlgTiling is determined by (graph, member set,
  * Tiling Number) and a TileCost by (graph, hardware, layer, tile
- * extents) — so handing one bundle to any number of searches (even
- * concurrently) never changes a single result byte; it only skips
- * re-deriving values some earlier search already derived.
+ * extents, tile input bytes) — so handing one bundle to any number of
+ * searches (even concurrently) never changes a single result byte; it
+ * only skips re-deriving values some earlier search already derived.
  *
  * Producers: the service layer's WarmStateCache keys bundles by (graph
  * fingerprint, hardware fingerprint) and injects them into requests.

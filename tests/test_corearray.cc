@@ -108,11 +108,12 @@ TEST(CoreArray, MemoizationStable)
     Graph g = MakeConvNet(32, 32);
     HardwareConfig hw = EdgeAccelerator();
     CoreArrayEvaluator eval(g, hw);
-    Region a{0, 1, 0, 8, 0, 32};
-    Region b{0, 1, 8, 16, 0, 32};  // same extents, different offset
+    // Two interior tiles: same extents, same (unclipped) input halo.
+    Region a{0, 1, 8, 16, 0, 32};
+    Region b{0, 1, 16, 24, 0, 32};
     const TileCost &ca = eval.Evaluate(0, a);
     const TileCost &cb = eval.Evaluate(0, b);
-    EXPECT_EQ(&ca, &cb);  // one memo entry for equal extents
+    EXPECT_EQ(&ca, &cb);  // one memo entry for equal extents and inputs
     EXPECT_EQ(ca.seconds, cb.seconds);
 }
 
@@ -162,14 +163,40 @@ TEST(CoreArray, SharedMemoWarmsSiblingEvaluators)
 
 TEST(CoreArray, MemoKeyIsExactOverExtents)
 {
-    // Same extents at different offsets share one entry; different
-    // extents never collide (the key packs them exactly).
+    // Same extents and input bytes at different offsets share one
+    // entry; different extents or input bytes never collide (the key
+    // packs them exactly).
     Region a{0, 1, 0, 8, 0, 8};
     Region b{0, 1, 8, 16, 8, 16};
     Region c{0, 1, 0, 8, 0, 9};
-    EXPECT_EQ(TileCostMemo::Key(3, a), TileCostMemo::Key(3, b));
-    EXPECT_NE(TileCostMemo::Key(3, a), TileCostMemo::Key(3, c));
-    EXPECT_NE(TileCostMemo::Key(3, a), TileCostMemo::Key(4, a));
+    EXPECT_EQ(TileCostMemo::Key(3, a, 100), TileCostMemo::Key(3, b, 100));
+    EXPECT_NE(TileCostMemo::Key(3, a, 100), TileCostMemo::Key(3, b, 90));
+    EXPECT_NE(TileCostMemo::Key(3, a, 100), TileCostMemo::Key(3, c, 100));
+    EXPECT_NE(TileCostMemo::Key(3, a, 100), TileCostMemo::Key(4, a, 100));
+}
+
+TEST(CoreArray, SharedMemoSeparatesBorderAndInteriorTiles)
+{
+    // A border tile's halo is clipped, so it reads fewer input bytes
+    // than an interior tile of equal extents. Through one shared memo,
+    // in either evaluation order, each tile must cost exactly what a
+    // fresh evaluator computes for it — never the other tile's entry.
+    Graph g = MakeConvNet(32, 32);
+    HardwareConfig hw = EdgeAccelerator();
+    const Region border{0, 1, 0, 8, 0, 32};
+    const Region interior{0, 1, 8, 16, 0, 32};
+    const TileCost fresh_border = CoreArrayEvaluator(g, hw).Evaluate(0, border);
+    const TileCost fresh_interior =
+        CoreArrayEvaluator(g, hw).Evaluate(0, interior);
+    ASSERT_NE(fresh_border, fresh_interior);
+
+    CoreArrayEvaluator border_first(g, hw);
+    EXPECT_EQ(border_first.Evaluate(0, border), fresh_border);
+    EXPECT_EQ(border_first.Evaluate(0, interior), fresh_interior);
+
+    CoreArrayEvaluator interior_first(g, hw);
+    EXPECT_EQ(interior_first.Evaluate(0, interior), fresh_interior);
+    EXPECT_EQ(interior_first.Evaluate(0, border), fresh_border);
 }
 
 }  // namespace
