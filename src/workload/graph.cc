@@ -1,5 +1,6 @@
 #include "workload/graph.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 
@@ -18,33 +19,35 @@ Graph::AddLayer(Layer layer)
         }
     }
     layers_.push_back(std::move(layer));
-    InvalidateCaches();
+    consumers_.emplace_back();
+    // Consumers are appended in id order, so each producer's edge list
+    // stays sorted by (consumer, input slot).
+    const auto &ins = layers_[id].inputs();
+    for (int k = 0; k < static_cast<int>(ins.size()); ++k) {
+        if (ins[k].producer != kNoLayer)
+            consumers_[ins[k].producer].push_back(
+                Edge{ins[k].producer, id, k});
+    }
     return id;
 }
 
 void
-Graph::InvalidateCaches()
+Graph::AddInput(LayerId id, const InputRef &ref)
 {
-    consumers_valid_ = false;
-}
-
-const std::vector<Edge> &
-Graph::Consumers(LayerId id) const
-{
-    if (!consumers_valid_) {
-        consumers_.assign(layers_.size(), {});
-        for (LayerId c = 0; c < NumLayers(); ++c) {
-            const auto &ins = layers_[c].inputs();
-            for (int k = 0; k < static_cast<int>(ins.size()); ++k) {
-                if (ins[k].producer != kNoLayer) {
-                    consumers_[ins[k].producer].push_back(
-                        Edge{ins[k].producer, c, k});
-                }
-            }
-        }
-        consumers_valid_ = true;
-    }
-    return consumers_[id];
+    assert(ref.producer == kNoLayer ||
+           (ref.producer >= 0 && ref.producer < id));
+    layers_[id].addInput(ref);
+    if (ref.producer == kNoLayer) return;
+    // Keep the producer's list sorted by (consumer, input slot): the
+    // new edge has the largest slot of `id`, so it goes before the
+    // first edge of a later consumer.
+    std::vector<Edge> &edges = consumers_[ref.producer];
+    const Edge edge{ref.producer, id,
+                    static_cast<int>(layers_[id].inputs().size()) - 1};
+    auto pos = std::find_if(edges.begin(), edges.end(), [&](const Edge &e) {
+        return e.consumer > id;
+    });
+    edges.insert(pos, edge);
 }
 
 std::vector<Edge>

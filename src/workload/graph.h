@@ -45,11 +45,27 @@ class Graph {
     /** Append a layer; returns its id. Inputs must reference earlier ids. */
     LayerId AddLayer(Layer layer);
 
+    /** Layers are read-only once added: the consumer index mirrors
+     *  their inputs, so the only input mutator is AddInput. */
     const Layer &layer(LayerId id) const { return layers_[id]; }
-    Layer &layer(LayerId id) { return layers_[id]; }
 
-    /** All consumer edges of @p id (built lazily, cached). */
-    const std::vector<Edge> &Consumers(LayerId id) const;
+    /** Append input @p ref to layer @p id after AddLayer. The producer
+     *  (if any) must precede @p id. */
+    void AddInput(LayerId id, const InputRef &ref);
+
+    /** Mark (or unmark) layer @p id's ofmap as a network output. */
+    void SetNetworkOutput(LayerId id, bool v)
+    {
+        layers_[id].setNetworkOutput(v);
+    }
+
+    /** All consumer edges of @p id, ordered by (consumer, input slot).
+     *  The index is maintained by AddLayer/AddInput, so concurrent
+     *  readers of a shared const Graph never race. */
+    const std::vector<Edge> &Consumers(LayerId id) const
+    {
+        return consumers_[id];
+    }
 
     /** All edges of the graph (producer >= 0 only). */
     std::vector<Edge> AllEdges() const;
@@ -75,13 +91,10 @@ class Graph {
     Bytes TotalFmapBytes() const;
 
   private:
-    void InvalidateCaches();
-
     std::string name_;
     int batch_ = 1;
     std::vector<Layer> layers_;
-    mutable std::vector<std::vector<Edge>> consumers_;  ///< lazy cache
-    mutable bool consumers_valid_ = false;
+    std::vector<std::vector<Edge>> consumers_;  ///< per producer
 };
 
 }  // namespace soma

@@ -155,7 +155,7 @@ void
 GraphBuilder::AddExternalInput(LayerId id, const ExtShape &shape,
                                AccessPattern pattern)
 {
-    graph_.layer(id).addInput(InputRef{kNoLayer, pattern, shape});
+    graph_.AddInput(id, InputRef{kNoLayer, pattern, shape});
 }
 
 }  // namespace soma

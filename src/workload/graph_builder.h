@@ -90,7 +90,7 @@ class GraphBuilder {
                           AccessPattern pattern = AccessPattern::kFull);
 
     /** Mark a layer's ofmap as a network output (stored to DRAM). */
-    void MarkOutput(LayerId id) { graph_.layer(id).setNetworkOutput(true); }
+    void MarkOutput(LayerId id) { graph_.SetNetworkOutput(id, true); }
 
   private:
     LayerId Add(Layer layer) { return graph_.AddLayer(std::move(layer)); }

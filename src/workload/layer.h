@@ -116,7 +116,6 @@ class Layer {
     void setWindow(const WindowParams &w) { window_ = w; }
 
     const std::vector<InputRef> &inputs() const { return inputs_; }
-    std::vector<InputRef> &inputs() { return inputs_; }
     void addInput(InputRef ref) { inputs_.push_back(ref); }
 
     /** True if the layer's ofmap is an overall network output. */

@@ -5,6 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "workload/graph.h"
 #include "workload/graph_builder.h"
 #include "workload/layer.h"
@@ -204,6 +208,77 @@ TEST(Graph, ConsumersAndEdges)
     EXPECT_EQ(g.Consumers(c2).size(), 1u);
     EXPECT_EQ(g.Consumers(add).size(), 0u);
     EXPECT_EQ(g.AllEdges().size(), 3u);
+}
+
+/** The consumer index a full rebuild from AllEdges() produces:
+ *  per-producer lists ordered by (consumer, input slot). */
+std::vector<std::vector<Edge>>
+RebuiltConsumers(const Graph &g)
+{
+    std::vector<std::vector<Edge>> index(g.NumLayers());
+    for (const Edge &e : g.AllEdges()) index[e.producer].push_back(e);
+    return index;
+}
+
+void
+ExpectConsumersMatchRebuild(const Graph &g)
+{
+    const auto index = RebuiltConsumers(g);
+    for (LayerId id = 0; id < g.NumLayers(); ++id) {
+        const auto &got = g.Consumers(id);
+        ASSERT_EQ(got.size(), index[id].size()) << id;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].producer, index[id][i].producer);
+            EXPECT_EQ(got[i].consumer, index[id][i].consumer);
+            EXPECT_EQ(got[i].input_index, index[id][i].input_index);
+        }
+    }
+}
+
+TEST(Graph, ConcurrentConsumersOnAFreshGraph)
+{
+    // The service's graph cache hands one const Graph to concurrent
+    // requests, so the very first Consumers() calls can come from
+    // several threads at once (the TSan CI leg checks for races).
+    GraphBuilder b("chain", 1);
+    LayerId prev = b.InputConv("c0", ExtShape{3, 8, 8}, 8, 3, 1, 1);
+    for (int i = 1; i < 32; ++i) {
+        LayerId next = b.Conv("c" + std::to_string(i), prev, 8, 3, 1, 1);
+        prev = b.Eltwise("e" + std::to_string(i), {prev, next});
+    }
+    const Graph g = b.Take();
+    const std::size_t edges = g.AllEdges().size();
+
+    std::vector<std::thread> threads;
+    std::vector<std::size_t> seen(4, 0);
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&g, &seen, t] {
+            for (LayerId id = 0; id < g.NumLayers(); ++id)
+                seen[t] += g.Consumers(id).size();
+        });
+    }
+    for (std::thread &th : threads) th.join();
+    for (std::size_t n : seen) EXPECT_EQ(n, edges);
+    ExpectConsumersMatchRebuild(g);
+}
+
+TEST(Graph, AddInputKeepsConsumerIndexCoherent)
+{
+    GraphBuilder b("t", 1);
+    LayerId a = b.InputConv("a", ExtShape{3, 8, 8}, 8, 3, 1, 1);
+    LayerId c = b.Conv("c", a, 8, 3, 1, 1);
+    LayerId d = b.Eltwise("d", {a, c});
+    Graph g = b.Take();
+    ExpectConsumersMatchRebuild(g);
+
+    // A second edge a -> c lands between (a, c, 0) and (a, d, 0); an
+    // external input adds no edge.
+    g.AddInput(c, InputRef{a, AccessPattern::kFull, {}});
+    g.AddInput(d, InputRef{kNoLayer, AccessPattern::kFull, {3, 8, 8}});
+    ASSERT_EQ(g.Consumers(a).size(), 3u);
+    EXPECT_EQ(g.Consumers(a)[1].consumer, c);
+    EXPECT_EQ(g.Consumers(a)[1].input_index, 1);
+    ExpectConsumersMatchRebuild(g);
 }
 
 TEST(Graph, ValidOrderChecks)
