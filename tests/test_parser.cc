@@ -7,12 +7,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <type_traits>
 
+#include "common/hash.h"
 #include "corearray/core_array.h"
 #include "notation/parser.h"
 #include "search/dlsa_heuristics.h"
+#include "search/lfa_stage.h"
+#include "sim/eval_context.h"
+#include "tiling/tiling_cache.h"
 #include "workload/graph_builder.h"
+#include "workload/models.h"
 
 namespace soma {
 namespace {
@@ -326,6 +333,191 @@ TEST_F(ParserTest, LabelsFollowPaperConvention)
         }
     }
     EXPECT_TRUE(saw_weight && saw_ifmap && saw_ofmap);
+}
+
+/** FNV-1a over the little-endian bytes of fixed-width fields. */
+class Digest {
+  public:
+    template <typename T>
+    void Add(T value)
+    {
+        static_assert(std::is_arithmetic<T>::value, "scalar fields only");
+        unsigned char bytes[sizeof(T)];
+        std::memcpy(bytes, &value, sizeof(T));
+        for (unsigned char b : bytes) {
+            hash_ ^= b;
+            hash_ *= 1099511628211ULL;
+        }
+    }
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 1469598103934665603ULL;
+};
+
+/** Every tile (with its load ids in order), tensor and on-chip
+ *  interval of @p p, in order. */
+void
+DigestParse(const ParsedSchedule &p, Digest *d)
+{
+    d->Add<std::int32_t>(p.valid);
+    d->Add<std::int64_t>(static_cast<std::int64_t>(p.why_invalid.size()));
+    d->Add<std::int32_t>(p.num_flgs);
+    d->Add<std::int32_t>(p.num_lgs);
+    d->Add<std::int64_t>(p.NumTiles());
+    for (const TileInfo &t : p.tiles) {
+        d->Add<std::int32_t>(t.layer);
+        d->Add<std::int32_t>(t.flg);
+        d->Add<std::int32_t>(t.lg);
+        d->Add<std::int32_t>(t.round);
+        for (int v : {t.region.b0, t.region.b1, t.region.r0, t.region.r1,
+                      t.region.c0, t.region.c1})
+            d->Add<std::int32_t>(v);
+        d->Add(t.cost.seconds);
+        d->Add(t.cost.energy_pj);
+        d->Add<std::int64_t>(t.cost.ops);
+        d->Add<std::int64_t>(t.cost.gbuf_traffic);
+        d->Add<std::int64_t>(static_cast<std::int64_t>(t.need_loads.size()));
+        for (int j : t.need_loads) d->Add<std::int32_t>(j);
+    }
+    d->Add<std::int64_t>(p.NumTensors());
+    for (const DramTensor &t : p.tensors) {
+        d->Add<std::int32_t>(static_cast<std::int32_t>(t.kind));
+        d->Add<std::int32_t>(t.layer);
+        d->Add<std::int32_t>(t.src_layer);
+        d->Add<std::int32_t>(t.round);
+        d->Add<std::int32_t>(t.input_index);
+        d->Add<std::int64_t>(t.bytes);
+        d->Add<std::int32_t>(t.first_use);
+        d->Add<std::int32_t>(t.fixed_end);
+        d->Add<std::int32_t>(t.lg_begin);
+        d->Add<std::int32_t>(t.lg_end);
+    }
+    d->Add<std::int64_t>(static_cast<std::int64_t>(p.onchip.size()));
+    for (const OnchipInterval &iv : p.onchip) {
+        d->Add<std::int32_t>(iv.from);
+        d->Add<std::int32_t>(iv.to);
+        d->Add<std::int64_t>(iv.bytes);
+        d->Add<std::int32_t>(iv.producer);
+    }
+}
+
+void
+DigestReport(const EvalReport &r, Digest *d)
+{
+    d->Add<std::int32_t>(r.valid);
+    for (double v : {r.latency, r.core_energy_j, r.dram_energy_j,
+                     r.compute_busy, r.dram_busy, r.avg_buffer})
+        d->Add(v);
+    d->Add<std::int64_t>(r.peak_buffer);
+    d->Add<std::int64_t>(r.dram_bytes);
+    for (const EventTiming &e : r.tile_times) {
+        d->Add(e.start);
+        d->Add(e.finish);
+    }
+    for (const EventTiming &e : r.tensor_times) {
+        d->Add(e.start);
+        d->Add(e.finish);
+    }
+}
+
+struct GoldenWalk {
+    const char *model;
+    bool lg_resident_weights;
+    const char *digest;  ///< HexU64 of the walk's digest
+};
+
+/** A fused start for the golden walks: one LG, FLGs of four
+ *  consecutive layers of @p base's order, Tiling Number 1. */
+LfaEncoding
+FusedStart(const Graph &g, const LfaEncoding &base)
+{
+    LfaEncoding lfa;
+    lfa.order = base.order;
+    for (int p = 4; p < g.NumLayers(); p += 4) lfa.flc_cuts.push_back(p);
+    lfa.tiling.assign(lfa.flc_cuts.size() + 1, 1);
+    return lfa;
+}
+
+/**
+ * Golden parse digests. Per (model, weight semantics), two fixed-seed
+ * MakeInitialLfa + MutateLfaEncoding walks: one from the unfused
+ * initial LFA, one from a fused single-LG start. Every candidate is
+ * parsed through the incremental EvalContext (group memo + shared
+ * tiling cache) and scored under the double-buffer DLSA. Unlike the
+ * incremental-vs-full walks, which compare the parser with itself,
+ * these pin the exact emission order and every field against recorded
+ * values, so a parser rewrite that reorders tensors or loads fails
+ * here. gpt2s-prefill's kFull K operand, loaded from DRAM across LGs,
+ * exercises the ifmap residency extension; gpt2s-decode's 1-row fmaps
+ * never tile, so its KV-cache loads cannot extend. The walks draw from
+ * std::mt19937_64 through libstdc++'s distributions; a standard
+ * library with different distribution algorithms would need the
+ * digests re-recorded.
+ */
+TEST(ParserGolden, WalkDigestsArePinned)
+{
+    const GoldenWalk walks[] = {
+        {"resnet50", false, "b6ba77ce3b5e21dc"},
+        {"resnet50", true, "cc036c21a59cb15e"},
+        {"ires", false, "6c086af7e55f6397"},
+        {"ires", true, "995dd69cff6e3d85"},
+        {"randwire", false, "69792e8cea816a11"},
+        {"randwire", true, "201ab6350939f2ad"},
+        {"gpt2s-decode", false, "b2db932c39a1be2b"},
+        {"gpt2s-decode", true, "049449b8ad41a3b4"},
+        {"gpt2s-prefill", false, "d6a1190ff1c21ad8"},
+        {"gpt2s-prefill", true, "2aa69fef8c5b2585"},
+    };
+    constexpr int kSteps = 100;
+    constexpr int kTilingCap = 16;
+    for (const GoldenWalk &walk : walks) {
+        SCOPED_TRACE(std::string(walk.model) +
+                     (walk.lg_resident_weights ? " lg-resident" : ""));
+        Graph g = BuildModelByName(walk.model, 1);
+        HardwareConfig hw = EdgeAccelerator();
+        CoreArrayEvaluator ce(g, hw);
+        const Ops ops = g.TotalOps();
+        EvalContext ctx;
+        ctx.set_tiling_cache(std::make_shared<TilingCache>());
+        ParseOptions popts;
+        popts.lg_resident_weights = walk.lg_resident_weights;
+
+        Digest digest;
+        Rng rng(2024);
+        const LfaEncoding initial = MakeInitialLfa(g, hw, kTilingCap);
+        int valid = 0, extended = 0, multi_flg_lgs = 0;
+        for (const LfaEncoding &start : {initial, FusedStart(g, initial)}) {
+            LfaEncoding current = start;
+            LfaEncoding cand = start;
+            for (int step = 0; step <= kSteps; ++step) {
+                if (step > 0 &&
+                    !MutateLfaEncoding(g, current, &cand, kTilingCap, rng))
+                    continue;
+                const ParsedSchedule &p = ctx.Parse(g, cand, ce, popts);
+                DigestParse(p, &digest);
+                if (!p.valid) continue;
+                ++valid;
+                if (p.num_flgs > p.num_lgs) ++multi_flg_lgs;
+                for (const DramTensor &t : p.tensors) {
+                    if (t.kind == DramTensorKind::kIfmap &&
+                        t.fixed_end > t.first_use + 1)
+                        ++extended;
+                }
+                const DlsaEncoding dlsa = MakeDoubleBufferDlsa(p);
+                DigestReport(
+                    ctx.Evaluate(g, hw, p, dlsa, hw.gbuf_bytes, ops),
+                    &digest);
+                if (rng.Flip()) current = cand;
+            }
+        }
+        EXPECT_GT(valid, kSteps / 2);
+        EXPECT_GT(multi_flg_lgs, kSteps / 4);
+        if (std::string(walk.model) == "gpt2s-prefill") {
+            EXPECT_GT(extended, 0);
+        }
+        EXPECT_EQ(HexU64(digest.value()), walk.digest);
+    }
 }
 
 }  // namespace
