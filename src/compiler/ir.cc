@@ -49,7 +49,8 @@ GenerateIr(const Graph &graph, const ParsedSchedule &parsed,
 
     ir.tile_deps.resize(parsed.NumTiles());
     for (int i = 0; i < parsed.NumTiles(); ++i) {
-        for (int j : parsed.tiles[i].need_loads)
+        const TileInfo &tile = parsed.tiles[i];
+        for (int j = tile.load_begin; j < tile.load_end; ++j)
             ir.tile_deps[i].push_back(rank[j]);
     }
     return ir;

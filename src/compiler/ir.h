@@ -44,7 +44,7 @@ struct IrModule {
     int batch = 1;
     std::vector<IrTile> tiles;
     std::vector<IrTensor> tensors;   ///< in DRAM Tensor Order
-    /** need_loads[i]: tensor ranks that must complete before tile i. */
+    /** tile_deps[i]: tensor ranks that must complete before tile i. */
     std::vector<std::vector<int>> tile_deps;
 
     /** Serialize to the textual IR format. */

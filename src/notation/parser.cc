@@ -299,185 +299,75 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
         }
     }
 
-    // Serialize the compute sequence: per FLG, round-robin over rounds.
-    {
-        std::size_t total_tiles = 0;
-        for (int g = 0; g < lfa.NumFlgs(); ++g)
-            total_tiles += flg_layers[g].size() *
-                           static_cast<std::size_t>(lfa.tiling[g]);
-        out.tiles.reserve(total_tiles);
-    }
-    std::vector<std::vector<TilePos>> &pos_of = scratch->pos_of;
-    pos_of.resize(n);
+    // Tile positions: FLGs run back to back, each round-robin over its
+    // rounds, so layer i of FLG g runs round t at flg_base[g] +
+    // t * |g| + i. An LG is a run of consecutive FLGs, hence one
+    // contiguous position range [lg_begin, lg_end).
+    std::vector<TilePos> &flg_base = scratch->flg_base;
+    std::vector<TilePos> &lg_begin = scratch->lg_begin;
+    std::vector<TilePos> &lg_end = scratch->lg_end;
+    flg_base.resize(lfa.NumFlgs() + 1);
+    lg_begin.assign(lfa.NumLgs(), -1);
+    lg_end.resize(lfa.NumLgs());
+    flg_base[0] = 0;
     for (int g = 0; g < lfa.NumFlgs(); ++g) {
-        const int rounds = lfa.tiling[g];
-        const auto &layers = flg_layers[g];
-        const ParseScratch::GroupParse &block = *groups[g];
-        for (LayerId id : layers) pos_of[id].resize(rounds);
-        for (int t = 0; t < rounds; ++t) {
-            for (std::size_t i = 0; i < layers.size(); ++i) {
-                LayerId id = layers[i];
-                TileInfo tile;
-                tile.layer = id;
-                tile.flg = g;
-                tile.lg = lg_of_layer[id];
-                tile.round = t;
-                tile.region = block.tiling->regions[block.Perm(i)][t];
-                assert(!tile.region.Empty());
-                tile.cost = block.costs[static_cast<std::size_t>(t) *
-                                            layers.size() +
-                                        block.Perm(i)];
-                pos_of[id][t] = static_cast<TilePos>(out.tiles.size());
-                out.tiles.push_back(std::move(tile));
-            }
-        }
+        const int lg = lg_of_layer[flg_layers[g][0]];
+        if (lg_begin[lg] < 0) lg_begin[lg] = flg_base[g];
+        flg_base[g + 1] =
+            flg_base[g] +
+            static_cast<TilePos>(flg_layers[g].size()) * lfa.tiling[g];
+        lg_end[lg] = flg_base[g + 1];
     }
+    auto pos_of = [&](LayerId id, int t) {
+        const int g = flg_of_layer[id];
+        return flg_base[g] +
+               static_cast<TilePos>(t * flg_layers[g].size()) +
+               idx_in_flg[id];
+    };
 
-    // LG extents in tile-position space.
-    std::vector<TilePos> &lg_first = scratch->lg_first;
-    std::vector<TilePos> &lg_last = scratch->lg_last;
-    lg_first.assign(lfa.NumLgs(), INT32_MAX);
-    lg_last.assign(lfa.NumLgs(), -1);
-    for (int i = 0; i < out.NumTiles(); ++i) {
-        lg_first[out.tiles[i].lg] = std::min(lg_first[out.tiles[i].lg],
-                                             static_cast<TilePos>(i));
-        lg_last[out.tiles[i].lg] = std::max(lg_last[out.tiles[i].lg],
-                                            static_cast<TilePos>(i));
-    }
-
-    // Enumerate DRAM tensors and on-chip reuse intervals.
-    std::vector<DramTensor> &tensors = scratch->tensors;
-    tensors.clear();
-
+    // One consumer pass per layer, in layer-id order: whether the ofmap
+    // is stored (a network output, or read by a later LG), and the
+    // on-chip intervals. A same-FLG consumer holds the producer's
+    // round-t tile from its production to the last in-FLG consumption;
+    // a cross-FLG consumer within the LG holds the full ofmap from the
+    // producer's first tile to the last consuming tile.
+    std::vector<char> &stores = scratch->stores;
+    stores.assign(n, 0);
     for (LayerId id = 0; id < n; ++id) {
         const Layer &l = graph.layer(id);
         const int g = flg_of_layer[id];
         const int lg = lg_of_layer[id];
-        const int rounds = lfa.tiling[g];
-        const TilePos lg_begin = lg_first[lg];
-        const TilePos lg_end = lg_last[lg] + 1;
-
-        // Weights: one load per layer. SoMa releases them right after
-        // the layer's last tile; Cocco semantics hold them to LG end.
-        if (l.weightBytes() > 0) {
-            DramTensor t;
-            t.kind = DramTensorKind::kWeight;
-            t.layer = id;
-            t.bytes = l.weightBytes();
-            t.first_use = pos_of[id][0];
-            t.fixed_end = popts.lg_resident_weights
-                              ? lg_end
-                              : pos_of[id][rounds - 1] + 1;
-            t.lg_begin = lg_begin;
-            t.lg_end = lg_end;
-            tensors.push_back(t);
-        }
-
-        // Ifmaps: external inputs and cross-LG producers load per tile.
-        const auto &ins = l.inputs();
-        for (int k = 0; k < static_cast<int>(ins.size()); ++k) {
-            const InputRef &in = ins[k];
-            bool from_dram =
-                (in.producer == kNoLayer) ||
-                (lg_of_layer[in.producer] != lg_of_layer[id]);
-            if (!from_dram) continue;
-            int pc, ph, pw;
-            ProducerShape(graph, in, &pc, &ph, &pw);
-            const auto &regions =
-                groups[g]->tiling->regions[groups[g]->Perm(
-                    static_cast<std::size_t>(idx_in_flg[id]))];
-            Region prev_need;
-            int prev_tensor = -1;
-            for (int t = 0; t < rounds; ++t) {
-                Region need =
-                    l.RequiredInputRegion(in, regions[t], ph, pw);
-                if (prev_tensor >= 0 && need == prev_need) {
-                    // Identical region as the previous round (kFull
-                    // operands like KV caches): the data is already in
-                    // the GBUF — extend the residency, don't re-load.
-                    tensors[prev_tensor].fixed_end = pos_of[id][t] + 1;
-                    continue;
-                }
-                DramTensor dt;
-                dt.kind = DramTensorKind::kIfmap;
-                dt.layer = id;
-                dt.src_layer = in.producer;
-                dt.round = t;
-                dt.input_index = k;
-                dt.bytes = need.Sites() * pc * l.elemBytes();
-                dt.first_use = pos_of[id][t];
-                dt.fixed_end = pos_of[id][t] + 1;
-                dt.lg_begin = lg_begin;
-                dt.lg_end = lg_end;
-                if (dt.bytes > 0) {
-                    prev_need = need;
-                    prev_tensor = static_cast<int>(tensors.size());
-                    tensors.push_back(dt);
-                }
-            }
-        }
-
-        // Ofmaps: stored when the layer is a network output or feeds a
-        // later LG. The canonical (non-overlapping) slice is stored.
-        bool stores = l.isNetworkOutput();
+        bool store = l.isNetworkOutput();
+        int last_same_idx = -1;
+        TilePos last_cross_flg = -1;
         for (const Edge &e : graph.Consumers(id)) {
-            if (lg_of_layer[e.consumer] != lg_of_layer[id]) stores = true;
-        }
-        if (stores) {
-            for (int t = 0; t < rounds; ++t) {
-                Region slice =
-                    CanonicalSlice(groups[g]->tiling->split, t,
-                                   graph.batch(), l.outHeight(),
-                                   l.outWidth());
-                DramTensor dt;
-                dt.kind = DramTensorKind::kOfmap;
-                dt.layer = id;
-                dt.round = t;
-                dt.bytes = l.OutputBytes(slice);
-                dt.first_use = pos_of[id][t];
-                dt.fixed_end = 0;  // End is the DLSA knob
-                dt.lg_begin = lg_begin;
-                dt.lg_end = lg_end;
-                if (dt.bytes > 0) tensors.push_back(dt);
+            const LayerId c = e.consumer;
+            if (lg_of_layer[c] != lg) {
+                store = true;
+            } else if (flg_of_layer[c] == g) {
+                last_same_idx = std::max(last_same_idx, idx_in_flg[c]);
+            } else {
+                last_cross_flg = std::max(
+                    last_cross_flg,
+                    pos_of(c, lfa.tiling[flg_of_layer[c]] - 1));
             }
         }
-
-        // On-chip intervals. Same-FLG consumers: the producer's round-t
-        // tile lives from its production to its last in-FLG consumption.
-        for (int t = 0; t < rounds; ++t) {
-            TilePos last_same_flg = -1;
-            for (const Edge &e : graph.Consumers(id)) {
-                if (flg_of_layer[e.consumer] == g) {
-                    last_same_flg = std::max(last_same_flg,
-                                             pos_of[e.consumer][t]);
-                }
-            }
-            if (last_same_flg >= 0) {
+        stores[id] = store;
+        if (last_same_idx >= 0) {
+            const auto &regions = groups[g]->tiling->regions[groups[g]->Perm(
+                static_cast<std::size_t>(idx_in_flg[id]))];
+            for (int t = 0; t < lfa.tiling[g]; ++t) {
                 OnchipInterval iv;
-                iv.from = pos_of[id][t];
-                iv.to = last_same_flg + 1;
-                iv.bytes = l.OutputBytes(
-                    groups[g]->tiling->regions[groups[g]->Perm(
-                        static_cast<std::size_t>(idx_in_flg[id]))][t]);
+                iv.from = pos_of(id, t);
+                iv.to = iv.from + (last_same_idx - idx_in_flg[id]) + 1;
+                iv.bytes = l.OutputBytes(regions[t]);
                 iv.producer = id;
                 out.onchip.push_back(iv);
             }
         }
-        // Cross-FLG consumers within the same LG: the full ofmap is
-        // aggregated on chip from the producer's first tile until the
-        // last consuming tile.
-        TilePos last_cross_flg = -1;
-        for (const Edge &e : graph.Consumers(id)) {
-            if (flg_of_layer[e.consumer] != g &&
-                lg_of_layer[e.consumer] == lg_of_layer[id]) {
-                const int c_rounds = lfa.tiling[flg_of_layer[e.consumer]];
-                last_cross_flg = std::max(
-                    last_cross_flg, pos_of[e.consumer][c_rounds - 1]);
-            }
-        }
         if (last_cross_flg >= 0) {
             OnchipInterval iv;
-            iv.from = pos_of[id][0];
+            iv.from = pos_of(id, 0);
             iv.to = last_cross_flg + 1;
             iv.bytes = l.PerSampleOutputBytes() * graph.batch();
             iv.producer = id;
@@ -485,32 +375,120 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
         }
     }
 
-    // Canonical tensor order: by need position; at equal positions
-    // weights, then ifmaps, then stores. Counting sort (keys are dense
-    // tile positions; a comparison sort dominates parse time on large
-    // unfused schemes).
-    {
-        auto key = [&](const DramTensor &t) {
-            int k = t.kind == DramTensorKind::kWeight ? 0
-                    : t.kind == DramTensorKind::kIfmap ? 1
-                                                       : 2;
-            return static_cast<std::size_t>(t.first_use) * 3 + k;
-        };
-        const std::size_t buckets =
-            static_cast<std::size_t>(out.NumTiles()) * 3 + 1;
-        std::vector<int> &count = scratch->count;
-        count.assign(buckets + 1, 0);
-        for (const DramTensor &t : tensors) ++count[key(t) + 1];
-        for (std::size_t i = 1; i <= buckets; ++i) count[i] += count[i - 1];
-        out.tensors.resize(tensors.size());
-        for (const DramTensor &t : tensors)
-            out.tensors[count[key(t)]++] = t;
-    }
+    // Emit tiles and DRAM tensors in one pass in tile-position order. At
+    // each position: the tile, its weight (round 0), its new ifmap
+    // loads by input slot, then its ofmap store. A position belongs to
+    // exactly one (layer, round), so this *is* the canonical tensor
+    // order — by need position; weights, then ifmaps, then stores — and
+    // each tile's loads are the contiguous id range
+    // [load_begin, load_end).
+    out.tiles.reserve(static_cast<std::size_t>(flg_base[lfa.NumFlgs()]));
+    std::vector<Region> &prev_need = scratch->prev_need;
+    std::vector<int> &prev_load = scratch->prev_load;
+    for (int g = 0; g < lfa.NumFlgs(); ++g) {
+        const int rounds = lfa.tiling[g];
+        const auto &layers = flg_layers[g];
+        const std::size_t size = layers.size();
+        const ParseScratch::GroupParse &block = *groups[g];
+        const int lg = lg_of_layer[layers[0]];
+        // Per (layer, input slot) of the FLG: the last loaded region
+        // and its tensor id (-1: none yet), for the residency
+        // extension. Slots are numbered the same way every round.
+        std::size_t num_slots = 0;
+        for (LayerId id : layers) num_slots += graph.layer(id).inputs().size();
+        prev_need.resize(num_slots);
+        prev_load.assign(num_slots, -1);
+        for (int t = 0; t < rounds; ++t) {
+            std::size_t slot = 0;
+            for (std::size_t i = 0; i < size; ++i) {
+                const LayerId id = layers[i];
+                const Layer &l = graph.layer(id);
+                const std::size_t k = block.Perm(i);
+                const TilePos pos = static_cast<TilePos>(out.tiles.size());
+                TileInfo tile;
+                tile.layer = id;
+                tile.flg = g;
+                tile.lg = lg;
+                tile.round = t;
+                tile.region = block.tiling->regions[k][t];
+                assert(!tile.region.Empty());
+                tile.cost =
+                    block.costs[static_cast<std::size_t>(t) * size + k];
+                tile.load_begin = out.NumTensors();
+                // The fields every tensor needed at this position shares.
+                DramTensor at;
+                at.layer = id;
+                at.first_use = pos;
+                at.lg_begin = lg_begin[lg];
+                at.lg_end = lg_end[lg];
 
-    // Attach load dependencies to tiles.
-    for (int j = 0; j < out.NumTensors(); ++j) {
-        const DramTensor &t = out.tensors[j];
-        if (t.IsLoad()) out.tiles[t.first_use].need_loads.push_back(j);
+                // Weights: one load per layer. SoMa releases them right
+                // after the layer's last tile; Cocco semantics hold
+                // them to LG end.
+                if (t == 0 && l.weightBytes() > 0) {
+                    DramTensor dt = at;
+                    dt.kind = DramTensorKind::kWeight;
+                    dt.bytes = l.weightBytes();
+                    dt.fixed_end =
+                        popts.lg_resident_weights
+                            ? lg_end[lg]
+                            : pos + static_cast<TilePos>((rounds - 1) *
+                                                         size) + 1;
+                    out.tensors.push_back(dt);
+                }
+
+                // Ifmaps: external inputs and cross-LG producers load
+                // per tile.
+                const auto &ins = l.inputs();
+                for (int in_idx = 0; in_idx < static_cast<int>(ins.size());
+                     ++in_idx, ++slot) {
+                    const InputRef &in = ins[in_idx];
+                    if (in.producer != kNoLayer &&
+                        lg_of_layer[in.producer] == lg)
+                        continue;
+                    int pc, ph, pw;
+                    ProducerShape(graph, in, &pc, &ph, &pw);
+                    const Region need =
+                        l.RequiredInputRegion(in, tile.region, ph, pw);
+                    if (prev_load[slot] >= 0 && need == prev_need[slot]) {
+                        // Identical region as the previous round (kFull
+                        // operands like KV caches): the data is already
+                        // in the GBUF — extend the residency, don't
+                        // re-load.
+                        out.tensors[prev_load[slot]].fixed_end = pos + 1;
+                        continue;
+                    }
+                    DramTensor dt = at;
+                    dt.kind = DramTensorKind::kIfmap;
+                    dt.src_layer = in.producer;
+                    dt.round = t;
+                    dt.input_index = in_idx;
+                    dt.bytes = need.Sites() * pc * l.elemBytes();
+                    dt.fixed_end = pos + 1;
+                    if (dt.bytes > 0) {
+                        prev_need[slot] = need;
+                        prev_load[slot] = out.NumTensors();
+                        out.tensors.push_back(dt);
+                    }
+                }
+                tile.load_end = out.NumTensors();
+                out.tiles.push_back(tile);
+
+                // Ofmaps: the canonical (non-overlapping) slice is
+                // stored. fixed_end stays unused: the End is the DLSA
+                // knob.
+                if (stores[id]) {
+                    const Region slice =
+                        CanonicalSlice(block.tiling->split, t, graph.batch(),
+                                       l.outHeight(), l.outWidth());
+                    DramTensor dt = at;
+                    dt.kind = DramTensorKind::kOfmap;
+                    dt.round = t;
+                    dt.bytes = l.OutputBytes(slice);
+                    if (dt.bytes > 0) out.tensors.push_back(dt);
+                }
+            }
+        }
     }
 
     out.valid = true;

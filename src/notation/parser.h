@@ -107,13 +107,16 @@ struct TileInfo {
     int round = 0;       ///< tile index within the FLG
     Region region;       ///< ofmap region computed (halo included)
     TileCost cost;
-    std::vector<int> need_loads;  ///< tensor ids to complete before start
+    /** Tensor ids [load_begin, load_end): the DRAM loads to complete
+     *  before start (the parse emits each tile's loads contiguously). */
+    int load_begin = 0;
+    int load_end = 0;
 
     bool operator==(const TileInfo &o) const
     {
         return layer == o.layer && flg == o.flg && lg == o.lg &&
                round == o.round && region == o.region && cost == o.cost &&
-               need_loads == o.need_loads;
+               load_begin == o.load_begin && load_end == o.load_end;
     }
 };
 
@@ -178,10 +181,11 @@ struct ParsedSchedule {
  * an order move *within* a group is also a memo hit — the stored
  * block's permutation view (GroupParse::perm) is re-pointed at the new
  * order instead of re-deriving (or even deep-copying) regions and
- * costs. Cheap global passes (tile positions, DRAM
- * tensors, intervals) are rebuilt every time, which keeps the result
- * bit-identical to a full parse (ParseOptions::cross_check asserts
- * this).
+ * costs. The schedule itself is rebuilt every call by one pass in tile-
+ * position order that emits tiles and DRAM tensors already in canonical
+ * order (plus one consumer pass per layer for stores and on-chip
+ * intervals), which keeps the result bit-identical to a full parse
+ * (ParseOptions::cross_check asserts this).
  */
 struct ParseScratch {
     /** One fused group's memoized parse block. `sorted_layers`/`tiles`
@@ -215,10 +219,11 @@ struct ParseScratch {
     std::vector<int> view_pos;            ///< perm-composition scratch
     std::vector<std::size_t> view_perm;   ///< perm-composition scratch
     std::vector<const GroupParse *> groups;  ///< per-FLG view, this parse
-    std::vector<std::vector<TilePos>> pos_of;
-    std::vector<TilePos> lg_first, lg_last;
-    std::vector<DramTensor> tensors;
-    std::vector<int> count;
+    std::vector<TilePos> flg_base;        ///< first tile position per FLG
+    std::vector<TilePos> lg_begin, lg_end;
+    std::vector<char> stores;             ///< per layer: ofmap stored
+    std::vector<Region> prev_need;        ///< residency-extension scratch
+    std::vector<int> prev_load;           ///< residency-extension scratch
 
     /** Signature-keyed group memo (cleared wholesale beyond the cap).
      *  Blocks are only valid for one (graph, evaluator) pair — layer
@@ -245,8 +250,9 @@ struct ParseScratch {
 /**
  * Parse the LFA: build the tile sequence (per-tile regions from the
  * backward halo propagation, costs from the core array evaluator), the
- * DRAM tensor list in canonical order (sorted by need position; loads
- * before stores at equal positions), and the on-chip reuse intervals.
+ * DRAM tensor list in canonical order (by need position; at equal
+ * positions the weight, then ifmaps by input slot, then the store), and
+ * the on-chip reuse intervals (by producer layer id).
  * Returns an invalid schedule (with a reason) when the encoding cannot
  * be realized.
  */

@@ -209,8 +209,8 @@ EvalContext::BuildSoA(const ParsedSchedule &parsed, TimelineSoA *soa)
     const int T = parsed.NumTiles();
     const int D = parsed.NumTensors();
     soa->tile_seconds.resize(T);
-    soa->need_off.resize(T + 1);
-    soa->need_idx.clear();
+    soa->load_begin.resize(T);
+    soa->load_end.resize(T);
     // Separate accumulators in parse order: bitwise-identical to the
     // sums the full evaluator used to fold per candidate.
     double sum_seconds = 0.0;
@@ -220,11 +220,9 @@ EvalContext::BuildSoA(const ParsedSchedule &parsed, TimelineSoA *soa)
         soa->tile_seconds[t] = tile.cost.seconds;
         sum_energy += tile.cost.energy_pj;
         sum_seconds += tile.cost.seconds;
-        soa->need_off[t] = static_cast<int>(soa->need_idx.size());
-        soa->need_idx.insert(soa->need_idx.end(), tile.need_loads.begin(),
-                             tile.need_loads.end());
+        soa->load_begin[t] = tile.load_begin;
+        soa->load_end[t] = tile.load_end;
     }
-    soa->need_off[T] = static_cast<int>(soa->need_idx.size());
     soa->t_bytes.resize(D);
     soa->t_is_load.resize(D);
     soa->t_first_use.resize(D);
@@ -319,8 +317,8 @@ EvalContext::RunTimelineImpl(const TimelineSoA &soa, Side *side, int ci,
     EvalReport &rep = side->report;
     const double *tile_seconds = soa.tile_seconds.data();
     const double *t_dram = soa.t_dram_seconds.data();
-    const int *need_off = soa.need_off.data();
-    const int *need_idx = soa.need_idx.data();
+    const int *load_begin = soa.load_begin.data();
+    const int *load_end = soa.load_end.data();
     const unsigned char *is_load = soa.t_is_load.data();
     const TilePos *first_use = soa.t_first_use.data();
 
@@ -381,8 +379,7 @@ EvalContext::RunTimelineImpl(const TimelineSoA &soa, Side *side, int ci,
             }
             double start = (ci == 0) ? 0.0 : side->tile_finish[ci - 1];
             bool blocked = false;
-            for (int k = need_off[ci]; k < need_off[ci + 1]; ++k) {
-                const int j = need_idx[k];
+            for (int j = load_begin[ci]; j < load_end[ci]; ++j) {
                 if (side->tensor_finish[j] < 0.0) { blocked = true; break; }
                 start = std::max(start, side->tensor_finish[j]);
             }
@@ -815,11 +812,10 @@ EvalContext::EvaluateLfa(const Graph &graph, const HardwareConfig &hw,
     // --- First/last-diff scans over the SoA mirrors ---
     auto tile_eq = [&](int t) {
         if (sc.tile_seconds[t] != sb.tile_seconds[t]) return false;
-        const int cb = sc.need_off[t], ce = sc.need_off[t + 1];
-        const int bb = sb.need_off[t], be = sb.need_off[t + 1];
-        if (ce - cb != be - bb) return false;
-        return std::equal(sc.need_idx.begin() + cb, sc.need_idx.begin() + ce,
-                          sb.need_idx.begin() + bb);
+        // Equal load lists: equal lengths, and equal ids unless empty.
+        const int cb = sc.load_begin[t], ce = sc.load_end[t];
+        const int bb = sb.load_begin[t], be = sb.load_end[t];
+        return ce - cb == be - bb && (ce == cb || cb == bb);
     };
     auto tensor_eq = [&](int j) {
         return j < Dmin && sc.t_bytes[j] == sb.t_bytes[j] &&

@@ -240,8 +240,9 @@ class EvalContext {
         const ParsedSchedule *built_for = nullptr;
         const HardwareConfig *hw_for = nullptr;
         std::vector<double> tile_seconds;
-        std::vector<int> need_off;  ///< CSR offsets, size T+1
-        std::vector<int> need_idx;  ///< CSR operand-load indices
+        /// Per tile: operand-load tensor ids [load_begin, load_end).
+        std::vector<int> load_begin;
+        std::vector<int> load_end;
         std::vector<Bytes> t_bytes;
         /// Per-tensor channel seconds from the hw's MemoryModel seam
         /// (hw.DramSeconds(bytes) for the analytical/null backend).

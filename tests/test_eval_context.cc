@@ -197,8 +197,10 @@ MakeDeadlockParse()
     l1.layer = 1;
     l1.first_use = 2;
     p.tensors = {l0, l1};
-    p.tiles[0].need_loads = {0};
-    p.tiles[2].need_loads = {1};
+    p.tiles[0].load_begin = 0;  // tile 0 needs tensor 0
+    p.tiles[0].load_end = 1;
+    p.tiles[2].load_begin = 1;  // tile 2 needs tensor 1
+    p.tiles[2].load_end = 2;
     return p;
 }
 
@@ -292,7 +294,8 @@ TEST(EvalContext, ParseMatchesParseLfa)
     for (int i = 0; i < a.NumTiles(); ++i) {
         EXPECT_EQ(a.tiles[i].layer, b.tiles[i].layer) << i;
         EXPECT_EQ(a.tiles[i].cost.seconds, b.tiles[i].cost.seconds) << i;
-        EXPECT_EQ(a.tiles[i].need_loads, b.tiles[i].need_loads) << i;
+        EXPECT_EQ(a.tiles[i].load_begin, b.tiles[i].load_begin) << i;
+        EXPECT_EQ(a.tiles[i].load_end, b.tiles[i].load_end) << i;
     }
     ASSERT_EQ(a.onchip.size(), b.onchip.size());
 }

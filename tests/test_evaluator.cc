@@ -329,7 +329,7 @@ TEST(Evaluator, TimelineMonotoneAndConsistent)
     }
     // Loads finish before their consuming tile starts.
     for (int i = 0; i < p.NumTiles(); ++i) {
-        for (int j : p.tiles[i].need_loads) {
+        for (int j = p.tiles[i].load_begin; j < p.tiles[i].load_end; ++j) {
             EXPECT_LE(r.tensor_times[j].finish,
                       r.tile_times[i].start + kEps);
         }

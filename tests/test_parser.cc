@@ -165,16 +165,26 @@ TEST_F(ParserTest, CanonicalOrderSortedByNeed)
 TEST_F(ParserTest, NeedLoadsAttachedAtFirstUse)
 {
     ParsedSchedule p = ParseLfa(graph_, Fig4Encoding(), eval_);
+    auto loads = [&](int i) {
+        return p.tiles[i].load_end - p.tiles[i].load_begin;
+    };
     // Tile 0 (A round 0) needs WA and IA1.
-    EXPECT_EQ(p.tiles[0].need_loads.size(), 2u);
+    EXPECT_EQ(loads(0), 2);
     // Tile 2 (B) needs WB only (reads A on-chip).
-    ASSERT_EQ(p.tiles[2].need_loads.size(), 1u);
-    EXPECT_EQ(p.tensors[p.tiles[2].need_loads[0]].kind,
+    ASSERT_EQ(loads(2), 1);
+    EXPECT_EQ(p.tensors[p.tiles[2].load_begin].kind,
               DramTensorKind::kWeight);
     // Tile 3 (C round 0) needs IC1 only (pool has no weights).
-    ASSERT_EQ(p.tiles[3].need_loads.size(), 1u);
-    EXPECT_EQ(p.tensors[p.tiles[3].need_loads[0]].kind,
+    ASSERT_EQ(loads(3), 1);
+    EXPECT_EQ(p.tensors[p.tiles[3].load_begin].kind,
               DramTensorKind::kIfmap);
+    // Every load is attached to exactly the tile at its first use.
+    for (int i = 0; i < p.NumTiles(); ++i) {
+        for (int j = p.tiles[i].load_begin; j < p.tiles[i].load_end; ++j) {
+            EXPECT_TRUE(p.tensors[j].IsLoad());
+            EXPECT_EQ(p.tensors[j].first_use, i);
+        }
+    }
 }
 
 TEST_F(ParserTest, FreePointRanges)
@@ -377,8 +387,9 @@ DigestParse(const ParsedSchedule &p, Digest *d)
         d->Add(t.cost.energy_pj);
         d->Add<std::int64_t>(t.cost.ops);
         d->Add<std::int64_t>(t.cost.gbuf_traffic);
-        d->Add<std::int64_t>(static_cast<std::int64_t>(t.need_loads.size()));
-        for (int j : t.need_loads) d->Add<std::int32_t>(j);
+        d->Add<std::int64_t>(t.load_end - t.load_begin);
+        for (int j = t.load_begin; j < t.load_end; ++j)
+            d->Add<std::int32_t>(j);
     }
     d->Add<std::int64_t>(p.NumTensors());
     for (const DramTensor &t : p.tensors) {
