@@ -1,8 +1,8 @@
 #include "workload/graph.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <memory>
 
 #include "common/logging.h"
 
@@ -19,15 +19,7 @@ Graph::AddLayer(Layer layer)
         }
     }
     layers_.push_back(std::move(layer));
-    consumers_.emplace_back();
-    // Consumers are appended in id order, so each producer's edge list
-    // stays sorted by (consumer, input slot).
-    const auto &ins = layers_[id].inputs();
-    for (int k = 0; k < static_cast<int>(ins.size()); ++k) {
-        if (ins[k].producer != kNoLayer)
-            consumers_[ins[k].producer].push_back(
-                Edge{ins[k].producer, id, k});
-    }
+    consumers_.Reset();
     return id;
 }
 
@@ -37,17 +29,26 @@ Graph::AddInput(LayerId id, const InputRef &ref)
     assert(ref.producer == kNoLayer ||
            (ref.producer >= 0 && ref.producer < id));
     layers_[id].addInput(ref);
-    if (ref.producer == kNoLayer) return;
-    // Keep the producer's list sorted by (consumer, input slot): the
-    // new edge has the largest slot of `id`, so it goes before the
-    // first edge of a later consumer.
-    std::vector<Edge> &edges = consumers_[ref.producer];
-    const Edge edge{ref.producer, id,
-                    static_cast<int>(layers_[id].inputs().size()) - 1};
-    auto pos = std::find_if(edges.begin(), edges.end(), [&](const Edge &e) {
-        return e.consumer > id;
-    });
-    edges.insert(pos, edge);
+    consumers_.Reset();
+}
+
+const Graph::ConsumerIndex &
+Graph::ConsumerCache::Get(const Graph &graph) const
+{
+    if (const ConsumerIndex *index = index_.load(std::memory_order_acquire))
+        return *index;
+    // AllEdges() lists edges by (consumer, input slot), which the
+    // per-producer appends keep.
+    auto index = std::make_unique<ConsumerIndex>(graph.NumLayers());
+    for (const Edge &e : graph.AllEdges())
+        (*index)[e.producer].push_back(e);
+
+    const ConsumerIndex *expected = nullptr;
+    if (index_.compare_exchange_strong(expected, index.get(),
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire))
+        return *index.release();
+    return *expected;  // another thread published first
 }
 
 std::vector<Edge>

@@ -6,6 +6,7 @@
 #ifndef SOMA_WORKLOAD_GRAPH_H
 #define SOMA_WORKLOAD_GRAPH_H
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -60,11 +61,11 @@ class Graph {
     }
 
     /** All consumer edges of @p id, ordered by (consumer, input slot).
-     *  The index is maintained by AddLayer/AddInput, so concurrent
-     *  readers of a shared const Graph never race. */
+     *  Safe to call from several threads on a shared const Graph; the
+     *  reference is valid until the graph changes. */
     const std::vector<Edge> &Consumers(LayerId id) const
     {
-        return consumers_[id];
+        return consumers_.Get(*this)[id];
     }
 
     /** All edges of the graph (producer >= 0 only). */
@@ -91,10 +92,40 @@ class Graph {
     Bytes TotalFmapBytes() const;
 
   private:
+    /** Per-producer consumer edges. */
+    using ConsumerIndex = std::vector<std::vector<Edge>>;
+
+    /**
+     * Owner of the consumer index. The index is built on the first
+     * Consumers() call and published with a compare-exchange, so
+     * concurrent readers of one shared const Graph (the service's
+     * graph cache hands one to concurrent requests) never race; the
+     * losers of a publication race discard their copy. Building it in
+     * AddLayer instead would put the work on every graph construction.
+     * Mutations drop the index; copies start without one.
+     */
+    class ConsumerCache {
+      public:
+        ConsumerCache() = default;
+        ConsumerCache(const ConsumerCache &) noexcept {}
+        ConsumerCache &operator=(const ConsumerCache &) noexcept
+        {
+            Reset();
+            return *this;
+        }
+        ~ConsumerCache() { Reset(); }
+
+        const ConsumerIndex &Get(const Graph &graph) const;
+        void Reset() { delete index_.exchange(nullptr); }
+
+      private:
+        mutable std::atomic<const ConsumerIndex *> index_{nullptr};
+    };
+
     std::string name_;
     int batch_ = 1;
     std::vector<Layer> layers_;
-    std::vector<std::vector<Edge>> consumers_;  ///< per producer
+    ConsumerCache consumers_;
 };
 
 }  // namespace soma
