@@ -108,15 +108,26 @@ class Graph {
       public:
         ConsumerCache() = default;
         ConsumerCache(const ConsumerCache &) noexcept {}
-        ConsumerCache &operator=(const ConsumerCache &) noexcept
+        ConsumerCache &operator=(const ConsumerCache &other) noexcept
         {
-            Reset();
+            if (this != &other) Reset();
             return *this;
         }
         ~ConsumerCache() { Reset(); }
 
         const ConsumerIndex &Get(const Graph &graph) const;
-        void Reset() { delete index_.exchange(nullptr); }
+
+        /** Drop the index. Callers mutate or destroy the graph, which
+         *  is never concurrent with Get(), so no read-modify-write is
+         *  needed. */
+        void Reset()
+        {
+            if (const ConsumerIndex *index =
+                    index_.load(std::memory_order_relaxed)) {
+                delete index;
+                index_.store(nullptr, std::memory_order_relaxed);
+            }
+        }
 
       private:
         mutable std::atomic<const ConsumerIndex *> index_{nullptr};
