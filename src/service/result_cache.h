@@ -45,9 +45,12 @@ namespace soma {
  * less files — every versioned build loads them as misses);
  * 2 = incremental LFA pipeline + raised default/full search budgets;
  * 3 = length-stamped header (`somacache <version> <payload-bytes>`)
- * for torn-file detection, written via temp-file + atomic rename.
+ * for torn-file detection, written via temp-file + atomic rename;
+ * 4 = exact tile-cost memo key (input bytes in TileKey), which changes
+ * core energies and, through the latency x energy objective, some
+ * schemes.
  */
-inline constexpr std::uint64_t kResultCacheSchemaVersion = 3;
+inline constexpr std::uint64_t kResultCacheSchemaVersion = 4;
 
 class ResultCache {
   public:
