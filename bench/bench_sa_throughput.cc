@@ -1,30 +1,26 @@
 /**
  * @file
  * SA hot-path throughput: candidates evaluated per second, the number
- * every search-stage speedup ultimately cashes out as. Tracks four
+ * every search-stage speedup ultimately cashes out as. Tracks these
  * configurations of the DLSA inner loop —
  *
  *   legacy        mutate + EvaluateSchedule (the pre-refactor shape:
  *                 every candidate rebuilds all evaluation state)
  *   context-full  mutate + EvalContext::Evaluate (reused scratch,
  *                 allocation-free after warm-up)
- *   context-incr  mutate + EvalContext::EvaluateDelta with the windowed
- *                 splice disabled (timeline resumed from the earliest
- *                 slot the mutation touched, run to the end)
- *   delta         EvaluateDelta with windowed re-simulation (re-run
- *                 only the affected window, splice the cached suffix)
+ *   delta         mutate + EvalContext::EvaluateDelta (timeline resumed
+ *                 from the earliest slot the mutation touched, run to
+ *                 the end)
  *   driver KxN    RunDlsaStage on the SearchDriver with K chains on N
  *                 threads (aggregate candidates/s at equal per-chain
  *                 budget)
  *
- * plus the LFA loop (parse-dominated) as legacy / context (scratch
- * reuse only) / incremental (group-memoized partial re-parse + shared
- * TilingCache, full timeline per candidate) / delta (incremental parse
- * + EvaluateLfa's windowed delta timeline against the committed base),
- * with cross-check passes asserting incremental parses bit-identical
- * to full parses and delta evaluations bit-identical to full
- * simulations. CI gates lfa/incremental >= 2x lfa/legacy and
- * lfa/delta >= 2x lfa/incremental.
+ * plus the LFA loop (parse-dominated) as legacy / incremental
+ * (group-memoized partial re-parse + shared TilingCache, full timeline
+ * per candidate), with cross-check passes asserting incremental parses
+ * bit-identical to full parses and delta evaluations bit-identical to
+ * full simulations. CI gates lfa/incremental >= 2x lfa/legacy and
+ * dlsa/delta >= 4x dlsa/legacy.
  *
  * An observability section replays the incremental walk with the
  * SOMA_PROF_SCOPE hot-path hooks disabled (the default) and enabled
@@ -110,7 +106,24 @@ PrintRows(const std::vector<Row> &rows, const std::string &baseline)
     }
 }
 
-/** Greedy-walk harness shared by the three DLSA loop variants: mutate,
+constexpr int kRepeats = 3;
+
+/** Time @p walk (a callable returning one Row) kRepeats times, with
+ *  identical work per repeat, and keep the fastest: a single short walk
+ *  on a shared runner is noisy. */
+template <typename WalkFn>
+Row
+BestOf(WalkFn &&walk)
+{
+    Row best = walk();
+    for (int rep = 1; rep < kRepeats; ++rep) {
+        Row row = walk();
+        if (row.seconds < best.seconds) best = row;
+    }
+    return best;
+}
+
+/** Greedy-walk harness shared by the DLSA loop variants: mutate,
  *  evaluate, and adopt improvements (the accept pattern whose cost the
  *  SA loop pays). */
 template <typename EvalFn, typename AcceptFn>
@@ -193,36 +206,41 @@ main(int argc, char **argv)
                 parsed.NumTiles(), parsed.NumTensors(), parsed.num_lgs);
 
     // ----------------------------------------------------- DLSA loop
+    // Each walk is about a millisecond at the quick profile: time every
+    // row best-of-kRepeats, like the LFA rows.
     std::vector<Row> dlsa_rows;
-    dlsa_rows.push_back(DlsaWalk(
-        "dlsa/legacy", parsed, initial, initial_cost, dlsa_iters,
-        [&](const DlsaEncoding &d, const DlsaDelta &) {
-            return EvaluateSchedule(graph, hw, parsed, d, hw.gbuf_bytes,
-                                    total_ops)
-                .Cost();
-        },
-        [] {}));
+    dlsa_rows.push_back(BestOf([&] {
+        return DlsaWalk(
+            "dlsa/legacy", parsed, initial, initial_cost, dlsa_iters,
+            [&](const DlsaEncoding &d, const DlsaDelta &) {
+                return EvaluateSchedule(graph, hw, parsed, d, hw.gbuf_bytes,
+                                        total_ops)
+                    .Cost();
+            },
+            [] {});
+    }));
 
-    {
-        EvalContext ctx;
-        dlsa_rows.push_back(DlsaWalk(
+    EvalContext full_ctx;
+    dlsa_rows.push_back(BestOf([&] {
+        return DlsaWalk(
             "dlsa/context-full", parsed, initial, initial_cost, dlsa_iters,
             [&](const DlsaEncoding &d, const DlsaDelta &) {
-                return ctx
+                return full_ctx
                     .Evaluate(graph, hw, parsed, d, hw.gbuf_bytes,
                               total_ops)
                     .Cost();
             },
-            [] {}));
-    }
+            [] {});
+    }));
 
-    auto dlsa_delta_walk = [&](const std::string &name, bool windowed) {
-        EvalContext ctx;
-        ctx.set_windowed(windowed);
+    // A delta walk of @p iters candidates through @p ctx, from the
+    // committed initial state.
+    auto delta_walk = [&](EvalContext &ctx, const std::string &name,
+                          int iters) {
         ctx.Evaluate(graph, hw, parsed, initial, hw.gbuf_bytes, total_ops);
         ctx.Commit();
         return DlsaWalk(
-            name, parsed, initial, initial_cost, dlsa_iters,
+            name, parsed, initial, initial_cost, iters,
             [&](const DlsaEncoding &d, const DlsaDelta &delta) {
                 return ctx
                     .EvaluateDelta(graph, hw, parsed, d, delta,
@@ -231,155 +249,97 @@ main(int argc, char **argv)
             },
             [&] { ctx.Commit(); });
     };
-    dlsa_rows.push_back(dlsa_delta_walk("dlsa/context-incr", false));
-    dlsa_rows.push_back(dlsa_delta_walk("dlsa/delta", true));
-    std::printf("DLSA inner loop (%d iterations):\n", dlsa_iters);
+    EvalContext delta_ctx;
+    dlsa_rows.push_back(BestOf(
+        [&] { return delta_walk(delta_ctx, "dlsa/delta", dlsa_iters); }));
+    std::printf("DLSA inner loop (%d iterations, best of %d):\n",
+                dlsa_iters, kRepeats);
     PrintRows(dlsa_rows, "dlsa/legacy");
 
     // ------------------------------------------------------ LFA loop
-    // Three shapes of the parse-dominated loop:
+    // Two shapes of the parse-dominated loop:
     //   legacy       rebuild everything per candidate (ParseLfa +
     //                EvaluateSchedule)
-    //   context      reused scratch, but every group re-derived (the
-    //                pre-incremental EvalContext shape)
     //   incremental  group-memoized partial re-parse + shared
     //                TilingCache (the LFA-stage production path)
-    // The lfa/incremental-vs-legacy ratio is gated in CI, and a single
-    // short walk on a shared runner is noisy: time each variant three
-    // times (identical work per repeat) and keep the fastest.
-    constexpr int kLfaRepeats = 3;
     std::vector<Row> lfa_rows;
-    {
+    lfa_rows.push_back(BestOf([&] {
         Row row;
         row.name = "lfa/legacy";
-        for (int rep = 0; rep < kLfaRepeats; ++rep) {
-            Rng rng(23);
-            LfaEncoding cur = lfa, cand;
-            int candidates = 0;
-            const MonotonicTime t0 = MonotonicNow();
-            for (int i = 0; i < lfa_iters; ++i) {
-                if (!MutateLfaEncoding(graph, cur, &cand, 64, rng))
-                    continue;
-                ParsedSchedule p = ParseLfa(graph, cand, core_eval);
-                if (p.valid) {
-                    DlsaEncoding d = MakeDoubleBufferDlsa(p);
-                    EvaluateSchedule(graph, hw, p, d, hw.gbuf_bytes,
-                                     total_ops);
-                }
-                ++candidates;
-            }
-            double seconds = SecondsSince(t0);
-            if (rep == 0 || seconds < row.seconds) {
-                row.candidates = candidates;
-                row.seconds = seconds;
-            }
-        }
-        lfa_rows.push_back(row);
-    }
-    auto lfa_context_walk = [&](const std::string &name,
-                                const ParseOptions &popts,
-                                bool with_tiling_cache, bool delta_eval) {
-        Row row;
-        row.name = name;
-        for (int rep = 0; rep < kLfaRepeats; ++rep) {
-            Rng rng(23);
-            EvalContext ctx;
-            if (with_tiling_cache)
-                ctx.set_tiling_cache(std::make_shared<TilingCache>());
-            DlsaEncoding dlsa_scratch;
-            LfaEncoding cur = lfa, cand;
-            if (delta_eval) {
-                // Commit the walk's base state once; every candidate
-                // then diffs against it (the stage's accept pattern).
-                const ParsedSchedule &p =
-                    ctx.Parse(graph, cur, core_eval, popts);
-                MakeDoubleBufferDlsaInto(p, &dlsa_scratch);
-                ctx.EvaluateLfa(graph, hw, p, dlsa_scratch, hw.gbuf_bytes,
-                                total_ops);
-                ctx.Commit();
-            }
-            int candidates = 0;
-            const MonotonicTime t0 = MonotonicNow();
-            for (int i = 0; i < lfa_iters; ++i) {
-                if (!MutateLfaEncoding(graph, cur, &cand, 64, rng))
-                    continue;
-                const ParsedSchedule &p =
-                    ctx.Parse(graph, cand, core_eval, popts);
-                if (p.valid) {
-                    MakeDoubleBufferDlsaInto(p, &dlsa_scratch);
-                    if (delta_eval) {
-                        ctx.EvaluateLfa(graph, hw, p, dlsa_scratch,
-                                        hw.gbuf_bytes, total_ops);
-                    } else {
-                        ctx.Evaluate(graph, hw, p, dlsa_scratch,
-                                     hw.gbuf_bytes, total_ops);
-                    }
-                }
-                ++candidates;
-            }
-            double seconds = SecondsSince(t0);
-            if (rep == 0 || seconds < row.seconds) {
-                row.candidates = candidates;
-                row.seconds = seconds;
-            }
-        }
-        lfa_rows.push_back(row);
-    };
-    {
-        ParseOptions popts;
-        popts.reuse_groups = false;
-        lfa_context_walk("lfa/context", popts, false, false);
-    }
-    lfa_context_walk("lfa/incremental", ParseOptions{}, true, false);
-    lfa_context_walk("lfa/delta", ParseOptions{}, true, true);
-    std::printf("\nLFA inner loop (%d iterations, parse-dominated):\n",
-                lfa_iters);
-    PrintRows(lfa_rows, "lfa/legacy");
-
-    // The debug cross-checks: replay a slice of the same walk with
-    // every incremental parse verified bit-identical against a
-    // from-scratch parse (ParseLfaInto aborts on divergence), and every
-    // delta timeline evaluation verified bit-identical against a full
-    // simulation (EvalContext's cross_check mode aborts on divergence).
-    {
-        ParseOptions popts;
-        popts.cross_check = true;
         Rng rng(23);
-        EvalContext ctx;
-        ctx.set_cross_check(true);
+        LfaEncoding cur = lfa, cand;
+        const MonotonicTime t0 = MonotonicNow();
+        for (int i = 0; i < lfa_iters; ++i) {
+            if (!MutateLfaEncoding(graph, cur, &cand, 64, rng)) continue;
+            ParsedSchedule p = ParseLfa(graph, cand, core_eval);
+            if (p.valid) {
+                DlsaEncoding d = MakeDoubleBufferDlsa(p);
+                EvaluateSchedule(graph, hw, p, d, hw.gbuf_bytes, total_ops);
+            }
+            ++row.candidates;
+        }
+        row.seconds = SecondsSince(t0);
+        return row;
+    }));
+    // One LFA walk through an EvalContext with a fresh tiling cache;
+    // returns the number of candidates.
+    auto lfa_context_walk = [&](EvalContext &ctx, const ParseOptions &popts,
+                                int iters) {
+        Rng rng(23);
         ctx.set_tiling_cache(std::make_shared<TilingCache>());
         DlsaEncoding dlsa_scratch;
         LfaEncoding cur = lfa, cand;
-        {
-            const ParsedSchedule &p = ctx.Parse(graph, cur, core_eval,
-                                                popts);
-            MakeDoubleBufferDlsaInto(p, &dlsa_scratch);
-            ctx.EvaluateLfa(graph, hw, p, dlsa_scratch, hw.gbuf_bytes,
-                            total_ops);
-            ctx.Commit();
-        }
-        int checked = 0;
-        const int check_iters = std::min(lfa_iters, 100);
-        for (int i = 0; i < check_iters; ++i) {
+        int candidates = 0;
+        for (int i = 0; i < iters; ++i) {
             if (!MutateLfaEncoding(graph, cur, &cand, 64, rng)) continue;
-            const ParsedSchedule &p = ctx.Parse(graph, cand, core_eval,
-                                                popts);
+            const ParsedSchedule &p = ctx.Parse(graph, cand, core_eval, popts);
             if (p.valid) {
                 MakeDoubleBufferDlsaInto(p, &dlsa_scratch);
-                ctx.EvaluateLfa(graph, hw, p, dlsa_scratch, hw.gbuf_bytes,
-                                total_ops);
+                ctx.Evaluate(graph, hw, p, dlsa_scratch, hw.gbuf_bytes,
+                             total_ops);
             }
-            ++checked;
+            ++candidates;
         }
+        return candidates;
+    };
+    lfa_rows.push_back(BestOf([&] {
+        Row row;
+        row.name = "lfa/incremental";
+        EvalContext ctx;
+        const MonotonicTime t0 = MonotonicNow();
+        row.candidates = lfa_context_walk(ctx, ParseOptions{}, lfa_iters);
+        row.seconds = SecondsSince(t0);
+        return row;
+    }));
+    std::printf("\nLFA inner loop (%d iterations, parse-dominated, best "
+                "of %d):\n",
+                lfa_iters, kRepeats);
+    PrintRows(lfa_rows, "lfa/legacy");
+
+    // The debug cross-checks: replay a slice of the LFA walk with every
+    // incremental parse verified bit-identical against a from-scratch
+    // parse (ParseLfaInto aborts on divergence), and a slice of the
+    // DLSA delta walk with every delta evaluation verified
+    // bit-identical against a full simulation (EvalContext's
+    // cross_check mode aborts on divergence).
+    {
+        ParseOptions popts;
+        popts.cross_check = true;
+        EvalContext lfa_ctx;
+        const int parses =
+            lfa_context_walk(lfa_ctx, popts, std::min(lfa_iters, 100));
+        EvalContext ctx;
+        ctx.set_cross_check(true);
+        delta_walk(ctx, "dlsa/cross_check", std::min(dlsa_iters, 1000));
         const auto &ds = ctx.delta_stats();
         std::printf("  cross-check: %d incremental parses bit-identical "
                     "to full parses, %llu delta evals bit-identical to "
                     "full simulations\n",
-                    checked,
+                    parses,
                     static_cast<unsigned long long>(ds.cross_check_passes));
         bench::JsonSink::Instance().Add("sa_throughput/lfa/cross_check",
                                         "parses_verified",
-                                        static_cast<double>(checked));
+                                        static_cast<double>(parses));
         bench::JsonSink::Instance().Add(
             "sa_throughput/delta/cross_check", "evals_verified",
             static_cast<double>(ds.cross_check_passes));
@@ -412,25 +372,14 @@ main(int argc, char **argv)
 
     // ---------------------------- observability overhead (obs layer)
     // The delta walk crosses two SOMA_PROF_SCOPE sites per candidate
-    // (eval.delta + eval.timeline.delta). Replay it with the hooks
+    // (eval.delta + eval.timeline). Replay it with the hooks
     // dormant (default) and recording (ProfEnableScope — what
     // --trace/--stats hold), then microbench one *disabled* scope to
     // estimate the cost instrumentation adds when nobody is looking.
     {
         auto incr_walk = [&](const std::string &name) {
             EvalContext ctx;
-            ctx.Evaluate(graph, hw, parsed, initial, hw.gbuf_bytes,
-                         total_ops);
-            ctx.Commit();
-            return DlsaWalk(
-                name, parsed, initial, initial_cost, dlsa_iters,
-                [&](const DlsaEncoding &d, const DlsaDelta &delta) {
-                    return ctx
-                        .EvaluateDelta(graph, hw, parsed, d, delta,
-                                       hw.gbuf_bytes, total_ops)
-                        .Cost();
-                },
-                [&] { ctx.Commit(); });
+            return delta_walk(ctx, name, dlsa_iters);
         };
         std::vector<Row> obs_rows;
         obs_rows.push_back(incr_walk("obs/tracing_off"));
@@ -442,9 +391,7 @@ main(int argc, char **argv)
             const std::vector<obs::ProfEntry> after = obs::ProfSnapshot();
             const std::uint64_t timeline_nanos =
                 obs::ProfNanos(after, "eval.timeline") -
-                obs::ProfNanos(before, "eval.timeline") +
-                obs::ProfNanos(after, "eval.timeline.delta") -
-                obs::ProfNanos(before, "eval.timeline.delta");
+                obs::ProfNanos(before, "eval.timeline");
             const double wall = obs_rows.back().seconds;
             if (wall > 0.0)
                 timeline_share =
@@ -472,7 +419,7 @@ main(int argc, char **argv)
         const double overhead_pct =
             cand_ns > 0.0 ? 100.0 * (2.0 * scope_ns) / cand_ns : 0.0;
 
-        std::printf("\nobservability (context-incr walk, %d iterations):"
+        std::printf("\nobservability (delta walk, %d iterations):"
                     "\n",
                     dlsa_iters);
         PrintRows(obs_rows, "obs/tracing_off");

@@ -57,33 +57,18 @@ RecordSearchObservations(const ScheduleRequest &request,
     const std::uint64_t timeline_nanos =
         obs::ProfNanos(after, "eval.timeline") -
         obs::ProfNanos(before, "eval.timeline");
-    const std::uint64_t delta_timeline_nanos =
-        obs::ProfNanos(after, "eval.timeline.delta") -
-        obs::ProfNanos(before, "eval.timeline.delta");
     const double timeline_share =
         search_seconds > 0.0
-            ? std::min(1.0, (timeline_nanos + delta_timeline_nanos) *
-                                1e-9 / search_seconds)
-            : 0.0;
-    // Of all timeline simulation time, the fraction spent on the
-    // windowed delta path (1.0 = every re-simulation was windowed).
-    const double delta_share =
-        timeline_nanos + delta_timeline_nanos > 0
-            ? static_cast<double>(delta_timeline_nanos) /
-                  static_cast<double>(timeline_nanos +
-                                      delta_timeline_nanos)
+            ? std::min(1.0, timeline_nanos * 1e-9 / search_seconds)
             : 0.0;
 
     auto &reg = obs::MetricsRegistry::Global();
     reg.GetCounter("pipeline.requests").Add();
     reg.GetCounter("pipeline.search_nanos")
         .Add(static_cast<std::uint64_t>(search_seconds * 1e9));
-    reg.GetCounter("pipeline.timeline_eval_nanos")
-        .Add(timeline_nanos + delta_timeline_nanos);
-    if (timeline_nanos + delta_timeline_nanos > 0) {
+    reg.GetCounter("pipeline.timeline_eval_nanos").Add(timeline_nanos);
+    if (timeline_nanos > 0)
         reg.GetGauge("search.timeline_eval_share").Set(timeline_share);
-        reg.GetGauge("search.timeline_delta_share").Set(delta_share);
-    }
     reg.GetHistogram("pipeline.search_seconds").Observe(search_seconds);
 
     obs::Tracer *const tracer = request.trace;
@@ -120,7 +105,6 @@ RecordSearchObservations(const ScheduleRequest &request,
     std::vector<obs::SpanArg> args;
     args.push_back({"scheduler", Json::Str(request.scheduler)});
     args.push_back({"timeline_eval_share", Json::Number(timeline_share)});
-    args.push_back({"timeline_delta_share", Json::Number(delta_share)});
     tracer->AddComplete("pipeline.search", t_search, t_search_end,
                         std::move(args));
 }

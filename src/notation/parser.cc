@@ -114,12 +114,11 @@ ParseLfaInto(const Graph &graph, const LfaEncoding &lfa,
     ParseLfaIntoImpl(graph, lfa, core_eval, popts, scratch, out_ptr,
                      tiling_cache);
     if (popts.cross_check) {
-        // Reference: from-scratch parse with no group memo and no
+        // Reference: from-scratch parse with an empty group memo and no
         // shared tiling cache. Any divergence is a bug in the
         // incremental path — fail loudly, never silently mis-schedule.
         ParseOptions ref_popts = popts;
         ref_popts.cross_check = false;
-        ref_popts.reuse_groups = false;
         ParseScratch ref_scratch;
         ParsedSchedule ref;
         ParseLfaIntoImpl(graph, lfa, core_eval, ref_popts, &ref_scratch,
@@ -212,11 +211,10 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
         const bool key_matches = it != scratch->group_memo.end() &&
                                  it->second.tiles == rounds &&
                                  it->second.sorted_layers == sorted;
-        if (popts.reuse_groups && key_matches &&
-            it->second.layers == layers) {
+        if (key_matches && it->second.layers == layers) {
             groups[g] = &it->second;
             ++scratch->last_clean_groups;
-        } else if (popts.reuse_groups && key_matches) {
+        } else if (key_matches) {
             // Same member set (hence same sink set and tiling), new
             // interior order: re-point the block's permutation view at
             // the new order. Regions and costs stay untouched in their
@@ -272,15 +270,11 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
                     }
                 }
             }
-            if (!popts.reuse_groups ||
-                it != scratch->group_memo.end()) {
-                // Not memoized: either reuse is off (keep the memo
-                // untouched — its content-addressed entries stay valid
-                // for a later reuse-on parse), or the signature
-                // collided with a *different* resident group, which
-                // must never be evicted mid-parse (an earlier group
-                // may already point at it). Park the block in
-                // per-parse overflow storage.
+            if (it != scratch->group_memo.end()) {
+                // Not memoized: the signature collided with a
+                // *different* resident group, which must never be
+                // evicted mid-parse (an earlier group may already point
+                // at it). Park the block in per-parse overflow storage.
                 scratch->group_overflow.push_back(
                     std::make_unique<ParseScratch::GroupParse>(
                         std::move(block)));

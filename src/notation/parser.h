@@ -40,19 +40,12 @@ enum class DramTensorKind { kWeight, kIfmap, kOfmap };
 struct ParseOptions {
     bool lg_resident_weights = false;
     /**
-     * Reuse memoized group blocks from the scratch across calls (the
-     * incremental parse). Off: every group re-derives each call — the
-     * pre-incremental behaviour, kept for the bench's legacy-vs-
-     * incremental comparison and the cross-check reference.
-     */
-    bool reuse_groups = true;
-    /**
      * Debug invariant check for the incremental (group-memoized) parse:
      * after every ParseLfaInto, re-parse from scratch without any cache
      * and abort unless the two ParsedSchedules are bit-identical.
      * Roughly halves parse throughput — enable in property tests and
-     * verification runs only (the LFA stage turns it on under
-     * SOMA_LFA_CROSS_CHECK=1).
+     * verification runs only (EvalContext::Parse turns it on under
+     * SOMA_CROSS_CHECK=1).
      */
     bool cross_check = false;
 };

@@ -180,15 +180,8 @@ RunDlsaStage(const Graph &graph, const HardwareConfig &hw,
             const EvalContext::DeltaStats &ds = ctx->delta_stats();
             span.Arg("delta_evals",
                      static_cast<std::int64_t>(ds.delta_evals));
-            span.Arg("windowed_runs",
-                     static_cast<std::int64_t>(ds.windowed_runs));
-            span.Arg("splices", static_cast<std::int64_t>(ds.splices));
             span.Arg("full_fallbacks",
                      static_cast<std::int64_t>(ds.full_fallbacks));
-            span.Arg("window_events",
-                     static_cast<std::int64_t>(ds.window_events));
-            span.Arg("last_window_events",
-                     static_cast<std::int64_t>(ds.last_window_events));
             span.Arg("resume_ci",
                      static_cast<std::int64_t>(ds.last_resume_ci));
             span.Arg("resume_di",

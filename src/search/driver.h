@@ -117,7 +117,7 @@ struct ChainEnv {
     std::function<void(const State &, double)> on_adopt;
     /** Optional: called with the chain's "sa.window" span after each
      *  window, so the stage can attach evaluation telemetry (delta
-     *  window sizes, resume points, splice counts) to the trace. */
+     *  evaluation and fallback counts, resume points) to the trace. */
     std::function<void(obs::SpanScope &)> annotate;
 };
 

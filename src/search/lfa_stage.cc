@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 
 #include "obs/trace.h"
@@ -12,22 +10,6 @@
 #include "sim/evaluator.h"
 
 namespace soma {
-
-namespace {
-
-/** SOMA_LFA_CROSS_CHECK=1 turns the per-candidate parse cross-check on
- *  process-wide (read once; the flag is a debug switch, not a knob). */
-bool
-CrossCheckFromEnv()
-{
-    static const bool enabled = [] {
-        const char *v = std::getenv("SOMA_LFA_CROSS_CHECK");
-        return v && *v && std::strcmp(v, "0") != 0;
-    }();
-    return enabled;
-}
-
-}  // namespace
 
 bool
 MutateOrderMoveLayer(const Graph &graph, std::vector<LayerId> *order,
@@ -182,35 +164,28 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
     // never perturbs per-seed determinism.
     std::shared_ptr<TilingCache> tiling_cache = opts.tiling_cache;
     if (!tiling_cache) tiling_cache = std::make_shared<TilingCache>();
-    ParseOptions popts;
-    popts.cross_check = opts.cross_check || CrossCheckFromEnv();
 
     // One evaluation = parse + classical double-buffer DLSA (lazy
     // fallback under tight budgets). The context keeps parse and
     // timeline scratch (and the incremental group memo) alive across
     // candidates; @p ctx and @p ce are per-chain, their caches shared.
-    // EvaluateLfa diffs the candidate parse against the chain's
-    // committed base (see on_accept below) and re-simulates only the
-    // affected timeline window — bit-identical to a full evaluation.
-    auto eval_with = [&graph, &hw, stage_budget, total_ops, popts,
+    auto eval_with = [&graph, &hw, stage_budget, total_ops,
                       n = opts.cost_n, m = opts.cost_m](
                          EvalContext &ctx, CoreArrayEvaluator &ce,
                          DlsaEncoding &dlsa_scratch,
                          const LfaEncoding &lfa) -> double {
-        const ParsedSchedule &parsed = ctx.Parse(graph, lfa, ce, popts);
+        const ParsedSchedule &parsed = ctx.Parse(graph, lfa, ce);
         if (!parsed.valid) return std::numeric_limits<double>::infinity();
         MakeDoubleBufferDlsaInto(parsed, &dlsa_scratch);
         {
-            const EvalReport &rep =
-                ctx.EvaluateLfa(graph, hw, parsed, dlsa_scratch,
-                                stage_budget, total_ops);
+            const EvalReport &rep = ctx.Evaluate(
+                graph, hw, parsed, dlsa_scratch, stage_budget, total_ops);
             if (rep.valid) return rep.Cost(n, m);
         }
         // A tight budget may only fit the lazy variant.
         MakeLazyDlsaInto(parsed, &dlsa_scratch);
-        const EvalReport &rep = ctx.EvaluateLfa(graph, hw, parsed,
-                                                dlsa_scratch, stage_budget,
-                                                total_ops);
+        const EvalReport &rep = ctx.Evaluate(graph, hw, parsed, dlsa_scratch,
+                                             stage_budget, total_ops);
         return rep.Cost(n, m);
     };
 
@@ -287,33 +262,6 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
         };
         env.evaluate = [eval_with, ce, ctx, dlsa](const LfaEncoding &lfa) {
             return eval_with(*ctx, *ce, *dlsa, lfa);
-        };
-        // Accepted candidates become the delta base: EvaluateLfa diffs
-        // every later candidate's parse against it and resumes the
-        // timeline mid-stream instead of replaying it from tile zero.
-        env.on_accept = [ctx](const LfaEncoding &) { ctx->Commit(); };
-        env.on_adopt = [eval_with, ce, ctx, dlsa](const LfaEncoding &lfa,
-                                                  double) {
-            eval_with(*ctx, *ce, *dlsa, lfa);
-            ctx->Commit();
-        };
-        env.annotate = [ctx](obs::SpanScope &span) {
-            const EvalContext::DeltaStats &ds = ctx->delta_stats();
-            span.Arg("delta_evals",
-                     static_cast<std::int64_t>(ds.delta_evals));
-            span.Arg("windowed_runs",
-                     static_cast<std::int64_t>(ds.windowed_runs));
-            span.Arg("splices", static_cast<std::int64_t>(ds.splices));
-            span.Arg("full_fallbacks",
-                     static_cast<std::int64_t>(ds.full_fallbacks));
-            span.Arg("window_events",
-                     static_cast<std::int64_t>(ds.window_events));
-            span.Arg("last_window_events",
-                     static_cast<std::int64_t>(ds.last_window_events));
-            span.Arg("resume_ci",
-                     static_cast<std::int64_t>(ds.last_resume_ci));
-            span.Arg("resume_di",
-                     static_cast<std::int64_t>(ds.last_resume_di));
         };
         return env;
     };

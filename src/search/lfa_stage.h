@@ -51,12 +51,6 @@ struct LfaStageOptions {
      * hardware-preset) pair — see TileCostMemo's sharing invariant.
      */
     std::shared_ptr<TileCostMemo> tile_cost_memo;
-    /**
-     * Force the incremental-parse debug cross-check for every candidate
-     * (see ParseOptions::cross_check). Also enabled by setting the
-     * SOMA_LFA_CROSS_CHECK=1 environment variable.
-     */
-    bool cross_check = false;
     SaOptions sa;
     SearchDriverOptions driver;
 };

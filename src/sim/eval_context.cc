@@ -13,47 +13,10 @@ namespace soma {
 
 void
 ComputeBufferBySlot(const ParsedSchedule &parsed,
-                    const std::vector<TilePos> &free_point,
-                    std::vector<Bytes> *diff, std::vector<Bytes> *usage)
+                    const std::vector<TilePos> &free_point, Bytes *diff,
+                    std::vector<Bytes> *usage)
 {
     const int slots = parsed.NumTiles();
-    diff->assign(slots + 1, 0);
-    auto add = [&](TilePos from, TilePos to, Bytes bytes) {
-        from = std::clamp<TilePos>(from, 0, slots);
-        to = std::clamp<TilePos>(to, 0, slots);
-        if (from >= to) return;
-        (*diff)[from] += bytes;
-        (*diff)[to] -= bytes;
-    };
-    for (const OnchipInterval &iv : parsed.onchip)
-        add(iv.from, iv.to, iv.bytes);
-    for (int j = 0; j < parsed.NumTensors(); ++j) {
-        const DramTensor &t = parsed.tensors[j];
-        if (t.IsLoad()) {
-            add(free_point[j], t.fixed_end, t.bytes);
-        } else {
-            add(t.first_use, free_point[j], t.bytes);
-        }
-    }
-    usage->assign(slots, 0);
-    Bytes run = 0;
-    for (int s = 0; s < slots; ++s) {
-        run += (*diff)[s];
-        (*usage)[s] = run;
-    }
-}
-
-namespace {
-
-/** ComputeBufferBySlot with the difference array drawn from the
- *  per-candidate arena: same arithmetic, no heap traffic. */
-void
-ComputeUsageWithArena(const ParsedSchedule &parsed,
-                      const std::vector<TilePos> &free_point,
-                      MonotonicArena *arena, std::vector<Bytes> *usage)
-{
-    const int slots = parsed.NumTiles();
-    Bytes *diff = arena->AllocArray<Bytes>(slots + 1);
     std::fill_n(diff, slots + 1, Bytes{0});
     auto add = [&](TilePos from, TilePos to, Bytes bytes) {
         from = std::clamp<TilePos>(from, 0, slots);
@@ -79,6 +42,8 @@ ComputeUsageWithArena(const ParsedSchedule &parsed,
         (*usage)[s] = run;
     }
 }
+
+namespace {
 
 bool
 TimesEqual(const std::vector<EventTiming> &a,
@@ -112,25 +77,25 @@ ReportsEqual(const EvalReport &a, const EvalReport &b)
 
 EvalContext::EvalContext()
 {
-    const char *wd = std::getenv("SOMA_TIMELINE_DELTA");
-    if (wd && wd[0] == '0' && wd[1] == '\0') windowed_ = false;
-    const char *cc = std::getenv("SOMA_EVAL_CROSS_CHECK");
-    if (cc && !(cc[0] == '0' && cc[1] == '\0')) cross_check_ = true;
+    const char *cc = std::getenv("SOMA_CROSS_CHECK");
+    if (cc && *cc && !(cc[0] == '0' && cc[1] == '\0')) cross_check_ = true;
 }
 
 const ParsedSchedule &
 EvalContext::Parse(const Graph &graph, const LfaEncoding &lfa,
                    CoreArrayEvaluator &core_eval, const ParseOptions &popts)
 {
-    // The candidate slot is overwritten: any uncommitted evaluation
-    // against it is orphaned. The committed base lives in the other
-    // slot and survives — that is what EvaluateLfa diffs against.
+    // The slot is overwritten: a base or uncommitted evaluation against
+    // it would describe a schedule that no longer exists.
+    if (base_parsed_ == &parsed_) InvalidateBase();
     cand_fresh_ = false;
     cand_parsed_ = nullptr;
-    soa_[ps_cand_].built_for = nullptr;
-    ParseLfaInto(graph, lfa, core_eval, popts, &parse_scratch_,
-                 &parsed_storage_[ps_cand_], tiling_cache_.get());
-    return parsed_storage_[ps_cand_];
+    soa_.built_for = nullptr;
+    ParseOptions opts = popts;
+    opts.cross_check = opts.cross_check || cross_check_;
+    ParseLfaInto(graph, lfa, core_eval, opts, &parse_scratch_, &parsed_,
+                 tiling_cache_.get());
+    return parsed_;
 }
 
 void
@@ -257,7 +222,7 @@ EvalContext::FillDramSeconds(const HardwareConfig &hw, TimelineSoA *soa)
     } else {
         // Seam path. The model sees the tensor-index-ordered transfer
         // list; its contract (memory_model.h) makes the fill a pure
-        // function of (parse, hw), which is all the delta/splice logic
+        // function of (parse, hw), which is all the delta logic
         // relies on — the hot loop only ever reads this array.
         DramTransferList transfers;
         transfers.bytes = soa->t_bytes.data();
@@ -274,44 +239,17 @@ EvalContext::FillDramSeconds(const HardwareConfig &hw, TimelineSoA *soa)
 const EvalContext::TimelineSoA &
 EvalContext::SoAFor(const ParsedSchedule &parsed, const HardwareConfig &hw)
 {
-    TimelineSoA *soa;
-    if (&parsed == &parsed_storage_[0]) {
-        soa = &soa_[0];
-    } else if (&parsed == &parsed_storage_[1]) {
-        soa = &soa_[1];
-    } else {
-        soa = &soa_ext_;
-    }
+    TimelineSoA *soa = &parsed == &parsed_ ? &soa_ : &soa_ext_;
     if (soa->built_for != &parsed) BuildSoA(parsed, soa);
     if (soa->hw_for != &hw) FillDramSeconds(hw, soa);
     return *soa;
 }
 
-void
-EvalContext::SpliceSuffix(const Side &base, Side *side, int ci, int di)
-{
-    const int D = static_cast<int>(base.ci_at_rank.size());
-    std::copy(base.tile_finish.begin() + ci, base.tile_finish.end(),
-              side->tile_finish.begin() + ci);
-    std::copy(base.rank_at_tile.begin() + ci, base.rank_at_tile.end(),
-              side->rank_at_tile.begin() + ci);
-    std::copy(base.report.tile_times.begin() + ci,
-              base.report.tile_times.end(),
-              side->report.tile_times.begin() + ci);
-    std::copy(base.ci_at_rank.begin() + di, base.ci_at_rank.end(),
-              side->ci_at_rank.begin() + di);
-    for (int r = di; r < D; ++r) {
-        const int j = base.order[r];  // == side->order[r] beyond min_di
-        side->tensor_finish[j] = base.tensor_finish[j];
-        side->report.tensor_times[j] = base.report.tensor_times[j];
-    }
-}
-
-template <bool kWindowed>
 bool
-EvalContext::RunTimelineImpl(const TimelineSoA &soa, Side *side, int ci,
-                             int di, double dram_prev_finish, SpliceWindow *w)
+EvalContext::RunTimeline(const TimelineSoA &soa, Side *side, int ci, int di,
+                         double dram_prev_finish)
 {
+    SOMA_PROF_SCOPE("eval.timeline");
     const int T = soa.T();
     const int D = soa.D();
     EvalReport &rep = side->report;
@@ -328,17 +266,6 @@ EvalContext::RunTimelineImpl(const TimelineSoA &soa, Side *side, int ci,
         // DRAM head: a load waits for tiles before its Start; a store
         // waits for its producing tile.
         while (di < D) {
-            if constexpr (kWindowed) {
-                // Reconverged with the base trajectory at an aligned
-                // state: every remaining event would recompute the base
-                // values, so copy them instead.
-                if (w->dirty == 0 && di >= w->min_di && ci >= w->min_ci &&
-                    w->base->ci_at_rank[di] == ci) {
-                    SpliceSuffix(*w->base, side, ci, di);
-                    w->spliced = true;
-                    return true;
-                }
-            }
             const int j = side->order[di];
             double ready;
             if (is_load[j]) {
@@ -351,13 +278,6 @@ EvalContext::RunTimelineImpl(const TimelineSoA &soa, Side *side, int ci,
             }
             const double start = std::max(dram_prev_finish, ready);
             const double finish = start + t_dram[j];
-            if constexpr (kWindowed) {
-                ++w->events;
-                if (start != w->base->report.tensor_times[j].start ||
-                    finish != w->base->tensor_finish[j] ||
-                    ci != w->base->ci_at_rank[di])
-                    ++w->dirty;
-            }
             rep.tensor_times[j] = EventTiming{start, finish};
             side->tensor_finish[j] = finish;
             side->ci_at_rank[di] = ci;
@@ -369,14 +289,6 @@ EvalContext::RunTimelineImpl(const TimelineSoA &soa, Side *side, int ci,
         // Compute head: waits for the previous tile, its operand loads,
         // and all stores whose End equals this tile.
         while (ci < T) {
-            if constexpr (kWindowed) {
-                if (w->dirty == 0 && ci >= w->min_ci && di >= w->min_di &&
-                    w->base->rank_at_tile[ci] == di) {
-                    SpliceSuffix(*w->base, side, ci, di);
-                    w->spliced = true;
-                    return true;
-                }
-            }
             double start = (ci == 0) ? 0.0 : side->tile_finish[ci - 1];
             bool blocked = false;
             for (int j = load_begin[ci]; j < load_end[ci]; ++j) {
@@ -394,13 +306,6 @@ EvalContext::RunTimelineImpl(const TimelineSoA &soa, Side *side, int ci,
             }
             if (blocked) break;
             const double finish = start + tile_seconds[ci];
-            if constexpr (kWindowed) {
-                ++w->events;
-                if (start != w->base->report.tile_times[ci].start ||
-                    finish != w->base->tile_finish[ci] ||
-                    di != w->base->rank_at_tile[ci])
-                    ++w->dirty;
-            }
             rep.tile_times[ci] = EventTiming{start, finish};
             side->tile_finish[ci] = finish;
             side->rank_at_tile[ci] = di;
@@ -417,43 +322,17 @@ EvalContext::RunTimelineImpl(const TimelineSoA &soa, Side *side, int ci,
     return true;
 }
 
-bool
-EvalContext::RunTimeline(const TimelineSoA &soa, Side *side, int ci, int di,
-                         double dram_prev_finish)
-{
-    SOMA_PROF_SCOPE("eval.timeline");
-    return RunTimelineImpl<false>(soa, side, ci, di, dram_prev_finish,
-                                  nullptr);
-}
-
-bool
-EvalContext::RunTimelineWindowed(const TimelineSoA &soa, Side *side, int ci,
-                                 int di, double dram_prev_finish,
-                                 SpliceWindow *w)
-{
-    SOMA_PROF_SCOPE("eval.timeline.delta");
-    return RunTimelineImpl<true>(soa, side, ci, di, dram_prev_finish, w);
-}
-
 void
 EvalContext::FinalizeAggregates(const TimelineSoA &soa,
                                 const HardwareConfig &hw, Ops total_ops,
-                                Side *side, double known_latency,
-                                double known_avg)
+                                Side *side, double known_avg)
 {
     EvalReport &rep = side->report;
     const int T = soa.T();
 
-    double makespan;
-    if (known_latency >= 0.0) {
-        // The splice proved the timeline equals the base's bitwise.
-        makespan = known_latency;
-    } else {
-        makespan = 0.0;
-        for (double f : side->tile_finish) makespan = std::max(makespan, f);
-        for (double f : side->tensor_finish)
-            makespan = std::max(makespan, f);
-    }
+    double makespan = 0.0;
+    for (double f : side->tile_finish) makespan = std::max(makespan, f);
+    for (double f : side->tensor_finish) makespan = std::max(makespan, f);
     rep.latency = makespan;
 
     rep.compute_busy = soa.sum_seconds;
@@ -501,9 +380,8 @@ EvalContext::Evaluate(const Graph &graph, const HardwareConfig &hw,
     arena_.Reset();
 
     // External parses have no invalidation hook (Parse only guards the
-    // context-owned slots), so re-mirror them on every full pass.
-    if (&parsed != OwnCandParse() && &parsed != OwnBaseParse())
-        soa_ext_.built_for = nullptr;
+    // context-owned slot), so re-mirror them on every full pass.
+    if (&parsed != &parsed_) soa_ext_.built_for = nullptr;
 
     Side &side = sides_[cand_];
     EvalReport &rep = side.report;
@@ -527,7 +405,8 @@ EvalContext::Evaluate(const Graph &graph, const HardwareConfig &hw,
     for (int r = 0; r < D; ++r) side.rank_of[side.order[r]] = r;
 
     // --- Buffer feasibility (slot-based, Fig. 4 BUFFER row) ---
-    ComputeUsageWithArena(parsed, side.free_point, &arena_, &side.usage);
+    ComputeBufferBySlot(parsed, side.free_point,
+                        arena_.AllocArray<Bytes>(T + 1), &side.usage);
     Bytes peak = 0;
     for (Bytes b : side.usage) peak = std::max(peak, b);
     rep.peak_buffer = peak;
@@ -583,8 +462,8 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
     ++delta_stats_.delta_evals;
     const Side &base = sides_[base_];
     if (!buckets_for_base_) {
-        // A full/LFA evaluation since the last Commit rebuilt the
-        // buckets for its own candidate; restore the base's view.
+        // A full evaluation since the last Commit rebuilt the buckets
+        // for its own candidate; restore the base's view.
         RebuildStoreBuckets(parsed, base);
         buckets_for_base_ = true;
     }
@@ -612,8 +491,6 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
 
     int ci0 = 0;
     int di0 = 0;
-    int min_ci = 0;  // earliest compute slot the splice may fire at
-    int min_di = 0;  // earliest DRAM rank the splice may fire at
     // >= 0: the buffer profile is untouched bitwise — peak and
     // weighted average are the base's, no O(T) rescan.
     double known_avg = -1.0;
@@ -673,7 +550,6 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
             // remaining structure differs from the base.
             di0 = base.rank_of[delta.tensor];
             ci0 = base.ci_at_rank[di0];
-            min_di = di0 + 1;
         } else {
             // The store now gates a different tile slot: resume at the
             // earlier of the two affected slots. End slots >= NumTiles
@@ -686,9 +562,6 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
             } else {
                 ci0 = tstar;
                 di0 = base.rank_at_tile[tstar];
-                const TilePos tmax =
-                    std::max(delta.old_point, delta.new_point);
-                min_ci = static_cast<int>(tmax < T ? tmax : tstar) + 1;
             }
         }
     } else {  // kOrderMove
@@ -699,17 +572,15 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
         for (int r = rmin; r <= rmax; ++r) side.rank_of[side.order[r]] = r;
         di0 = rmin;
         ci0 = base.ci_at_rank[di0];
-        min_di = rmax + 1;
         // Free points (hence the whole buffer profile) are untouched.
         rep.peak_buffer = base.report.peak_buffer;
         known_avg = base.report.avg_buffer;
     }
 
-    // Prefix copies only: the resumed run rewrites [ci0/di0, splice)
-    // and SpliceSuffix (or the run itself) fills the rest, so the old
-    // copy-everything-then-invalidate scheme collapses to one pass per
-    // element. tensor_finish doubles as the issued flag the gating
-    // checks read, so unissued ranks are invalidated in the same pass.
+    // Prefix copies only: the resumed run rewrites everything from
+    // (ci0, di0) to the end. tensor_finish doubles as the issued flag
+    // the gating checks read, so unissued ranks are invalidated in the
+    // same pass.
     side.tile_finish.resize(T);
     side.rank_at_tile.resize(T);
     side.tensor_finish.resize(D);
@@ -730,270 +601,27 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
     for (int r = di0; r < D; ++r)
         side.tensor_finish[side.order[r]] = -1.0;
 
-    double known_latency = -1.0;
-    if (!(ci0 == T && di0 == D)) {
-        double dram_prev =
-            di0 > 0 ? side.tensor_finish[side.order[di0 - 1]] : 0.0;
-        const TimelineSoA &soa = SoAFor(parsed, hw);
-        bool ok;
-        if (windowed_) {
-            SpliceWindow w;
-            w.base = &base;
-            w.min_ci = min_ci;
-            w.min_di = min_di;
-            ok = RunTimelineWindowed(soa, &side, ci0, di0, dram_prev, &w);
-            ++delta_stats_.windowed_runs;
-            delta_stats_.window_events +=
-                static_cast<std::uint64_t>(w.events);
-            delta_stats_.last_window_events = w.events;
-            delta_stats_.last_resume_ci = ci0;
-            delta_stats_.last_resume_di = di0;
-            if (ok && w.spliced) {
-                ++delta_stats_.splices;
-                known_latency = base.report.latency;
-            }
-        } else {
-            ok = RunTimeline(soa, &side, ci0, di0, dram_prev);
-        }
-        if (!ok) {
-            // Deadlock. The resumed run reproduced the full trajectory
-            // up to the stalled heads; everything beyond them is stale
-            // prefix-copy leftovers the canonical report zero-fills.
-            for (int t2 = run_dead_ci_; t2 < T; ++t2)
-                rep.tile_times[t2] = EventTiming{};
-            for (int r = run_dead_di_; r < D; ++r)
-                rep.tensor_times[side.order[r]] = EventTiming{};
-            ResetAggregates(&rep);
-            rep.why_invalid = "schedule deadlock (DLSA order)";
-            return rep;
-        }
-        FinalizeAggregates(soa, hw, total_ops, &side, known_latency,
-                           known_avg);
-    } else {
-        // The copied arrays ARE the candidate's timeline.
-        FinalizeAggregates(SoAFor(parsed, hw), hw, total_ops, &side,
-                           base.report.latency, known_avg);
-    }
-    rep.valid = true;
-    if (cross_check_) {
-        CrossCheckAgainstFull(hw, parsed, cand, buffer_budget, total_ops,
-                              "eval.delta");
-        ++delta_stats_.cross_check_passes;
-    }
-    return rep;
-}
-
-const EvalReport &
-EvalContext::EvaluateLfa(const Graph &graph, const HardwareConfig &hw,
-                         const ParsedSchedule &parsed,
-                         const DlsaEncoding &dlsa, Bytes buffer_budget,
-                         Ops total_ops)
-{
-    RevertPendingStoreMove();
-    if (!windowed_ || !base_ok_ || &parsed != OwnCandParse() ||
-        base_parsed_ != OwnBaseParse() || base_budget_ != buffer_budget ||
-        base_ops_ != total_ops || !parsed.valid) {
-        ++delta_stats_.full_fallbacks;
-        return Evaluate(graph, hw, parsed, dlsa, buffer_budget, total_ops);
-    }
-    SOMA_PROF_SCOPE("eval.delta.lfa");
-    arena_.Reset();
-    ++delta_stats_.delta_evals;
-
-    const ParsedSchedule &bp = *base_parsed_;
-    const Side &base = sides_[base_];
-    const TimelineSoA &sc = SoAFor(parsed, hw);
-    const TimelineSoA &sb = SoAFor(bp, hw);
-    const int T = sc.T(), D = sc.D();
-    const int Tb = sb.T(), Db = sb.D();
-    const int Tmin = std::min(T, Tb);
-    const int Dmin = std::min(D, Db);
-
-    // --- First/last-diff scans over the SoA mirrors ---
-    auto tile_eq = [&](int t) {
-        if (sc.tile_seconds[t] != sb.tile_seconds[t]) return false;
-        // Equal load lists: equal lengths, and equal ids unless empty.
-        const int cb = sc.load_begin[t], ce = sc.load_end[t];
-        const int bb = sb.load_begin[t], be = sb.load_end[t];
-        return ce - cb == be - bb && (ce == cb || cb == bb);
-    };
-    auto tensor_eq = [&](int j) {
-        return j < Dmin && sc.t_bytes[j] == sb.t_bytes[j] &&
-               sc.t_is_load[j] == sb.t_is_load[j] &&
-               sc.t_first_use[j] == sb.t_first_use[j] &&
-               dlsa.free_point[j] == base.free_point[j];
-    };
-
-    int it0 = (T == Tb) ? T : Tmin;  // first differing tile slot
-    for (int t = 0; t < Tmin; ++t) {
-        if (!tile_eq(t)) { it0 = t; break; }
-    }
-    int it_hi = -1;  // last differing tile slot (splice bound)
-    if (T == Tb && it0 < T) {
-        for (int t = T - 1; t >= it0; --t) {
-            if (!tile_eq(t)) { it_hi = t; break; }
-        }
-    }
-
-    // Store gate slots whose membership can differ between the sides.
-    int s_lo = std::numeric_limits<int>::max();
-    int s_hi = -1;
-    {
-        const int Dmax = std::max(D, Db);
-        for (int j = 0; j < Dmax; ++j) {
-            if (tensor_eq(j)) continue;
-            if (j < D && !sc.t_is_load[j] && dlsa.free_point[j] < T) {
-                s_lo = std::min(s_lo, static_cast<int>(dlsa.free_point[j]));
-                s_hi = std::max(s_hi, static_cast<int>(dlsa.free_point[j]));
-            }
-            if (j < Db && !sb.t_is_load[j] && base.free_point[j] < Tb) {
-                s_lo = std::min(s_lo, static_cast<int>(base.free_point[j]));
-                s_hi = std::max(s_hi, static_cast<int>(base.free_point[j]));
-            }
-        }
-    }
-
-    // First/last rank where the issue structure differs.
-    const int R = std::min(D, Db);
-    int r_lo = R;
-    for (int r = 0; r < R; ++r) {
-        const int jc = dlsa.order[r];
-        if (jc != base.order[r] || !tensor_eq(jc)) { r_lo = r; break; }
-    }
-    int last_bad = -1;
-    if (T == Tb && D == Db && r_lo < D) {
-        for (int r = D - 1; r >= r_lo; --r) {
-            const int jc = dlsa.order[r];
-            if (jc != base.order[r] || !tensor_eq(jc)) {
-                last_bad = r;
-                break;
-            }
-        }
-    }
-
-    Side &side = sides_[cand_];
-    EvalReport &rep = side.report;
-    ResetReportForEval(parsed, &rep);
-    cand_fresh_ = false;
-
-    side.order = dlsa.order;
-    side.free_point = dlsa.free_point;
-    side.rank_of.assign(D, 0);
-    for (int r = 0; r < D; ++r) side.rank_of[side.order[r]] = r;
-
-    // Occupancy is recomputed outright (onchip intervals are not part
-    // of the diff scans); identical arithmetic to the full path.
-    ComputeUsageWithArena(parsed, side.free_point, &arena_, &side.usage);
-    Bytes peak = 0;
-    for (Bytes b : side.usage) peak = std::max(peak, b);
-    rep.peak_buffer = peak;
-    if (peak > buffer_budget) {
-        // Exits before the bucket rebuild: the base's buckets (and its
-        // delta fast paths) survive a rejected over-budget candidate.
-        rep.why_invalid = "buffer overflow";
+    delta_stats_.last_resume_ci = ci0;
+    delta_stats_.last_resume_di = di0;
+    const double dram_prev =
+        di0 > 0 ? side.tensor_finish[side.order[di0 - 1]] : 0.0;
+    const TimelineSoA &soa = SoAFor(parsed, hw);
+    if (!RunTimeline(soa, &side, ci0, di0, dram_prev)) {
+        // Deadlock. The resumed run reproduced the full trajectory up to
+        // the stalled heads; everything beyond them is stale prefix-copy
+        // leftovers the canonical report zero-fills.
+        for (int t2 = run_dead_ci_; t2 < T; ++t2)
+            rep.tile_times[t2] = EventTiming{};
+        for (int r = run_dead_di_; r < D; ++r)
+            rep.tensor_times[side.order[r]] = EventTiming{};
+        ResetAggregates(&rep);
+        rep.why_invalid = "schedule deadlock (DLSA order)";
         return rep;
     }
-
-    RebuildStoreBuckets(parsed, side);
-    buckets_for_base_ = false;
-
-    cand_fresh_ = true;
-    cand_parsed_ = &parsed;
-    cand_budget_ = buffer_budget;
-    cand_ops_ = total_ops;
-
-    // --- Resume point: the latest base checkpoint strictly before
-    // anything the re-run could observe differently ---
-    const bool all_clean = T == Tb && D == Db && it0 == T && s_hi == -1 &&
-                           r_lo == D;
-    const int it_lim = std::min(it0, s_lo);
-    int dstar = 0;
-    if (all_clean) {
-        dstar = D;
-    } else {
-        // prev_ci(di) = compute position right after rank di-1 issued;
-        // monotone in di, so the first hit from the top is the largest.
-        // Strict '<': tile it_lim's gates are consulted by the compute
-        // head's blocked checks while it sits at it_lim.
-        for (int di = r_lo; di >= 1; --di) {
-            if (base.ci_at_rank[di - 1] < it_lim) {
-                dstar = di;
-                break;
-            }
-        }
-    }
-    const int cstar =
-        all_clean ? T : (dstar > 0 ? base.ci_at_rank[dstar - 1] : 0);
-    delta_stats_.last_resume_ci = cstar;
-    delta_stats_.last_resume_di = dstar;
-
-    double known_latency = -1.0;
-    if (all_clean) {
-        // Timeline-identical to the base: copy it wholesale.
-        side.tile_finish = base.tile_finish;
-        side.tensor_finish = base.tensor_finish;
-        side.ci_at_rank = base.ci_at_rank;
-        side.rank_at_tile = base.rank_at_tile;
-        rep.tile_times = base.report.tile_times;
-        rep.tensor_times = base.report.tensor_times;
-        known_latency = base.report.latency;
-        ++delta_stats_.splices;
-    } else {
-        side.tile_finish.assign(T, 0.0);
-        side.tensor_finish.assign(D, -1.0);
-        side.ci_at_rank.assign(D, 0);
-        side.rank_at_tile.assign(T, 0);
-        rep.tile_times.assign(T, EventTiming{});
-        rep.tensor_times.assign(D, EventTiming{});
-        std::copy_n(base.tile_finish.begin(), cstar,
-                    side.tile_finish.begin());
-        std::copy_n(base.rank_at_tile.begin(), cstar,
-                    side.rank_at_tile.begin());
-        std::copy_n(base.report.tile_times.begin(), cstar,
-                    rep.tile_times.begin());
-        std::copy_n(base.ci_at_rank.begin(), dstar,
-                    side.ci_at_rank.begin());
-        for (int r = 0; r < dstar; ++r) {
-            const int j = base.order[r];  // == side.order[r] below r_lo
-            side.tensor_finish[j] = base.tensor_finish[j];
-            rep.tensor_times[j] = base.report.tensor_times[j];
-        }
-
-        const double dram_prev =
-            dstar > 0 ? base.tensor_finish[base.order[dstar - 1]] : 0.0;
-        bool ok;
-        if (T == Tb && D == Db) {
-            SpliceWindow w;
-            w.base = &base;
-            w.min_di = last_bad + 1;
-            w.min_ci = std::max(it_hi, s_hi) + 1;
-            ok = RunTimelineWindowed(sc, &side, cstar, dstar, dram_prev, &w);
-            ++delta_stats_.windowed_runs;
-            delta_stats_.window_events +=
-                static_cast<std::uint64_t>(w.events);
-            delta_stats_.last_window_events = w.events;
-            if (ok && w.spliced) {
-                ++delta_stats_.splices;
-                known_latency = base.report.latency;
-            }
-        } else {
-            // Sizes differ: only the prefix is shared; no splice.
-            ok = RunTimeline(sc, &side, cstar, dstar, dram_prev);
-        }
-        if (!ok) {
-            // Deadlock: defer to the full evaluator for the canonical
-            // partial-timeline report.
-            ++delta_stats_.full_fallbacks;
-            return Evaluate(graph, hw, parsed, dlsa, buffer_budget,
-                            total_ops);
-        }
-    }
-
-    FinalizeAggregates(sc, hw, total_ops, &side, known_latency);
+    FinalizeAggregates(soa, hw, total_ops, &side, known_avg);
     rep.valid = true;
     if (cross_check_) {
-        CrossCheckAgainstFull(hw, parsed, dlsa, buffer_budget, total_ops,
-                              "eval.delta.lfa");
+        CrossCheckAgainstFull(hw, parsed, cand, buffer_budget, total_ops);
         ++delta_stats_.cross_check_passes;
     }
     return rep;
@@ -1003,8 +631,7 @@ void
 EvalContext::CrossCheckAgainstFull(const HardwareConfig &hw,
                                    const ParsedSchedule &parsed,
                                    const DlsaEncoding &dlsa,
-                                   Bytes buffer_budget, Ops total_ops,
-                                   const char *what)
+                                   Bytes buffer_budget, Ops total_ops)
 {
     const Side &got = sides_[cand_];
     Side &ref = check_side_;
@@ -1016,7 +643,8 @@ EvalContext::CrossCheckAgainstFull(const HardwareConfig &hw,
     ref.free_point = dlsa.free_point;
     ref.rank_of.assign(D, 0);
     for (int r = 0; r < D; ++r) ref.rank_of[ref.order[r]] = r;
-    ComputeUsageWithArena(parsed, ref.free_point, &arena_, &ref.usage);
+    ComputeBufferBySlot(parsed, ref.free_point,
+                        arena_.AllocArray<Bytes>(T + 1), &ref.usage);
     Bytes peak = 0;
     for (Bytes b : ref.usage) peak = std::max(peak, b);
     rrep.peak_buffer = peak;
@@ -1028,8 +656,8 @@ EvalContext::CrossCheckAgainstFull(const HardwareConfig &hw,
     rrep.tensor_times.assign(D, EventTiming{});
     const TimelineSoA &soa = SoAFor(parsed, hw);
     // The store buckets describe `dlsa` after every fast path (order
-    // and load moves leave them untouched, a store move was applied,
-    // the LFA path rebuilt them) — the reference run uses them as-is.
+    // and load moves leave them untouched, a store move was applied) —
+    // the reference run uses them as-is.
     const bool ok =
         peak <= buffer_budget && RunTimeline(soa, &ref, 0, 0, 0.0);
     if (ok) {
@@ -1044,10 +672,10 @@ EvalContext::CrossCheckAgainstFull(const HardwareConfig &hw,
                       got.tensor_finish == ref.tensor_finish &&
                       got.usage == ref.usage;
     if (!same) {
-        SOMA_ERROR << "delta evaluation diverged from full simulation ("
-                   << what << "): fast-path latency=" << got.report.latency
+        SOMA_ERROR << "delta evaluation diverged from full simulation: "
+                   << "fast-path latency=" << got.report.latency
                    << " full latency=" << rrep.latency
-                   << " — windowed delta evaluator bug";
+                   << " — delta evaluator bug";
         std::abort();
     }
 }
@@ -1060,17 +688,13 @@ EvalContext::Commit()
     cand_fresh_ = false;
     // The buckets describe the just-promoted base: a delta fast path
     // left them matching its candidate (any pending store move is now
-    // permanent) and the full/LFA paths rebuilt them for it.
+    // permanent) and the full path rebuilt them for it.
     pending_move_ = false;
     buckets_for_base_ = true;
     base_parsed_ = cand_parsed_;
     base_budget_ = cand_budget_;
     base_ops_ = cand_ops_;
     base_ok_ = sides_[base_].report.valid;
-    // Candidate evaluated against the context-owned parse slot: flip
-    // the double buffer so the next Parse leaves the base's parse (and
-    // its SoA mirror) intact.
-    if (base_parsed_ == OwnCandParse()) std::swap(ps_cand_, ps_base_);
 }
 
 void

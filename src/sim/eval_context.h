@@ -7,31 +7,25 @@
  * schedule, buffer difference array, DRAM/compute timelines) from
  * scratch for each one. An EvalContext owns all of that scratch state
  * per search thread, so repeated evaluations are allocation-free after
- * warm-up, and it supports *incremental* re-evaluation:
- *
- *  - EvaluateDelta: DLSA-only mutations (free-point / order moves)
- *    resume the two-pointer timeline at the earliest affected
- *    (tile, rank) checkpoint, and — windowed mode — *splice* back into
- *    the base timeline as soon as the recomputed window reconverges
- *    with it bit-for-bit, so only the perturbed region is simulated.
- *  - EvaluateLfa: LFA mutations re-parse the scheme; a first-diff scan
- *    of the new parse against the committed base's parse derives the
- *    affected window, the unchanged timeline prefix is copied verbatim,
- *    and the window is re-simulated with the same splice rule.
+ * warm-up, and it supports *incremental* re-evaluation of DLSA-only
+ * mutations (free-point / order moves): EvaluateDelta patches the
+ * committed base's buffer occupancy and resumes the two-pointer
+ * timeline at the earliest affected (tile, rank) checkpoint, running
+ * it to the end. LFA candidates change the parse and go through
+ * Evaluate.
  *
  * Timeline state is mirrored into SoA arrays (per-tile seconds, CSR
  * operand lists, per-tensor DRAM seconds, cached aggregate sums) so the
- * window re-simulation and the first-diff scans run over contiguous
- * memory; per-candidate transient scratch comes from one MonotonicArena
- * reset at the top of each evaluation.
+ * timeline runs over contiguous memory; per-candidate transient scratch
+ * comes from one MonotonicArena reset at the top of each evaluation.
  *
  * Incremental results are bit-identical to full evaluation: the resumed
- * timeline executes the same recurrences on the same operands, the
- * splice fires only when the recomputed window equals the base
- * trajectory bitwise, and the integer buffer-occupancy array is patched
- * exactly. `set_cross_check(true)` (or SOMA_EVAL_CROSS_CHECK=1) runs
- * the full simulation after every fast path and aborts on any
- * divergence, mirroring the incremental parser's cross-check mode.
+ * timeline executes the same recurrences on the same operands from a
+ * checkpoint the base trajectory passed through, and the integer
+ * buffer-occupancy array is patched exactly. `set_cross_check(true)`
+ * (or SOMA_CROSS_CHECK=1) re-parses every Parse from scratch and runs
+ * the full simulation after every delta evaluation, aborting on any
+ * divergence.
  */
 #ifndef SOMA_SIM_EVAL_CONTEXT_H
 #define SOMA_SIM_EVAL_CONTEXT_H
@@ -71,10 +65,12 @@ struct DlsaDelta {
 /**
  * Buffer occupancy per tile slot via a difference array. Slots are
  * [0, NumTiles()); shared by PeakBufferUsage and the EvalContext.
+ * @p diff is caller-owned scratch of NumTiles() + 1 entries (contents
+ * ignored and overwritten).
  */
 void ComputeBufferBySlot(const ParsedSchedule &parsed,
-                         const std::vector<TilePos> &free_point,
-                         std::vector<Bytes> *diff, std::vector<Bytes> *usage);
+                         const std::vector<TilePos> &free_point, Bytes *diff,
+                         std::vector<Bytes> *usage);
 
 /**
  * Per-thread evaluation context. Typical SA usage:
@@ -83,7 +79,7 @@ void ComputeBufferBySlot(const ParsedSchedule &parsed,
  *   ctx.Commit();               // make it the incremental base
  *   loop:
  *     mutate -> delta
- *     ctx.EvaluateDelta(...);   // windowed re-evaluation
+ *     ctx.EvaluateDelta(...);   // suffix-resumed re-evaluation
  *     if accepted: ctx.Commit();
  *
  * Not thread safe; create one per search chain.
@@ -94,24 +90,18 @@ class EvalContext {
 
     /** Counters for the delta fast paths (cumulative per context). */
     struct DeltaStats {
-        std::uint64_t delta_evals = 0;   ///< EvaluateDelta/Lfa fast paths
-        std::uint64_t windowed_runs = 0; ///< windowed timeline resumes
-        std::uint64_t splices = 0;       ///< windows that reconverged
-        std::uint64_t full_fallbacks = 0;///< fast-path calls gone full
-        std::uint64_t window_events = 0; ///< events re-simulated in windows
+        std::uint64_t delta_evals = 0;   ///< EvaluateDelta fast paths
+        std::uint64_t full_fallbacks = 0;///< EvaluateDelta calls gone full
         std::uint64_t cross_check_passes = 0;
-        int last_resume_ci = 0;   ///< window start: compute slot
-        int last_resume_di = 0;   ///< window start: DRAM rank
-        int last_window_events = 0;
+        int last_resume_ci = 0;   ///< last resume point: compute slot
+        int last_resume_di = 0;   ///< last resume point: DRAM rank
     };
 
     /**
      * Parse an LFA with reusable scratch (including the group memo of
      * the incremental parse). The returned reference stays owned by the
-     * context and is overwritten by the next Parse call — except across
-     * Commit: the parse backing the committed base is double-buffered
-     * and stays valid until the *next* Commit, which is what lets
-     * EvaluateLfa diff a candidate parse against the base's.
+     * context and is overwritten by the next Parse call, which also
+     * drops a committed base evaluated against it.
      */
     const ParsedSchedule &Parse(const Graph &graph, const LfaEncoding &lfa,
                                 CoreArrayEvaluator &core_eval,
@@ -148,10 +138,8 @@ class EvalContext {
      * Evaluate a candidate that differs from the committed base by
      * @p delta. Resumes the two-pointer timeline from the earliest
      * affected (tile, rank) checkpoint instead of replaying it from
-     * slot 0, and (windowed mode) splices back into the base timeline
-     * once the window reconverges. Falls back to Evaluate when there is
-     * no usable base (not committed, different parse/budget, or
-     * delta.kind == kNone).
+     * slot 0. Falls back to Evaluate when there is no usable base (not
+     * committed, different parse/budget, or delta.kind == kNone).
      *
      * Precondition: @p cand is a legal DLSA (the mutation operators only
      * produce legal moves); the data-existence check is skipped here.
@@ -163,28 +151,6 @@ class EvalContext {
                                     const DlsaDelta &delta,
                                     Bytes buffer_budget, Ops total_ops);
 
-    /**
-     * Evaluate an LFA-stage candidate: @p parsed must be the result of
-     * this context's latest Parse call. When the committed base was
-     * also evaluated against a context-owned parse, a first-diff scan
-     * of the two parses derives the affected timeline window; the
-     * unchanged prefix is copied from the base and only the window (and
-     * whatever suffix fails to splice) is re-simulated. Falls back to
-     * Evaluate whenever no window can be derived (no base, different
-     * tile/tensor counts, different budget). Bit-identical to Evaluate
-     * in all cases.
-     *
-     * Precondition: @p dlsa is a legal DLSA for @p parsed (the LFA
-     * stage derives it with MakeDoubleBufferDlsaInto /
-     * MakeLazyDlsaInto); the data-existence check is skipped on the
-     * fast path exactly as in EvaluateDelta.
-     */
-    const EvalReport &EvaluateLfa(const Graph &graph,
-                                  const HardwareConfig &hw,
-                                  const ParsedSchedule &parsed,
-                                  const DlsaEncoding &dlsa,
-                                  Bytes buffer_budget, Ops total_ops);
-
     /** Promote the last evaluated candidate to the incremental base. */
     void Commit();
 
@@ -194,16 +160,11 @@ class EvalContext {
     /** Whether EvaluateDelta currently has a usable base. */
     bool HasBase() const { return base_ok_; }
 
-    /** Windowed re-simulation on/off (default: on, unless
-     *  SOMA_TIMELINE_DELTA=0). Off, EvaluateDelta degrades to plain
-     *  suffix resumption and EvaluateLfa to full evaluation — the
-     *  byte-identity reference behavior. */
-    void set_windowed(bool on) { windowed_ = on; }
-    bool windowed() const { return windowed_; }
-
-    /** Cross-check mode (default: off, unless SOMA_EVAL_CROSS_CHECK is
-     *  set): after every fast-path evaluation, run the full simulation
-     *  and abort on any byte divergence. */
+    /** Cross-check mode (default: off, unless SOMA_CROSS_CHECK is set
+     *  to a value other than "" or "0"): every Parse also runs the
+     *  from-scratch reference parse (ParseOptions::cross_check), and
+     *  every delta evaluation the full simulation; any divergence
+     *  aborts. */
     void set_cross_check(bool on) { cross_check_ = on; }
     bool cross_check() const { return cross_check_; }
 
@@ -232,10 +193,10 @@ class EvalContext {
     };
 
     /** SoA mirror of the timeline-relevant parse content: contiguous
-     *  arrays the inner loop and the first-diff scans stream over,
-     *  plus the aggregate sums FinalizeAggregates would otherwise
-     *  recompute per candidate. Rebuilt only when the backing parse
-     *  changes (tracked by pointer identity, like the base parse). */
+     *  arrays the inner loop streams over, plus the aggregate sums
+     *  FinalizeAggregates would otherwise recompute per candidate.
+     *  Rebuilt only when the backing parse changes (tracked by pointer
+     *  identity, like the base parse). */
     struct TimelineSoA {
         const ParsedSchedule *built_for = nullptr;
         const HardwareConfig *hw_for = nullptr;
@@ -259,49 +220,29 @@ class EvalContext {
         int D() const { return static_cast<int>(t_bytes.size()); }
     };
 
-    /** Windowed-run state: the base trajectory to reconverge with and
-     *  the earliest (tile, rank) the splice may fire at. */
-    struct SpliceWindow {
-        const Side *base = nullptr;
-        int min_ci = 0;
-        int min_di = 0;
-        int dirty = 0;     ///< recomputed events differing from base
-        int events = 0;    ///< events re-simulated before splice/end
-        bool spliced = false;
-    };
-
     void ResetReportForEval(const ParsedSchedule &parsed, EvalReport *rep);
     static void ResetAggregates(EvalReport *rep);
 
-    /** The soa_[] slot mirroring @p parsed, rebuilt/refreshed on
-     *  demand. */
+    /** The SoA mirror of @p parsed, rebuilt/refreshed on demand. */
     const TimelineSoA &SoAFor(const ParsedSchedule &parsed,
                               const HardwareConfig &hw);
     static void BuildSoA(const ParsedSchedule &parsed, TimelineSoA *soa);
     static void FillDramSeconds(const HardwareConfig &hw, TimelineSoA *soa);
 
-    template <bool kWindowed>
-    bool RunTimelineImpl(const TimelineSoA &soa, Side *side, int ci, int di,
-                         double dram_prev_finish, SpliceWindow *w);
     /** Where a failed (deadlocked) timeline run left its heads — the
      *  first unwritten tile slot / DRAM rank, so delta callers can
      *  clear exactly the stale suffix of their prefix-copied report. */
     int run_dead_ci_ = 0;
     int run_dead_di_ = 0;
+    /** Run the two-pointer timeline from heads (@p ci, @p di) to the
+     *  end; false on deadlock. */
     bool RunTimeline(const TimelineSoA &soa, Side *side, int ci, int di,
                      double dram_prev_finish);
-    bool RunTimelineWindowed(const TimelineSoA &soa, Side *side, int ci,
-                             int di, double dram_prev_finish,
-                             SpliceWindow *w);
-    static void SpliceSuffix(const Side &base, Side *side, int ci, int di);
 
-    /** @p known_latency >= 0 skips the makespan scan (splice proved the
-     *  timeline equals the base's, whose latency it is); @p known_avg
-     *  >= 0 likewise skips the weighted-usage scan (the buffer profile
-     *  is bitwise the base's, e.g. after an order move). */
+    /** @p known_avg >= 0 skips the weighted-usage scan (the buffer
+     *  profile is bitwise the base's, e.g. after an order move). */
     void FinalizeAggregates(const TimelineSoA &soa, const HardwareConfig &hw,
                             Ops total_ops, Side *side,
-                            double known_latency = -1.0,
                             double known_avg = -1.0);
     void RebuildStoreBuckets(const ParsedSchedule &parsed, const Side &side);
     void ApplyStoreMove(int tensor, TilePos from, TilePos to);
@@ -314,38 +255,24 @@ class EvalContext {
     void CrossCheckAgainstFull(const HardwareConfig &hw,
                                const ParsedSchedule &parsed,
                                const DlsaEncoding &dlsa, Bytes buffer_budget,
-                               Ops total_ops, const char *what);
-
-    const ParsedSchedule *OwnCandParse() const
-    {
-        return &parsed_storage_[ps_cand_];
-    }
-    const ParsedSchedule *OwnBaseParse() const
-    {
-        return &parsed_storage_[ps_base_];
-    }
+                               Ops total_ops);
 
     ParseScratch parse_scratch_;
-    /** Double-buffered parse storage: Parse writes the cand slot; the
-     *  slot backing the committed base is only released by the Commit
-     *  that replaces it. */
-    ParsedSchedule parsed_storage_[2];
-    int ps_cand_ = 0;
-    int ps_base_ = 1;
+    ParsedSchedule parsed_;  ///< the slot Parse writes
     std::shared_ptr<TilingCache> tiling_cache_;
     DlsaCheckScratch check_scratch_;
     std::string why_scratch_;
 
-    /** SoA mirrors for the two parse slots + one for external parses
-     *  (DLSA-stage walks evaluate one caller-owned parse). */
-    TimelineSoA soa_[2];
+    /** SoA mirrors of parsed_ and of external parses (DLSA-stage walks
+     *  evaluate one caller-owned parse). */
+    TimelineSoA soa_;
     TimelineSoA soa_ext_;
 
     MonotonicArena arena_;  ///< per-candidate scratch, reset per eval
 
     /** Stores indexed by their End slot, kept in sync with either the
      *  base free points (plus at most one pending candidate move) or —
-     *  after a full/LFA evaluation — the last candidate's
+     *  after a full evaluation — the last candidate's
      *  (buckets_for_base_ says which). */
     std::vector<std::vector<int>> stores_by_end_;
 
@@ -364,7 +291,6 @@ class EvalContext {
     bool cand_fresh_ = false;  ///< cand side holds an uncommitted result
     bool buckets_for_base_ = false;
 
-    bool windowed_ = true;
     bool cross_check_ = false;
     DeltaStats delta_stats_;
 

@@ -1,13 +1,14 @@
 /**
  * @file
- * Delta timeline evaluation tests: the windowed re-simulation behind
- * EvalContext::EvaluateDelta / EvaluateLfa must be bit-identical to a
- * from-scratch evaluation over randomized mutation chains that mix
- * DLSA moves, LFA operators, and intra-group order moves — and the
- * windowed fast path must actually engage, not silently fall back.
- * Also covers the per-candidate arena scratch: results must not depend
- * on what a previous candidate left in the bump allocator (ASan runs
- * in CI make a stale-read here a hard failure, not a flake).
+ * Delta timeline evaluation tests: the suffix resume behind
+ * EvalContext::EvaluateDelta must be bit-identical to a from-scratch
+ * evaluation over randomized mutation chains that mix DLSA moves, LFA
+ * operators, and intra-group order moves — and the fast path must
+ * actually engage, not silently fall back. Also covers the context's
+ * single parse slot (a Parse drops a base evaluated against it) and
+ * the per-candidate arena scratch: results must not depend on what a
+ * previous candidate left in the bump allocator (ASan runs in CI make
+ * a stale-read here a hard failure, not a flake).
  */
 #include <gtest/gtest.h>
 
@@ -117,12 +118,13 @@ MutateOrderWithinGroup(const Graph &g, LfaEncoding *lfa, Rng &rng)
 
 /**
  * Randomized mixed mutation chain. Alternates LFA phases (general LFA
- * operators plus intra-group order moves, evaluated through
- * EvaluateLfa) with DLSA phases (order/free-point deltas on the
- * committed parse, evaluated through EvaluateDelta); every candidate
- * is independently re-parsed and re-simulated from scratch and the two
- * reports compared field by field, bit for bit. Random acceptances
- * advance the committed base exactly like the SA walk does.
+ * operators plus intra-group order moves, evaluated through Evaluate on
+ * the context's incremental parse) with DLSA phases (order/free-point
+ * deltas on the committed parse, evaluated through EvaluateDelta);
+ * every candidate is independently re-parsed and re-simulated from
+ * scratch and the two reports compared field by field, bit for bit.
+ * Random acceptances advance the walk (and, in DLSA phases, the
+ * committed base) exactly like the SA walk does.
  */
 void
 RunMixedWalk(std::uint64_t seed, int phases, bool cross_check)
@@ -144,14 +146,7 @@ RunMixedWalk(std::uint64_t seed, int phases, bool cross_check)
     int lfa_checked = 0, dlsa_checked = 0;
 
     for (int phase = 0; phase < phases; ++phase) {
-        // --- LFA phase: structural mutations against the LFA base.
-        {
-            const ParsedSchedule &p = ctx.Parse(g, cur, ce);
-            ASSERT_TRUE(p.valid);
-            MakeDoubleBufferDlsaInto(p, &dlsa_scratch);
-            ctx.EvaluateLfa(g, hw, p, dlsa_scratch, budget, ops);
-            ctx.Commit();
-        }
+        // --- LFA phase: structural mutations of the current LFA.
         for (int i = 0; i < 12; ++i) {
             bool mutated = rng.Flip()
                                ? MutateLfaEncoding(g, cur, &cand, 16, rng)
@@ -165,15 +160,12 @@ RunMixedWalk(std::uint64_t seed, int phases, bool cross_check)
             if (!p.valid) continue;
             MakeDoubleBufferDlsaInto(p, &dlsa_scratch);
             const EvalReport &inc =
-                ctx.EvaluateLfa(g, hw, p, dlsa_scratch, budget, ops);
+                ctx.Evaluate(g, hw, p, dlsa_scratch, budget, ops);
             EvalReport ref =
                 EvaluateSchedule(g, hw, full, dlsa_scratch, budget, ops);
             ExpectReportsIdentical(inc, ref);
             ++lfa_checked;
-            if (inc.valid && rng.Flip()) {
-                ctx.Commit();
-                cur = cand;
-            }
+            if (inc.valid && rng.Flip()) cur = cand;
         }
 
         // --- DLSA phase: order/free-point deltas on the fixed parse.
@@ -182,8 +174,7 @@ RunMixedWalk(std::uint64_t seed, int phases, bool cross_check)
         ParsedSchedule full = ParseLfa(g, cur, ce);
         ASSERT_TRUE(ParsedSchedulesIdentical(p, full));
         DlsaEncoding cur_d = MakeDoubleBufferDlsa(p);
-        ASSERT_TRUE(
-            ctx.EvaluateLfa(g, hw, p, cur_d, budget, ops).valid);
+        ASSERT_TRUE(ctx.Evaluate(g, hw, p, cur_d, budget, ops).valid);
         ctx.Commit();
         DlsaMutator mutate(p);
         DlsaEncoding cand_d;
@@ -205,12 +196,10 @@ RunMixedWalk(std::uint64_t seed, int phases, bool cross_check)
     EXPECT_GT(lfa_checked, phases * 4);
     EXPECT_GT(dlsa_checked, phases * 8);
 
-    // The walk must exercise the windowed fast path, not live off the
-    // full-evaluation fallback — and windows must actually splice.
+    // The walk must exercise the suffix-resume fast path, not live off
+    // the full-evaluation fallback.
     const EvalContext::DeltaStats &ds = ctx.delta_stats();
     EXPECT_GT(ds.delta_evals, 0u);
-    EXPECT_GT(ds.windowed_runs, 0u);
-    EXPECT_GT(ds.splices, 0u);
     EXPECT_LT(ds.full_fallbacks, ds.delta_evals);
     if (cross_check) {
         EXPECT_GT(ds.cross_check_passes, 0u);
@@ -231,47 +220,49 @@ TEST(DeltaEval, MixedChainSurvivesCrossCheckMode)
     RunMixedWalk(/*seed=*/257, /*phases=*/4, /*cross_check=*/true);
 }
 
-TEST(DeltaEval, DisabledWindowingIsByteIdentical)
+TEST(DeltaEval, ParseDropsTheBaseItOverwrites)
 {
-    // SOMA_TIMELINE_DELTA=0 must be a pure wall-clock knob. Compare a
-    // windowed context against a windowing-disabled one over one
-    // mutation chain.
+    // The context owns one parse slot. A base committed against it
+    // describes a schedule the next Parse overwrites, so a delta on the
+    // new parse must fall back to a full evaluation, never resume from
+    // the stale base.
     Graph g = MakeBranchy();
     HardwareConfig hw = EdgeAccelerator();
     CoreArrayEvaluator ce(g, hw);
     const Ops ops = g.TotalOps();
     const Bytes budget = hw.gbuf_bytes;
-    LfaEncoding lfa = MakeInitialLfa(g, hw, 16);
-    ParsedSchedule parsed = ParseLfa(g, lfa, ce);
-    ASSERT_TRUE(parsed.valid);
-    DlsaEncoding base = MakeDoubleBufferDlsa(parsed);
 
-    EvalContext on, off;
-    off.set_windowed(false);
-    ASSERT_TRUE(on.Evaluate(g, hw, parsed, base, budget, ops).valid);
-    ASSERT_TRUE(off.Evaluate(g, hw, parsed, base, budget, ops).valid);
-    on.Commit();
-    off.Commit();
-
-    DlsaMutator mutate(parsed);
-    Rng rng(43);
-    DlsaEncoding cur = base, cand;
-    DlsaDelta delta;
-    for (int i = 0; i < 120; ++i) {
-        if (!mutate(cur, &cand, rng, &delta)) continue;
-        const EvalReport &a =
-            on.EvaluateDelta(g, hw, parsed, cand, delta, budget, ops);
-        const EvalReport &b =
-            off.EvaluateDelta(g, hw, parsed, cand, delta, budget, ops);
-        ExpectReportsIdentical(a, b);
-        if (a.valid && rng.Flip()) {
-            on.Commit();
-            off.Commit();
-            std::swap(cur, cand);
-        }
+    EvalContext ctx;
+    const LfaEncoding first = MakeInitialLfa(g, hw, 16);
+    {
+        const ParsedSchedule &p = ctx.Parse(g, first, ce);
+        ASSERT_TRUE(p.valid);
+        ASSERT_TRUE(
+            ctx.Evaluate(g, hw, p, MakeDoubleBufferDlsa(p), budget, ops)
+                .valid);
+        ctx.Commit();
+        ASSERT_TRUE(ctx.HasBase());
     }
-    EXPECT_GT(on.delta_stats().windowed_runs, 0u);
-    EXPECT_EQ(off.delta_stats().windowed_runs, 0u);
+
+    LfaEncoding second = first;  // fuse the last two LGs into one
+    ASSERT_FALSE(second.dram_cuts.empty());
+    second.dram_cuts.pop_back();
+    const ParsedSchedule &p = ctx.Parse(g, second, ce);
+    ASSERT_TRUE(p.valid);
+    ParsedSchedule full = ParseLfa(g, second, ce);
+    DlsaEncoding base = MakeDoubleBufferDlsa(full);
+    DlsaMutator mutate(full);
+    Rng rng(5);
+    DlsaEncoding cand;
+    DlsaDelta delta;
+    ASSERT_TRUE(mutate(base, &cand, rng, &delta));
+
+    const std::uint64_t fallbacks = ctx.delta_stats().full_fallbacks;
+    const EvalReport &inc =
+        ctx.EvaluateDelta(g, hw, p, cand, delta, budget, ops);
+    EXPECT_EQ(ctx.delta_stats().full_fallbacks, fallbacks + 1);
+    ExpectReportsIdentical(
+        inc, EvaluateSchedule(g, hw, full, cand, budget, ops));
 }
 
 TEST(DeltaEval, ArenaResetKeepsCandidatesIndependent)

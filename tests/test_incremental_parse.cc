@@ -272,7 +272,7 @@ TEST(IncrementalParse, SinkSetSignatureSurvivesRandomizedOrderMoves)
     // chain of sink-set-preserving moves, every parse must be (a) a
     // full group-memo hit — zero dirty groups — and (b) bit-identical
     // to a from-scratch parse, enforced twice: by the explicit
-    // comparison below and by cross_check (the SOMA_LFA_CROSS_CHECK=1
+    // comparison below and by cross_check (the SOMA_CROSS_CHECK=1
     // debug mode), which aborts the process on any divergence.
     Graph g = MakeBranchy();
     HardwareConfig hw = EdgeAccelerator();

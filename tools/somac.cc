@@ -22,6 +22,7 @@
  * `validate` is the tiny schema validator CI uses on the smoke run's
  * output; it checks presence and types of the stable result fields.
  */
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -65,7 +66,7 @@ Usage(std::ostream &os, int code)
           "            [--stats FILE]\n"
           "  somac list models|hardware|schedulers|memory-models\n"
           "  somac validate result.json\n"
-          "  somac help\n"
+          "  somac help | somac <command> --help\n"
           "\n"
           "run overrides (flag form of the request JSON fields):\n"
           "  --model NAME        workload (see `somac list models`)\n"
@@ -1199,13 +1200,23 @@ main(int argc, char **argv)
     if (args.empty()) return Usage(std::cerr, 2);
     const std::string cmd = args[0];
     args.erase(args.begin());
-    if (cmd == "run") return CmdRun(args);
-    if (cmd == "sweep") return CmdSweep(args);
-    if (cmd == "fingerprint") return CmdFingerprint(args);
-    if (cmd == "list") return CmdList(args);
-    if (cmd == "validate") return CmdValidate(args);
-    if (cmd == "help" || cmd == "--help" || cmd == "-h")
-        return Usage(std::cout, 0);
+    int (*const command)(const std::vector<std::string> &) =
+        cmd == "run"           ? CmdRun
+        : cmd == "sweep"       ? CmdSweep
+        : cmd == "fingerprint" ? CmdFingerprint
+        : cmd == "list"        ? CmdList
+        : cmd == "validate"    ? CmdValidate
+                               : nullptr;
+    auto is_help_flag = [](const std::string &a) {
+        return a == "--help" || a == "-h";
+    };
+    if (command) {
+        // The one usage text covers every subcommand's flags.
+        if (std::any_of(args.begin(), args.end(), is_help_flag))
+            return Usage(std::cout, 0);
+        return command(args);
+    }
+    if (cmd == "help" || is_help_flag(cmd)) return Usage(std::cout, 0);
     std::cerr << "unknown command \"" << cmd << "\"\n\n";
     return Usage(std::cerr, 2);
 }
