@@ -9,9 +9,8 @@
  *
  * A fourth scenario isolates the warm-state cache: distinct-seed
  * requests are result-cache-cold (every one runs a real search), so
- * the only reuse is the cross-request TilingCache/TileCostMemo bundle
- * — the speedup a sweep sees on the requests the result cache cannot
- * absorb.
+ * the only reuse is the cross-request TilingCache — the speedup a
+ * sweep sees on the requests the result cache cannot absorb.
  *
  * Profiles via SOMA_BENCH_PROFILE=quick|default|full (request count
  * and search profile scale). Emits --json rows for cross-PR tracking:
@@ -150,7 +149,7 @@ main(int argc, char **argv)
     // --------------------- warm-state cache (result-cache-cold runs)
     // Distinct seeds defeat the result cache, so both services run a
     // real search per request; the "on" service starts every search
-    // after the first from the shared tilings/tile costs.
+    // after the first from the shared tilings.
     ServiceOptions state_off;
     state_off.warm_state_capacity = 0;
     double off_s, on_s;

@@ -185,10 +185,7 @@ RunLfaOnlyScheduler(const Graph &graph, const HardwareConfig &hw,
                     const ScheduleRequest &, const SomaOptions &raw_opts)
 {
     SomaOptions opts = PropagateSomaOptions(raw_opts);
-    CoreArrayEvaluator core_eval(
-        graph, hw,
-        opts.lfa.tile_cost_memo ? opts.lfa.tile_cost_memo
-                                : std::make_shared<TileCostMemo>());
+    const CoreArrayEvaluator core_eval(graph, hw);
     Rng rng(opts.seed);
     LfaStageResult r = RunLfaStage(graph, hw, core_eval, hw.gbuf_bytes,
                                    opts.lfa, rng);

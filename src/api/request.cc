@@ -507,7 +507,7 @@ SomaOptionsForRequest(const ScheduleRequest &request)
     opts.cost_m = request.cost_m;
     if (request.chains > 0) opts.driver.chains = request.chains;
     if (request.threads > 0) opts.driver.threads = request.threads;
-    opts.warm = request.warm_state;
+    opts.lfa.tiling_cache = request.warm_state;
     ApplyStopRequest(request, &opts.driver);
     return opts;
 }
@@ -531,7 +531,7 @@ CoccoOptionsForRequest(const ScheduleRequest &request)
     opts.cost_m = request.cost_m;
     if (request.chains > 0) opts.driver.chains = request.chains;
     if (request.threads > 0) opts.driver.threads = request.threads;
-    opts.warm = request.warm_state;
+    opts.tiling_cache = request.warm_state;
     ApplyStopRequest(request, &opts.driver);
     return opts;
 }

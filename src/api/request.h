@@ -148,15 +148,14 @@ struct ScheduleRequest {
     std::chrono::steady_clock::time_point deadline_tp{};
 
     /**
-     * Cross-request warm caches for the request's (graph, hardware
-     * preset), injected by the service layer's WarmStateCache (or set
-     * directly by in-process callers that run many searches over one
-     * workload). Purely an accelerator: the caches hold content-
-     * addressed pure values, so presence never changes result bytes —
-     * which is why, like `threads`, it is not serialized and excluded
-     * from Fingerprint().
+     * Cross-request tiling cache for the request's graph, injected by
+     * the service layer's WarmStateCache (or set directly by in-process
+     * callers that run many searches over one workload). Purely an
+     * accelerator: the cache holds content-addressed pure values, so
+     * presence never changes result bytes — which is why, like
+     * `threads`, it is not serialized and excluded from Fingerprint().
      */
-    SearchWarmState warm_state;
+    std::shared_ptr<TilingCache> warm_state;
 
     /**
      * Optional span tracer (obs/trace.h): when set, the pipeline and

@@ -103,23 +103,21 @@ RunCocco(const Graph &graph, const HardwareConfig &hw,
          const CoccoOptions &opts)
 {
     Rng rng(opts.seed);
-    CoreArrayEvaluator core_eval(
-        graph, hw,
-        opts.warm.tile_costs ? opts.warm.tile_costs
-                             : std::make_shared<TileCostMemo>());
+    const CoreArrayEvaluator core_eval(graph, hw);
     const Ops total_ops = graph.TotalOps();
 
     // Cocco's conservative buffer semantics: weights stay resident for
     // their whole LG (no fine-grained weight windowing).
     const ParseOptions popts{/*lg_resident_weights=*/true};
 
-    auto eval_with = [&graph, &hw, popts, total_ops, cap = opts.tiling_cap,
-                      n = opts.cost_n, m = opts.cost_m](
-                         EvalContext &ctx, CoreArrayEvaluator &ce,
-                         const CoccoState &state) -> double {
+    auto eval_with = [&graph, &hw, &core_eval, popts, total_ops,
+                      cap = opts.tiling_cap, n = opts.cost_n,
+                      m = opts.cost_m](EvalContext &ctx,
+                                       const CoccoState &state) -> double {
         LfaEncoding lfa = MakeCoccoLfa(graph, hw, state.order, state.cuts,
                                        cap);
-        const ParsedSchedule &parsed = ctx.Parse(graph, lfa, ce, popts);
+        const ParsedSchedule &parsed =
+            ctx.Parse(graph, lfa, core_eval, popts);
         if (!parsed.valid) return std::numeric_limits<double>::infinity();
         DlsaEncoding dlsa = MakeCoccoDlsa(parsed);
         const EvalReport &rep = ctx.Evaluate(graph, hw, parsed, dlsa,
@@ -127,12 +125,12 @@ RunCocco(const Graph &graph, const HardwareConfig &hw,
         return rep.Cost(n, m);
     };
 
-    auto tiling_cache = opts.warm.tilings ? opts.warm.tilings
+    auto tiling_cache = opts.tiling_cache ? opts.tiling_cache
                                           : std::make_shared<TilingCache>();
     EvalContext serial_ctx;
     serial_ctx.set_tiling_cache(tiling_cache);
     auto evaluate = [&](const CoccoState &state) -> double {
-        return eval_with(serial_ctx, core_eval, state);
+        return eval_with(serial_ctx, state);
     };
 
     // Initial: unfused.
@@ -161,20 +159,18 @@ RunCocco(const Graph &graph, const HardwareConfig &hw,
     sa.iterations = std::min(opts.max_iterations,
                              opts.beta * graph.NumLayers());
 
-    // Chains share the serial pass's tile-cost memo and tiling cache
-    // (pure-value caches: sharing never perturbs per-seed determinism).
+    // Chains share the serial pass's tiling cache (a pure-value cache:
+    // sharing never perturbs per-seed determinism).
     auto make_env = [&](int /*chain*/) {
         ChainEnv<CoccoState> env;
-        auto ce = std::make_shared<CoreArrayEvaluator>(graph, hw,
-                                                       core_eval.memo());
         auto ctx = std::make_shared<EvalContext>();
         ctx->set_tiling_cache(tiling_cache);
         env.mutate = [&graph](const CoccoState &cur, CoccoState *next,
                               Rng &r) {
             return MutateCocco(graph, cur, next, r);
         };
-        env.evaluate = [eval_with, ce, ctx](const CoccoState &s) {
-            return eval_with(*ctx, *ce, s);
+        env.evaluate = [eval_with, ctx](const CoccoState &s) {
+            return eval_with(*ctx, s);
         };
         return env;
     };

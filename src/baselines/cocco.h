@@ -15,8 +15,8 @@
 #include "notation/encoding.h"
 #include "search/driver.h"
 #include "search/sa.h"
-#include "search/warm_state.h"
 #include "sim/report.h"
+#include "tiling/tiling_cache.h"
 
 namespace soma {
 
@@ -33,11 +33,11 @@ struct CoccoOptions {
      *  laptop-budget comparison about the scheduling space, not the
      *  optimizer budget. */
     bool greedy_seed = true;
-    /** Optional cross-request warm caches (service-injected; see
-     *  warm_state.h). Tilings and tile costs are scheduler-agnostic
-     *  pure values, so Cocco and SoMa requests over one (graph,
-     *  hardware preset) warm each other. */
-    SearchWarmState warm;
+    /** Optional cross-request tiling cache (service-injected). Tilings
+     *  are scheduler-agnostic pure values, so Cocco and SoMa requests
+     *  over one graph warm each other. Null: a private cache per run.
+     *  Must belong to the searched graph. */
+    std::shared_ptr<TilingCache> tiling_cache;
     SaOptions sa;
     SearchDriverOptions driver;
 };

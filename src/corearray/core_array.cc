@@ -1,10 +1,7 @@
 #include "corearray/core_array.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-
-#include "obs/prof.h"
 
 namespace soma {
 
@@ -18,98 +15,20 @@ CeilDiv(std::int64_t a, std::int64_t b)
 
 }  // namespace
 
-TileCostMemo::TileKey
-TileCostMemo::Key(LayerId layer, const Region &region, Bytes input_bytes)
-{
-    return TileKey{static_cast<std::int32_t>(layer), region.Batches(),
-                   region.Rows(), region.Cols(), input_bytes};
-}
-
-std::size_t
-TileCostMemo::KeyHash::operator()(const TileKey &key) const
-{
-    std::uint64_t z = (static_cast<std::uint64_t>(
-                           static_cast<std::uint32_t>(key.layer))
-                       << 32) |
-                      static_cast<std::uint32_t>(key.batches);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z ^= (static_cast<std::uint64_t>(
-              static_cast<std::uint32_t>(key.rows))
-          << 32) |
-         static_cast<std::uint32_t>(key.cols);
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z ^= static_cast<std::uint64_t>(key.input_bytes);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    return static_cast<std::size_t>(z ^ (z >> 31));
-}
-
-TileCostMemo::Shard &
-TileCostMemo::ShardFor(const TileKey &key) const
-{
-    return shards_[KeyHash{}(key) & (kShards - 1)];
-}
-
-const TileCost *
-TileCostMemo::Find(const TileKey &key) const
-{
-    Shard &shard = ShardFor(key);
-    SharedReaderLock lock(shard.mutex);
-    auto it = shard.map.find(key);
-    return it == shard.map.end() ? nullptr : &it->second;
-}
-
-const TileCost &
-TileCostMemo::Insert(const TileKey &key, const TileCost &cost)
-{
-    Shard &shard = ShardFor(key);
-    SharedMutexLock lock(shard.mutex);
-    return shard.map.emplace(key, cost).first->second;
-}
-
-std::size_t
-TileCostMemo::size() const
-{
-    std::size_t total = 0;
-    for (const Shard &shard : shards_) {
-        SharedReaderLock lock(shard.mutex);
-        total += shard.map.size();
-    }
-    return total;
-}
-
-std::size_t
-TileCostMemo::ApproxBytes() const
-{
-    // Keys and values are flat structs; fold in a nominal per-node
-    // overhead for the hash map's buckets and links.
-    constexpr std::size_t kNodeOverhead = 2 * sizeof(void *);
-    return size() * (sizeof(TileKey) + sizeof(TileCost) + kNodeOverhead);
-}
-
 CoreArrayEvaluator::CoreArrayEvaluator(const Graph &graph,
                                        const HardwareConfig &hw)
-    : CoreArrayEvaluator(graph, hw, std::make_shared<TileCostMemo>())
+    : graph_(graph), hw_(hw)
 {
 }
 
-CoreArrayEvaluator::CoreArrayEvaluator(const Graph &graph,
-                                       const HardwareConfig &hw,
-                                       std::shared_ptr<TileCostMemo> memo)
-    : graph_(graph), hw_(hw), memo_(std::move(memo))
+TileCost
+CoreArrayEvaluator::Evaluate(LayerId layer, const Region &region) const
 {
-    assert(memo_);
-}
-
-const TileCost &
-CoreArrayEvaluator::Evaluate(LayerId layer, const Region &region)
-{
+    if (region.Empty()) return TileCost{};
     const Layer &l = graph_.layer(layer);
-    const Bytes input_bytes = region.Empty() ? 0 : InputBytes(l, region);
-    const TileCostMemo::TileKey key =
-        TileCostMemo::Key(layer, region, input_bytes);
-    if (const TileCost *hit = memo_->Find(key)) return *hit;
-    SOMA_PROF_SCOPE("tilecost.compute");
-    return memo_->Insert(key, Compute(l, region, input_bytes));
+    const Bytes input_bytes = InputBytes(l, region);
+    if (IsMatrixKind(l.kind())) return MatrixCost(l, region, input_bytes);
+    return VectorCost(l, region, input_bytes);
 }
 
 Bytes
@@ -131,16 +50,6 @@ CoreArrayEvaluator::InputBytes(const Layer &layer, const Region &region) const
         total += layer.InputBytes(in, region, prod_c, prod_h, prod_w);
     }
     return total;
-}
-
-TileCost
-CoreArrayEvaluator::Compute(const Layer &layer, const Region &region,
-                            Bytes input_bytes) const
-{
-    if (region.Empty()) return TileCost{};
-    if (IsMatrixKind(layer.kind()))
-        return MatrixCost(layer, region, input_bytes);
-    return VectorCost(layer, region, input_bytes);
 }
 
 TileCost

@@ -79,7 +79,7 @@ ProducerShape(const Graph &graph, const InputRef &in, int *c, int *h, int *w)
 }
 
 void ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
-                      CoreArrayEvaluator &core_eval,
+                      const CoreArrayEvaluator &core_eval,
                       const ParseOptions &popts, ParseScratch *scratch,
                       ParsedSchedule *out_ptr, TilingCache *tiling_cache);
 
@@ -87,7 +87,7 @@ void ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
 
 ParsedSchedule
 ParseLfa(const Graph &graph, const LfaEncoding &lfa,
-         CoreArrayEvaluator &core_eval, const ParseOptions &popts)
+         const CoreArrayEvaluator &core_eval, const ParseOptions &popts)
 {
     ParseScratch scratch;
     ParsedSchedule out;
@@ -106,9 +106,9 @@ ParsedSchedulesIdentical(const ParsedSchedule &a, const ParsedSchedule &b)
 
 void
 ParseLfaInto(const Graph &graph, const LfaEncoding &lfa,
-             CoreArrayEvaluator &core_eval, const ParseOptions &popts,
-             ParseScratch *scratch, ParsedSchedule *out_ptr,
-             TilingCache *tiling_cache)
+             const CoreArrayEvaluator &core_eval,
+             const ParseOptions &popts, ParseScratch *scratch,
+             ParsedSchedule *out_ptr, TilingCache *tiling_cache)
 {
     SOMA_PROF_SCOPE("parse.lfa");
     ParseLfaIntoImpl(graph, lfa, core_eval, popts, scratch, out_ptr,
@@ -136,9 +136,9 @@ namespace {
 
 void
 ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
-                 CoreArrayEvaluator &core_eval, const ParseOptions &popts,
-                 ParseScratch *scratch, ParsedSchedule *out_ptr,
-                 TilingCache *tiling_cache)
+                 const CoreArrayEvaluator &core_eval,
+                 const ParseOptions &popts, ParseScratch *scratch,
+                 ParsedSchedule *out_ptr, TilingCache *tiling_cache)
 {
     ParsedSchedule &out = *out_ptr;
     out.valid = false;
@@ -257,6 +257,7 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
                     : std::make_shared<const FlgTiling>(
                           ComputeFlgTiling(graph, layers, rounds));
             if (block.tiling->valid) {
+                SOMA_PROF_SCOPE("tilecost.compute");
                 const std::size_t n_layers = layers.size();
                 block.costs.resize(n_layers *
                                    static_cast<std::size_t>(rounds));

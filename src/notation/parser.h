@@ -250,7 +250,7 @@ struct ParseScratch {
  * be realized.
  */
 ParsedSchedule ParseLfa(const Graph &graph, const LfaEncoding &lfa,
-                        CoreArrayEvaluator &core_eval,
+                        const CoreArrayEvaluator &core_eval,
                         const ParseOptions &popts = {});
 
 /**
@@ -261,9 +261,9 @@ ParsedSchedule ParseLfa(const Graph &graph, const LfaEncoding &lfa,
  * halo-propagation work across every search chain of a stage.
  */
 void ParseLfaInto(const Graph &graph, const LfaEncoding &lfa,
-                  CoreArrayEvaluator &core_eval, const ParseOptions &popts,
-                  ParseScratch *scratch, ParsedSchedule *out,
-                  TilingCache *tiling_cache = nullptr);
+                  const CoreArrayEvaluator &core_eval,
+                  const ParseOptions &popts, ParseScratch *scratch,
+                  ParsedSchedule *out, TilingCache *tiling_cache = nullptr);
 
 /**
  * Bit-exact equality of two parse results (every tile, tensor and

@@ -20,17 +20,15 @@ RunBufferAllocatedSearch(const Graph &graph, const HardwareConfig &hw,
     obs::Tracer *const tracer = lfa_opts.driver.trace;
     obs::SpanScope search_span(tracer, "alloc.search");
 
-    // One tiling memo and one tile-cost memo for the whole search: the
-    // outer iterations only vary the stage budget, which neither
-    // depends on, so every iteration after the first starts with a
-    // warm cache. A service-injected warm state (lfa_opts pre-filled)
-    // additionally carries both across requests.
+    // One tiling memo for the whole search: the outer iterations only
+    // vary the stage budget, which tilings do not depend on, so every
+    // iteration after the first starts with a warm cache. A
+    // service-injected cache (lfa_opts pre-filled) additionally carries
+    // it across requests.
     LfaStageOptions lfa_opts_shared = lfa_opts;
     if (!lfa_opts_shared.tiling_cache)
         lfa_opts_shared.tiling_cache = std::make_shared<TilingCache>();
-    if (!lfa_opts_shared.tile_cost_memo)
-        lfa_opts_shared.tile_cost_memo = std::make_shared<TileCostMemo>();
-    CoreArrayEvaluator core_eval(graph, hw, lfa_opts_shared.tile_cost_memo);
+    const CoreArrayEvaluator core_eval(graph, hw);
     const Ops total_ops = graph.TotalOps();
 
     // Keep the result well-formed even if no valid scheme is ever found

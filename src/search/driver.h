@@ -22,8 +22,9 @@
  * only pool[i] state between the exchange barriers, which run on the
  * calling thread after every worker has joined — so there is no
  * mutex-guarded state here and nothing for the thread-safety analysis
- * to annotate. Shared memo state (TilingCache / TileCostMemo) is
- * internally synchronized behind its own leaf locks.
+ * to annotate. The shared TilingCache is internally synchronized
+ * behind its own leaf locks; the shared CoreArrayEvaluator is
+ * stateless.
  */
 #ifndef SOMA_SEARCH_DRIVER_H
 #define SOMA_SEARCH_DRIVER_H
@@ -99,7 +100,7 @@ void RunOnWorkers(int threads, int tasks,
 /**
  * The per-chain search environment. Built once per chain by the
  * stage's factory so each chain owns its scratch state (EvalContext,
- * CoreArrayEvaluator, mutation delta slot, ...).
+ * mutation delta slot, ...).
  */
 template <typename State>
 struct ChainEnv {

@@ -150,7 +150,7 @@ MutateLfaEncoding(const Graph &graph, const LfaEncoding &cur,
 
 LfaStageResult
 RunLfaStage(const Graph &graph, const HardwareConfig &hw,
-            CoreArrayEvaluator &core_eval, Bytes stage_budget,
+            const CoreArrayEvaluator &core_eval, Bytes stage_budget,
             const LfaStageOptions &opts, Rng &rng)
 {
     const Ops total_ops = graph.TotalOps();
@@ -158,23 +158,21 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
     obs::SpanScope stage_span(tracer, "lfa.stage");
     stage_span.Arg("budget_bytes", static_cast<std::int64_t>(stage_budget));
 
-    // The stage-wide caches: one tiling memo and one tile-cost memo
-    // shared by the serial seeding pass and every annealing chain.
-    // Both are content-addressed pure-value caches, so sharing them
-    // never perturbs per-seed determinism.
+    // The stage-wide tiling memo, shared by the serial seeding pass and
+    // every annealing chain. It is a content-addressed pure-value
+    // cache, so sharing it never perturbs per-seed determinism.
     std::shared_ptr<TilingCache> tiling_cache = opts.tiling_cache;
     if (!tiling_cache) tiling_cache = std::make_shared<TilingCache>();
 
     // One evaluation = parse + classical double-buffer DLSA (lazy
     // fallback under tight budgets). The context keeps parse and
     // timeline scratch (and the incremental group memo) alive across
-    // candidates; @p ctx and @p ce are per-chain, their caches shared.
-    auto eval_with = [&graph, &hw, stage_budget, total_ops,
+    // candidates; @p ctx is per-chain.
+    auto eval_with = [&graph, &hw, &core_eval, stage_budget, total_ops,
                       n = opts.cost_n, m = opts.cost_m](
-                         EvalContext &ctx, CoreArrayEvaluator &ce,
-                         DlsaEncoding &dlsa_scratch,
+                         EvalContext &ctx, DlsaEncoding &dlsa_scratch,
                          const LfaEncoding &lfa) -> double {
-        const ParsedSchedule &parsed = ctx.Parse(graph, lfa, ce);
+        const ParsedSchedule &parsed = ctx.Parse(graph, lfa, core_eval);
         if (!parsed.valid) return std::numeric_limits<double>::infinity();
         MakeDoubleBufferDlsaInto(parsed, &dlsa_scratch);
         {
@@ -193,7 +191,7 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
     serial_ctx.set_tiling_cache(tiling_cache);
     DlsaEncoding serial_dlsa;
     auto evaluate = [&](const LfaEncoding &lfa) -> double {
-        return eval_with(serial_ctx, core_eval, serial_dlsa, lfa);
+        return eval_with(serial_ctx, serial_dlsa, lfa);
     };
 
     LfaStageResult result;
@@ -244,14 +242,11 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
     sa.iterations = std::min(opts.max_iterations,
                              opts.beta * graph.NumLayers());
 
-    // Anneal K chains; each owns an EvalContext of parse/eval scratch
-    // and a CoreArrayEvaluator, but all evaluators share the stage's
-    // tile-cost memo and all contexts the stage's tiling cache — every
-    // chain starts warm instead of rebuilding both caches from zero.
+    // Anneal K chains; each owns an EvalContext of parse/eval scratch,
+    // but all contexts share the stage's tiling cache — every chain
+    // starts warm instead of re-deriving tilings from zero.
     auto make_env = [&](int /*chain*/) {
         ChainEnv<LfaEncoding> env;
-        auto ce = std::make_shared<CoreArrayEvaluator>(graph, hw,
-                                                       core_eval.memo());
         auto ctx = std::make_shared<EvalContext>();
         ctx->set_tiling_cache(tiling_cache);
         auto dlsa = std::make_shared<DlsaEncoding>();
@@ -260,8 +255,8 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
                                                      Rng &r) {
             return MutateLfaEncoding(graph, cur, next, cap, r);
         };
-        env.evaluate = [eval_with, ce, ctx, dlsa](const LfaEncoding &lfa) {
-            return eval_with(*ctx, *ce, *dlsa, lfa);
+        env.evaluate = [eval_with, ctx, dlsa](const LfaEncoding &lfa) {
+            return eval_with(*ctx, *dlsa, lfa);
         };
         return env;
     };

@@ -44,13 +44,6 @@ struct LfaStageOptions {
      * searched graph.
      */
     std::shared_ptr<TilingCache> tiling_cache;
-    /**
-     * Tile-cost memo the Buffer Allocator seeds its CoreArrayEvaluator
-     * with (every chain evaluator then shares it via memo()). Null: a
-     * private memo per search. Must belong to the searched (graph,
-     * hardware-preset) pair — see TileCostMemo's sharing invariant.
-     */
-    std::shared_ptr<TileCostMemo> tile_cost_memo;
     SaOptions sa;
     SearchDriverOptions driver;
 };
@@ -70,8 +63,9 @@ struct LfaStageResult {
  * @p total_ops is the utilization numerator (graph.TotalOps()).
  */
 LfaStageResult RunLfaStage(const Graph &graph, const HardwareConfig &hw,
-                           CoreArrayEvaluator &core_eval, Bytes stage_budget,
-                           const LfaStageOptions &opts, Rng &rng);
+                           const CoreArrayEvaluator &core_eval,
+                           Bytes stage_budget, const LfaStageOptions &opts,
+                           Rng &rng);
 
 /**
  * "Change Computing Order" operator, shared with the Cocco baseline:

@@ -11,9 +11,6 @@ PropagateSomaOptions(SomaOptions opts)
     opts.dlsa.cost_m = opts.cost_m;
     opts.lfa.driver = opts.driver;
     opts.dlsa.driver = opts.driver;
-    if (!opts.lfa.tiling_cache) opts.lfa.tiling_cache = opts.warm.tilings;
-    if (!opts.lfa.tile_cost_memo)
-        opts.lfa.tile_cost_memo = opts.warm.tile_costs;
     return opts;
 }
 
@@ -21,8 +18,8 @@ const SomaProfileBudgets &
 SomaBudgetsFor(SomaProfile profile)
 {
     // Default was raised from (40/6000, 40/8000) once the incremental
-    // LFA pipeline (group-memoized parse + shared tiling/tile-cost
-    // caches) lifted candidates/s; Full carries the paper's budgets
+    // LFA pipeline (group-memoized parse + shared tiling cache) lifted
+    // candidates/s; Full carries the paper's budgets
     // (Sec. V-C): beta_1 = 100, beta_2 = 1000 — the caps only guard
     // degenerate workloads (thousands of layers / tensors).
     static const SomaProfileBudgets kQuick = {

@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "search/buffer_allocator.h"
-#include "search/warm_state.h"
 
 namespace soma {
 
@@ -29,12 +28,6 @@ struct SomaOptions {
      *  stages. Results are deterministic in (seed, driver.chains) and
      *  independent of driver.threads. */
     SearchDriverOptions driver;
-
-    /** Optional cross-request warm caches (service-injected; see
-     *  warm_state.h). Propagated into the LFA stage's tiling cache and
-     *  tile-cost memo unless those are set explicitly. Pure-value
-     *  caches: presence never changes a result byte. */
-    SearchWarmState warm;
 
     LfaStageOptions lfa;
     DlsaStageOptions dlsa;

@@ -44,46 +44,6 @@ AbortedResult(const ScheduleRequest &request, std::string error,
 
 }  // namespace
 
-Json
-ServiceStats::ToJson() const
-{
-    Json json = Json::Object();
-    json.Set("requests", Json::U64(requests));
-    json.Set("coalesced", Json::U64(coalesced));
-    json.Set("searches", Json::U64(searches));
-    json.Set("uncacheable", Json::U64(uncacheable));
-    json.Set("errors", Json::U64(errors));
-    json.Set("negative_hits", Json::U64(negative_hits));
-    Json rc = Json::Object();
-    rc.Set("hits", Json::U64(result_cache.hits));
-    rc.Set("misses", Json::U64(result_cache.misses));
-    rc.Set("evictions", Json::U64(result_cache.evictions));
-    rc.Set("insertions", Json::U64(result_cache.insertions));
-    rc.Set("disk_hits", Json::U64(result_cache.disk_hits));
-    rc.Set("disk_writes", Json::U64(result_cache.disk_writes));
-    rc.Set("version_mismatches",
-           Json::U64(result_cache.version_mismatches));
-    json.Set("result_cache", std::move(rc));
-    Json gc = Json::Object();
-    gc.Set("hits", Json::U64(graph_cache.hits));
-    gc.Set("misses", Json::U64(graph_cache.misses));
-    gc.Set("evictions", Json::U64(graph_cache.evictions));
-    json.Set("graph_cache", std::move(gc));
-    Json ws = Json::Object();
-    ws.Set("acquires", Json::U64(warm_state.acquires));
-    ws.Set("hits", Json::U64(warm_state.hits));
-    ws.Set("misses", Json::U64(warm_state.misses));
-    ws.Set("evictions", Json::U64(warm_state.evictions));
-    ws.Set("tiling_hits", Json::U64(warm_state.tiling_hits));
-    ws.Set("tiling_misses", Json::U64(warm_state.tiling_misses));
-    ws.Set("tiling_remaps", Json::U64(warm_state.tiling_remaps));
-    ws.Set("tiling_entries", Json::U64(warm_state.tiling_entries));
-    ws.Set("tile_cost_entries", Json::U64(warm_state.tile_cost_entries));
-    ws.Set("approx_bytes", Json::U64(warm_state.approx_bytes));
-    json.Set("warm_state", std::move(ws));
-    return json;
-}
-
 void
 ServiceStats::ExportTo(obs::MetricsRegistry &registry) const
 {
@@ -115,15 +75,12 @@ ServiceStats::ExportTo(obs::MetricsRegistry &registry) const
     set("service.warm_state.tiling_misses", warm_state.tiling_misses);
     set("service.warm_state.tiling_remaps", warm_state.tiling_remaps);
     set("service.warm_state.tiling_entries", warm_state.tiling_entries);
-    set("service.warm_state.tile_cost_entries",
-        warm_state.tile_cost_entries);
     set("service.warm_state.approx_bytes", warm_state.approx_bytes);
 }
 
 SchedulerService::SchedulerService(const ServiceOptions &options)
     : error_ttl_ms_(options.error_ttl_ms),
       now_fn_(options.now_fn),
-      scheduler_(options.scheduler),
       result_cache_(ResultCache::Options{options.result_cache_capacity,
                                          options.cache_dir,
                                          kResultCacheSchemaVersion}),
@@ -295,14 +252,10 @@ SchedulerService::RunAndPublish(const ScheduleRequest &request,
     if (graph) {
         req.graph = std::move(graph);
         // Warm-start the search from every earlier request over this
-        // (graph, hardware preset). The hardware key deliberately
-        // excludes the GBUF/DRAM overrides: tilings are hardware-free
-        // and tile costs are preset-determined (see TileCostMemo's
-        // sharing invariant), so a DSE sweep shares one bundle across
-        // its whole GBUF/bandwidth axis.
+        // graph: tilings are hardware-free, so a DSE sweep shares one
+        // cache across its whole hardware axis.
         req.warm_state = warm_state_cache_.Acquire(
-            Fnv1a64(req.model + '\n' + std::to_string(req.batch)),
-            Fnv1a64(req.hardware));
+            Fnv1a64(req.model + '\n' + std::to_string(req.batch)));
     }
 
     counters_.searches.fetch_add(1, std::memory_order_relaxed);

@@ -21,17 +21,17 @@
  *  - Graph cache: workloads are cached by (model, batch), so a sweep
  *    over one model parses it once instead of once per request.
  *  - Warm-state cache: result-cache-cold requests over an already-seen
- *    (graph, hardware preset) start from the warm fused-group tilings
- *    and tile costs of every earlier search (WarmStateCache; injected
- *    through ScheduleRequest::warm_state). Pure-value caches — a warm
- *    search produces the same bytes as a cold one, pinned by test.
+ *    graph start from the fused-group tilings of every earlier search
+ *    (WarmStateCache; injected through ScheduleRequest::warm_state). A
+ *    pure-value cache — a warm search produces the same bytes as a
+ *    cold one, pinned by test.
  *
  * Memory-timing backends and the caches: memory_model is serialized,
  * so Fingerprint() separates result-cache entries per backend with no
  * service-layer changes. Warm state deliberately stays shared across
- * backends — tilings and tile costs are compute-side values the DRAM
- * seam never touches (DESIGN.md, "Memory timing backends") — so a
- * banked sweep warm-starts from an analytical one and vice versa.
+ * backends — tilings are compute-side values the DRAM seam never
+ * touches (DESIGN.md, "Memory timing backends") — so a banked sweep
+ * warm-starts from an analytical one and vice versa.
  *
  * What is NOT cached: inline-graph requests (their fingerprint only
  * covers the graph's name), failed results (errors are not pure — a
@@ -79,9 +79,9 @@ struct ServiceOptions {
     std::size_t result_cache_capacity = 256;
     std::string cache_dir;
     std::size_t graph_cache_capacity = 64;
-    /** Warm-state residency: max TilingCaches / TileCostMemos kept for
-     *  cross-request reuse (see WarmStateCache). 0 disables warm-state
-     *  sharing — every search starts cold, as before PR 5. */
+    /** Warm-state residency: max TilingCaches kept for cross-request
+     *  reuse (see WarmStateCache). 0 disables warm-state sharing:
+     *  every search starts cold. */
     std::size_t warm_state_capacity = 32;
     /**
      * Negative-result memo TTL. Errors stay uncacheable in the result
@@ -101,13 +101,11 @@ struct ServiceOptions {
      * a fake clock to pin expiry behaviour without sleeping.
      */
     std::function<std::chrono::steady_clock::time_point()> now_fn;
-    /** Options for the wrapped facade (worker pool, driver threads). */
-    Scheduler::Options scheduler;
 };
 
 /** Service-level counters plus the embedded cache stats. A stats()
  *  snapshot of the service's internal atomic counters — `somac sweep
- *  --stats` serializes this via ToJson(). */
+ *  --stats` serializes it through ExportTo(). */
 struct ServiceStats {
     std::uint64_t requests = 0;     ///< Schedule() calls
     std::uint64_t coalesced = 0;    ///< joined an in-flight sibling
@@ -118,8 +116,6 @@ struct ServiceStats {
     ResultCache::Stats result_cache;
     GraphCache::Stats graph_cache;
     WarmStateCache::Stats warm_state;
-
-    Json ToJson() const;  ///< the nested (legacy in-process) schema
 
     /**
      * Export this snapshot into @p registry as absolute-value counters

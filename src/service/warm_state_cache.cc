@@ -2,45 +2,25 @@
 
 namespace soma {
 
-namespace {
-
-/** Order-sensitive 64-bit mix of the two key halves (splitmix64 on the
- *  fold, so (a,b) and (b,a) land apart). */
-std::uint64_t
-FoldKeys(std::uint64_t a, std::uint64_t b)
-{
-    std::uint64_t z = a + 0x9e3779b97f4a7c15ULL + (b << 1 | b >> 63);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-}  // namespace
-
 WarmStateCache::WarmStateCache(const Options &options)
     : capacity_(options.capacity)
 {
 }
 
-SearchWarmState
-WarmStateCache::Acquire(std::uint64_t graph_key, std::uint64_t hw_key)
+std::shared_ptr<TilingCache>
+WarmStateCache::Acquire(std::uint64_t graph_key)
 {
-    if (capacity_ == 0) return SearchWarmState{};
+    if (capacity_ == 0) return nullptr;
     MutexLock lock(mutex_);
     ++stats_.acquires;
-    auto [tilings, tilings_resident] =
+    auto [tilings, resident] =
         tilings_.Touch(graph_key, capacity_, &stats_.evictions);
-    auto [costs, costs_resident] = tile_costs_.Touch(
-        FoldKeys(graph_key, hw_key), capacity_, &stats_.evictions);
-    if (tilings_resident && costs_resident) {
+    if (resident) {
         ++stats_.hits;
     } else {
         ++stats_.misses;
     }
-    SearchWarmState state;
-    state.tilings = std::move(tilings);
-    state.tile_costs = std::move(costs);
-    return state;
+    return std::move(tilings);
 }
 
 WarmStateCache::Stats
@@ -56,18 +36,7 @@ WarmStateCache::stats() const
         out.tiling_entries += entry.value->size();
         out.approx_bytes += entry.value->ApproxBytes();
     }
-    for (const auto &entry : tile_costs_.list) {
-        out.tile_cost_entries += entry.value->size();
-        out.approx_bytes += entry.value->ApproxBytes();
-    }
     return out;
-}
-
-std::size_t
-WarmStateCache::size() const
-{
-    MutexLock lock(mutex_);
-    return tile_costs_.list.size();
 }
 
 void
@@ -76,8 +45,6 @@ WarmStateCache::Clear()
     MutexLock lock(mutex_);
     tilings_.list.clear();
     tilings_.index.clear();
-    tile_costs_.list.clear();
-    tile_costs_.index.clear();
     stats_ = Stats{};
 }
 

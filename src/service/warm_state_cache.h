@@ -3,33 +3,27 @@
  * WarmStateCache: the service-level home of cross-request search
  * warm-up. Where the ResultCache warms whole *results* (a repeated
  * request costs nothing), this cache warms the *state inside* a search
- * (a result-cache-cold request — new seed, profile, scheduler or
- * GBUF/DRAM point over an already-seen workload — skips re-deriving
- * the fused-group tilings and per-tile core-array costs every earlier
- * request already derived).
+ * (a result-cache-cold request — new seed, profile, scheduler,
+ * hardware preset or GBUF/DRAM point over an already-seen workload —
+ * skips re-deriving the fused-group tilings every earlier request
+ * already derived).
  *
  * Keying — the entries composing to (graph fingerprint, group
- * signature, tiling number):
- *  - TilingCache instances are keyed by graph fingerprint alone; each
- *    instance then keys tilings by sink-set group signature (canonical
- *    member set, Tiling Number). Tilings do not depend on hardware, so
- *    one instance warms every hardware point of a workload.
- *  - TileCostMemo instances are keyed by (graph fingerprint, hardware
- *    fingerprint); each then keys costs by exact tile shape. The
- *    hardware fingerprint covers the *preset name* only: TileCost is
- *    independent of the GBUF/DRAM DSE overrides (see the sharing
- *    invariant documented on TileCostMemo), so one memo warms a whole
- *    GBUF/bandwidth sweep.
+ * signature, tiling number): TilingCache instances are keyed by graph
+ * fingerprint alone; each instance then keys tilings by sink-set group
+ * signature (canonical member set, Tiling Number). Tilings do not
+ * depend on hardware, so one instance warms every hardware point of a
+ * workload.
  *
- * Determinism contract: both caches hold content-addressed pure
- * values, so acquiring a warm bundle can never change a result byte —
- * pinned by the service tests' warm-vs-cold byte-identity case. Like
- * the Graph/Result caches, fingerprints assume registry builders are
+ * Determinism contract: the cache holds content-addressed pure values,
+ * so acquiring a warm cache can never change a result byte — pinned by
+ * the service tests' warm-vs-cold byte-identity case. Like the
+ * Graph/Result caches, fingerprints assume registry builders are
  * deterministic per name.
  *
- * Eviction: both maps are LRU-bounded by Options::capacity; evicting
- * drops the shared_ptr, so in-flight searches holding a bundle keep
- * using it safely while new acquires start cold.
+ * Eviction: the map is LRU-bounded by Options::capacity; evicting drops
+ * the shared_ptr, so in-flight searches holding a cache keep using it
+ * safely while new acquires start cold.
  */
 #ifndef SOMA_SERVICE_WARM_STATE_CACHE_H
 #define SOMA_SERVICE_WARM_STATE_CACHE_H
@@ -41,35 +35,33 @@
 #include <utility>
 
 #include "common/thread_annotations.h"
-#include "search/warm_state.h"
+#include "tiling/tiling_cache.h"
 
 namespace soma {
 
 class WarmStateCache {
   public:
     struct Options {
-        /** Max resident TilingCaches and TileCostMemos (each map is
-         *  bounded separately). 0 disables the cache: Acquire returns
-         *  empty bundles and every search starts cold. */
+        /** Max resident TilingCaches. 0 disables the cache: Acquire
+         *  returns null and every search starts cold. */
         std::size_t capacity = 32;
     };
 
     /** Counters plus a footprint snapshot of the resident caches (the
      *  `warm_state` section of `somac sweep --stats`). `hits` counts
-     *  Acquire calls fully served by resident state; `tiling_*`
+     *  Acquire calls served by a resident cache; `tiling_*`
      *  aggregate the resident TilingCaches' own counters — entries
      *  evicted wholesale take their counts with them, so these are a
      *  residency-scoped view, not a lifetime total. */
     struct Stats {
         std::uint64_t acquires = 0;
-        std::uint64_t hits = 0;      ///< both members were resident
-        std::uint64_t misses = 0;    ///< at least one started cold
+        std::uint64_t hits = 0;      ///< the graph's cache was resident
+        std::uint64_t misses = 0;    ///< started cold
         std::uint64_t evictions = 0;
         std::uint64_t tiling_hits = 0;
         std::uint64_t tiling_misses = 0;
         std::uint64_t tiling_remaps = 0;
         std::uint64_t tiling_entries = 0;
-        std::uint64_t tile_cost_entries = 0;
         std::uint64_t approx_bytes = 0;
     };
 
@@ -77,16 +69,14 @@ class WarmStateCache {
     explicit WarmStateCache(const Options &options);
 
     /**
-     * The warm bundle for (@p graph_key, @p hw_key), creating empty
-     * caches on first sight. Thread-safe; concurrent acquirers of one
-     * key share the same instances. Empty bundle when disabled.
+     * The TilingCache of @p graph_key, created empty on first sight.
+     * Thread-safe; concurrent acquirers of one key share the same
+     * instance. Null when disabled.
      */
-    SearchWarmState Acquire(std::uint64_t graph_key, std::uint64_t hw_key)
+    std::shared_ptr<TilingCache> Acquire(std::uint64_t graph_key)
         SOMA_EXCLUDES(mutex_);
 
     Stats stats() const SOMA_EXCLUDES(mutex_);
-    /** Resident TileCostMemo count. */
-    std::size_t size() const SOMA_EXCLUDES(mutex_);
     /** Drops resident state and counters. */
     void Clear() SOMA_EXCLUDES(mutex_);
 
@@ -130,8 +120,6 @@ class WarmStateCache {
      *  leaves and never call back up. */
     mutable Mutex mutex_;
     Lru<TilingCache> tilings_ SOMA_GUARDED_BY(mutex_);  ///< by graph_key
-    /** By (graph_key, hw_key) fold. */
-    Lru<TileCostMemo> tile_costs_ SOMA_GUARDED_BY(mutex_);
     /** Counters only; the stats() snapshot fills the rest. */
     Stats stats_ SOMA_GUARDED_BY(mutex_);
 };

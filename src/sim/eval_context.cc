@@ -13,11 +13,12 @@ namespace soma {
 
 void
 ComputeBufferBySlot(const ParsedSchedule &parsed,
-                    const std::vector<TilePos> &free_point, Bytes *diff,
-                    std::vector<Bytes> *usage)
+                    const std::vector<TilePos> &free_point,
+                    std::vector<Bytes> *diff_out, std::vector<Bytes> *usage)
 {
     const int slots = parsed.NumTiles();
-    std::fill_n(diff, slots + 1, Bytes{0});
+    diff_out->assign(slots + 1, 0);
+    std::vector<Bytes> &diff = *diff_out;
     auto add = [&](TilePos from, TilePos to, Bytes bytes) {
         from = std::clamp<TilePos>(from, 0, slots);
         to = std::clamp<TilePos>(to, 0, slots);
@@ -83,7 +84,8 @@ EvalContext::EvalContext()
 
 const ParsedSchedule &
 EvalContext::Parse(const Graph &graph, const LfaEncoding &lfa,
-                   CoreArrayEvaluator &core_eval, const ParseOptions &popts)
+                   const CoreArrayEvaluator &core_eval,
+                   const ParseOptions &popts)
 {
     // The slot is overwritten: a base or uncommitted evaluation against
     // it would describe a schedule that no longer exists.
@@ -377,7 +379,6 @@ EvalContext::Evaluate(const Graph &graph, const HardwareConfig &hw,
     // them for this candidate: the committed base itself survives full
     // evaluations (EvaluateDelta restores the buckets lazily).
     RevertPendingStoreMove();
-    arena_.Reset();
 
     // External parses have no invalidation hook (Parse only guards the
     // context-owned slot), so re-mirror them on every full pass.
@@ -405,8 +406,8 @@ EvalContext::Evaluate(const Graph &graph, const HardwareConfig &hw,
     for (int r = 0; r < D; ++r) side.rank_of[side.order[r]] = r;
 
     // --- Buffer feasibility (slot-based, Fig. 4 BUFFER row) ---
-    ComputeBufferBySlot(parsed, side.free_point,
-                        arena_.AllocArray<Bytes>(T + 1), &side.usage);
+    ComputeBufferBySlot(parsed, side.free_point, &buffer_diff_,
+                        &side.usage);
     Bytes peak = 0;
     for (Bytes b : side.usage) peak = std::max(peak, b);
     rep.peak_buffer = peak;
@@ -458,7 +459,6 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
         return Evaluate(graph, hw, parsed, cand, buffer_budget, total_ops);
     }
 
-    arena_.Reset();
     ++delta_stats_.delta_evals;
     const Side &base = sides_[base_];
     if (!buckets_for_base_) {
@@ -643,8 +643,7 @@ EvalContext::CrossCheckAgainstFull(const HardwareConfig &hw,
     ref.free_point = dlsa.free_point;
     ref.rank_of.assign(D, 0);
     for (int r = 0; r < D; ++r) ref.rank_of[ref.order[r]] = r;
-    ComputeBufferBySlot(parsed, ref.free_point,
-                        arena_.AllocArray<Bytes>(T + 1), &ref.usage);
+    ComputeBufferBySlot(parsed, ref.free_point, &buffer_diff_, &ref.usage);
     Bytes peak = 0;
     for (Bytes b : ref.usage) peak = std::max(peak, b);
     rrep.peak_buffer = peak;

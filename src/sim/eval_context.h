@@ -16,8 +16,7 @@
  *
  * Timeline state is mirrored into SoA arrays (per-tile seconds, CSR
  * operand lists, per-tensor DRAM seconds, cached aggregate sums) so the
- * timeline runs over contiguous memory; per-candidate transient scratch
- * comes from one MonotonicArena reset at the top of each evaluation.
+ * timeline runs over contiguous memory.
  *
  * Incremental results are bit-identical to full evaluation: the resumed
  * timeline executes the same recurrences on the same operands from a
@@ -35,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "hw/hardware.h"
 #include "notation/parser.h"
 #include "sim/report.h"
@@ -65,12 +63,12 @@ struct DlsaDelta {
 /**
  * Buffer occupancy per tile slot via a difference array. Slots are
  * [0, NumTiles()); shared by PeakBufferUsage and the EvalContext.
- * @p diff is caller-owned scratch of NumTiles() + 1 entries (contents
- * ignored and overwritten).
+ * @p diff is caller-owned scratch, resized to NumTiles() + 1 entries
+ * (contents ignored and overwritten).
  */
 void ComputeBufferBySlot(const ParsedSchedule &parsed,
-                         const std::vector<TilePos> &free_point, Bytes *diff,
-                         std::vector<Bytes> *usage);
+                         const std::vector<TilePos> &free_point,
+                         std::vector<Bytes> *diff, std::vector<Bytes> *usage);
 
 /**
  * Per-thread evaluation context. Typical SA usage:
@@ -104,14 +102,14 @@ class EvalContext {
      * drops a committed base evaluated against it.
      */
     const ParsedSchedule &Parse(const Graph &graph, const LfaEncoding &lfa,
-                                CoreArrayEvaluator &core_eval,
+                                const CoreArrayEvaluator &core_eval,
                                 const ParseOptions &popts = {});
 
     /**
      * Share a stage-wide TilingCache: subsequent Parse calls fetch
      * dirty-group tilings through it instead of recomputing them. Pass
      * nullptr to detach. The cache must describe the graph this context
-     * parses (one cache per search, like the evaluator memo).
+     * parses (one cache per graph).
      */
     void set_tiling_cache(std::shared_ptr<TilingCache> cache)
     {
@@ -268,7 +266,9 @@ class EvalContext {
     TimelineSoA soa_;
     TimelineSoA soa_ext_;
 
-    MonotonicArena arena_;  ///< per-candidate scratch, reset per eval
+    /** Buffer difference array (ComputeBufferBySlot scratch); keeps
+     *  its capacity, so warmed-up evaluations do no heap work. */
+    std::vector<Bytes> buffer_diff_;
 
     /** Stores indexed by their End slot, kept in sync with either the
      *  base free points (plus at most one pending candidate move) or —

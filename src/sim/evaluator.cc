@@ -12,8 +12,8 @@ namespace soma {
 Bytes
 PeakBufferUsage(const ParsedSchedule &parsed, const DlsaEncoding &dlsa)
 {
-    std::vector<Bytes> diff(parsed.NumTiles() + 1), usage;
-    ComputeBufferBySlot(parsed, dlsa.free_point, diff.data(), &usage);
+    std::vector<Bytes> diff, usage;
+    ComputeBufferBySlot(parsed, dlsa.free_point, &diff, &usage);
     Bytes peak = 0;
     for (Bytes b : usage) peak = std::max(peak, b);
     return peak;

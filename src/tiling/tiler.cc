@@ -136,24 +136,6 @@ OrderPermutation(const std::vector<LayerId> &src_order,
     }
 }
 
-FlgTiling
-ReindexFlgTiling(const FlgTiling &src, const std::vector<LayerId> &src_order,
-                 const std::vector<LayerId> &dst_order,
-                 std::vector<std::size_t> *perm_out)
-{
-    std::vector<std::size_t> local_perm;
-    std::vector<std::size_t> &perm = perm_out ? *perm_out : local_perm;
-    OrderPermutation(src_order, dst_order, &perm);
-    FlgTiling out;
-    out.valid = src.valid;
-    out.split = src.split;
-    if (!src.valid) return out;
-    out.regions.resize(dst_order.size());
-    for (std::size_t i = 0; i < dst_order.size(); ++i)
-        out.regions[i] = src.regions[perm[i]];
-    return out;
-}
-
 int
 HeuristicParallelTiles(const Graph &graph, const std::vector<LayerId> &layers,
                        const HardwareConfig &hw, int cap)

@@ -68,7 +68,8 @@ struct FlgTiling {
  * per-tile region is the union of what its in-FLG consumers need — a
  * bottom-up value that is identical under every dependency-legal
  * computing order of the same member set. Only the positional indexing
- * of `regions` follows @p flg_layers; ReindexFlgTiling exploits this.
+ * of `regions` follows @p flg_layers; the permutation views of
+ * TilingCache::GetView and the parser's group memo exploit this.
  */
 FlgTiling ComputeFlgTiling(const Graph &graph,
                            const std::vector<LayerId> &flg_layers,
@@ -85,27 +86,6 @@ FlgTiling ComputeFlgTiling(const Graph &graph,
 void OrderPermutation(const std::vector<LayerId> &src_order,
                       const std::vector<LayerId> &dst_order,
                       std::vector<std::size_t> *perm_out);
-
-/**
- * Re-index @p src, computed for the layer order @p src_order, to the
- * order @p dst_order (a permutation of the same member set): the
- * returned tiling satisfies result.regions[i] == src.regions[j] where
- * dst_order[i] == src_order[j]. Because per-layer regions are
- * order-invariant (see ComputeFlgTiling), the result is bit-identical
- * to ComputeFlgTiling(graph, dst_order, tiles) at a fraction of its
- * cost — the remap behind the sink-set (member-set) group signatures
- * of TilingCache and the parser's group memo. Invalid tilings carry no
- * regions and re-index to an invalid copy.
- *
- * When @p perm_out is given it receives the dst->src index mapping
- * (perm_out[i] == j above) so callers can permute parallel per-layer
- * data (the parser's round-major cost blocks) without re-deriving it.
- * Filled for invalid tilings too.
- */
-FlgTiling ReindexFlgTiling(const FlgTiling &src,
-                           const std::vector<LayerId> &src_order,
-                           const std::vector<LayerId> &dst_order,
-                           std::vector<std::size_t> *perm_out = nullptr);
 
 /**
  * The KC-parallelism heuristic Tiling Number used by Cocco and by SoMa's

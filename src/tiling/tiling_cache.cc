@@ -33,54 +33,6 @@ TilingCache::ShardFor(const Key &key) const
 }
 
 std::shared_ptr<const FlgTiling>
-TilingCache::Get(const Graph &graph, const std::vector<LayerId> &flg_layers,
-                 int tiles)
-{
-    Key key{flg_layers, tiles};
-    std::sort(key.members.begin(), key.members.end());
-    Shard &shard = ShardFor(key);
-    {
-        // On a hit under a different interior order, copy the stored
-        // value's fields under the lock and re-index after releasing it
-        // (entries are immutable but a shard overflow clears the map).
-        std::shared_ptr<const FlgTiling> tiling;
-        std::vector<LayerId> stored_order;
-        {
-            SharedReaderLock lock(shard.mutex);
-            auto it = shard.map.find(key);
-            if (it != shard.map.end()) {
-                shard.hits.fetch_add(1, std::memory_order_relaxed);
-                if (it->second.order == flg_layers) return it->second.tiling;
-                tiling = it->second.tiling;
-                stored_order = it->second.order;
-            }
-        }
-        if (tiling) {
-            shard.remaps.fetch_add(1, std::memory_order_relaxed);
-            return std::make_shared<const FlgTiling>(
-                ReindexFlgTiling(*tiling, stored_order, flg_layers));
-        }
-    }
-    SOMA_PROF_SCOPE("tiling.derive");
-    auto tiling = std::make_shared<const FlgTiling>(
-        ComputeFlgTiling(graph, flg_layers, tiles));
-    SharedMutexLock lock(shard.mutex);
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    if (shard.map.size() >= kMaxEntriesPerShard) shard.map.clear();
-    // A racing thread may have published first; both computed pure
-    // values for the same member set, so serve whichever landed —
-    // re-indexed if the resident derivation order differs.
-    auto [it, inserted] =
-        shard.map.emplace(std::move(key), Value{flg_layers, tiling});
-    if (!inserted && it->second.order != flg_layers) {
-        return std::make_shared<const FlgTiling>(
-            ReindexFlgTiling(*it->second.tiling, it->second.order,
-                             flg_layers));
-    }
-    return it->second.tiling;
-}
-
-std::shared_ptr<const FlgTiling>
 TilingCache::GetView(const Graph &graph,
                      const std::vector<LayerId> &flg_layers, int tiles,
                      std::vector<std::size_t> *perm_out)
@@ -104,7 +56,7 @@ TilingCache::GetView(const Graph &graph,
         }
         if (tiling) {
             // Hand back the stored derivation plus the view mapping —
-            // unlike Get, no re-indexed copy is materialized.
+            // no re-indexed copy is materialized.
             shard.remaps.fetch_add(1, std::memory_order_relaxed);
             if (tiling->valid)
                 OrderPermutation(stored_order, flg_layers, perm_out);

@@ -14,9 +14,9 @@
  * hence its split and per-layer regions) is a function of the member
  * set alone (see ComputeFlgTiling), so every dependency-legal interior
  * order of one group shares a single entry. Values remember the order
- * they were derived with; a hit under a different order is re-indexed
- * through ReindexFlgTiling — bit-identical to recomputation at copy
- * cost (counted in Stats::remaps). Keys carry the full sorted member
+ * they were derived with; a hit under a different order returns the
+ * stored tiling plus the permutation that indexes it in the caller's
+ * order (counted in Stats::remaps). Keys carry the full sorted member
  * list (no lossy hashing); lookups take a shared lock, misses compute
  * outside the lock and publish under an exclusive one.
  *
@@ -27,9 +27,9 @@
  * tiles), so a hit returns the same value no matter which chain or
  * request inserted it; sharing never perturbs per-seed determinism.
  *
- * A cache instance is bound to the graph of the first Get call purely
- * by convention: keys do not encode the graph, so use one cache per
- * graph identity (the WarmStateCache keys instances by graph
+ * A cache instance is bound to the graph of the first GetView call
+ * purely by convention: keys do not encode the graph, so use one cache
+ * per graph identity (the WarmStateCache keys instances by graph
  * fingerprint for exactly this reason).
  */
 #ifndef SOMA_TILING_TILING_CACHE_H
@@ -60,7 +60,8 @@ class TilingCache {
   public:
     /** Hit/miss counters since construction (clears reset them).
      *  `remaps` counts hits served under a different interior order
-     *  than the stored derivation (re-indexed, not recomputed). */
+     *  than the stored derivation (viewed through a perm, not
+     *  recomputed). */
     struct Stats {
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
@@ -70,23 +71,14 @@ class TilingCache {
     /**
      * The tiling of @p flg_layers (in computing order) at @p tiles,
      * computed through ComputeFlgTiling on a miss. The result is
-     * immutable, indexed by @p flg_layers, and shared when the stored
-     * derivation order matches (re-indexed otherwise); invalid tilings
-     * (infeasible tile counts) are cached too — the SA walk re-proposes
-     * them often.
-     */
-    std::shared_ptr<const FlgTiling> Get(
-        const Graph &graph, const std::vector<LayerId> &flg_layers,
-        int tiles);
-
-    /**
-     * Copy-free Get: on a hit whose stored derivation order differs
-     * from @p flg_layers, returns the stored tiling *as derived* and
-     * fills @p perm_out with the dst->src view mapping (perm_out[i] =
-     * stored index of flg_layers[i]) so the caller indexes through it
-     * — no re-indexed FlgTiling is materialized. @p perm_out is
-     * cleared (identity) when the stored order already matches, on a
-     * miss, and for invalid tilings.
+     * immutable and shared. On a hit whose stored derivation order
+     * differs from @p flg_layers, it is the stored tiling *as derived*
+     * and @p perm_out receives the dst->src view mapping (perm_out[i]
+     * = stored index of flg_layers[i]), so the caller indexes
+     * `regions[perm_out[i]]`. @p perm_out is cleared (identity) when
+     * the stored order already matches, on a miss, and for invalid
+     * tilings. Invalid tilings (infeasible tile counts) are cached too
+     * — the SA walk re-proposes them often.
      */
     std::shared_ptr<const FlgTiling> GetView(
         const Graph &graph, const std::vector<LayerId> &flg_layers,
@@ -116,7 +108,7 @@ class TilingCache {
         std::size_t operator()(const Key &k) const;
     };
     /** Stored value: the tiling plus the order it was derived with
-     *  (immutable after insert; hits under other orders re-index). */
+     *  (immutable after insert; hits under other orders get a perm). */
     struct Value {
         std::vector<LayerId> order;
         std::shared_ptr<const FlgTiling> tiling;

@@ -6,9 +6,8 @@
  * operators, and intra-group order moves — and the fast path must
  * actually engage, not silently fall back. Also covers the context's
  * single parse slot (a Parse drops a base evaluated against it) and
- * the per-candidate arena scratch: results must not depend on what a
- * previous candidate left in the bump allocator (ASan runs in CI make
- * a stale-read here a hard failure, not a flake).
+ * the reused per-context scratch: results must not depend on what a
+ * previous candidate left in it.
  */
 #include <gtest/gtest.h>
 
@@ -265,13 +264,11 @@ TEST(DeltaEval, ParseDropsTheBaseItOverwrites)
         inc, EvaluateSchedule(g, hw, full, cand, budget, ops));
 }
 
-TEST(DeltaEval, ArenaResetKeepsCandidatesIndependent)
+TEST(DeltaEval, ReusedScratchKeepsCandidatesIndependent)
 {
-    // Consecutive candidates reuse the same arena blocks (Reset keeps
-    // the memory). Candidate B's result must be bit-identical whether
-    // or not candidate A's scratch preceded it in the arena — under
-    // ASan (the CI sanitize job) a read of A's leftovers is also a
-    // hard error, since arena allocations are never zero-initialized.
+    // Consecutive candidates reuse one context's scratch storage.
+    // Candidate B's result must be bit-identical whether or not
+    // candidate A's evaluation ran through that scratch first.
     Graph g = MakeBranchy();
     HardwareConfig hw = EdgeAccelerator();
     CoreArrayEvaluator ce(g, hw);
@@ -289,7 +286,7 @@ TEST(DeltaEval, ArenaResetKeepsCandidatesIndependent)
     ASSERT_TRUE(mutate(base, &cand_a, rng, &delta_a));
     ASSERT_TRUE(mutate(base, &cand_b, rng, &delta_b));
 
-    // Warm context: A then B through the same arena.
+    // Warm context: A then B through the same scratch.
     EvalContext warm;
     ASSERT_TRUE(warm.Evaluate(g, hw, parsed, base, budget, ops).valid);
     warm.Commit();
@@ -297,7 +294,7 @@ TEST(DeltaEval, ArenaResetKeepsCandidatesIndependent)
     EvalReport through_warm =
         warm.EvaluateDelta(g, hw, parsed, cand_b, delta_b, budget, ops);
 
-    // Fresh context: B with a cold arena.
+    // Fresh context: B with cold scratch.
     EvalContext fresh;
     ASSERT_TRUE(fresh.Evaluate(g, hw, parsed, base, budget, ops).valid);
     fresh.Commit();

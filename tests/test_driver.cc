@@ -201,12 +201,13 @@ TEST(DlsaStageDriver, DeterministicAcrossThreadCounts)
 
 TEST(LfaStageDriver, SharedMemoDeterministicAcrossThreadCounts)
 {
-    // The LFA stage's chains share one TileCostMemo and one TilingCache
-    // (plus per-context group memos). All three are content-addressed
-    // pure-value caches, so insertion order — which varies with thread
-    // scheduling — must never leak into the result.
+    // The LFA stage's chains share one TilingCache (plus per-context
+    // group memos). Both are content-addressed pure-value caches, so
+    // insertion order — which varies with thread scheduling — must
+    // never leak into the result.
     Graph g = MakeDriverNet();
     HardwareConfig hw = EdgeAccelerator();
+    const CoreArrayEvaluator ce(g, hw);
 
     LfaStageOptions opts;
     opts.beta = 10;
@@ -214,16 +215,15 @@ TEST(LfaStageDriver, SharedMemoDeterministicAcrossThreadCounts)
     opts.driver.chains = 3;
 
     opts.driver.threads = 1;
-    CoreArrayEvaluator ce1(g, hw);
+    auto tilings = std::make_shared<TilingCache>();
+    opts.tiling_cache = tilings;
     Rng r1(13);
-    LfaStageResult a =
-        RunLfaStage(g, hw, ce1, hw.gbuf_bytes, opts, r1);
+    LfaStageResult a = RunLfaStage(g, hw, ce, hw.gbuf_bytes, opts, r1);
 
     opts.driver.threads = 4;
-    CoreArrayEvaluator ce2(g, hw);
+    opts.tiling_cache = std::make_shared<TilingCache>();
     Rng r2(13);
-    LfaStageResult b =
-        RunLfaStage(g, hw, ce2, hw.gbuf_bytes, opts, r2);
+    LfaStageResult b = RunLfaStage(g, hw, ce, hw.gbuf_bytes, opts, r2);
 
     ASSERT_TRUE(a.report.valid);
     EXPECT_EQ(a.cost, b.cost);
@@ -232,9 +232,9 @@ TEST(LfaStageDriver, SharedMemoDeterministicAcrossThreadCounts)
     EXPECT_EQ(a.lfa.dram_cuts, b.lfa.dram_cuts);
     EXPECT_EQ(a.lfa.tiling, b.lfa.tiling);
     EXPECT_EQ(a.report.latency, b.report.latency);
-    // Chains actually shared the stage memo: it outlived make_env and
-    // holds every shape the winning chain ever costed.
-    EXPECT_GT(ce1.memo()->size(), 0u);
+    // Chains actually shared the stage cache: it outlived make_env and
+    // holds every group the chains ever tiled.
+    EXPECT_GT(tilings->size(), 0u);
 }
 
 TEST(RunSomaDriver, DeterministicAcrossThreadCounts)

@@ -625,47 +625,37 @@ TEST(Service, NegativeMemoDisabledByZeroTtl)
 
 // ------------------------------------------------------------- warm state
 
-TEST(WarmStateCache, SharesBundlesPerKeyAndEvictsLru)
+TEST(WarmStateCache, SharesOneCachePerGraphAndEvictsLru)
 {
     WarmStateCache cache(WarmStateCache::Options{2});
-    SearchWarmState a = cache.Acquire(1, 10);
-    ASSERT_TRUE(a.tilings);
-    ASSERT_TRUE(a.tile_costs);
-    SearchWarmState a2 = cache.Acquire(1, 10);
-    EXPECT_EQ(a.tilings.get(), a2.tilings.get());
-    EXPECT_EQ(a.tile_costs.get(), a2.tile_costs.get());
+    std::shared_ptr<TilingCache> a = cache.Acquire(1);
+    ASSERT_TRUE(a);
+    std::shared_ptr<TilingCache> a2 = cache.Acquire(1);
+    EXPECT_EQ(a.get(), a2.get());
     EXPECT_EQ(cache.stats().acquires, 2u);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().misses, 1u);
 
-    // One graph across hardware points: tilings are hardware-free and
-    // shared; tile costs are per-preset.
-    SearchWarmState hw2 = cache.Acquire(1, 11);
-    EXPECT_EQ(hw2.tilings.get(), a.tilings.get());
-    EXPECT_NE(hw2.tile_costs.get(), a.tile_costs.get());
-
     // Beyond capacity the LRU tail drops; a re-acquire starts cold but
-    // the old bundle stays safely usable by whoever still holds it.
-    cache.Acquire(2, 10);
-    cache.Acquire(3, 10);
+    // the old cache stays safely usable by whoever still holds it.
+    cache.Acquire(2);
+    cache.Acquire(3);
     EXPECT_GT(cache.stats().evictions, 0u);
-    SearchWarmState a3 = cache.Acquire(1, 10);
-    EXPECT_NE(a3.tile_costs.get(), a.tile_costs.get());
-    EXPECT_TRUE(a.tile_costs);  // in-flight holder unaffected
+    std::shared_ptr<TilingCache> a3 = cache.Acquire(1);
+    EXPECT_NE(a3.get(), a.get());
+    EXPECT_EQ(a->size(), 0u);  // in-flight holder unaffected
 
     WarmStateCache off(WarmStateCache::Options{0});
-    SearchWarmState none = off.Acquire(1, 1);
-    EXPECT_FALSE(none.tilings);
-    EXPECT_FALSE(none.tile_costs);
+    EXPECT_FALSE(off.Acquire(1));
     EXPECT_EQ(off.stats().acquires, 0u);
 }
 
 TEST(Service, WarmStateIsByteIdenticalAndWarmsAcrossSeeds)
 {
     // The warm-state determinism contract: a search that starts from
-    // another request's tilings/tile costs produces the same bytes as
-    // a fully cold one — the caches hold content-addressed pure
-    // values, so presence must not change any result.
+    // another request's tilings produces the same bytes as a fully
+    // cold one — the cache holds content-addressed pure values, so
+    // presence must not change any result.
     ServiceOptions cold_options;
     cold_options.warm_state_capacity = 0;  // pre-PR5 behaviour
     auto cold = MakeService(cold_options);
@@ -693,9 +683,8 @@ TEST(Service, WarmStateIsByteIdenticalAndWarmsAcrossSeeds)
         EXPECT_EQ(c.stats.evaluated, w.stats.evaluated);
         EXPECT_EQ(c.stats.accepted, w.stats.accepted);
     }
-    // A GBUF-override point of the same (model, hardware preset) is a
-    // result-cache miss but a warm-state hit: tilings are
-    // hardware-free and tile costs preset-determined.
+    // A GBUF-override point of the same model is a result-cache miss
+    // but a warm-state hit: tilings are hardware-free.
     ScheduleRequest dse = TinyRequest(1);
     dse.gbuf_bytes = 1 << 20;
     ASSERT_TRUE(warm->Schedule(dse).ok);
@@ -705,7 +694,6 @@ TEST(Service, WarmStateIsByteIdenticalAndWarmsAcrossSeeds)
     EXPECT_EQ(ws.warm_state.hits, 3u);  // seeds 2, 3 and the DSE point
     EXPECT_GT(ws.warm_state.tiling_hits, 0u);
     EXPECT_GT(ws.warm_state.tiling_entries, 0u);
-    EXPECT_GT(ws.warm_state.tile_cost_entries, 0u);
     EXPECT_GT(ws.warm_state.approx_bytes, 0u);
 
     const ServiceStats cs = cold->stats();

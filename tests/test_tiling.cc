@@ -239,6 +239,21 @@ TEST(HeuristicTiles, MinOverGroupLayers)
 
 // ------------------------------------------------------------ TilingCache
 
+/** Every region of @p got, read through @p perm (empty: identity),
+ *  equals the matching region of @p direct. */
+void
+ExpectRegionsMatch(const FlgTiling &got, const std::vector<std::size_t> &perm,
+                   const FlgTiling &direct)
+{
+    ASSERT_EQ(got.regions.size(), direct.regions.size());
+    for (std::size_t i = 0; i < direct.regions.size(); ++i) {
+        const auto &row = got.regions[perm.empty() ? i : perm[i]];
+        ASSERT_EQ(row.size(), direct.regions[i].size());
+        for (std::size_t t = 0; t < direct.regions[i].size(); ++t)
+            EXPECT_EQ(row[t], direct.regions[i][t]);
+    }
+}
+
 TEST(TilingCache, ReturnsComputeFlgTilingValues)
 {
     GraphBuilder b("tc", 1);
@@ -248,30 +263,29 @@ TEST(TilingCache, ReturnsComputeFlgTilingValues)
     Graph g = b.Take();
 
     TilingCache cache;
+    std::vector<std::size_t> perm;
     const std::vector<LayerId> layers{c1, c2};
-    auto cached = cache.Get(g, layers, 4);
+    auto cached = cache.GetView(g, layers, 4, &perm);
     FlgTiling direct = ComputeFlgTiling(g, layers, 4);
     ASSERT_TRUE(cached->valid);
     ASSERT_TRUE(direct.valid);
+    EXPECT_TRUE(perm.empty());
     EXPECT_EQ(cached->split.Total(), direct.split.Total());
-    ASSERT_EQ(cached->regions.size(), direct.regions.size());
-    for (std::size_t i = 0; i < direct.regions.size(); ++i) {
-        ASSERT_EQ(cached->regions[i].size(), direct.regions[i].size());
-        for (std::size_t t = 0; t < direct.regions[i].size(); ++t)
-            EXPECT_EQ(cached->regions[i][t], direct.regions[i][t]);
-    }
+    ExpectRegionsMatch(*cached, perm, direct);
     EXPECT_EQ(cache.stats().misses, 1u);
     EXPECT_EQ(cache.stats().hits, 0u);
 
     // Same key: one shared immutable value, counted as a hit.
-    auto again = cache.Get(g, layers, 4);
+    auto again = cache.GetView(g, layers, 4, &perm);
     EXPECT_EQ(again.get(), cached.get());
+    EXPECT_TRUE(perm.empty());
     EXPECT_EQ(cache.stats().hits, 1u);
 
     // Infeasible tilings are cached too (the SA walk re-proposes them).
-    auto bad = cache.Get(g, layers, 5000);
+    auto bad = cache.GetView(g, layers, 5000, &perm);
     EXPECT_FALSE(bad->valid);
-    EXPECT_EQ(cache.Get(g, layers, 5000).get(), bad.get());
+    EXPECT_TRUE(perm.empty());
+    EXPECT_EQ(cache.GetView(g, layers, 5000, &perm).get(), bad.get());
     EXPECT_EQ(cache.size(), 2u);
 }
 
@@ -284,9 +298,10 @@ TEST(TilingCache, DistinguishesLayerOrderAndTileCount)
     Graph g = b.Take();
 
     TilingCache cache;
-    auto a = cache.Get(g, {c1, c2}, 2);
-    auto b2 = cache.Get(g, {c1, c2}, 4);
-    auto c = cache.Get(g, {c2}, 2);
+    std::vector<std::size_t> perm;
+    auto a = cache.GetView(g, {c1, c2}, 2, &perm);
+    auto b2 = cache.GetView(g, {c1, c2}, 4, &perm);
+    auto c = cache.GetView(g, {c2}, 2, &perm);
     EXPECT_NE(a.get(), b2.get());
     EXPECT_NE(a.get(), c.get());
     EXPECT_EQ(cache.stats().misses, 3u);
@@ -296,8 +311,9 @@ TEST(TilingCache, SinkSetKeySharesAcrossInteriorOrders)
 {
     // Two sibling consumers of one stem: both interior orders of the
     // group are dependency-legal. The sink-set key makes them one
-    // entry; a hit under the other order is re-indexed, bit-identical
-    // to direct computation.
+    // entry; a hit under the other order returns the stored tiling
+    // plus a perm, and reading through it is bit-identical to direct
+    // computation.
     GraphBuilder builder("tc3", 1);
     LayerId stem =
         builder.InputConv("stem", ExtShape{3, 16, 16}, 8, 3, 1, 1);
@@ -308,29 +324,34 @@ TEST(TilingCache, SinkSetKeySharesAcrossInteriorOrders)
     Graph g = builder.Take();
 
     TilingCache cache;
-    auto first = cache.Get(g, {stem, left, right}, 2);
+    std::vector<std::size_t> perm;
+    auto first = cache.GetView(g, {stem, left, right}, 2, &perm);
     ASSERT_TRUE(first->valid);
     EXPECT_EQ(cache.stats().misses, 1u);
 
-    auto swapped = cache.Get(g, {stem, right, left}, 2);
+    auto swapped = cache.GetView(g, {stem, right, left}, 2, &perm);
+    EXPECT_EQ(swapped.get(), first.get());  // the stored derivation
+    EXPECT_EQ(perm, (std::vector<std::size_t>{0, 2, 1}));
     EXPECT_EQ(cache.stats().misses, 1u);  // same member set: no recompute
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().remaps, 1u);
     EXPECT_EQ(cache.size(), 1u);
+    ExpectRegionsMatch(*swapped, perm,
+                       ComputeFlgTiling(g, {stem, right, left}, 2));
 
-    const FlgTiling direct = ComputeFlgTiling(g, {stem, right, left}, 2);
-    ASSERT_TRUE(swapped->valid);
-    ASSERT_EQ(swapped->regions.size(), direct.regions.size());
-    for (std::size_t i = 0; i < direct.regions.size(); ++i) {
-        ASSERT_EQ(swapped->regions[i].size(), direct.regions[i].size());
-        for (std::size_t t = 0; t < direct.regions[i].size(); ++t)
-            EXPECT_EQ(swapped->regions[i][t], direct.regions[i][t]);
-    }
-
-    // The stored derivation order still shares the original pointer.
-    auto again = cache.Get(g, {stem, left, right}, 2);
+    // The stored derivation order needs no perm.
+    auto again = cache.GetView(g, {stem, left, right}, 2, &perm);
     EXPECT_EQ(again.get(), first.get());
+    EXPECT_TRUE(perm.empty());
     EXPECT_EQ(cache.stats().remaps, 1u);
+
+    // An infeasible tiling hit under the other order has no regions to
+    // view, so it carries no perm either.
+    cache.GetView(g, {stem, left, right}, 5000, &perm);
+    auto bad = cache.GetView(g, {stem, right, left}, 5000, &perm);
+    EXPECT_FALSE(bad->valid);
+    EXPECT_TRUE(perm.empty());
+    EXPECT_EQ(cache.stats().remaps, 2u);
 }
 
 }  // namespace

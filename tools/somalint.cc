@@ -59,11 +59,11 @@
  *    incremental parse); a `new`, `make_unique`/`make_shared`, or
  *    vector growth call (`push_back`/`emplace_back`/`resize`/
  *    `reserve`/`insert`) inside a loop there turns the per-candidate
- *    cost from "bump-allocate from the EvalContext arena" back into
+ *    cost from "reuse the EvalContext's warmed-up scratch" back into
  *    malloc traffic. Scans forward from each SOMA_PROF_SCOPE to the
  *    end of its enclosing block and flags growth calls inside any
  *    for/while/do loop in that region. `.assign()`/`std::copy_n` onto
- *    pre-sized storage stay fine — that is the arena discipline.
+ *    pre-sized storage stay fine — that is the scratch discipline.
  *    Amortized allocations (cache-miss derivation, dirty-group
  *    re-parse) take an explicit waiver naming why they are off the
  *    per-candidate path.
@@ -855,9 +855,9 @@ CheckHotAlloc(const FileScan &scan, std::vector<Finding> *findings)
             if (t.text == "new") {
                 Report(scan, t.line, "hot-alloc",
                        "'new' inside a loop in a SOMA_PROF_SCOPE "
-                       "region — use the EvalContext arena or "
-                       "pre-sized scratch; waive amortized paths "
-                       "with a reason",
+                       "region — use pre-sized EvalContext "
+                       "scratch; waive amortized paths with a "
+                       "reason",
                        findings);
                 continue;
             }
@@ -877,7 +877,8 @@ CheckHotAlloc(const FileScan &scan, std::vector<Finding> *findings)
                        "container growth '" + t.text +
                            "(' inside a loop in a SOMA_PROF_SCOPE "
                            "region — assign into pre-sized storage "
-                           "(arena discipline) or waive with a reason",
+                           "(scratch discipline) or waive with a "
+                           "reason",
                        findings);
             }
         }
