@@ -1,10 +1,10 @@
 /**
  * @file
  * Miniature design-space exploration (Fig. 7 style) on the unified API:
- * every (bandwidth, buffer) point of the sweep becomes one async
- * ScheduleRequest with hardware overrides; the Scheduler multiplexes
- * the whole grid over its worker pool, and the latency tables for
- * Cocco and SoMa are printed from the collected results.
+ * every (bandwidth, buffer) point of the sweep becomes one
+ * ScheduleRequest with hardware overrides, scheduled in grid order,
+ * and the latency tables for Cocco and SoMa are printed from the
+ * results.
  *
  * Run: ./build/dse_mini [model] [batch] [seed]
  */
@@ -27,9 +27,7 @@ main(int argc, char **argv)
     const std::vector<Bytes> buffers = {2LL << 20, 4LL << 20, 8LL << 20,
                                         16LL << 20};
 
-    Scheduler::Options pool;
-    pool.workers = 4;
-    Scheduler scheduler(pool);
+    Scheduler scheduler;
 
     HardwareConfig base;
     std::string err;
@@ -41,9 +39,13 @@ main(int argc, char **argv)
         std::cout << "\n" << (use_soma ? "SoMa" : "Cocco")
                   << " latency (ms): rows = DRAM GB/s, cols = buffer MB\n";
 
-        // Fan the whole grid out first...
-        std::vector<Scheduler::JobId> jobs;
+        std::vector<std::string> header = {"GB/s \\ MB"};
+        for (Bytes b : buffers)
+            header.push_back(std::to_string(b >> 20));
+        Table t(header);
+        double best = 1e30;
         for (double bw : bandwidths) {
+            std::vector<std::string> row = {FormatDouble(bw, 0)};
             for (Bytes buf : buffers) {
                 ScheduleRequest request;
                 request.model = model;
@@ -54,21 +56,7 @@ main(int argc, char **argv)
                 request.scheduler = use_soma ? "soma" : "cocco";
                 request.profile = SearchProfile::kQuick;
                 request.seed = seed;
-                jobs.push_back(scheduler.Submit(request));
-            }
-        }
-
-        // ...then collect in grid order.
-        std::vector<std::string> header = {"GB/s \\ MB"};
-        for (Bytes b : buffers)
-            header.push_back(std::to_string(b >> 20));
-        Table t(header);
-        double best = 1e30;
-        std::size_t job = 0;
-        for (double bw : bandwidths) {
-            std::vector<std::string> row = {FormatDouble(bw, 0)};
-            for (std::size_t i = 0; i < buffers.size(); ++i) {
-                ScheduleResult r = scheduler.Wait(jobs[job++]);
+                ScheduleResult r = scheduler.Schedule(request);
                 double latency = r.report.latency;  // inf when infeasible
                 best = std::min(best, latency);
                 row.push_back(FormatDouble(latency * 1e3, 2));

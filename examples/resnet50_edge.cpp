@@ -1,9 +1,9 @@
 /**
  * @file
  * ResNet-50 on the 16 TOPS edge accelerator through the unified API:
- * submit the Cocco baseline and the SoMa two-stage search as concurrent
- * async jobs on one Scheduler, then print the Fig. 6-style comparison
- * row and the headline speedup/energy numbers.
+ * schedule the Cocco baseline and the SoMa two-stage search on one
+ * Scheduler, then print the Fig. 6-style comparison row and the
+ * headline speedup/energy numbers.
  *
  * Run: ./build/resnet50_edge [batch] [seed]
  */
@@ -35,15 +35,10 @@ main(int argc, char **argv)
               << " TOPS edge, " << FormatBytes(hw.gbuf_bytes) << " GBUF, "
               << hw.dram_gbps << " GB/s DRAM\n\n";
 
-    // Submit both schemes; they run concurrently on the shared pool and
-    // their results are independent of each other by construction.
     ScheduleRequest cocco_request = request;
     cocco_request.scheduler = "cocco";
-    Scheduler::JobId cocco_job = scheduler.Submit(cocco_request);
-    Scheduler::JobId soma_job = scheduler.Submit(request);
-
-    ScheduleResult cocco = scheduler.Wait(cocco_job);
-    ScheduleResult ours = scheduler.Wait(soma_job);
+    ScheduleResult cocco = scheduler.Schedule(cocco_request);
+    ScheduleResult ours = scheduler.Schedule(request);
     if (!cocco.ok || !ours.ok) {
         std::cerr << "search failed: "
                   << (cocco.ok ? ours.error : cocco.error) << "\n";

@@ -138,8 +138,10 @@ ScheduleRequest::ToJson() const
     }
     json.Set("batch", Json::Int(batch));
     json.Set("hardware", Json::Str(hardware));
-    if (gbuf_bytes > 0) json.Set("gbuf_bytes", Json::Int(gbuf_bytes));
-    if (dram_gbps > 0) json.Set("dram_gbps", Json::Number(dram_gbps));
+    // Any nonzero override is written, valid or not, so an invalid one
+    // never shares the preset's fingerprint (and its cached result).
+    if (gbuf_bytes != 0) json.Set("gbuf_bytes", Json::Int(gbuf_bytes));
+    if (dram_gbps != 0.0) json.Set("dram_gbps", Json::Number(dram_gbps));
     // Default ("" = analytical) omitted: pre-seam fingerprints and
     // cached results stay valid.
     if (!memory_model.empty())
@@ -212,8 +214,13 @@ ScheduleRequest::FromJson(const Json &json, ScheduleRequest *out,
             }
         } else if (key == "seed") {
             if (!ExpectNumber(value, key, err)) return false;
-            if (value.AsDouble() < 0)
-                return RangeError(err, key, "a non-negative integer");
+            // Integer literals carry their exact u64; any other number
+            // must be integral and in range, never truncated.
+            const double d = value.AsDouble();
+            if (!value.IsU64() &&
+                (!(d >= 0) || d != std::floor(d) ||
+                 d >= 18446744073709551616.0))
+                return RangeError(err, key, "an integer in [0, 2^64)");
             out->seed = value.AsU64();
         } else if (key == "cost_n") {
             if (!FiniteFromJson(value, key, &out->cost_n, err))
@@ -257,6 +264,21 @@ std::uint64_t
 ScheduleRequest::Fingerprint() const
 {
     return Fnv1a64(CanonicalJson().CanonicalDump());
+}
+
+ScheduleResult
+EchoRequest(const ScheduleRequest &request)
+{
+    ScheduleResult result;
+    const bool inline_only = request.graph && request.model.empty();
+    result.model = inline_only ? request.graph->name() : request.model;
+    result.batch = inline_only ? request.graph->batch() : request.batch;
+    result.hardware = request.hardware;
+    result.memory_model = request.memory_model;
+    result.scheduler = request.scheduler;
+    result.profile = request.profile;
+    result.seed = request.seed;
+    return result;
 }
 
 Json

@@ -55,8 +55,7 @@ struct ArtifactRequest {
 
 /** Progress notification fired at pipeline phase boundaries. */
 struct ProgressEvent {
-    std::uint64_t job = 0;  ///< 0 for synchronous Schedule() calls
-    std::string phase;      ///< "build" | "search" | "artifacts" | "done"
+    std::string phase;  ///< "build" | "search" | "artifacts" | "done"
     double elapsed_seconds = 0.0;
 };
 
@@ -74,7 +73,8 @@ struct ScheduleRequest {
     std::shared_ptr<const Graph> graph;
 
     /** HardwareRegistry name, plus optional DSE-style overrides
-     *  (0 = keep the registry preset's value). */
+     *  (0 = keep the registry preset's value; any other value must be
+     *  positive and finite, or the request fails). */
     std::string hardware = "edge";
     Bytes gbuf_bytes = 0;
     double dram_gbps = 0.0;
@@ -132,9 +132,8 @@ struct ScheduleRequest {
     /**
      * Cooperative cancel flag polled inside the search (every
      * SaOptions::cancel_check_interval iterations) and at phase
-     * boundaries. Synchronous callers may point it at their own atomic
-     * to cancel a running Schedule() from another thread; Submit()
-     * overrides it with the job's Cancel() flag. Not serialized.
+     * boundaries. Point it at your own atomic to cancel a running
+     * Schedule() from another thread. Not serialized.
      */
     const std::atomic<bool> *cancel = nullptr;
 
@@ -260,6 +259,17 @@ struct ScheduleResult {
     static bool FromJson(const Json &json, ScheduleResult *out,
                          std::string *err);
 };
+
+/**
+ * A result holding only @p request's identity echo (model, batch,
+ * hardware, memory model, scheduler, profile, seed) — the fields every
+ * reply carries, searched or aborted. A request that names a model
+ * echoes that name even when a pre-built graph is attached (the
+ * service layer's graph cache injects one), so cached and cold results
+ * serialize identically; only pure inline-graph requests echo the
+ * graph's own identity.
+ */
+ScheduleResult EchoRequest(const ScheduleRequest &request);
 
 /** The scalar EvalReport fields as JSON (timelines are not encoded). */
 Json ReportToJson(const EvalReport &report);

@@ -8,6 +8,7 @@
 
 #include "compiler/instruction_gen.h"
 #include "compiler/ir.h"
+#include "hw/hardware.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/prof.h"
@@ -22,24 +23,6 @@ namespace {
 using obs::MonotonicNow;
 using obs::MonotonicTime;
 using obs::SecondsSince;
-
-/** Copy the request-identity fields every result carries. A request
- *  that names a model echoes that name even when a pre-built graph is
- *  attached (the service layer's graph cache injects one), so cached
- *  and cold results serialize identically; only pure inline-graph
- *  requests echo the graph's own identity. */
-void
-EchoRequest(const ScheduleRequest &request, ScheduleResult *result)
-{
-    const bool inline_only = request.graph && request.model.empty();
-    result->model = inline_only ? request.graph->name() : request.model;
-    result->batch = inline_only ? request.graph->batch() : request.batch;
-    result->hardware = request.hardware;
-    result->memory_model = request.memory_model;
-    result->scheduler = request.scheduler;
-    result->profile = request.profile;
-    result->seed = request.seed;
-}
 
 /**
  * Post-search bookkeeping shared by every pipeline run: feed the
@@ -111,163 +94,16 @@ RecordSearchObservations(const ScheduleRequest &request,
 
 }  // namespace
 
-Scheduler::Scheduler() : Scheduler(Options{}) {}
-
-Scheduler::Scheduler(const Options &options)
-    : options_(options),
-      models_(ModelRegistry::WithBuiltins()),
+Scheduler::Scheduler()
+    : models_(ModelRegistry::WithBuiltins()),
       hardware_(HardwareRegistry::WithBuiltins()),
       schedulers_(SchedulerRegistry::WithBuiltins()),
       memory_models_(MemoryModelRegistry::WithBuiltins())
 {
 }
 
-Scheduler::~Scheduler()
-{
-    std::vector<std::thread> workers;
-    {
-        MutexLock lock(mutex_);
-        stopping_ = true;
-        workers = std::move(workers_);
-    }
-    work_cv_.NotifyAll();
-    for (std::thread &t : workers) t.join();
-}
-
 ScheduleResult
-Scheduler::Schedule(const ScheduleRequest &request)
-{
-    // A caller-provided cancel flag serves both the phase-granular
-    // checks (the `cancelled` parameter) and, via the request itself,
-    // the iteration-granular checks inside the search.
-    return RunPipeline(request, /*id=*/0, request.cancel);
-}
-
-void
-Scheduler::EnsureWorkersLocked()
-{
-    if (!workers_.empty()) return;
-    const int n = std::max(1, options_.workers);
-    workers_.reserve(n);
-    for (int i = 0; i < n; ++i)
-        workers_.emplace_back([this] { WorkerLoop(); });
-}
-
-Scheduler::JobId
-Scheduler::Submit(ScheduleRequest request)
-{
-    auto job = std::make_shared<Job>();
-    MutexLock lock(mutex_);
-    EnsureWorkersLocked();
-    job->id = next_id_++;
-    job->request = std::move(request);
-    jobs_[job->id] = job;
-    queue_.push_back(job);
-    work_cv_.NotifyOne();
-    return job->id;
-}
-
-bool
-Scheduler::Cancel(JobId id)
-{
-    MutexLock lock(mutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end() || it->second->done) return false;
-    it->second->cancelled.store(true, std::memory_order_relaxed);
-    return true;
-}
-
-bool
-Scheduler::Done(JobId id) const
-{
-    MutexLock lock(mutex_);
-    auto it = jobs_.find(id);
-    return it != jobs_.end() && it->second->done;
-}
-
-ScheduleResult
-Scheduler::Wait(JobId id)
-{
-    MutexLock lock(mutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-        ScheduleResult result;
-        result.error = "unknown job id " + std::to_string(id) +
-                       " (results can be collected once)";
-        return result;
-    }
-    std::shared_ptr<Job> job = it->second;
-    while (!job->done) done_cv_.Wait(mutex_);
-    jobs_.erase(id);
-    return std::move(job->result);
-}
-
-void
-Scheduler::Discard(JobId id)
-{
-    MutexLock lock(mutex_);
-    auto it = jobs_.find(id);
-    if (it == jobs_.end()) return;
-    if (it->second->done) {
-        jobs_.erase(it);
-        return;
-    }
-    it->second->cancelled.store(true, std::memory_order_relaxed);
-    it->second->discarded = true;  // the worker erases it on completion
-}
-
-void
-Scheduler::WorkerLoop()
-{
-    for (;;) {
-        std::shared_ptr<Job> job;
-        int granted_threads = 1;
-        {
-            MutexLock lock(mutex_);
-            while (!stopping_ && queue_.empty()) work_cv_.Wait(mutex_);
-            if (queue_.empty()) return;  // stopping_ and fully drained
-            job = queue_.front();
-            queue_.pop_front();
-            ++inflight_;
-            // Multiplex the shared driver-thread budget over the jobs
-            // currently executing. Thread counts never change results,
-            // only wall-clock time, so this stays deterministic.
-            int total = options_.driver_threads;
-            if (total <= 0) {
-                unsigned hc = std::thread::hardware_concurrency();
-                total = hc > 0 ? static_cast<int>(hc) : 1;
-            }
-            granted_threads = std::max(1, total / std::max(1, inflight_));
-        }
-
-        ScheduleResult result;
-        if (job->cancelled.load(std::memory_order_relaxed)) {
-            result.ok = false;
-            result.error = "cancelled";
-            EchoRequest(job->request, &result);
-        } else {
-            ScheduleRequest req = job->request;
-            if (req.threads <= 0) req.threads = granted_threads;
-            // The job's flag is the one Cancel() sets; it reaches the
-            // search loops through SomaOptionsForRequest.
-            req.cancel = &job->cancelled;
-            result = RunPipeline(req, job->id, &job->cancelled);
-        }
-
-        {
-            MutexLock lock(mutex_);
-            --inflight_;
-            job->result = std::move(result);
-            job->done = true;
-            if (job->discarded) jobs_.erase(job->id);
-        }
-        done_cv_.NotifyAll();
-    }
-}
-
-ScheduleResult
-Scheduler::RunPipeline(const ScheduleRequest &original, JobId id,
-                       const std::atomic<bool> *cancelled)
+Scheduler::Schedule(const ScheduleRequest &original) const
 {
     const auto t_start = MonotonicNow();
     // One deadline anchor for the whole request: the search loops and
@@ -279,8 +115,7 @@ Scheduler::RunPipeline(const ScheduleRequest &original, JobId id,
         request.deadline_tp =
             t_start + std::chrono::milliseconds(request.deadline_ms);
     }
-    ScheduleResult result;
-    EchoRequest(request, &result);
+    ScheduleResult result = EchoRequest(request);
 
     // Observability is read-only: spans, prof aggregates and registry
     // metrics observe pipeline state but never steer it, so results are
@@ -295,7 +130,6 @@ Scheduler::RunPipeline(const ScheduleRequest &original, JobId id,
     auto progress = [&](const char *phase) {
         if (!request.on_progress) return;
         ProgressEvent event;
-        event.job = id;
         event.phase = phase;
         event.elapsed_seconds = SecondsSince(t_start);
         request.on_progress(event);
@@ -307,7 +141,8 @@ Scheduler::RunPipeline(const ScheduleRequest &original, JobId id,
         return std::move(result);
     };
     auto is_cancelled = [&] {
-        return cancelled && cancelled->load(std::memory_order_relaxed);
+        return request.cancel &&
+               request.cancel->load(std::memory_order_relaxed);
     };
 
     // ---- build: resolve workload, hardware point and strategy.
@@ -322,10 +157,19 @@ Scheduler::RunPipeline(const ScheduleRequest &original, JobId id,
     }
     result.graph = graph;
 
-    HardwareConfig hw;
-    if (!hardware_.Make(request.hardware, &hw, &err)) return fail(err);
-    if (request.gbuf_bytes > 0) hw.gbuf_bytes = request.gbuf_bytes;
-    if (request.dram_gbps > 0) hw.dram_gbps = request.dram_gbps;
+    HardwareConfig preset;
+    if (!hardware_.Make(request.hardware, &preset, &err)) return fail(err);
+    // Every nonzero override goes through the validated scaling, so a
+    // negative, NaN or infinite value fails the request instead of
+    // silently running on the preset (or on infinite bandwidth).
+    HardwareConfig hw = preset;
+    if (request.gbuf_bytes != 0 || request.dram_gbps != 0.0) {
+        const Bytes gbuf =
+            request.gbuf_bytes != 0 ? request.gbuf_bytes : preset.gbuf_bytes;
+        const double gbps =
+            request.dram_gbps != 0.0 ? request.dram_gbps : preset.dram_gbps;
+        if (!ScaledHardware(preset, gbuf, gbps, &hw, &err)) return fail(err);
+    }
     if (!request.memory_model.empty()) {
         const MemoryModel *mm = memory_models_.Find(request.memory_model,
                                                     &err);

@@ -108,7 +108,11 @@ Json::AsU64(std::uint64_t dflt) const
 {
     if (type_ != Type::kNumber) return dflt;
     if (exact_u64_) return u64_;
-    return num_ < 0 ? dflt : static_cast<std::uint64_t>(num_);
+    if (!(num_ >= 0)) return dflt;  // negative or NaN
+    // Saturate outside the representable range; 2^64 itself is the
+    // first double the cast cannot express.
+    if (num_ >= 18446744073709551616.0) return UINT64_MAX;
+    return static_cast<std::uint64_t>(num_);
 }
 
 const std::string &

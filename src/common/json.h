@@ -52,8 +52,14 @@ class Json {
     bool AsBool(bool dflt = false) const;
     double AsDouble(double dflt = 0.0) const;
     std::int64_t AsInt(std::int64_t dflt = 0) const;
-    /** Exact for values set via U64 / parsed integer literals. */
+    /** Exact for values set via U64 / parsed integer literals; other
+     *  numbers truncate, saturating at UINT64_MAX (negative and NaN
+     *  values yield @p dflt). */
     std::uint64_t AsU64(std::uint64_t dflt = 0) const;
+    /** True for numbers that carry an exact std::uint64_t (set via
+     *  U64, or a non-negative Int, or parsed from an integer literal
+     *  that fits). */
+    bool IsU64() const { return type_ == Type::kNumber && exact_u64_; }
     const std::string &AsString() const;  ///< empty unless a string
 
     // ----- arrays -----

@@ -52,14 +52,6 @@ ParsedSchedule::TotalDramBytes() const
     return total;
 }
 
-double
-ParsedSchedule::TotalComputeSeconds() const
-{
-    double total = 0.0;
-    for (const TileInfo &t : tiles) total += t.cost.seconds;
-    return total;
-}
-
 namespace {
 
 /** Producer shape lookup covering both graph layers and external refs. */

@@ -152,9 +152,6 @@ struct ParsedSchedule {
 
     /** Sum of all DRAM tensor bytes. */
     Bytes TotalDramBytes() const;
-
-    /** Sum of all tile compute seconds. */
-    double TotalComputeSeconds() const;
 };
 
 /**

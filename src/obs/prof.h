@@ -22,7 +22,7 @@
  * intrusive list of function-local statics; ProfSnapshot() walks the
  * list into a name-sorted vector. Counters only ever accumulate —
  * consumers diff two snapshots to attribute cost to a phase (see
- * Scheduler::RunPipeline, which feeds the eval.timeline share of
+ * Scheduler::Schedule, which feeds the eval.timeline share of
  * search time into the metrics registry).
  */
 #ifndef SOMA_OBS_PROF_H

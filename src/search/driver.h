@@ -56,8 +56,8 @@ struct SearchDriverOptions {
      * copies both fields into the SaOptions of each annealing window
      * (RunSaWindow polls them every cancel_check_interval iterations)
      * and skips remaining exchange rounds once either fires. The facade
-     * points `cancel` at the job's Cancel() flag and derives `deadline`
-     * from ScheduleRequest::deadline_ms. Defaults mean "never stop
+     * copies `cancel` from ScheduleRequest::cancel and derives
+     * `deadline` from ScheduleRequest::deadline_ms. Defaults mean "never stop
      * early" and leave results bit-identical to unconstrained runs.
      */
     const std::atomic<bool> *cancel = nullptr;

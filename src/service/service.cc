@@ -30,15 +30,9 @@ ScheduleResult
 AbortedResult(const ScheduleRequest &request, std::string error,
               bool deadline_expired)
 {
-    ScheduleResult result;
+    ScheduleResult result = EchoRequest(request);
     result.error = std::move(error);
     result.deadline_expired = deadline_expired;
-    result.model = request.model;
-    result.batch = request.batch;
-    result.hardware = request.hardware;
-    result.scheduler = request.scheduler;
-    result.profile = request.profile;
-    result.seed = request.seed;
     return result;
 }
 
@@ -84,7 +78,6 @@ SchedulerService::SchedulerService(const ServiceOptions &options)
       result_cache_(ResultCache::Options{options.result_cache_capacity,
                                          options.cache_dir,
                                          kResultCacheSchemaVersion}),
-      graph_cache_(options.graph_cache_capacity),
       warm_state_cache_(
           WarmStateCache::Options{options.warm_state_capacity})
 {

@@ -78,7 +78,6 @@ struct ServiceOptions {
      *  cache purely in-memory. */
     std::size_t result_cache_capacity = 256;
     std::string cache_dir;
-    std::size_t graph_cache_capacity = 64;
     /** Warm-state residency: max TilingCaches kept for cross-request
      *  reuse (see WarmStateCache). 0 disables warm-state sharing:
      *  every search starts cold. */
@@ -202,9 +201,10 @@ class SchedulerService {
 
     const int error_ttl_ms_;  ///< ServiceOptions::error_ttl_ms
     const std::function<std::chrono::steady_clock::time_point()> now_fn_;
-    /* The wrapped facade and the three caches synchronize internally
-     * (each owns its own leaf lock); mutex_ below only covers the
-     * coalescing map and the error memo. */
+    /* The wrapped facade is safe to call concurrently once its
+     * registries are configured, and the three caches synchronize
+     * internally (each owns its own leaf lock); mutex_ below only
+     * covers the coalescing map and the error memo. */
     Scheduler scheduler_;            // somalint: allow(guarded-field)
     ResultCache result_cache_;       // somalint: allow(guarded-field)
     GraphCache graph_cache_;         // somalint: allow(guarded-field)

@@ -2,14 +2,14 @@
  * @file
  * Unified scheduler API tests: the JSON library, request/result
  * (de)serialization fidelity (bit-for-bit doubles, exact u64 seeds),
- * registry lookup/unknown-name behaviour, facade-vs-legacy equivalence,
- * determinism of Submit() under concurrent in-flight siblings, and
- * cooperative cancellation.
+ * registry lookup/unknown-name behaviour, hardware-override
+ * validation, facade-vs-legacy equivalence, and determinism of
+ * Schedule() under concurrent callers.
  */
 #include <gtest/gtest.h>
 
-#include <condition_variable>
-#include <mutex>
+#include <cmath>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -207,10 +207,35 @@ TEST(RequestJson, GarbageNumericsAreRejectedNotTruncated)
         "{\"model\": \"resnet50\", \"chains\": 2000000}", &json, &err));
     EXPECT_FALSE(ScheduleRequest::FromJson(json, &request, &err));
 
-    // AsInt saturates instead of invoking UB on out-of-range values.
+    // Seeds are integers below 2^64: fractions and out-of-range values
+    // are rejected, never truncated; the largest seed stays exact.
+    for (const char *seed : {"1e30", "1.5", "18446744073709551616"}) {
+        ASSERT_TRUE(Json::Parse(std::string("{\"model\": \"resnet50\", "
+                                            "\"seed\": ") +
+                                    seed + "}",
+                                &json, &err));
+        EXPECT_FALSE(ScheduleRequest::FromJson(json, &request, &err))
+            << seed;
+        EXPECT_NE(err.find("seed"), std::string::npos) << err;
+    }
+    ASSERT_TRUE(Json::Parse(
+        "{\"model\": \"resnet50\", \"seed\": 18446744073709551615}",
+        &json, &err));
+    ASSERT_TRUE(ScheduleRequest::FromJson(json, &request, &err)) << err;
+    EXPECT_EQ(request.seed, UINT64_MAX);
+
+    // AsInt and AsU64 saturate instead of invoking UB on out-of-range
+    // values; persisted results read their seed through AsU64.
     EXPECT_EQ(Json::Number(1e300).AsInt(), INT64_MAX);
     EXPECT_EQ(Json::Number(-1e300).AsInt(), INT64_MIN);
     EXPECT_EQ(Json::U64(~0ULL).AsInt(), INT64_MAX);
+    EXPECT_EQ(Json::Number(1e30).AsU64(), UINT64_MAX);
+    EXPECT_EQ(Json::Number(-1.0).AsU64(7), 7u);
+    EXPECT_EQ(Json::Number(std::nan("")).AsU64(7), 7u);
+    ScheduleResult result;
+    ASSERT_TRUE(Json::Parse("{\"ok\": false, \"seed\": 1e30}", &json, &err));
+    ASSERT_TRUE(ScheduleResult::FromJson(json, &result, &err)) << err;
+    EXPECT_EQ(result.seed, UINT64_MAX);
 }
 
 TEST(ResultJson, RoundTripIsBitExactOnLatencyAndEnergy)
@@ -345,6 +370,39 @@ TEST(SchedulerFacade, MatchesLegacyRunSomaBitForBit)
     EXPECT_EQ(result.scheme, legacy.lfa.ToString(*graph));
 }
 
+TEST(SchedulerFacade, InvalidHardwareOverridesFailTheRequest)
+{
+    Scheduler scheduler;
+    const ScheduleRequest plain = TinyRequest(7);
+    const ScheduleResult reference = scheduler.Schedule(plain);
+    ASSERT_TRUE(reference.ok) << reference.error;
+
+    // Every nonzero override is validated: none runs on the preset or
+    // on infinite bandwidth, and none shares the preset's fingerprint
+    // (and so its cached result).
+    std::vector<ScheduleRequest> invalid(4, plain);
+    invalid[0].gbuf_bytes = -4 * (1LL << 20);
+    invalid[1].dram_gbps = -5.0;
+    invalid[2].dram_gbps = std::numeric_limits<double>::infinity();
+    invalid[3].dram_gbps = std::numeric_limits<double>::quiet_NaN();
+    for (const ScheduleRequest &request : invalid) {
+        const ScheduleResult result = scheduler.Schedule(request);
+        EXPECT_FALSE(result.ok);
+        EXPECT_NE(result.error.find("invalid"), std::string::npos)
+            << result.error;
+        EXPECT_NE(request.Fingerprint(), plain.Fingerprint());
+    }
+
+    // Overrides equal to the preset run the preset's search.
+    ScheduleRequest same_as_preset = plain;
+    same_as_preset.gbuf_bytes = EdgeAccelerator().gbuf_bytes;
+    same_as_preset.dram_gbps = EdgeAccelerator().dram_gbps;
+    const ScheduleResult result = scheduler.Schedule(same_as_preset);
+    ASSERT_TRUE(result.ok) << result.error;
+    EXPECT_EQ(result.scheme, reference.scheme);
+    EXPECT_EQ(result.cost, reference.cost);
+}
+
 TEST(SchedulerFacade, ProgressEventsCoverTheLifecycle)
 {
     Scheduler scheduler;
@@ -365,101 +423,40 @@ TEST(SchedulerFacade, ProgressEventsCoverTheLifecycle)
     EXPECT_GT(result.stats.iterations, 0);
 }
 
-// ----------------------------------------------------------------- async
+// ----------------------------------------------------------- concurrency
 
-TEST(SchedulerAsync, SubmitIsDeterministicUnderConcurrentSiblings)
+TEST(SchedulerFacade, ConcurrentCallersGetTheSerialResult)
 {
-    Scheduler::Options options;
-    options.workers = 3;
-    Scheduler scheduler(options);
-
-    ScheduleRequest request = TinyRequest(42);
-    ScheduleResult reference = scheduler.Schedule(request);
+    Scheduler scheduler;
+    const ScheduleRequest request = TinyRequest(42);
+    const ScheduleResult reference = scheduler.Schedule(request);
     ASSERT_TRUE(reference.ok) << reference.error;
 
-    // Same-seed copies race with different-seed noise jobs; every
-    // same-seed result must be bit-identical to the sync reference.
-    std::vector<Scheduler::JobId> same, noise;
-    for (int i = 0; i < 3; ++i) {
-        same.push_back(scheduler.Submit(request));
-        noise.push_back(scheduler.Submit(TinyRequest(100 + i)));
+    // Same-seed copies with different driver-thread counts race with
+    // different-seed noise on one Scheduler; every same-seed result
+    // must be bit-identical to the serial reference.
+    constexpr int kCopies = 3;
+    std::vector<ScheduleResult> same(kCopies), noise(kCopies);
+    std::vector<std::thread> callers;
+    for (int i = 0; i < kCopies; ++i) {
+        callers.emplace_back([&, i] {
+            ScheduleRequest copy = request;
+            copy.threads = i + 1;
+            same[i] = scheduler.Schedule(copy);
+        });
+        callers.emplace_back([&, i] {
+            noise[i] = scheduler.Schedule(TinyRequest(100 + i));
+        });
     }
-    for (Scheduler::JobId id : same) {
-        ScheduleResult r = scheduler.Wait(id);
+    for (std::thread &t : callers) t.join();
+    for (const ScheduleResult &r : same) {
         ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_EQ(r.scheme, reference.scheme);
+        EXPECT_EQ(r.cost, reference.cost);
         EXPECT_EQ(r.report.latency, reference.report.latency);
         EXPECT_EQ(r.report.EnergyJ(), reference.report.EnergyJ());
-        EXPECT_EQ(r.cost, reference.cost);
-        EXPECT_EQ(r.scheme, reference.scheme);
     }
-    for (Scheduler::JobId id : noise) EXPECT_TRUE(scheduler.Wait(id).ok);
-}
-
-TEST(SchedulerAsync, WaitIsSingleCollectionAndUnknownIdsFail)
-{
-    Scheduler scheduler;
-    Scheduler::JobId id = scheduler.Submit(TinyRequest(1));
-    ScheduleResult first = scheduler.Wait(id);
-    EXPECT_TRUE(first.ok) << first.error;
-    ScheduleResult second = scheduler.Wait(id);  // already collected
-    EXPECT_FALSE(second.ok);
-    EXPECT_NE(second.error.find("unknown job"), std::string::npos);
-}
-
-TEST(SchedulerAsync, DiscardReleasesUncollectedJobs)
-{
-    Scheduler scheduler;
-    // Discarding a finished job frees its slot: Wait no longer knows it.
-    Scheduler::JobId done_id = scheduler.Submit(TinyRequest(1));
-    while (!scheduler.Done(done_id)) std::this_thread::yield();
-    scheduler.Discard(done_id);
-    EXPECT_FALSE(scheduler.Done(done_id));
-    EXPECT_FALSE(scheduler.Wait(done_id).ok);
-
-    // Discarding a pending job cancels it and self-cleans on completion
-    // (fire-and-forget); the scheduler keeps serving afterwards.
-    Scheduler::JobId pending_id = scheduler.Submit(TinyRequest(2));
-    scheduler.Discard(pending_id);
-    ScheduleResult after = scheduler.Schedule(TinyRequest(3));
-    EXPECT_TRUE(after.ok) << after.error;
-    EXPECT_FALSE(scheduler.Done(pending_id));
-}
-
-TEST(SchedulerAsync, CancelledQueuedJobNeverRuns)
-{
-    // One worker; the first job blocks in its progress callback until
-    // released, so the second job is still queued when cancelled.
-    Scheduler::Options options;
-    options.workers = 1;
-    Scheduler scheduler(options);
-
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool release = false;
-
-    ScheduleRequest blocker = TinyRequest(2);
-    blocker.on_progress = [&](const ProgressEvent &event) {
-        if (event.phase != "search") return;
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&] { return release; });
-    };
-    Scheduler::JobId blocker_id = scheduler.Submit(blocker);
-    Scheduler::JobId victim_id = scheduler.Submit(TinyRequest(3));
-
-    EXPECT_TRUE(scheduler.Cancel(victim_id));
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        release = true;
-    }
-    cv.notify_all();
-
-    ScheduleResult blocked = scheduler.Wait(blocker_id);
-    EXPECT_TRUE(blocked.ok) << blocked.error;
-    ScheduleResult victim = scheduler.Wait(victim_id);
-    EXPECT_FALSE(victim.ok);
-    EXPECT_EQ(victim.error, "cancelled");
-    // Cancelling a finished job reports false.
-    EXPECT_FALSE(scheduler.Cancel(blocker_id));
+    for (const ScheduleResult &r : noise) EXPECT_TRUE(r.ok) << r.error;
 }
 
 }  // namespace

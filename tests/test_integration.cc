@@ -54,11 +54,8 @@ TEST(EndToEnd, SomaBeatsCoccoOnResNet50)
     ScheduleRequest request = QuickRequest("resnet50", 2);
     ScheduleRequest cocco_request = request;
     cocco_request.scheduler = "cocco";
-    // Exercise the async path: both searches in flight on one pool.
-    Scheduler::JobId cocco_job = scheduler.Submit(cocco_request);
-    Scheduler::JobId soma_job = scheduler.Submit(request);
-    ScheduleResult cocco = scheduler.Wait(cocco_job);
-    ScheduleResult ours = scheduler.Wait(soma_job);
+    ScheduleResult cocco = scheduler.Schedule(cocco_request);
+    ScheduleResult ours = scheduler.Schedule(request);
     ASSERT_TRUE(cocco.ok) << cocco.error;
     ASSERT_TRUE(ours.ok) << ours.error;
     EXPECT_LT(ours.report.latency, cocco.report.latency);

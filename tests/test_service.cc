@@ -5,7 +5,7 @@
  * the GraphCache, in-flight coalescing, the cache-determinism contract
  * (cached result == recomputed result, byte for byte), deadline
  * truncation, and the iteration-granular cooperative cancellation that
- * backs Cancel()/deadline_ms.
+ * backs ScheduleRequest::cancel/deadline_ms.
  */
 #include <gtest/gtest.h>
 
@@ -534,6 +534,7 @@ TEST(Service, CoalescedWaiterHonorsItsOwnDeadline)
     // blocking on the leader.
     std::atomic<bool> release{false};
     ScheduleRequest leader_request = TinyRequest(19);
+    leader_request.memory_model = "analytical";
     leader_request.on_progress = [&](const ProgressEvent &event) {
         if (event.phase != "search") return;
         const auto give_up =
@@ -551,12 +552,15 @@ TEST(Service, CoalescedWaiterHonorsItsOwnDeadline)
         std::this_thread::yield();
 
     ScheduleRequest sibling = TinyRequest(19);  // same fingerprint
+    sibling.memory_model = "analytical";
     sibling.deadline_ms = 50;
     ScheduleResult aborted = service->Schedule(sibling);
     EXPECT_FALSE(aborted.ok);
     EXPECT_TRUE(aborted.deadline_expired);
     EXPECT_NE(aborted.error.find("deadline"), std::string::npos);
+    // The aborted reply carries the same request echo as a searched one.
     EXPECT_EQ(aborted.model, "svc-tiny");
+    EXPECT_EQ(aborted.memory_model, "analytical");
 
     release.store(true);
     leader.join();

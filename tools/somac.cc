@@ -175,6 +175,17 @@ ParseDoubleArg(const std::string &flag, const std::string &text,
     return true;
 }
 
+/** @p mb MiB as a byte count. False for a negative, non-finite or
+ *  overflowing size, which the cast to Bytes cannot express. */
+bool
+MbToBytes(double mb, Bytes *out)
+{
+    const double bytes = mb * 1024 * 1024;
+    if (!(bytes >= 0) || bytes >= 9223372036854775808.0) return false;
+    *out = static_cast<Bytes>(bytes);
+    return true;
+}
+
 bool
 ReadFile(const std::string &path, std::string *out, std::string *err)
 {
@@ -333,7 +344,11 @@ CmdRun(const std::vector<std::string> &args)
             if (!(v = need_value(i, arg))) return 2;
             double mb = 0;
             if (!ParseDoubleArg(arg, *v, &mb)) return 2;
-            request.gbuf_bytes = static_cast<Bytes>(mb * 1024 * 1024);
+            if (!MbToBytes(mb, &request.gbuf_bytes)) {
+                std::cerr << arg << ": \"" << *v
+                          << "\" is not a size in [0, 2^63) bytes\n";
+                return 2;
+            }
             ++i;
         } else if (arg == "--dram-gbps") {
             if (!(v = need_value(i, arg))) return 2;
@@ -719,11 +734,12 @@ ExpandSweepSpec(const Json &spec_json,
     std::vector<Bytes> gbuf_axis;
     if (gbuf_mb.empty()) gbuf_axis.push_back(base.gbuf_bytes);
     for (double mb : gbuf_mb) {
-        if (mb < 0) {
-            *err = "sweep gbuf_mb must be non-negative";
+        Bytes bytes = 0;
+        if (!MbToBytes(mb, &bytes)) {
+            *err = "sweep gbuf_mb must be sizes in [0, 2^63) bytes";
             return false;
         }
-        gbuf_axis.push_back(static_cast<Bytes>(mb * 1024 * 1024));
+        gbuf_axis.push_back(bytes);
     }
     std::vector<double> dram_axis;
     if (dram_gbps.empty()) dram_axis.push_back(base.dram_gbps);
