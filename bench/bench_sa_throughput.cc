@@ -166,9 +166,9 @@ main(int argc, char **argv)
     // presets are built from (SomaBudgetsFor) — bench and facade
     // profiles cannot drift.
     const SomaProfileBudgets &budgets = SomaBudgetsFor(
-        profile == Profile::kQuick  ? SomaProfile::kQuick
-        : profile == Profile::kFull ? SomaProfile::kFull
-                                    : SomaProfile::kDefault);
+        profile == Profile::kQuick  ? SearchProfile::kQuick
+        : profile == Profile::kFull ? SearchProfile::kFull
+                                    : SearchProfile::kDefault);
     const int dlsa_iters = budgets.bench_dlsa_iters;
     const int lfa_iters = budgets.bench_lfa_iters;
     const int stage_cap = budgets.bench_stage_iters;

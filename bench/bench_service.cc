@@ -7,10 +7,11 @@
  * The warm-vs-cold ratio is the headline number — the whole point of
  * the service layer is that repeated traffic stops paying for search.
  *
- * A fourth scenario isolates the warm-state cache: distinct-seed
- * requests are result-cache-cold (every one runs a real search), so
- * the only reuse is the cross-request TilingCache — the speedup a
- * sweep sees on the requests the result cache cannot absorb.
+ * A fourth scenario isolates the warm state: distinct-seed requests
+ * are result-cache-cold (every one runs a real search), so the only
+ * reuse is the graph cache's cross-request TilingCache — the speedup a
+ * sweep sees on the requests the result cache cannot absorb. The "off"
+ * row runs the same requests through the plain facade.
  *
  * Profiles via SOMA_BENCH_PROFILE=quick|default|full (request count
  * and search profile scale). Emits --json rows for cross-PR tracking:
@@ -18,7 +19,7 @@
  *   service/warm       requests_per_second
  *   service/warm_vs_cold  speedup   (acceptance bar: >= 10 on quick)
  *   service/coalesce   fanout      (requests per executed search)
- *   service/warm_state_off  requests_per_second  (searches, cold state)
+ *   service/warm_state_off  requests_per_second  (plain facade, cold)
  *   service/warm_state_on   requests_per_second  (searches, warm state)
  *   service/warm_state      speedup  (on/off, result-cache-cold)
  *
@@ -146,19 +147,17 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(burst_searches), fanout,
                 static_cast<unsigned long long>(after_burst.coalesced));
 
-    // --------------------- warm-state cache (result-cache-cold runs)
-    // Distinct seeds defeat the result cache, so both services run a
-    // real search per request; the "on" service starts every search
-    // after the first from the shared tilings.
-    ServiceOptions state_off;
-    state_off.warm_state_capacity = 0;
+    // --------------------------- warm state (result-cache-cold runs)
+    // Distinct seeds defeat the result cache, so both sides run a real
+    // search per request; the service starts every search after the
+    // first from the shared tilings, the plain facade never does.
     double off_s, on_s;
     {
-        SchedulerService svc(state_off);
+        Scheduler plain;
         t0 = MonotonicNow();
         for (int i = 0; i < requests; ++i) {
             ScheduleResult r =
-                svc.Schedule(SweepPoint(search_profile, 1001 + i));
+                plain.Schedule(SweepPoint(search_profile, 1001 + i));
             if (!r.ok) {
                 std::fprintf(stderr, "warm-state-off request failed: %s\n",
                              r.error.c_str());
@@ -169,7 +168,7 @@ main(int argc, char **argv)
     }
     std::uint64_t state_tiling_hits = 0;
     {
-        SchedulerService svc;  // warm state on (default)
+        SchedulerService svc;
         t0 = MonotonicNow();
         for (int i = 0; i < requests; ++i) {
             ScheduleResult r =

@@ -67,16 +67,19 @@ RangeError(std::string *err, const std::string &key, const char *range)
     return false;
 }
 
-/** Number in [@p lo, kMaxCount], range-checked before narrowing. */
+/** Integer in [@p lo, kMaxCount], range-checked before narrowing;
+ *  fractions are rejected, never truncated. */
 bool
 CountFromJson(const Json &value, const std::string &key, std::int64_t lo,
               int *out, std::string *err)
 {
     if (!ExpectNumber(value, key, err)) return false;
+    const double d = value.AsDouble();
     const std::int64_t v = value.AsInt();
-    if (v < lo || v > kMaxCount)
+    if (d != std::floor(d) || v < lo || v > kMaxCount)
         return RangeError(err, key,
-                          lo == 0 ? "in [0, 1000000]" : "in [1, 1000000]");
+                          lo == 0 ? "an integer in [0, 1000000]"
+                                  : "an integer in [1, 1000000]");
     *out = static_cast<int>(v);
     return true;
 }
@@ -236,9 +239,10 @@ ScheduleRequest::FromJson(const Json &json, ScheduleRequest *out,
                 return false;
         } else if (key == "deadline_ms") {
             if (!ExpectNumber(value, key, err)) return false;
+            const double d = value.AsDouble();
             const std::int64_t v = value.AsInt();
-            if (v < 0 || v > 86400000)  // a day, in ms
-                return RangeError(err, key, "in [0, 86400000]");
+            if (d != std::floor(d) || v < 0 || v > 86400000)  // a day
+                return RangeError(err, key, "an integer in [0, 86400000]");
             out->deadline_ms = static_cast<int>(v);
         } else if (key == "artifacts") {
             if (!ArtifactsFromJson(value, &out->artifacts, err))

@@ -38,9 +38,7 @@ namespace obs {
 class Tracer;
 }
 
-/** Search effort presets mapping onto the DESIGN.md budget table. */
-enum class SearchProfile { kQuick, kDefault, kFull };
-
+/** SearchProfile (search/soma.h) names: "quick", "default", "full". */
 const char *ToString(SearchProfile profile);
 bool ParseSearchProfile(const std::string &name, SearchProfile *out);
 
@@ -138,18 +136,20 @@ struct ScheduleRequest {
     const std::atomic<bool> *cancel = nullptr;
 
     /**
-     * The resolved deadline_ms cutoff. The facade anchors it at
-     * pipeline start, so "expired" means the same instant to the
-     * search loops and to the result's deadline_expired flag. Leave
-     * default: set internally (a caller-set value is honored, for
-     * tests). Not serialized.
+     * The resolved deadline_ms cutoff. SchedulerService anchors it at
+     * service entry, the facade at pipeline start when still unset, so
+     * "expired" means the same instant to a coalesced wait, the search
+     * loops and the result's deadline_expired flag. Leave default: set
+     * internally (a caller-set value is honored, for tests). Not
+     * serialized.
      */
     std::chrono::steady_clock::time_point deadline_tp{};
 
     /**
      * Cross-request tiling cache for the request's graph, injected by
-     * the service layer's WarmStateCache (or set directly by in-process
-     * callers that run many searches over one workload). Purely an
+     * the service layer from the graph's GraphCache entry (or set
+     * directly by in-process callers that run many searches over one
+     * workload; it must then serve that one graph only). Purely an
      * accelerator: the cache holds content-addressed pure values, so
      * presence never changes result bytes — which is why, like
      * `threads`, it is not serialized and excluded from Fingerprint().

@@ -8,8 +8,7 @@
  * somalint's steady-now check flags `steady_clock::now()` (and aliases
  * of it) anywhere outside src/obs/, so timing code either takes a
  * time_point from its caller or reaches it through MonotonicNow() —
- * which keeps the injectable-clock seams (ServiceOptions::now_fn) and
- * the wallclock discipline auditable from one file.
+ * which keeps the wallclock discipline auditable from one file.
  */
 #ifndef SOMA_OBS_CLOCK_H
 #define SOMA_OBS_CLOCK_H

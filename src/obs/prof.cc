@@ -12,7 +12,6 @@ namespace {
 /** Head of the intrusive site list. Push-only; sites live forever. */
 std::atomic<ProfSite *> g_sites{nullptr};
 std::atomic<int> g_enable_count{0};
-std::atomic<bool> g_forced{false};
 
 bool
 EnvEnabled()
@@ -40,13 +39,7 @@ bool
 ProfilingEnabled()
 {
     return g_enable_count.load(std::memory_order_relaxed) > 0 ||
-           g_forced.load(std::memory_order_relaxed) || EnvEnabled();
-}
-
-void
-SetProfilingForced(bool on)
-{
-    g_forced.store(on, std::memory_order_relaxed);
+           EnvEnabled();
 }
 
 ProfEnableScope::ProfEnableScope()

@@ -50,12 +50,9 @@ struct ProfSite {
                                ///< after the registering CAS)
 };
 
-/** True while any ProfEnableScope is live, SetProfilingForced(true)
- *  was called, or SOMA_PROF is set in the environment (read once). */
+/** True while any ProfEnableScope is live or SOMA_PROF is set in the
+ *  environment (read once). */
 bool ProfilingEnabled();
-
-/** Process-wide manual override (tests, benches). */
-void SetProfilingForced(bool on);
 
 /** Refcounted enablement for one measured region. */
 class ProfEnableScope {

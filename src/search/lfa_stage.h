@@ -39,9 +39,9 @@ struct LfaStageOptions {
      * Stage-wide tiling memo shared by the serial seeding pass and
      * every SearchDriver chain (and, when the Buffer Allocator passes
      * one in, across its outer iterations; when the service layer's
-     * WarmStateCache passes one in, across whole requests). Null: the
-     * stage creates a private cache per run. Must belong to the
-     * searched graph.
+     * GraphCache passes its graph's cache in, across whole requests).
+     * Null: the stage creates a private cache per run. Must belong to
+     * the searched graph.
      */
     std::shared_ptr<TilingCache> tiling_cache;
     SaOptions sa;

@@ -15,7 +15,7 @@ PropagateSomaOptions(SomaOptions opts)
 }
 
 const SomaProfileBudgets &
-SomaBudgetsFor(SomaProfile profile)
+SomaBudgetsFor(SearchProfile profile)
 {
     // Default was raised from (40/6000, 40/8000) once the incremental
     // LFA pipeline (group-memoized parse + shared tiling cache) lifted
@@ -41,11 +41,11 @@ SomaBudgetsFor(SomaProfile profile)
         /*bench_dlsa_iters=*/50000, /*bench_lfa_iters=*/4000,
         /*bench_stage_iters=*/20000};
     switch (profile) {
-      case SomaProfile::kQuick:
+      case SearchProfile::kQuick:
         return kQuick;
-      case SomaProfile::kFull:
+      case SearchProfile::kFull:
         return kFull;
-      case SomaProfile::kDefault:
+      case SearchProfile::kDefault:
       default:
         return kDefault;
     }
@@ -71,14 +71,14 @@ OptionsFromBudgets(const SomaProfileBudgets &b, std::uint64_t seed)
 SomaOptions
 QuickSomaOptions(std::uint64_t seed)
 {
-    return OptionsFromBudgets(SomaBudgetsFor(SomaProfile::kQuick), seed);
+    return OptionsFromBudgets(SomaBudgetsFor(SearchProfile::kQuick), seed);
 }
 
 SomaOptions
 DefaultSomaOptions(std::uint64_t seed)
 {
     SomaOptions opts =
-        OptionsFromBudgets(SomaBudgetsFor(SomaProfile::kDefault), seed);
+        OptionsFromBudgets(SomaBudgetsFor(SearchProfile::kDefault), seed);
     opts.driver.chains = 4;
     return opts;
 }
@@ -87,7 +87,7 @@ SomaOptions
 FullSomaOptions(std::uint64_t seed)
 {
     SomaOptions opts =
-        OptionsFromBudgets(SomaBudgetsFor(SomaProfile::kFull), seed);
+        OptionsFromBudgets(SomaBudgetsFor(SearchProfile::kFull), seed);
     opts.driver.chains = 4;
     return opts;
 }

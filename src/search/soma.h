@@ -34,8 +34,9 @@ struct SomaOptions {
     BufferAllocatorOptions alloc;
 };
 
-/** The three canonical search profiles (quick/default/full). */
-enum class SomaProfile { kQuick, kDefault, kFull };
+/** Search effort presets (quick/default/full) mapping onto the
+ *  DESIGN.md budget table; ScheduleRequest::profile names one. */
+enum class SearchProfile { kQuick, kDefault, kFull };
 
 /**
  * One profile's iteration budgets — the single source the
@@ -57,7 +58,7 @@ struct SomaProfileBudgets {
 };
 
 /** The budgets of @p profile (static storage, never changes). */
-const SomaProfileBudgets &SomaBudgetsFor(SomaProfile profile);
+const SomaProfileBudgets &SomaBudgetsFor(SearchProfile profile);
 
 /**
  * Copy of @p opts with the top-level cost exponents and driver config

@@ -257,13 +257,4 @@ ResultCache::stats() const
     return stats_;
 }
 
-void
-ResultCache::Clear()
-{
-    MutexLock lock(mutex_);
-    lru_.clear();
-    index_.clear();
-    stats_ = Stats{};
-}
-
 }  // namespace soma

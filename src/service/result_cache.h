@@ -46,9 +46,9 @@ namespace soma {
  * 2 = incremental LFA pipeline + raised default/full search budgets;
  * 3 = length-stamped header (`somacache <version> <payload-bytes>`)
  * for torn-file detection, written via temp-file + atomic rename;
- * 4 = exact tile-cost memo key (input bytes in TileKey), which changes
- * core energies and, through the latency x energy objective, some
- * schemes.
+ * 4 = tile costs computed from each tile's exact input bytes, which
+ * changes core energies and, through the latency x energy objective,
+ * some schemes.
  */
 inline constexpr std::uint64_t kResultCacheSchemaVersion = 4;
 
@@ -94,8 +94,6 @@ class ResultCache {
 
     std::size_t size() const SOMA_EXCLUDES(mutex_);
     Stats stats() const SOMA_EXCLUDES(mutex_);
-    void Clear() SOMA_EXCLUDES(mutex_);  ///< drops memory entries (and
-                                         ///< stats); disk stays
 
     /** The file an entry persists to (empty when persistence is off). */
     std::string PathFor(std::uint64_t fingerprint) const

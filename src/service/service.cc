@@ -1,7 +1,6 @@
 #include "service/service.h"
 
 #include <chrono>
-#include <iterator>
 #include <utility>
 
 #include "common/hash.h"
@@ -49,7 +48,6 @@ ServiceStats::ExportTo(obs::MetricsRegistry &registry) const
     set("service.searches", searches);
     set("service.uncacheable", uncacheable);
     set("service.errors", errors);
-    set("service.negative_hits", negative_hits);
     set("service.result_cache.hits", result_cache.hits);
     set("service.result_cache.misses", result_cache.misses);
     set("service.result_cache.evictions", result_cache.evictions);
@@ -61,10 +59,6 @@ ServiceStats::ExportTo(obs::MetricsRegistry &registry) const
     set("service.graph_cache.hits", graph_cache.hits);
     set("service.graph_cache.misses", graph_cache.misses);
     set("service.graph_cache.evictions", graph_cache.evictions);
-    set("service.warm_state.acquires", warm_state.acquires);
-    set("service.warm_state.hits", warm_state.hits);
-    set("service.warm_state.misses", warm_state.misses);
-    set("service.warm_state.evictions", warm_state.evictions);
     set("service.warm_state.tiling_hits", warm_state.tiling_hits);
     set("service.warm_state.tiling_misses", warm_state.tiling_misses);
     set("service.warm_state.tiling_remaps", warm_state.tiling_remaps);
@@ -73,32 +67,10 @@ ServiceStats::ExportTo(obs::MetricsRegistry &registry) const
 }
 
 SchedulerService::SchedulerService(const ServiceOptions &options)
-    : error_ttl_ms_(options.error_ttl_ms),
-      now_fn_(options.now_fn),
-      result_cache_(ResultCache::Options{options.result_cache_capacity,
+    : result_cache_(ResultCache::Options{options.result_cache_capacity,
                                          options.cache_dir,
-                                         kResultCacheSchemaVersion}),
-      warm_state_cache_(
-          WarmStateCache::Options{options.warm_state_capacity})
+                                         kResultCacheSchemaVersion})
 {
-}
-
-std::chrono::steady_clock::time_point
-SchedulerService::Now() const
-{
-    return now_fn_ ? now_fn_() : obs::MonotonicNow();
-}
-
-const SchedulerService::NegativeEntry *
-SchedulerService::FindNegativeLocked(std::uint64_t fingerprint)
-{
-    auto it = negative_.find(fingerprint);
-    if (it == negative_.end()) return nullptr;
-    if (Now() >= it->second.expires) {
-        negative_.erase(it);
-        return nullptr;
-    }
-    return &it->second;
 }
 
 ScheduleResult
@@ -120,13 +92,13 @@ SchedulerService::Schedule(const ScheduleRequest &request,
     }
 
     const std::uint64_t fingerprint = request.Fingerprint();
-    // Even a coalesced waiter honors its own QoS: the deadline anchors
-    // here on the monotonic clock, and the wait loop below polls it
-    // plus the cancel flag.
-    const auto wait_deadline =
-        request.deadline_ms > 0
-            ? Now() + std::chrono::milliseconds(request.deadline_ms)
-            : std::chrono::steady_clock::time_point{};
+    // One deadline anchor, taken at entry on the monotonic clock: a
+    // coalesced wait polls it, and a search this request leads stops at
+    // the same instant (the facade honors a pre-set deadline_tp).
+    obs::MonotonicTime deadline = request.deadline_tp;
+    if (request.deadline_ms > 0 && deadline.time_since_epoch().count() == 0)
+        deadline = obs::MonotonicNow() +
+                   std::chrono::milliseconds(request.deadline_ms);
 
     auto serve_cached = [&](std::string text,
                             ScheduleResult *out) -> bool {
@@ -141,121 +113,110 @@ SchedulerService::Schedule(const ScheduleRequest &request,
         return true;
     };
 
-    // Fast path outside the service lock: the cache has its own mutex
-    // and a lookup may touch disk, so warm traffic never serializes
-    // behind mutex_.
-    std::string text;
-    ScheduleResult cached;
-    {
-        obs::SpanScope probe_span(request.trace, "service.cache_probe");
-        const bool hit = result_cache_.Get(fingerprint, &text);
-        probe_span.Arg("hit", static_cast<std::int64_t>(hit ? 1 : 0));
-        if (hit && serve_cached(std::move(text), &cached)) return cached;
-    }
+    // Each pass ends in a result, or — when the leader this request
+    // waited on stopped on its own cancel flag or deadline — re-enters
+    // the lookup under this request's own flag and deadline.
+    for (;;) {
+        // Fast path outside the service lock: the cache has its own
+        // mutex and a lookup may touch disk, so warm traffic never
+        // serializes behind mutex_.
+        std::string text;
+        ScheduleResult cached;
+        {
+            obs::SpanScope probe_span(request.trace, "service.cache_probe");
+            const bool hit = result_cache_.Get(fingerprint, &text);
+            probe_span.Arg("hit", static_cast<std::int64_t>(hit ? 1 : 0));
+            if (hit && serve_cached(std::move(text), &cached)) return cached;
+        }
 
-    std::shared_ptr<Inflight> flight;
-    {
-        MutexLock lock(mutex_);
-        // Negative memo: a hot failing fingerprint replays its recent
-        // error instead of re-running the whole search (TTL-bounded so
-        // healed registries recover quickly).
-        if (const NegativeEntry *neg = FindNegativeLocked(fingerprint)) {
-            counters_.negative_hits.fetch_add(1,
-                                              std::memory_order_relaxed);
-            std::string neg_text = neg->text;
-            lock.Unlock();
-            ScheduleResult result;
-            std::string err;
-            if (!TryDeserialize(neg_text, &result, &err)) {
-                result = ScheduleResult();
-                result.error = "negative memo corrupt: " + err;
+        std::shared_ptr<Inflight> flight;
+        {
+            MutexLock lock(mutex_);
+            auto it = inflight_.find(fingerprint);
+            if (it == inflight_.end()) {
+                // A leader may have published between the unlocked
+                // lookup and here; recheck under the registration lock
+                // (a memory hit in that race — no disk read for absent
+                // entries beyond one failed open).
+                if (result_cache_.Get(fingerprint, &text)) {
+                    lock.Unlock();
+                    if (serve_cached(std::move(text), &cached))
+                        return cached;
+                    lock.Lock();
+                    it = inflight_.find(fingerprint);  // re-race, rare
+                }
             }
-            if (result_json) *result_json = std::move(neg_text);
-            return result;
-        }
-        auto it = inflight_.find(fingerprint);
-        if (it == inflight_.end()) {
-            // A leader may have published between the unlocked lookup
-            // and here; recheck under the registration lock (a memory
-            // hit in that race — no disk read for absent entries
-            // beyond one failed open).
-            if (result_cache_.Get(fingerprint, &text)) {
+            if (it == inflight_.end()) {
+                flight = std::make_shared<Inflight>();
+                inflight_[fingerprint] = flight;
+            } else {
+                // Coalesce: pend on the leader, but keep honoring this
+                // request's own cancel flag and deadline while waiting.
+                flight = it->second;
+                counters_.coalesced.fetch_add(1, std::memory_order_relaxed);
+                obs::SpanScope wait_span(request.trace,
+                                         "service.coalesce_wait");
+                for (;;) {
+                    if (flight->done) break;
+                    if (request.cancel &&
+                        request.cancel->load(std::memory_order_relaxed)) {
+                        return AbortedResult(request, "cancelled", false);
+                    }
+                    if (request.deadline_ms > 0 &&
+                        obs::MonotonicNow() >= deadline) {
+                        return AbortedResult(
+                            request,
+                            "deadline expired (" +
+                                std::to_string(request.deadline_ms) +
+                                " ms) while waiting for the coalesced "
+                                "result",
+                            /*deadline_expired=*/true);
+                    }
+                    flight->cv.WaitFor(mutex_,
+                                       std::chrono::milliseconds(10));
+                }
+                if (flight->caller_abort) continue;
+                text = flight->text;
                 lock.Unlock();
-                if (serve_cached(std::move(text), &cached)) return cached;
-                lock.Lock();
-                it = inflight_.find(fingerprint);  // re-race, rare
+                ScheduleResult result;
+                std::string err;
+                if (!TryDeserialize(text, &result, &err)) {
+                    result = ScheduleResult();
+                    result.error = "coalesced result corrupt: " + err;
+                }
+                if (result_json) *result_json = std::move(text);
+                return result;
             }
         }
-        if (it == inflight_.end()) {
-            flight = std::make_shared<Inflight>();
-            inflight_[fingerprint] = flight;
-        } else {
-            // Coalesce: pend on the leader, but keep honoring this
-            // request's own cancel flag and deadline while waiting.
-            flight = it->second;
-            counters_.coalesced.fetch_add(1, std::memory_order_relaxed);
-            obs::SpanScope wait_span(request.trace,
-                                     "service.coalesce_wait");
-            for (;;) {
-                if (flight->done) break;
-                if (request.cancel &&
-                    request.cancel->load(std::memory_order_relaxed)) {
-                    return AbortedResult(request, "cancelled", false);
-                }
-                if (wait_deadline.time_since_epoch().count() != 0 &&
-                    Now() >= wait_deadline) {
-                    return AbortedResult(
-                        request,
-                        "deadline expired (" +
-                            std::to_string(request.deadline_ms) +
-                            " ms) while waiting for the coalesced "
-                            "result",
-                        /*deadline_expired=*/true);
-                }
-                flight->cv.WaitFor(mutex_,
-                                   std::chrono::milliseconds(10));
-            }
-            text = flight->text;
-            lock.Unlock();
-            ScheduleResult result;
-            std::string err;
-            if (!TryDeserialize(text, &result, &err)) {
-                result = ScheduleResult();
-                result.error = "coalesced result corrupt: " + err;
-            }
-            if (result_json) *result_json = std::move(text);
-            return result;
-        }
+        ScheduleRequest leader = request;
+        leader.deadline_tp = deadline;
+        return RunAndPublish(std::move(leader), fingerprint, flight,
+                             result_json);
     }
-    return RunAndPublish(request, fingerprint, flight, result_json);
 }
 
 ScheduleResult
-SchedulerService::RunAndPublish(const ScheduleRequest &request,
+SchedulerService::RunAndPublish(ScheduleRequest request,
                                 std::uint64_t fingerprint,
                                 const std::shared_ptr<Inflight> &flight,
                                 std::string *result_json)
 {
-    ScheduleRequest req = request;
+    // The workload's one cache entry carries the graph and its tilings:
+    // the search warm-starts from every earlier request over this graph
+    // (tilings are hardware-free, so a DSE sweep shares one cache
+    // across its whole hardware axis). Unknown models fall through
+    // graph-less so the facade produces its canonical error (with the
+    // registered-name candidates).
     std::string err;
-    std::shared_ptr<const Graph> graph =
-        graph_cache_.Get(req.model, req.batch, scheduler_.models(), &err);
-    // Unknown models fall through graph-less so the facade produces its
-    // canonical error (with the registered-name candidates).
-    if (graph) {
-        req.graph = std::move(graph);
-        // Warm-start the search from every earlier request over this
-        // graph: tilings are hardware-free, so a DSE sweep shares one
-        // cache across its whole hardware axis.
-        req.warm_state = warm_state_cache_.Acquire(
-            Fnv1a64(req.model + '\n' + std::to_string(req.batch)));
-    }
+    request.graph = graph_cache_.Get(request.model, request.batch,
+                                     scheduler_.models(), &err,
+                                     &request.warm_state);
 
     counters_.searches.fetch_add(1, std::memory_order_relaxed);
     ScheduleResult result;
     {
         obs::SpanScope search_span(request.trace, "service.search");
-        result = scheduler_.Schedule(req);
+        result = scheduler_.Schedule(request);
         search_span.Arg("ok", static_cast<std::int64_t>(result.ok ? 1
                                                                   : 0));
     }
@@ -277,49 +238,12 @@ SchedulerService::RunAndPublish(const ScheduleRequest &request,
         counters_.errors.fetch_add(1, std::memory_order_relaxed);
     {
         MutexLock lock(mutex_);
-        // Memoize deterministic failures for a short TTL. Cancelled and
-        // deadline-shaped results reflect this caller's QoS — another
-        // request with the same fingerprint could well succeed — so
-        // they never enter the memo.
-        if (error_ttl_ms_ > 0 && !result.ok &&
-            !result.deadline_expired && result.error != "cancelled") {
-            const auto now = Now();
-            constexpr std::size_t kNegativeCap = 1024;
-            if (negative_.size() >= kNegativeCap) {
-                // At capacity: sweep expired entries — every expired
-                // entry goes regardless of visit order, so the hash
-                // iteration order below cannot leak into behaviour.
-                // somalint: allow(unordered-iter) expiry sweep removes
-                for (auto it = negative_.begin(); it != negative_.end();) {
-                    it = now >= it->second.expires ? negative_.erase(it)
-                                                  : std::next(it);
-                }
-                if (negative_.size() >= kNegativeCap) {
-                    // Still saturated by live entries: evict the entry
-                    // closest to expiry (fingerprint breaks ties). The
-                    // previous erase(begin()) depended on hash iteration
-                    // order — a different victim per run/platform; the
-                    // min-scan is deterministic for a given entry set.
-                    // somalint: allow(unordered-iter) deterministic min
-                    auto victim = negative_.begin();
-                    // somalint: allow(unordered-iter) deterministic min
-                    for (auto it = std::next(victim);
-                         it != negative_.end(); ++it) {
-                        if (it->second.expires < victim->second.expires ||
-                            (it->second.expires ==
-                                 victim->second.expires &&
-                             it->first < victim->first)) {
-                            victim = it;
-                        }
-                    }
-                    negative_.erase(victim);
-                }
-            }
-            negative_[fingerprint] = NegativeEntry{
-                now + std::chrono::milliseconds(error_ttl_ms_),
-                text};
-        }
         flight->text = text;
+        // Cancelled and deadline-shaped outcomes reflect this caller's
+        // QoS, not the request: a sibling without that flag or deadline
+        // must run (or join) a search of its own.
+        flight->caller_abort =
+            result.deadline_expired || result.error == "cancelled";
         flight->done = true;
         inflight_.erase(fingerprint);
     }
@@ -338,11 +262,9 @@ SchedulerService::stats() const
     out.uncacheable =
         counters_.uncacheable.load(std::memory_order_relaxed);
     out.errors = counters_.errors.load(std::memory_order_relaxed);
-    out.negative_hits =
-        counters_.negative_hits.load(std::memory_order_relaxed);
     out.result_cache = result_cache_.stats();
     out.graph_cache = graph_cache_.stats();
-    out.warm_state = warm_state_cache_.stats();
+    out.warm_state = graph_cache_.warm_stats();
     return out;
 }
 

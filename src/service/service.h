@@ -2,7 +2,7 @@
  * @file
  * SchedulerService — the caching, coalescing serving layer wrapped
  * around soma::Scheduler for repeated traffic (DSE sweeps, a fixed
- * model zoo served many times). Four mechanisms stack on the facade:
+ * model zoo served many times). Three mechanisms stack on the facade:
  *
  *  - Result cache: requests are pure functions of their
  *    result-affecting fields, so the service memoizes serialized
@@ -17,12 +17,14 @@
  *    out to every waiting sibling. Waiters keep honoring their own
  *    QoS: a sibling whose cancel flag trips or whose deadline_ms
  *    passes while pending gives up with the matching status instead
- *    of blocking on the leader.
- *  - Graph cache: workloads are cached by (model, batch), so a sweep
- *    over one model parses it once instead of once per request.
- *  - Warm-state cache: result-cache-cold requests over an already-seen
- *    graph start from the fused-group tilings of every earlier search
- *    (WarmStateCache; injected through ScheduleRequest::warm_state). A
+ *    of blocking on the leader, and a leader that stopped on its own
+ *    cancel flag or deadline answers no sibling — each re-enters the
+ *    lookup under its own flag and deadline.
+ *  - Graph cache: one entry per (model, batch) holds the built graph
+ *    and that graph's TilingCache (GraphCache). A sweep over one
+ *    model parses it once, and result-cache-cold requests over an
+ *    already-seen graph start from the fused-group tilings of every
+ *    earlier search (injected through ScheduleRequest::warm_state). A
  *    pure-value cache — a warm search produces the same bytes as a
  *    cold one, pinned by test.
  *
@@ -35,15 +37,14 @@
  *
  * What is NOT cached: inline-graph requests (their fingerprint only
  * covers the graph's name), failed results (errors are not pure — a
- * registry entry may be added later), and deadline-truncated results
- * (they depend on wall-clock, violating the determinism contract).
+ * registry entry may be added later, and the next request sees it),
+ * and deadline-truncated results (they depend on wall-clock,
+ * violating the determinism contract).
  *
- * Clock discipline: every time comparison the service makes — the
- * negative-memo TTL, the coalesced waiter's deadline, and (in the
- * facade) deadline_ms itself — is computed on std::chrono::steady_clock
- * arithmetic, never the wall clock, so a system-time jump can neither
- * mass-expire nor immortalize entries nor truncate searches.
- * ServiceOptions::now_fn injects a fake monotonic clock for tests.
+ * Clock discipline: a request's deadline_ms anchors once, at service
+ * entry, on obs::MonotonicNow(); the coalesced waiter's poll and the
+ * facade's search loops compare against that one instant, so a
+ * system-time jump can never truncate a search.
  *
  * Results served from the cache (and coalesced siblings) are
  * deserialized from the stored text: every serialized field matches
@@ -54,9 +55,7 @@
 #define SOMA_SERVICE_SERVICE_H
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -65,7 +64,6 @@
 #include "common/thread_annotations.h"
 #include "service/graph_cache.h"
 #include "service/result_cache.h"
-#include "service/warm_state_cache.h"
 
 namespace soma {
 
@@ -78,28 +76,6 @@ struct ServiceOptions {
      *  cache purely in-memory. */
     std::size_t result_cache_capacity = 256;
     std::string cache_dir;
-    /** Warm-state residency: max TilingCaches kept for cross-request
-     *  reuse (see WarmStateCache). 0 disables warm-state sharing:
-     *  every search starts cold. */
-    std::size_t warm_state_capacity = 32;
-    /**
-     * Negative-result memo TTL. Errors stay uncacheable in the result
-     * cache by design (they are not pure: a registry entry may be added
-     * later), but a hot failing fingerprint — a sweep hammering an
-     * unknown model, a budget no scheme fits — would re-run the full
-     * search on every request. Failed pipelines are therefore memoized
-     * in memory for this many milliseconds and replayed from the memo
-     * while fresh. Cancelled and deadline-truncated results are never
-     * memoized (they reflect the caller's QoS, not the request).
-     * 0 disables the memo.
-     */
-    int error_ttl_ms = 2000;
-    /**
-     * Monotonic-clock hook for the TTL/deadline arithmetic above; null
-     * (the default) uses std::chrono::steady_clock::now. Tests inject
-     * a fake clock to pin expiry behaviour without sleeping.
-     */
-    std::function<std::chrono::steady_clock::time_point()> now_fn;
 };
 
 /** Service-level counters plus the embedded cache stats. A stats()
@@ -107,14 +83,16 @@ struct ServiceOptions {
  *  --stats` serializes it through ExportTo(). */
 struct ServiceStats {
     std::uint64_t requests = 0;     ///< Schedule() calls
-    std::uint64_t coalesced = 0;    ///< joined an in-flight sibling
+    /** Joins of an in-flight sibling. A waiter whose leader stopped on
+     *  its own cancel flag or deadline re-enters the lookup, so it may
+     *  count here more than once. */
+    std::uint64_t coalesced = 0;
     std::uint64_t searches = 0;     ///< pipelines actually executed
     std::uint64_t uncacheable = 0;  ///< inline-graph bypasses
     std::uint64_t errors = 0;       ///< executed pipelines with ok=false
-    std::uint64_t negative_hits = 0;///< served from the error memo
     ResultCache::Stats result_cache;
     GraphCache::Stats graph_cache;
-    WarmStateCache::Stats warm_state;
+    GraphCache::WarmStats warm_state;
 
     /**
      * Export this snapshot into @p registry as absolute-value counters
@@ -138,7 +116,8 @@ class SchedulerService {
 
     /**
      * Serve @p request: result cache, then in-flight coalescing, then
-     * one real pipeline run (warm-started from the warm-state cache).
+     * one real pipeline run (warm-started from the graph cache's
+     * tilings).
      * Thread-safe; concurrent callers with the same fingerprint share
      * one search. When @p result_json is given it receives the
      * request's serialized result text — for cached and coalesced
@@ -151,7 +130,6 @@ class SchedulerService {
     ServiceStats stats() const;
     ResultCache &result_cache() { return result_cache_; }
     GraphCache &graph_cache() { return graph_cache_; }
-    WarmStateCache &warm_state_cache() { return warm_state_cache_; }
 
   private:
     /** One coalesced in-flight search. `done`/`text` are protected by
@@ -161,13 +139,11 @@ class SchedulerService {
      *  annotated Schedule()/RunAndPublish() paths that do all access. */
     struct Inflight {
         bool done = false;
+        /** The leader stopped on its own cancel flag or deadline: its
+         *  text answers no waiter, each re-enters the lookup. */
+        bool caller_abort = false;
         std::string text;
         CondVar cv;
-    };
-    /** One memoized failure (see ServiceOptions::error_ttl_ms). */
-    struct NegativeEntry {
-        std::chrono::steady_clock::time_point expires;
-        std::string text;
     };
     /**
      * The mutable counters behind ServiceStats. Atomics, not
@@ -182,42 +158,30 @@ class SchedulerService {
         std::atomic<std::uint64_t> searches{0};
         std::atomic<std::uint64_t> uncacheable{0};
         std::atomic<std::uint64_t> errors{0};
-        std::atomic<std::uint64_t> negative_hits{0};
     };
 
-    ScheduleResult RunAndPublish(const ScheduleRequest &request,
+    /** Run @p request as the leader of @p flight (its deadline_tp
+     *  already anchored) and publish the outcome to the waiters. */
+    ScheduleResult RunAndPublish(ScheduleRequest request,
                                  std::uint64_t fingerprint,
                                  const std::shared_ptr<Inflight> &flight,
                                  std::string *result_json)
         SOMA_EXCLUDES(mutex_);
 
-    /** The fresh error memo entry for @p fingerprint, if any (prunes an
-     *  expired one). */
-    const NegativeEntry *FindNegativeLocked(std::uint64_t fingerprint)
-        SOMA_REQUIRES(mutex_);
-
-    /** The injected (or steady_clock) monotonic now. */
-    std::chrono::steady_clock::time_point Now() const;
-
-    const int error_ttl_ms_;  ///< ServiceOptions::error_ttl_ms
-    const std::function<std::chrono::steady_clock::time_point()> now_fn_;
     /* The wrapped facade is safe to call concurrently once its
-     * registries are configured, and the three caches synchronize
-     * internally (each owns its own leaf lock); mutex_ below only
-     * covers the coalescing map and the error memo. */
-    Scheduler scheduler_;            // somalint: allow(guarded-field)
-    ResultCache result_cache_;       // somalint: allow(guarded-field)
-    GraphCache graph_cache_;         // somalint: allow(guarded-field)
-    WarmStateCache warm_state_cache_;// somalint: allow(guarded-field)
+     * registries are configured, and the two caches synchronize
+     * internally (each owns its own lock); mutex_ below only covers
+     * the coalescing map. */
+    Scheduler scheduler_;        // somalint: allow(guarded-field)
+    ResultCache result_cache_;   // somalint: allow(guarded-field)
+    GraphCache graph_cache_;     // somalint: allow(guarded-field)
 
     /** Lock order: mutex_ may be held while calling into the result
      *  cache (the under-registration recheck) — so mutex_ comes BEFORE
      *  every cache-internal lock, and the caches never call back into
      *  the service. */
-    mutable Mutex mutex_;  ///< inflight + error memo
+    mutable Mutex mutex_;  ///< the coalescing map
     std::unordered_map<std::uint64_t, std::shared_ptr<Inflight>> inflight_
-        SOMA_GUARDED_BY(mutex_);
-    std::unordered_map<std::uint64_t, NegativeEntry> negative_
         SOMA_GUARDED_BY(mutex_);
     Counters counters_;  // somalint: allow(guarded-field) all-atomic struct
 };

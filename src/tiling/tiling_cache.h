@@ -22,15 +22,16 @@
  *
  * One cache is shared by all SearchDriver chains of a search, across
  * the Buffer Allocator's outer iterations, and — via the service
- * layer's WarmStateCache — across every request scheduling the same
+ * layer's GraphCache — across every request scheduling the same
  * graph: ComputeFlgTiling is a pure function of (graph, members,
  * tiles), so a hit returns the same value no matter which chain or
  * request inserted it; sharing never perturbs per-seed determinism.
  *
- * A cache instance is bound to the graph of the first GetView call
- * purely by convention: keys do not encode the graph, so use one cache
- * per graph identity (the WarmStateCache keys instances by graph
- * fingerprint for exactly this reason).
+ * Keys do not encode the graph, so a cache serves exactly one graph.
+ * The service's GraphCache guarantees that by construction: each
+ * cached graph entry owns its TilingCache, created and evicted with
+ * it. Other callers that pass one in (ScheduleRequest::warm_state,
+ * LfaStageOptions::tiling_cache) must keep it to one graph.
  */
 #ifndef SOMA_TILING_TILING_CACHE_H
 #define SOMA_TILING_TILING_CACHE_H

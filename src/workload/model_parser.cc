@@ -1,6 +1,5 @@
 #include "workload/model_parser.h"
 
-#include <fstream>
 #include <sstream>
 
 namespace soma {
@@ -167,28 +166,6 @@ ParseModel(const std::string &text, Graph *graph, std::string *error)
     g.Validate();
     *graph = std::move(g);
     return true;
-}
-
-bool
-WriteModelFile(const Graph &graph, const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out) return false;
-    out << SerializeModel(graph);
-    return static_cast<bool>(out);
-}
-
-bool
-ReadModelFile(const std::string &path, Graph *graph, std::string *error)
-{
-    std::ifstream in(path);
-    if (!in) {
-        if (error) *error = "cannot open " + path;
-        return false;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ParseModel(ss.str(), graph, error);
 }
 
 }  // namespace soma

@@ -34,11 +34,6 @@ std::string SerializeModel(const Graph &graph);
  */
 bool ParseModel(const std::string &text, Graph *graph, std::string *error);
 
-/** File convenience wrappers. */
-bool WriteModelFile(const Graph &graph, const std::string &path);
-bool ReadModelFile(const std::string &path, Graph *graph,
-                   std::string *error);
-
 }  // namespace soma
 
 #endif  // SOMA_WORKLOAD_MODEL_PARSER_H

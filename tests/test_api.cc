@@ -207,6 +207,20 @@ TEST(RequestJson, GarbageNumericsAreRejectedNotTruncated)
         "{\"model\": \"resnet50\", \"chains\": 2000000}", &json, &err));
     EXPECT_FALSE(ScheduleRequest::FromJson(json, &request, &err));
 
+    // Counts and the deadline are integers: a fraction is rejected, not
+    // truncated to a neighbouring request's value.
+    for (const char *field :
+         {"\"batch\": 2.5", "\"chains\": 1.5", "\"threads\": 0.5",
+          "\"deadline_ms\": 1.5",
+          "\"artifacts\": {\"execution_graph_rows\": 2.5}"}) {
+        ASSERT_TRUE(Json::Parse(std::string("{\"model\": \"resnet50\", ") +
+                                    field + "}",
+                                &json, &err));
+        EXPECT_FALSE(ScheduleRequest::FromJson(json, &request, &err))
+            << field;
+        EXPECT_NE(err.find("an integer"), std::string::npos) << err;
+    }
+
     // Seeds are integers below 2^64: fractions and out-of-range values
     // are rejected, never truncated; the largest seed stays exact.
     for (const char *seed : {"1e30", "1.5", "18446744073709551616"}) {

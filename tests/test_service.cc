@@ -356,6 +356,42 @@ TEST(GraphCache, BuildsOncePerModelBatch)
     EXPECT_NE(err.find("nope"), std::string::npos);
 }
 
+TEST(GraphCache, OneTilingCachePerWorkloadEvictedWithItsGraph)
+{
+    ModelRegistry models;
+    models.Register("svc-tiny", BuildSvcTiny);
+    GraphCache cache(2);
+    std::string err;
+    std::shared_ptr<TilingCache> t1, t1_again, t4;
+    auto g1 = cache.Get("svc-tiny", 1, models, &err, &t1);
+    ASSERT_TRUE(g1 && t1) << err;
+    cache.Get("svc-tiny", 1, models, &err, &t1_again);
+    EXPECT_EQ(t1.get(), t1_again.get());  // one cache per (model, batch)
+    ASSERT_TRUE(cache.Get("svc-tiny", 4, models, &err, &t4));
+    EXPECT_NE(t1.get(), t4.get());
+
+    std::vector<std::size_t> perm;
+    ASSERT_TRUE(t1->GetView(*g1, {0}, 1, &perm));
+    EXPECT_EQ(cache.warm_stats().tiling_entries, 1u);
+
+    // Beyond capacity the LRU tail (batch 1) drops graph and tilings
+    // together: the next Get rebuilds both, cold.
+    cache.Get("svc-tiny", 2, models, &err);
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(cache.warm_stats().tiling_entries, 0u);
+    std::shared_ptr<TilingCache> t1_rebuilt;
+    auto g1_rebuilt = cache.Get("svc-tiny", 1, models, &err, &t1_rebuilt);
+    EXPECT_NE(g1_rebuilt.get(), g1.get());
+    EXPECT_NE(t1_rebuilt.get(), t1.get());
+    EXPECT_EQ(t1_rebuilt->size(), 0u);
+    EXPECT_EQ(cache.stats().misses, 4u);
+
+    // A holder of the evicted entry keeps using its graph and tilings.
+    EXPECT_TRUE(t1->GetView(*g1, {0}, 1, &perm));
+    EXPECT_EQ(t1->size(), 1u);
+    EXPECT_EQ(t1->stats().hits, 1u);
+}
+
 // --------------------------------------------------------------- service
 
 TEST(Service, CacheHitIsBitIdenticalToColdRun)
@@ -567,103 +603,113 @@ TEST(Service, CoalescedWaiterHonorsItsOwnDeadline)
     EXPECT_EQ(service->stats().searches, 1u);
 }
 
-// --------------------------------------------------- negative-result TTL
-
-TEST(Service, NegativeMemoShieldsHotFailingFingerprints)
+TEST(Service, CoalescedWaiterIgnoresLeaderCancelAndDeadline)
 {
-    ServiceOptions options;
-    options.error_ttl_ms = 60000;  // never expires within the test
-    auto service = MakeService(options);
-    ScheduleRequest request = TinyRequest(1);
-    request.model = "no-such-model";
+    // A leader that stops on its own cancel flag or deadline answers no
+    // sibling: a waiter that set neither must get a full search's
+    // result, not "cancelled" or a truncated best-so-far.
+    Scheduler plain;
+    plain.models().Register("svc-tiny", BuildSvcTiny);
+    auto scheduling_bytes = [](const std::string &text) {
+        Json json;
+        std::string err;
+        EXPECT_TRUE(Json::Parse(text, &json, &err)) << err;
+        json.Erase("stats");
+        return json.Dump(2);
+    };
+    for (const bool by_deadline : {false, true}) {
+        SCOPED_TRACE(by_deadline ? "leader deadline" : "leader cancel");
+        auto service = MakeService();
+        const std::uint64_t seed = by_deadline ? 23 : 29;
 
-    ScheduleResult first = service->Schedule(request);
-    EXPECT_FALSE(first.ok);
-    std::string text;
-    ScheduleResult second = service->Schedule(request, &text);
-    EXPECT_FALSE(second.ok);
-    EXPECT_EQ(second.error, first.error);
-    EXPECT_FALSE(text.empty());
+        // The leader stalls in its search phase until the waiter has
+        // joined and the leader's own cancel flag or deadline has hit.
+        std::atomic<bool> release{false}, cancel{false};
+        ScheduleRequest leader_request = TinyRequest(seed);
+        if (by_deadline) {
+            leader_request.deadline_ms = 1;
+        } else {
+            leader_request.cancel = &cancel;
+        }
+        leader_request.on_progress = [&](const ProgressEvent &event) {
+            if (event.phase != "search") return;
+            const auto give_up =
+                std::chrono::steady_clock::now() + std::chrono::seconds(30);
+            while (!release.load() &&
+                   std::chrono::steady_clock::now() < give_up)
+                std::this_thread::yield();
+        };
+        ScheduleResult led;
+        std::thread leader([&] { led = service->Schedule(leader_request); });
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (service->stats().searches < 1 &&
+               std::chrono::steady_clock::now() < give_up)
+            std::this_thread::yield();
 
-    const ServiceStats stats = service->stats();
-    EXPECT_EQ(stats.requests, 2u);
-    EXPECT_EQ(stats.searches, 1u);  // the second request ran no search
-    EXPECT_EQ(stats.negative_hits, 1u);
-    EXPECT_EQ(stats.errors, 1u);
+        std::string waited_text;
+        ScheduleResult waited;
+        std::thread waiter([&] {
+            waited = service->Schedule(TinyRequest(seed), &waited_text);
+        });
+        while (service->stats().coalesced < 1 &&
+               std::chrono::steady_clock::now() < give_up)
+            std::this_thread::yield();
+        EXPECT_EQ(service->stats().coalesced, 1u);
+        if (by_deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        } else {
+            cancel.store(true);
+        }
+        release.store(true);
+        leader.join();
+        waiter.join();
+
+        if (by_deadline) {
+            EXPECT_TRUE(led.deadline_expired);
+        } else {
+            EXPECT_EQ(led.error, "cancelled");
+        }
+        EXPECT_TRUE(waited.ok) << waited.error;
+        EXPECT_FALSE(waited.deadline_expired);
+        EXPECT_EQ(scheduling_bytes(waited_text),
+                  scheduling_bytes(
+                      plain.Schedule(TinyRequest(seed)).ToJson().Dump(2)));
+        EXPECT_EQ(service->stats().searches, 2u);  // the waiter re-ran
+    }
 }
 
-TEST(Service, NegativeMemoExpiresAndHealsWithRegistry)
+// ------------------------------------------------------------- failures
+
+TEST(Service, FailuresAreNeverCachedAndHealAfterRegister)
 {
-    ServiceOptions options;
-    options.error_ttl_ms = 1;
-    auto service = MakeService(options);
+    auto service = MakeService();
     ScheduleRequest request = TinyRequest(2);
     request.model = "late-model";
 
     EXPECT_FALSE(service->Schedule(request).ok);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    // The registry healed after the memo expired: errors are a TTL
-    // memo, never a permanent cache.
+    EXPECT_FALSE(service->Schedule(request).ok);  // searched again
+    // Errors are not pure: the very next request sees a registration.
     service->scheduler().models().Register("late-model", BuildSvcTiny);
-    ScheduleResult healed = service->Schedule(request);
-    EXPECT_TRUE(healed.ok);
+    EXPECT_TRUE(service->Schedule(request).ok);
     const ServiceStats stats = service->stats();
-    EXPECT_EQ(stats.searches, 2u);
-    EXPECT_EQ(stats.negative_hits, 0u);
-}
-
-TEST(Service, NegativeMemoDisabledByZeroTtl)
-{
-    ServiceOptions options;
-    options.error_ttl_ms = 0;
-    auto service = MakeService(options);
-    ScheduleRequest request = TinyRequest(3);
-    request.model = "no-such-model";
-
-    EXPECT_FALSE(service->Schedule(request).ok);
-    EXPECT_FALSE(service->Schedule(request).ok);
-    const ServiceStats stats = service->stats();
-    EXPECT_EQ(stats.searches, 2u);
-    EXPECT_EQ(stats.negative_hits, 0u);
+    EXPECT_EQ(stats.searches, 3u);
+    EXPECT_EQ(stats.errors, 2u);
+    EXPECT_EQ(stats.result_cache.insertions, 1u);
 }
 
 // ------------------------------------------------------------- warm state
-
-TEST(WarmStateCache, SharesOneCachePerGraphAndEvictsLru)
-{
-    WarmStateCache cache(WarmStateCache::Options{2});
-    std::shared_ptr<TilingCache> a = cache.Acquire(1);
-    ASSERT_TRUE(a);
-    std::shared_ptr<TilingCache> a2 = cache.Acquire(1);
-    EXPECT_EQ(a.get(), a2.get());
-    EXPECT_EQ(cache.stats().acquires, 2u);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().misses, 1u);
-
-    // Beyond capacity the LRU tail drops; a re-acquire starts cold but
-    // the old cache stays safely usable by whoever still holds it.
-    cache.Acquire(2);
-    cache.Acquire(3);
-    EXPECT_GT(cache.stats().evictions, 0u);
-    std::shared_ptr<TilingCache> a3 = cache.Acquire(1);
-    EXPECT_NE(a3.get(), a.get());
-    EXPECT_EQ(a->size(), 0u);  // in-flight holder unaffected
-
-    WarmStateCache off(WarmStateCache::Options{0});
-    EXPECT_FALSE(off.Acquire(1));
-    EXPECT_EQ(off.stats().acquires, 0u);
-}
 
 TEST(Service, WarmStateIsByteIdenticalAndWarmsAcrossSeeds)
 {
     // The warm-state determinism contract: a search that starts from
     // another request's tilings produces the same bytes as a fully
     // cold one — the cache holds content-addressed pure values, so
-    // presence must not change any result.
-    ServiceOptions cold_options;
-    cold_options.warm_state_capacity = 0;  // pre-PR5 behaviour
-    auto cold = MakeService(cold_options);
-    auto warm = MakeService();  // warm state on by default
+    // presence must not change any result. The cold side is the plain
+    // facade, whose every search derives its tilings from scratch.
+    Scheduler cold;
+    cold.models().Register("svc-tiny", BuildSvcTiny);
+    auto warm = MakeService();
 
     // "Identical" means every scheduling field: only the wall-clock
     // timings under "stats" may differ between two real runs (the CI
@@ -677,7 +723,8 @@ TEST(Service, WarmStateIsByteIdenticalAndWarmsAcrossSeeds)
     };
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         std::string cold_text, warm_text;
-        ScheduleResult c = cold->Schedule(TinyRequest(seed), &cold_text);
+        ScheduleResult c = cold.Schedule(TinyRequest(seed));
+        cold_text = c.ToJson().Dump(2);
         ScheduleResult w = warm->Schedule(TinyRequest(seed), &warm_text);
         ASSERT_TRUE(c.ok) << c.error;
         ASSERT_TRUE(w.ok) << w.error;
@@ -694,65 +741,27 @@ TEST(Service, WarmStateIsByteIdenticalAndWarmsAcrossSeeds)
     ASSERT_TRUE(warm->Schedule(dse).ok);
 
     const ServiceStats ws = warm->stats();
-    EXPECT_EQ(ws.warm_state.acquires, 4u);
-    EXPECT_EQ(ws.warm_state.hits, 3u);  // seeds 2, 3 and the DSE point
+    EXPECT_EQ(ws.graph_cache.misses, 1u);
+    EXPECT_EQ(ws.graph_cache.hits, 3u);  // seeds 2, 3 and the DSE point
     EXPECT_GT(ws.warm_state.tiling_hits, 0u);
     EXPECT_GT(ws.warm_state.tiling_entries, 0u);
     EXPECT_GT(ws.warm_state.approx_bytes, 0u);
-
-    const ServiceStats cs = cold->stats();
-    EXPECT_EQ(cs.warm_state.acquires, 0u);  // disabled: never acquired
-    EXPECT_EQ(cs.searches, 3u);
 }
 
-// --------------------------------------------- clock + counter correctness
-
-TEST(Service, NegativeMemoTtlRunsOnInjectedMonotonicClock)
-{
-    // The TTL must be pure monotonic-clock arithmetic: with an
-    // injected fake clock, expiry happens exactly when *that* clock
-    // passes the deadline — no sleeping, and by construction no
-    // dependence on the wall clock (whose jumps must neither
-    // mass-expire nor immortalize entries).
-    auto tick = std::make_shared<std::atomic<std::int64_t>>(0);
-    ServiceOptions options;
-    options.error_ttl_ms = 1000;
-    options.now_fn = [tick] {
-        return std::chrono::steady_clock::time_point(
-            std::chrono::milliseconds(tick->load()));
-    };
-    auto service = MakeService(options);
-    ScheduleRequest request = TinyRequest(4);
-    request.model = "late-model";
-
-    EXPECT_FALSE(service->Schedule(request).ok);  // memoized at t=0
-    tick->store(999);  // one tick before expiry: replayed from memo
-    EXPECT_FALSE(service->Schedule(request).ok);
-    EXPECT_EQ(service->stats().negative_hits, 1u);
-    EXPECT_EQ(service->stats().searches, 1u);
-
-    tick->store(1000);  // the expiry instant: entry pruned
-    service->scheduler().models().Register("late-model", BuildSvcTiny);
-    EXPECT_TRUE(service->Schedule(request).ok);
-    const ServiceStats stats = service->stats();
-    EXPECT_EQ(stats.searches, 2u);
-    EXPECT_EQ(stats.negative_hits, 1u);
-}
+// ---------------------------------------------------- counter correctness
 
 TEST(Service, ConcurrentScheduleKeepsCountersConsistent)
 {
     // Counter torn-write stress (runs under the TSan CI job): threads
-    // hammer every exit door of Schedule() — cache hit, negative-memo
-    // hit, coalesced wait, real search — and the atomic counters must
-    // add up exactly afterwards.
-    ServiceOptions options;
-    options.error_ttl_ms = 60000;  // the memoized error never expires
-    auto service = MakeService(options);
+    // hammer every exit door of Schedule() — cache hit, coalesced wait,
+    // real (failing) search — and the atomic counters must add up
+    // exactly afterwards.
+    auto service = MakeService();
     ASSERT_TRUE(service->Schedule(TinyRequest(1)).ok);
     ASSERT_TRUE(service->Schedule(TinyRequest(2)).ok);
     ScheduleRequest bad = TinyRequest(3);
     bad.model = "no-such-model";
-    EXPECT_FALSE(service->Schedule(bad).ok);  // prime the negative memo
+    EXPECT_FALSE(service->Schedule(bad).ok);
 
     constexpr int kThreads = 8, kIters = 30;
     std::vector<std::thread> threads;
@@ -775,10 +784,12 @@ TEST(Service, ConcurrentScheduleKeepsCountersConsistent)
               3u + static_cast<std::uint64_t>(kThreads) * kIters);
     // Every named-model request leaves through exactly one door.
     EXPECT_EQ(stats.requests, stats.searches + stats.coalesced +
-                                  stats.negative_hits +
                                   stats.result_cache.hits);
     EXPECT_EQ(stats.uncacheable, 0u);
-    EXPECT_EQ(stats.errors, 1u);  // only the priming request searched
+    // The good seeds were cached by the priming requests; every other
+    // search ran the failing request, which is never cached.
+    EXPECT_EQ(stats.errors, stats.searches - 2u);
+    EXPECT_GT(stats.errors, 1u);
 }
 
 // ----------------------------------------------------------- cancellation

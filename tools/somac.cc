@@ -145,22 +145,6 @@ ParseIntArg(const std::string &flag, const std::string &text, int *out)
 }
 
 bool
-ParseU64Arg(const std::string &flag, const std::string &text,
-            std::uint64_t *out)
-{
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || !end || *end != '\0' || end == text.c_str()) {
-        std::cerr << flag << ": \"" << text
-                  << "\" is not an unsigned integer\n";
-        return false;
-    }
-    *out = v;
-    return true;
-}
-
-bool
 ParseDoubleArg(const std::string &flag, const std::string &text,
                double *out)
 {
@@ -259,6 +243,24 @@ FlagTakesValue(const std::string &flag)
     return false;
 }
 
+/** The request JSON field a `somac run` flag sets, or null. These flags
+ *  are laid over the request JSON as JSON literals (which keeps a u64
+ *  seed exact), so ScheduleRequest::FromJson applies its one set of
+ *  type and range checks to them. */
+const char *
+RequestFieldOf(const std::string &flag)
+{
+    static const char *kFields[][2] = {
+        {"--batch", "batch"},       {"--seed", "seed"},
+        {"--cost-n", "cost_n"},     {"--cost-m", "cost_m"},
+        {"--chains", "chains"},     {"--threads", "threads"},
+        {"--deadline-ms", "deadline_ms"},
+        {"--exec-graph-rows", "execution_graph_rows"}};
+    for (const auto &f : kFields)
+        if (flag == f[0]) return f[1];
+    return nullptr;
+}
+
 bool
 IsBooleanFlag(const std::string &flag)
 {
@@ -273,19 +275,34 @@ IsBooleanFlag(const std::string &flag)
 int
 CmdRun(const std::vector<std::string> &args)
 {
-    ScheduleRequest request;
     std::string out_path, outdir, trace_path, stats_path;
     bool quiet = false;
     bool have_request = false;
 
-    // Pass 1: load the positional request JSON (if any) first, so
-    // flags override its fields no matter where they appear.
+    // Pass 1: load the positional request JSON (if any) and lay the
+    // request-field flags over it wherever they appear, then parse the
+    // result once.
+    Json request_json = Json::Object();
+    Json field_flags = Json::Object();
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         if (!arg.empty() && arg[0] == '-') {
             // Reject unknown flags here, before their values can be
             // mistaken for the request-JSON path.
-            if (FlagTakesValue(arg)) {
+            if (const char *field = RequestFieldOf(arg)) {
+                if (i + 1 >= args.size()) {
+                    std::cerr << arg << " needs a value\n";
+                    return 2;
+                }
+                Json value;
+                std::string err;
+                if (!Json::Parse(args[++i], &value, &err)) {
+                    std::cerr << arg << ": \"" << args[i]
+                              << "\" is not a number\n";
+                    return 2;
+                }
+                field_flags.Set(field, std::move(value));
+            } else if (FlagTakesValue(arg)) {
                 ++i;
             } else if (!IsBooleanFlag(arg)) {
                 std::cerr << "unknown flag " << arg << "\n";
@@ -303,19 +320,32 @@ CmdRun(const std::vector<std::string> &args)
             std::cerr << err << "\n";
             return 2;
         }
-        Json json;
-        if (!Json::Parse(text, &json, &err)) {
-            std::cerr << arg << ": " << err << "\n";
-            return 2;
-        }
-        if (!ScheduleRequest::FromJson(json, &request, &err)) {
+        if (!Json::Parse(text, &request_json, &err)) {
             std::cerr << arg << ": " << err << "\n";
             return 2;
         }
         have_request = true;
     }
+    for (const auto &[field, value] : field_flags.items()) {
+        if (field == "execution_graph_rows") {
+            const Json *found = request_json.Find("artifacts");
+            Json artifacts = found ? *found : Json::Object();
+            artifacts.Set(field, value);
+            request_json.Set("artifacts", std::move(artifacts));
+        } else {
+            request_json.Set(field, value);
+        }
+    }
+    ScheduleRequest request;
+    {
+        std::string err;
+        if (!ScheduleRequest::FromJson(request_json, &request, &err)) {
+            std::cerr << err << "\n";
+            return 2;
+        }
+    }
 
-    // Pass 2: apply the flag overrides.
+    // Pass 2: apply the remaining flag overrides.
     auto need_value = [&args](std::size_t i, const std::string &flag)
         -> const std::string * {
         if (i + 1 >= args.size()) {
@@ -330,13 +360,11 @@ CmdRun(const std::vector<std::string> &args)
         const std::string *v = nullptr;
         if (arg.empty() || arg[0] != '-') {
             continue;  // the request JSON, consumed by pass 1
+        } else if (RequestFieldOf(arg)) {
+            ++i;  // laid over the request JSON by pass 1
         } else if (arg == "--model") {
             if (!(v = need_value(i, arg))) return 2;
             request.model = *v, ++i;
-        } else if (arg == "--batch") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseIntArg(arg, *v, &request.batch)) return 2;
-            ++i;
         } else if (arg == "--hw" || arg == "--hardware") {
             if (!(v = need_value(i, arg))) return 2;
             request.hardware = *v, ++i;
@@ -370,30 +398,6 @@ CmdRun(const std::vector<std::string> &args)
                 return 2;
             }
             ++i;
-        } else if (arg == "--seed") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseU64Arg(arg, *v, &request.seed)) return 2;
-            ++i;
-        } else if (arg == "--cost-n") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseDoubleArg(arg, *v, &request.cost_n)) return 2;
-            ++i;
-        } else if (arg == "--cost-m") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseDoubleArg(arg, *v, &request.cost_m)) return 2;
-            ++i;
-        } else if (arg == "--chains") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseIntArg(arg, *v, &request.chains)) return 2;
-            ++i;
-        } else if (arg == "--threads") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseIntArg(arg, *v, &request.threads)) return 2;
-            ++i;
-        } else if (arg == "--deadline-ms") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseIntArg(arg, *v, &request.deadline_ms)) return 2;
-            ++i;
         } else if (arg == "--ir") {
             request.artifacts.ir = true;
         } else if (arg == "--asm") {
@@ -402,12 +406,6 @@ CmdRun(const std::vector<std::string> &args)
             request.artifacts.traces = true;
         } else if (arg == "--exec-graph") {
             request.artifacts.execution_graph = true;
-        } else if (arg == "--exec-graph-rows") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseIntArg(arg, *v,
-                             &request.artifacts.execution_graph_rows))
-                return 2;
-            ++i;
         } else if (arg == "-o" || arg == "--out") {
             if (!(v = need_value(i, arg))) return 2;
             out_path = *v, ++i;
