@@ -16,8 +16,7 @@
  *                 budget)
  *
  * plus the LFA loop (parse-dominated) as legacy / incremental
- * (group-memoized partial re-parse + shared TilingCache, full timeline
- * per candidate), with cross-check passes asserting incremental parses
+ * (group-memoized partial re-parse, full timeline per candidate), with cross-check passes asserting incremental parses
  * bit-identical to full parses and delta evaluations bit-identical to
  * full simulations. CI gates lfa/incremental >= 2x lfa/legacy and
  * dlsa/delta >= 4x dlsa/legacy.
@@ -260,8 +259,8 @@ main(int argc, char **argv)
     // Two shapes of the parse-dominated loop:
     //   legacy       rebuild everything per candidate (ParseLfa +
     //                EvaluateSchedule)
-    //   incremental  group-memoized partial re-parse + shared
-    //                TilingCache (the LFA-stage production path)
+    //   incremental  group-memoized partial re-parse (the LFA-stage
+    //                production path)
     std::vector<Row> lfa_rows;
     lfa_rows.push_back(BestOf([&] {
         Row row;
@@ -281,12 +280,11 @@ main(int argc, char **argv)
         row.seconds = SecondsSince(t0);
         return row;
     }));
-    // One LFA walk through an EvalContext with a fresh tiling cache;
+    // One LFA walk through @p ctx (a fresh context: cold group memo);
     // returns the number of candidates.
     auto lfa_context_walk = [&](EvalContext &ctx, const ParseOptions &popts,
                                 int iters) {
         Rng rng(23);
-        ctx.set_tiling_cache(std::make_shared<TilingCache>());
         DlsaEncoding dlsa_scratch;
         LfaEncoding cur = lfa, cand;
         int candidates = 0;

@@ -7,21 +7,12 @@
  * The warm-vs-cold ratio is the headline number — the whole point of
  * the service layer is that repeated traffic stops paying for search.
  *
- * A fourth scenario isolates the warm state: distinct-seed requests
- * are result-cache-cold (every one runs a real search), so the only
- * reuse is the graph cache's cross-request TilingCache — the speedup a
- * sweep sees on the requests the result cache cannot absorb. The "off"
- * row runs the same requests through the plain facade.
- *
  * Profiles via SOMA_BENCH_PROFILE=quick|default|full (request count
  * and search profile scale). Emits --json rows for cross-PR tracking:
  *   service/cold       requests_per_second
  *   service/warm       requests_per_second
  *   service/warm_vs_cold  speedup   (acceptance bar: >= 10 on quick)
  *   service/coalesce   fanout      (requests per executed search)
- *   service/warm_state_off  requests_per_second  (plain facade, cold)
- *   service/warm_state_on   requests_per_second  (searches, warm state)
- *   service/warm_state      speedup  (on/off, result-cache-cold)
  *
  * Run: ./build/bench_service [--json <path>]
  */
@@ -147,49 +138,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(burst_searches), fanout,
                 static_cast<unsigned long long>(after_burst.coalesced));
 
-    // --------------------------- warm state (result-cache-cold runs)
-    // Distinct seeds defeat the result cache, so both sides run a real
-    // search per request; the service starts every search after the
-    // first from the shared tilings, the plain facade never does.
-    double off_s, on_s;
-    {
-        Scheduler plain;
-        t0 = MonotonicNow();
-        for (int i = 0; i < requests; ++i) {
-            ScheduleResult r =
-                plain.Schedule(SweepPoint(search_profile, 1001 + i));
-            if (!r.ok) {
-                std::fprintf(stderr, "warm-state-off request failed: %s\n",
-                             r.error.c_str());
-                return 1;
-            }
-        }
-        off_s = SecondsSince(t0);
-    }
-    std::uint64_t state_tiling_hits = 0;
-    {
-        SchedulerService svc;
-        t0 = MonotonicNow();
-        for (int i = 0; i < requests; ++i) {
-            ScheduleResult r =
-                svc.Schedule(SweepPoint(search_profile, 1001 + i));
-            if (!r.ok) {
-                std::fprintf(stderr, "warm-state-on request failed: %s\n",
-                             r.error.c_str());
-                return 1;
-            }
-        }
-        on_s = SecondsSince(t0);
-        state_tiling_hits = svc.stats().warm_state.tiling_hits;
-    }
-    const double state_speedup = on_s > 0.0 ? off_s / on_s : 0.0;
-    std::printf("  warm-state off %4d searches %8.3f s %10.1f req/s\n",
-                requests, off_s, requests / off_s);
-    std::printf("  warm-state on  %4d searches %8.3f s %10.1f req/s "
-                "(%.2fx, %llu tiling hits)\n",
-                requests, on_s, requests / on_s, state_speedup,
-                static_cast<unsigned long long>(state_tiling_hits));
-
     bench::JsonSink::Instance().Add("service/cold", "requests_per_second",
                                     cold_rps);
     bench::JsonSink::Instance().Add("service/warm", "requests_per_second",
@@ -197,14 +145,6 @@ main(int argc, char **argv)
     bench::JsonSink::Instance().Add("service/warm_vs_cold", "speedup",
                                     speedup);
     bench::JsonSink::Instance().Add("service/coalesce", "fanout", fanout);
-    bench::JsonSink::Instance().Add("service/warm_state_off",
-                                    "requests_per_second",
-                                    requests / off_s);
-    bench::JsonSink::Instance().Add("service/warm_state_on",
-                                    "requests_per_second",
-                                    requests / on_s);
-    bench::JsonSink::Instance().Add("service/warm_state", "speedup",
-                                    state_speedup);
     bench::JsonSink::Instance().Flush();
     return 0;
 }

@@ -128,6 +128,19 @@ ArtifactsFromJson(const Json &json, ArtifactRequest *out, std::string *err)
 
 }  // namespace
 
+bool
+SeedFromJson(const Json &value, const std::string &key, std::uint64_t *out,
+             std::string *err)
+{
+    if (!ExpectNumber(value, key, err)) return false;
+    const double d = value.AsDouble();
+    if (!value.IsU64() &&
+        (!(d >= 0) || d != std::floor(d) || d >= 18446744073709551616.0))
+        return RangeError(err, key, "an integer in [0, 2^64)");
+    *out = value.AsU64();
+    return true;
+}
+
 Json
 ScheduleRequest::ToJson() const
 {
@@ -216,15 +229,7 @@ ScheduleRequest::FromJson(const Json &json, ScheduleRequest *out,
                 return false;
             }
         } else if (key == "seed") {
-            if (!ExpectNumber(value, key, err)) return false;
-            // Integer literals carry their exact u64; any other number
-            // must be integral and in range, never truncated.
-            const double d = value.AsDouble();
-            if (!value.IsU64() &&
-                (!(d >= 0) || d != std::floor(d) ||
-                 d >= 18446744073709551616.0))
-                return RangeError(err, key, "an integer in [0, 2^64)");
-            out->seed = value.AsU64();
+            if (!SeedFromJson(value, key, &out->seed, err)) return false;
         } else if (key == "cost_n") {
             if (!FiniteFromJson(value, key, &out->cost_n, err))
                 return false;
@@ -533,7 +538,6 @@ SomaOptionsForRequest(const ScheduleRequest &request)
     opts.cost_m = request.cost_m;
     if (request.chains > 0) opts.driver.chains = request.chains;
     if (request.threads > 0) opts.driver.threads = request.threads;
-    opts.lfa.tiling_cache = request.warm_state;
     ApplyStopRequest(request, &opts.driver);
     return opts;
 }
@@ -557,7 +561,6 @@ CoccoOptionsForRequest(const ScheduleRequest &request)
     opts.cost_m = request.cost_m;
     if (request.chains > 0) opts.driver.chains = request.chains;
     if (request.threads > 0) opts.driver.threads = request.threads;
-    opts.tiling_cache = request.warm_state;
     ApplyStopRequest(request, &opts.driver);
     return opts;
 }

@@ -42,6 +42,15 @@ class Tracer;
 const char *ToString(SearchProfile profile);
 bool ParseSearchProfile(const std::string &name, SearchProfile *out);
 
+/**
+ * The one seed rule, shared by a request's "seed" and a sweep's
+ * "seeds" axis: an integer in [0, 2^64). Integer literals keep their
+ * exact u64; any other number must be integral and in range, never
+ * truncated. On failure @p err names @p key.
+ */
+bool SeedFromJson(const Json &value, const std::string &key,
+                  std::uint64_t *out, std::string *err);
+
 /** Which optional outputs the pipeline should materialize. */
 struct ArtifactRequest {
     bool ir = false;            ///< textual IR (compiler/ir.h)
@@ -144,17 +153,6 @@ struct ScheduleRequest {
      * serialized.
      */
     std::chrono::steady_clock::time_point deadline_tp{};
-
-    /**
-     * Cross-request tiling cache for the request's graph, injected by
-     * the service layer from the graph's GraphCache entry (or set
-     * directly by in-process callers that run many searches over one
-     * workload; it must then serve that one graph only). Purely an
-     * accelerator: the cache holds content-addressed pure values, so
-     * presence never changes result bytes — which is why, like
-     * `threads`, it is not serialized and excluded from Fingerprint().
-     */
-    std::shared_ptr<TilingCache> warm_state;
 
     /**
      * Optional span tracer (obs/trace.h): when set, the pipeline and

@@ -1,6 +1,5 @@
 #include "api/scheduler.h"
 
-#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <sstream>
@@ -26,9 +25,9 @@ using obs::SecondsSince;
 
 /**
  * Post-search bookkeeping shared by every pipeline run: feed the
- * process-wide metrics registry (request/search counters, the
- * timeline-evaluation share of search time) and, for traced requests,
- * synthesize aggregate spans from the hot-path prof deltas.
+ * process-wide metrics registry (request/search counters, per-site prof
+ * deltas) and, for traced requests, synthesize aggregate spans from the
+ * hot-path prof deltas.
  */
 void
 RecordSearchObservations(const ScheduleRequest &request,
@@ -37,21 +36,10 @@ RecordSearchObservations(const ScheduleRequest &request,
                          MonotonicTime t_search, MonotonicTime t_search_end)
 {
     const std::vector<obs::ProfEntry> after = obs::ProfSnapshot();
-    const std::uint64_t timeline_nanos =
-        obs::ProfNanos(after, "eval.timeline") -
-        obs::ProfNanos(before, "eval.timeline");
-    const double timeline_share =
-        search_seconds > 0.0
-            ? std::min(1.0, timeline_nanos * 1e-9 / search_seconds)
-            : 0.0;
-
     auto &reg = obs::MetricsRegistry::Global();
     reg.GetCounter("pipeline.requests").Add();
     reg.GetCounter("pipeline.search_nanos")
         .Add(static_cast<std::uint64_t>(search_seconds * 1e9));
-    reg.GetCounter("pipeline.timeline_eval_nanos").Add(timeline_nanos);
-    if (timeline_nanos > 0)
-        reg.GetGauge("search.timeline_eval_share").Set(timeline_share);
     reg.GetHistogram("pipeline.search_seconds").Observe(search_seconds);
 
     obs::Tracer *const tracer = request.trace;
@@ -87,7 +75,6 @@ RecordSearchObservations(const ScheduleRequest &request,
     if (!tracer) return;
     std::vector<obs::SpanArg> args;
     args.push_back({"scheduler", Json::Str(request.scheduler)});
-    args.push_back({"timeline_eval_share", Json::Number(timeline_share)});
     tracer->AddComplete("pipeline.search", t_search, t_search_end,
                         std::move(args));
 }

@@ -125,10 +125,7 @@ RunCocco(const Graph &graph, const HardwareConfig &hw,
         return rep.Cost(n, m);
     };
 
-    auto tiling_cache = opts.tiling_cache ? opts.tiling_cache
-                                          : std::make_shared<TilingCache>();
     EvalContext serial_ctx;
-    serial_ctx.set_tiling_cache(tiling_cache);
     auto evaluate = [&](const CoccoState &state) -> double {
         return eval_with(serial_ctx, state);
     };
@@ -159,12 +156,9 @@ RunCocco(const Graph &graph, const HardwareConfig &hw,
     sa.iterations = std::min(opts.max_iterations,
                              opts.beta * graph.NumLayers());
 
-    // Chains share the serial pass's tiling cache (a pure-value cache:
-    // sharing never perturbs per-seed determinism).
     auto make_env = [&](int /*chain*/) {
         ChainEnv<CoccoState> env;
         auto ctx = std::make_shared<EvalContext>();
-        ctx->set_tiling_cache(tiling_cache);
         env.mutate = [&graph](const CoccoState &cur, CoccoState *next,
                               Rng &r) {
             return MutateCocco(graph, cur, next, r);

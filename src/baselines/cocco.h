@@ -16,7 +16,6 @@
 #include "search/driver.h"
 #include "search/sa.h"
 #include "sim/report.h"
-#include "tiling/tiling_cache.h"
 
 namespace soma {
 
@@ -33,11 +32,6 @@ struct CoccoOptions {
      *  laptop-budget comparison about the scheduling space, not the
      *  optimizer budget. */
     bool greedy_seed = true;
-    /** Optional cross-request tiling cache (service-injected). Tilings
-     *  are scheduler-agnostic pure values, so Cocco and SoMa requests
-     *  over one graph warm each other. Null: a private cache per run.
-     *  Must belong to the searched graph. */
-    std::shared_ptr<TilingCache> tiling_cache;
     SaOptions sa;
     SearchDriverOptions driver;
 };

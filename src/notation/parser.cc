@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "obs/prof.h"
-#include "tiling/tiling_cache.h"
 
 namespace soma {
 
@@ -70,10 +69,26 @@ ProducerShape(const Graph &graph, const InputRef &in, int *c, int *h, int *w)
     }
 }
 
+/** FNV-1a over a fused group's sorted member list, then its Tiling
+ *  Number: the group memo's signature (collision-checked against the
+ *  full key). */
+std::uint64_t
+GroupKeyHash(const std::vector<LayerId> &layers, int tiles)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (LayerId id : layers) {
+        h ^= static_cast<std::uint64_t>(id);
+        h *= 1099511628211ULL;
+    }
+    h ^= static_cast<std::uint64_t>(tiles);
+    h *= 1099511628211ULL;
+    return h;
+}
+
 void ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
                       const CoreArrayEvaluator &core_eval,
                       const ParseOptions &popts, ParseScratch *scratch,
-                      ParsedSchedule *out_ptr, TilingCache *tiling_cache);
+                      ParsedSchedule *out_ptr);
 
 }  // namespace
 
@@ -100,21 +115,20 @@ void
 ParseLfaInto(const Graph &graph, const LfaEncoding &lfa,
              const CoreArrayEvaluator &core_eval,
              const ParseOptions &popts, ParseScratch *scratch,
-             ParsedSchedule *out_ptr, TilingCache *tiling_cache)
+             ParsedSchedule *out_ptr)
 {
     SOMA_PROF_SCOPE("parse.lfa");
-    ParseLfaIntoImpl(graph, lfa, core_eval, popts, scratch, out_ptr,
-                     tiling_cache);
+    ParseLfaIntoImpl(graph, lfa, core_eval, popts, scratch, out_ptr);
     if (popts.cross_check) {
-        // Reference: from-scratch parse with an empty group memo and no
-        // shared tiling cache. Any divergence is a bug in the
-        // incremental path — fail loudly, never silently mis-schedule.
+        // Reference: from-scratch parse with an empty group memo. Any
+        // divergence is a bug in the incremental path — fail loudly,
+        // never silently mis-schedule.
         ParseOptions ref_popts = popts;
         ref_popts.cross_check = false;
         ParseScratch ref_scratch;
         ParsedSchedule ref;
         ParseLfaIntoImpl(graph, lfa, core_eval, ref_popts, &ref_scratch,
-                         &ref, nullptr);
+                         &ref);
         if (!ParsedSchedulesIdentical(*out_ptr, ref)) {
             SOMA_ERROR << "incremental parse diverged from full parse "
                           "for "
@@ -130,7 +144,7 @@ void
 ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
                  const CoreArrayEvaluator &core_eval,
                  const ParseOptions &popts, ParseScratch *scratch,
-                 ParsedSchedule *out_ptr, TilingCache *tiling_cache)
+                 ParsedSchedule *out_ptr)
 {
     ParsedSchedule &out = *out_ptr;
     out.valid = false;
@@ -239,16 +253,11 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
             block.layers = layers;
             block.sorted_layers = sorted;
             block.tiles = rounds;
-            // GetView shares the cached tiling as stored — a hit under
-            // a different derivation order costs a perm, not a deep
-            // copy of every region row.
-            block.tiling =
-                tiling_cache
-                    ? tiling_cache->GetView(graph, layers, rounds,
-                                            &block.perm)
-                    : std::make_shared<const FlgTiling>(
-                          ComputeFlgTiling(graph, layers, rounds));
-            if (block.tiling->valid) {
+            {
+                SOMA_PROF_SCOPE("tiling.derive");
+                block.tiling = ComputeFlgTiling(graph, layers, rounds);
+            }
+            if (block.tiling.valid) {
                 SOMA_PROF_SCOPE("tilecost.compute");
                 const std::size_t n_layers = layers.size();
                 block.costs.resize(n_layers *
@@ -256,11 +265,9 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
                 for (int t = 0; t < rounds; ++t) {
                     const std::size_t row =
                         static_cast<std::size_t>(t) * n_layers;
-                    for (std::size_t i = 0; i < n_layers; ++i) {
-                        const std::size_t k = block.Perm(i);
-                        block.costs[row + k] = core_eval.Evaluate(
-                            layers[i], block.tiling->regions[k][t]);
-                    }
+                    for (std::size_t i = 0; i < n_layers; ++i)
+                        block.costs[row + i] = core_eval.Evaluate(
+                            layers[i], block.tiling.regions[i][t]);
                 }
             }
             if (it != scratch->group_memo.end()) {
@@ -279,7 +286,7 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
             }
             ++scratch->last_dirty_groups;
         }
-        if (!groups[g]->tiling->valid) {
+        if (!groups[g]->tiling.valid) {
             out.why_invalid = "tiling " + std::to_string(rounds) +
                               " infeasible for FLG " + std::to_string(g);
             return;
@@ -341,7 +348,7 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
         }
         stores[id] = store;
         if (last_same_idx >= 0) {
-            const auto &regions = groups[g]->tiling->regions[groups[g]->Perm(
+            const auto &regions = groups[g]->tiling.regions[groups[g]->Perm(
                 static_cast<std::size_t>(idx_in_flg[id]))];
             for (int t = 0; t < lfa.tiling[g]; ++t) {
                 OnchipInterval iv;
@@ -397,7 +404,7 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
                 tile.flg = g;
                 tile.lg = lg;
                 tile.round = t;
-                tile.region = block.tiling->regions[k][t];
+                tile.region = block.tiling.regions[k][t];
                 assert(!tile.region.Empty());
                 tile.cost =
                     block.costs[static_cast<std::size_t>(t) * size + k];
@@ -466,7 +473,7 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
                 // knob.
                 if (stores[id]) {
                     const Region slice =
-                        CanonicalSlice(block.tiling->split, t, graph.batch(),
+                        CanonicalSlice(block.tiling.split, t, graph.batch(),
                                        l.outHeight(), l.outWidth());
                     DramTensor dt = at;
                     dt.kind = DramTensorKind::kOfmap;

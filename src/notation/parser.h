@@ -22,8 +22,6 @@
 
 namespace soma {
 
-class TilingCache;
-
 /** What a DRAM tensor is. Loads are weights/ifmaps; stores are ofmaps. */
 enum class DramTensorKind { kWeight, kIfmap, kOfmap };
 
@@ -41,7 +39,7 @@ struct ParseOptions {
     bool lg_resident_weights = false;
     /**
      * Debug invariant check for the incremental (group-memoized) parse:
-     * after every ParseLfaInto, re-parse from scratch without any cache
+     * after every ParseLfaInto, re-parse from scratch with an empty memo
      * and abort unless the two ParsedSchedules are bit-identical.
      * Roughly halves parse throughput — enable in property tests and
      * verification runs only (EvalContext::Parse turns it on under
@@ -188,9 +186,9 @@ struct ParseScratch {
         std::vector<LayerId> layers;
         std::vector<LayerId> sorted_layers;
         int tiles = 0;
-        std::shared_ptr<const FlgTiling> tiling;
+        FlgTiling tiling;
         std::vector<TileCost> costs;
-        /** Permutation view: `tiling->regions` and `costs` stay in the
+        /** Permutation view: `tiling.regions` and `costs` stay in the
          *  order the block was first derived in; an interior order move
          *  only re-points this view (perm[i] = derivation-order index
          *  of layers[i]) instead of deep-copying regions and costs.
@@ -253,14 +251,13 @@ ParsedSchedule ParseLfa(const Graph &graph, const LfaEncoding &lfa,
 /**
  * Allocation-lean, incremental ParseLfa: writes into @p out and draws
  * intermediate storage (including the group memo) from @p scratch, both
- * of which retain their state across calls. When @p tiling_cache is
- * given, dirty groups fetch their FlgTiling through it, sharing the
- * halo-propagation work across every search chain of a stage.
+ * of which retain their state across calls. The group memo is the one
+ * tiling memo: dirty groups derive their FlgTiling here.
  */
 void ParseLfaInto(const Graph &graph, const LfaEncoding &lfa,
                   const CoreArrayEvaluator &core_eval,
                   const ParseOptions &popts, ParseScratch *scratch,
-                  ParsedSchedule *out, TilingCache *tiling_cache = nullptr);
+                  ParsedSchedule *out);
 
 /**
  * Bit-exact equality of two parse results (every tile, tensor and

@@ -20,14 +20,6 @@ RunBufferAllocatedSearch(const Graph &graph, const HardwareConfig &hw,
     obs::Tracer *const tracer = lfa_opts.driver.trace;
     obs::SpanScope search_span(tracer, "alloc.search");
 
-    // One tiling memo for the whole search: the outer iterations only
-    // vary the stage budget, which tilings do not depend on, so every
-    // iteration after the first starts with a warm cache. A
-    // service-injected cache (lfa_opts pre-filled) additionally carries
-    // it across requests.
-    LfaStageOptions lfa_opts_shared = lfa_opts;
-    if (!lfa_opts_shared.tiling_cache)
-        lfa_opts_shared.tiling_cache = std::make_shared<TilingCache>();
     const CoreArrayEvaluator core_eval(graph, hw);
     const Ops total_ops = graph.TotalOps();
 
@@ -62,7 +54,7 @@ RunBufferAllocatedSearch(const Graph &graph, const HardwareConfig &hw,
                       static_cast<std::int64_t>(stage_budget));
 
         LfaStageResult s1 = RunLfaStage(graph, hw, core_eval, stage_budget,
-                                        lfa_opts_shared, rng);
+                                        lfa_opts, rng);
         AccumulateSaStats(&best.lfa_stats, s1.stats);
         if (!s1.report.valid) {
             SOMA_INFO << "buffer allocator iter " << iter

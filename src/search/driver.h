@@ -22,9 +22,8 @@
  * only pool[i] state between the exchange barriers, which run on the
  * calling thread after every worker has joined — so there is no
  * mutex-guarded state here and nothing for the thread-safety analysis
- * to annotate. The shared TilingCache is internally synchronized
- * behind its own leaf locks; the shared CoreArrayEvaluator is
- * stateless.
+ * to annotate. Each chain owns its EvalContext (parse scratch and
+ * group memo included); the shared CoreArrayEvaluator is stateless.
  */
 #ifndef SOMA_SEARCH_DRIVER_H
 #define SOMA_SEARCH_DRIVER_H

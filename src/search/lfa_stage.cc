@@ -158,12 +158,6 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
     obs::SpanScope stage_span(tracer, "lfa.stage");
     stage_span.Arg("budget_bytes", static_cast<std::int64_t>(stage_budget));
 
-    // The stage-wide tiling memo, shared by the serial seeding pass and
-    // every annealing chain. It is a content-addressed pure-value
-    // cache, so sharing it never perturbs per-seed determinism.
-    std::shared_ptr<TilingCache> tiling_cache = opts.tiling_cache;
-    if (!tiling_cache) tiling_cache = std::make_shared<TilingCache>();
-
     // One evaluation = parse + classical double-buffer DLSA (lazy
     // fallback under tight budgets). The context keeps parse and
     // timeline scratch (and the incremental group memo) alive across
@@ -188,7 +182,6 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
     };
 
     EvalContext serial_ctx;
-    serial_ctx.set_tiling_cache(tiling_cache);
     DlsaEncoding serial_dlsa;
     auto evaluate = [&](const LfaEncoding &lfa) -> double {
         return eval_with(serial_ctx, serial_dlsa, lfa);
@@ -242,13 +235,11 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
     sa.iterations = std::min(opts.max_iterations,
                              opts.beta * graph.NumLayers());
 
-    // Anneal K chains; each owns an EvalContext of parse/eval scratch,
-    // but all contexts share the stage's tiling cache — every chain
-    // starts warm instead of re-deriving tilings from zero.
+    // Anneal K chains; each owns an EvalContext of parse/eval scratch
+    // (and so its own group memo).
     auto make_env = [&](int /*chain*/) {
         ChainEnv<LfaEncoding> env;
         auto ctx = std::make_shared<EvalContext>();
-        ctx->set_tiling_cache(tiling_cache);
         auto dlsa = std::make_shared<DlsaEncoding>();
         env.mutate = [&graph, cap = opts.tiling_cap](const LfaEncoding &cur,
                                                      LfaEncoding *next,
@@ -283,9 +274,8 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
     stage_span.Arg("evaluated", static_cast<std::int64_t>(
                                     result.stats.evaluated));
     stage_span.Arg("best_cost", result.cost);
-    // Incremental-parse / tiling-cache effectiveness for the trace
-    // viewer: the serial context's group-memo telemetry plus the
-    // stage-wide tiling cache counters.
+    // Incremental-parse effectiveness for the trace viewer: the serial
+    // context's group-memo telemetry.
     const ParseScratch &scratch = serial_ctx.parse_scratch();
     stage_span.Arg("parse_dirty_groups",
                    static_cast<std::int64_t>(scratch.last_dirty_groups));
@@ -293,12 +283,6 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
                    static_cast<std::int64_t>(scratch.last_clean_groups));
     stage_span.Arg("parse_remapped_groups",
                    static_cast<std::int64_t>(scratch.last_remapped_groups));
-    const TilingCache::Stats tstats = tiling_cache->stats();
-    stage_span.Arg("tiling_hits", static_cast<std::int64_t>(tstats.hits));
-    stage_span.Arg("tiling_misses",
-                   static_cast<std::int64_t>(tstats.misses));
-    stage_span.Arg("tiling_remaps",
-                   static_cast<std::int64_t>(tstats.remaps));
     return result;
 }
 

@@ -8,15 +8,12 @@
 #ifndef SOMA_SEARCH_LFA_STAGE_H
 #define SOMA_SEARCH_LFA_STAGE_H
 
-#include <memory>
-
 #include "corearray/core_array.h"
 #include "notation/encoding.h"
 #include "notation/parser.h"
 #include "search/driver.h"
 #include "search/sa.h"
 #include "sim/report.h"
-#include "tiling/tiling_cache.h"
 
 namespace soma {
 
@@ -35,15 +32,6 @@ struct LfaStageOptions {
      * recovers that head start deterministically.
      */
     bool greedy_seed = true;
-    /**
-     * Stage-wide tiling memo shared by the serial seeding pass and
-     * every SearchDriver chain (and, when the Buffer Allocator passes
-     * one in, across its outer iterations; when the service layer's
-     * GraphCache passes its graph's cache in, across whole requests).
-     * Null: the stage creates a private cache per run. Must belong to
-     * the searched graph.
-     */
-    std::shared_ptr<TilingCache> tiling_cache;
     SaOptions sa;
     SearchDriverOptions driver;
 };

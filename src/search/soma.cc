@@ -18,8 +18,8 @@ const SomaProfileBudgets &
 SomaBudgetsFor(SearchProfile profile)
 {
     // Default was raised from (40/6000, 40/8000) once the incremental
-    // LFA pipeline (group-memoized parse + shared tiling cache) lifted
-    // candidates/s; Full carries the paper's budgets
+    // LFA pipeline (the group-memoized parse) lifted candidates/s; Full
+    // carries the paper's budgets
     // (Sec. V-C): beta_1 = 100, beta_2 = 1000 — the caps only guard
     // degenerate workloads (thousands of layers / tensors).
     static const SomaProfileBudgets kQuick = {

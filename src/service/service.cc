@@ -59,11 +59,6 @@ ServiceStats::ExportTo(obs::MetricsRegistry &registry) const
     set("service.graph_cache.hits", graph_cache.hits);
     set("service.graph_cache.misses", graph_cache.misses);
     set("service.graph_cache.evictions", graph_cache.evictions);
-    set("service.warm_state.tiling_hits", warm_state.tiling_hits);
-    set("service.warm_state.tiling_misses", warm_state.tiling_misses);
-    set("service.warm_state.tiling_remaps", warm_state.tiling_remaps);
-    set("service.warm_state.tiling_entries", warm_state.tiling_entries);
-    set("service.warm_state.approx_bytes", warm_state.approx_bytes);
 }
 
 SchedulerService::SchedulerService(const ServiceOptions &options)
@@ -201,16 +196,12 @@ SchedulerService::RunAndPublish(ScheduleRequest request,
                                 const std::shared_ptr<Inflight> &flight,
                                 std::string *result_json)
 {
-    // The workload's one cache entry carries the graph and its tilings:
-    // the search warm-starts from every earlier request over this graph
-    // (tilings are hardware-free, so a DSE sweep shares one cache
-    // across its whole hardware axis). Unknown models fall through
-    // graph-less so the facade produces its canonical error (with the
-    // registered-name candidates).
+    // The workload's one cache entry carries its built graph. Unknown
+    // models fall through graph-less so the facade produces its
+    // canonical error (with the registered-name candidates).
     std::string err;
     request.graph = graph_cache_.Get(request.model, request.batch,
-                                     scheduler_.models(), &err,
-                                     &request.warm_state);
+                                     scheduler_.models(), &err);
 
     counters_.searches.fetch_add(1, std::memory_order_relaxed);
     ScheduleResult result;
@@ -264,7 +255,6 @@ SchedulerService::stats() const
     out.errors = counters_.errors.load(std::memory_order_relaxed);
     out.result_cache = result_cache_.stats();
     out.graph_cache = graph_cache_.stats();
-    out.warm_state = graph_cache_.warm_stats();
     return out;
 }
 

@@ -21,19 +21,13 @@
  *    cancel flag or deadline answers no sibling — each re-enters the
  *    lookup under its own flag and deadline.
  *  - Graph cache: one entry per (model, batch) holds the built graph
- *    and that graph's TilingCache (GraphCache). A sweep over one
- *    model parses it once, and result-cache-cold requests over an
- *    already-seen graph start from the fused-group tilings of every
- *    earlier search (injected through ScheduleRequest::warm_state). A
- *    pure-value cache — a warm search produces the same bytes as a
- *    cold one, pinned by test.
+ *    (GraphCache), so a sweep over one model builds it once. Each
+ *    search keeps its own parse memos; nothing but the immutable graph
+ *    is shared across requests.
  *
  * Memory-timing backends and the caches: memory_model is serialized,
  * so Fingerprint() separates result-cache entries per backend with no
- * service-layer changes. Warm state deliberately stays shared across
- * backends — tilings are compute-side values the DRAM seam never
- * touches (DESIGN.md, "Memory timing backends") — so a banked sweep
- * warm-starts from an analytical one and vice versa.
+ * service-layer changes, and the graph is backend-independent.
  *
  * What is NOT cached: inline-graph requests (their fingerprint only
  * covers the graph's name), failed results (errors are not pure — a
@@ -92,7 +86,14 @@ struct ServiceStats {
     std::uint64_t errors = 0;       ///< executed pipelines with ok=false
     ResultCache::Stats result_cache;
     GraphCache::Stats graph_cache;
-    GraphCache::WarmStats warm_state;
+    /** Always zero: the cross-request tiling cache these counted is
+     *  gone. Kept only because perfbench/layers.cc still reads them
+     *  (`service.warm_tiling_hit_ratio`); the next benchmark PR drops
+     *  that metric, then these fields. Not exported by ExportTo(). */
+    struct {
+        std::uint64_t tiling_hits = 0;
+        std::uint64_t tiling_misses = 0;
+    } warm_state;
 
     /**
      * Export this snapshot into @p registry as absolute-value counters
@@ -116,8 +117,7 @@ class SchedulerService {
 
     /**
      * Serve @p request: result cache, then in-flight coalescing, then
-     * one real pipeline run (warm-started from the graph cache's
-     * tilings).
+     * one real pipeline run over the graph cache's graph.
      * Thread-safe; concurrent callers with the same fingerprint share
      * one search. When @p result_json is given it receives the
      * request's serialized result text — for cached and coalesced

@@ -95,8 +95,7 @@ EvalContext::Parse(const Graph &graph, const LfaEncoding &lfa,
     soa_.built_for = nullptr;
     ParseOptions opts = popts;
     opts.cross_check = opts.cross_check || cross_check_;
-    ParseLfaInto(graph, lfa, core_eval, opts, &parse_scratch_, &parsed_,
-                 tiling_cache_.get());
+    ParseLfaInto(graph, lfa, core_eval, opts, &parse_scratch_, &parsed_);
     return parsed_;
 }
 

@@ -30,14 +30,12 @@
 #define SOMA_SIM_EVAL_CONTEXT_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "hw/hardware.h"
 #include "notation/parser.h"
 #include "sim/report.h"
-#include "tiling/tiling_cache.h"
 
 namespace soma {
 
@@ -104,21 +102,6 @@ class EvalContext {
     const ParsedSchedule &Parse(const Graph &graph, const LfaEncoding &lfa,
                                 const CoreArrayEvaluator &core_eval,
                                 const ParseOptions &popts = {});
-
-    /**
-     * Share a stage-wide TilingCache: subsequent Parse calls fetch
-     * dirty-group tilings through it instead of recomputing them. Pass
-     * nullptr to detach. The cache must describe the graph this context
-     * parses (one cache per graph).
-     */
-    void set_tiling_cache(std::shared_ptr<TilingCache> cache)
-    {
-        tiling_cache_ = std::move(cache);
-    }
-    const std::shared_ptr<TilingCache> &tiling_cache() const
-    {
-        return tiling_cache_;
-    }
 
     /**
      * Full evaluation (semantics of EvaluateSchedule) into the context's
@@ -257,7 +240,6 @@ class EvalContext {
 
     ParseScratch parse_scratch_;
     ParsedSchedule parsed_;  ///< the slot Parse writes
-    std::shared_ptr<TilingCache> tiling_cache_;
     DlsaCheckScratch check_scratch_;
     std::string why_scratch_;
 

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <unordered_map>
-#include <unordered_set>
 
 namespace soma {
 
@@ -116,24 +115,6 @@ ComputeFlgTiling(const Graph &graph, const std::vector<LayerId> &flg_layers,
     }
     result.valid = true;
     return result;
-}
-
-void
-OrderPermutation(const std::vector<LayerId> &src_order,
-                 const std::vector<LayerId> &dst_order,
-                 std::vector<std::size_t> *perm_out)
-{
-    assert(src_order.size() == dst_order.size());
-    std::unordered_map<LayerId, std::size_t> src_index;
-    src_index.reserve(src_order.size());
-    for (std::size_t i = 0; i < src_order.size(); ++i)
-        src_index[src_order[i]] = i;
-    perm_out->resize(dst_order.size());
-    for (std::size_t i = 0; i < dst_order.size(); ++i) {
-        auto it = src_index.find(dst_order[i]);
-        assert(it != src_index.end() && "dst_order must permute src_order");
-        (*perm_out)[i] = it->second;
-    }
 }
 
 int

@@ -68,24 +68,12 @@ struct FlgTiling {
  * per-tile region is the union of what its in-FLG consumers need — a
  * bottom-up value that is identical under every dependency-legal
  * computing order of the same member set. Only the positional indexing
- * of `regions` follows @p flg_layers; the permutation views of
- * TilingCache::GetView and the parser's group memo exploit this.
+ * of `regions` follows @p flg_layers; the parser's group memo exploits
+ * this with a permutation view (ParseScratch::GroupParse::perm).
  */
 FlgTiling ComputeFlgTiling(const Graph &graph,
                            const std::vector<LayerId> &flg_layers,
                            int tiles);
-
-/**
- * The dst->src index mapping between two orders of one member set:
- * fills @p perm_out with perm_out[i] = j where dst_order[i] ==
- * src_order[j] — the indirection behind permutation-view FlgTiling
- * blocks (TilingCache::GetView, the parser's group memo), which index
- * a stored block through it instead of materializing a re-ordered
- * copy.
- */
-void OrderPermutation(const std::vector<LayerId> &src_order,
-                      const std::vector<LayerId> &dst_order,
-                      std::vector<std::size_t> *perm_out);
 
 /**
  * The KC-parallelism heuristic Tiling Number used by Cocco and by SoMa's

@@ -252,6 +252,30 @@ TEST(RequestJson, GarbageNumericsAreRejectedNotTruncated)
     EXPECT_EQ(result.seed, UINT64_MAX);
 }
 
+TEST(RequestJson, SeedFromJsonIsTheOneSeedRule)
+{
+    // Request "seed" and a sweep's "seeds" axis share this rule: the
+    // largest u64 is accepted exactly, 2^64 and fractions are rejected
+    // with the key named.
+    std::string err;
+    Json json;
+    std::uint64_t seed = 0;
+    ASSERT_TRUE(Json::Parse("18446744073709551615", &json, &err));
+    ASSERT_TRUE(SeedFromJson(json, "seeds", &seed, &err)) << err;
+    EXPECT_EQ(seed, UINT64_MAX);
+    ASSERT_TRUE(Json::Parse("9223372036854775808", &json, &err));
+    ASSERT_TRUE(SeedFromJson(json, "seeds", &seed, &err)) << err;
+    EXPECT_EQ(seed, 9223372036854775808ULL);
+    for (const char *bad : {"18446744073709551616", "1.5", "-1", "\"7\""}) {
+        ASSERT_TRUE(Json::Parse(bad, &json, &err)) << bad;
+        seed = 42;
+        err.clear();
+        EXPECT_FALSE(SeedFromJson(json, "seeds", &seed, &err)) << bad;
+        EXPECT_EQ(seed, 42u) << bad;
+        EXPECT_NE(err.find("\"seeds\""), std::string::npos) << err;
+    }
+}
+
 TEST(ResultJson, RoundTripIsBitExactOnLatencyAndEnergy)
 {
     Scheduler scheduler;

@@ -19,7 +19,6 @@
 #include "search/lfa_stage.h"
 #include "sim/eval_context.h"
 #include "sim/evaluator.h"
-#include "tiling/tiling_cache.h"
 #include "workload/graph_builder.h"
 
 namespace soma {
@@ -136,7 +135,6 @@ RunMixedWalk(std::uint64_t seed, int phases, bool cross_check)
 
     EvalContext ctx;
     ctx.set_cross_check(cross_check);
-    ctx.set_tiling_cache(std::make_shared<TilingCache>());
 
     LfaEncoding cur = MakeInitialLfa(g, hw, 16);
     Rng rng(seed);

@@ -1,10 +1,10 @@
 /**
  * @file
- * Incremental LFA parse tests: the group-memoized ParseLfaInto (with
- * and without a shared TilingCache) must be bit-identical to the
- * from-scratch parse over randomized LFA mutation chains — every tile,
- * tensor and on-chip interval, and the downstream EvalReport — and the
- * dirty set must actually shrink to the mutated groups.
+ * Incremental LFA parse tests: the group-memoized ParseLfaInto must be
+ * bit-identical to the from-scratch parse over randomized LFA mutation
+ * chains — every tile, tensor and on-chip interval, and the downstream
+ * EvalReport — and the dirty set must actually shrink to the mutated
+ * groups.
  */
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "search/lfa_stage.h"
 #include "sim/eval_context.h"
 #include "sim/evaluator.h"
-#include "tiling/tiling_cache.h"
 #include "workload/graph_builder.h"
 
 namespace soma {
@@ -60,7 +59,7 @@ ExpectReportsIdentical(const EvalReport &a, const EvalReport &b)
  * and the resulting double-buffer evaluations must match bit for bit.
  */
 void
-RunParseWalk(bool with_tiling_cache, std::uint64_t seed, int steps)
+RunParseWalk(std::uint64_t seed, int steps)
 {
     Graph g = MakeBranchy();
     HardwareConfig hw = EdgeAccelerator();
@@ -68,8 +67,6 @@ RunParseWalk(bool with_tiling_cache, std::uint64_t seed, int steps)
     const Ops ops = g.TotalOps();
 
     EvalContext ctx;
-    if (with_tiling_cache)
-        ctx.set_tiling_cache(std::make_shared<TilingCache>());
 
     LfaEncoding current = MakeInitialLfa(g, hw, 16);
     Rng rng(seed);
@@ -78,7 +75,7 @@ RunParseWalk(bool with_tiling_cache, std::uint64_t seed, int steps)
     for (int i = 0; i < steps; ++i) {
         if (!MutateLfaEncoding(g, current, &cand, 16, rng)) continue;
         const ParsedSchedule &inc = ctx.Parse(g, cand, ce);
-        // Reference: fresh scratch, no memo, no shared cache.
+        // Reference: fresh scratch, empty memo.
         ParsedSchedule full = ParseLfa(g, cand, ce);
         ASSERT_TRUE(ParsedSchedulesIdentical(inc, full))
             << "step " << i << ": " << cand.ToString(g);
@@ -98,12 +95,7 @@ RunParseWalk(bool with_tiling_cache, std::uint64_t seed, int steps)
 
 TEST(IncrementalParse, MatchesFullParseOverMutationChain)
 {
-    RunParseWalk(/*with_tiling_cache=*/false, 11, 300);
-}
-
-TEST(IncrementalParse, MatchesFullParseWithSharedTilingCache)
-{
-    RunParseWalk(/*with_tiling_cache=*/true, 23, 300);
+    RunParseWalk(11, 300);
 }
 
 TEST(IncrementalParse, CrossCheckModeAcceptsTheWalk)
@@ -115,7 +107,6 @@ TEST(IncrementalParse, CrossCheckModeAcceptsTheWalk)
     HardwareConfig hw = EdgeAccelerator();
     CoreArrayEvaluator ce(g, hw);
     EvalContext ctx;
-    ctx.set_tiling_cache(std::make_shared<TilingCache>());
     ParseOptions popts;
     popts.cross_check = true;
 
@@ -310,30 +301,6 @@ TEST(IncrementalParse, SinkSetSignatureSurvivesRandomizedOrderMoves)
         lfa = std::move(cand);
     }
     EXPECT_GT(moves, 30);
-}
-
-TEST(IncrementalParse, TilingCacheHitsAcrossContexts)
-{
-    // Two contexts sharing one TilingCache: the second context's first
-    // parse of the same scheme is all cache hits.
-    Graph g = MakeBranchy();
-    HardwareConfig hw = EdgeAccelerator();
-    CoreArrayEvaluator ce(g, hw);
-    auto cache = std::make_shared<TilingCache>();
-
-    LfaEncoding lfa = MakeInitialLfa(g, hw, 16);
-    EvalContext a, b;
-    a.set_tiling_cache(cache);
-    b.set_tiling_cache(cache);
-    ParsedSchedule pa = a.Parse(g, lfa, ce);
-    ASSERT_TRUE(pa.valid);
-    const auto cold = cache->stats();
-    EXPECT_GT(cold.misses, 0u);
-    ParsedSchedule pb = b.Parse(g, lfa, ce);
-    const auto warm = cache->stats();
-    EXPECT_EQ(warm.misses, cold.misses);
-    EXPECT_GT(warm.hits, cold.hits);
-    EXPECT_TRUE(ParsedSchedulesIdentical(pa, pb));
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 #include "sim/eval_context.h"
 #include "sim/evaluator.h"
 #include "sim/memory_validation.h"
-#include "tiling/tiling_cache.h"
 #include "workload/graph_builder.h"
 
 namespace soma {
@@ -279,7 +278,6 @@ TEST(MemoryModel, DeltaEvalByteIdentityWalkWithBankedSeam)
     const Bytes budget = hw.gbuf_bytes;
 
     EvalContext ctx;
-    ctx.set_tiling_cache(std::make_shared<TilingCache>());
     LfaEncoding lfa = MakeInitialLfa(g, hw, 16);
     ParsedSchedule parsed = ParseLfa(g, lfa, ce);
     ASSERT_TRUE(parsed.valid);

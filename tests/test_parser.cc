@@ -17,7 +17,6 @@
 #include "search/dlsa_heuristics.h"
 #include "search/lfa_stage.h"
 #include "sim/eval_context.h"
-#include "tiling/tiling_cache.h"
 #include "workload/graph_builder.h"
 #include "workload/models.h"
 
@@ -490,7 +489,6 @@ TEST(ParserGolden, WalkDigestsArePinned)
         CoreArrayEvaluator ce(g, hw);
         const Ops ops = g.TotalOps();
         EvalContext ctx;
-        ctx.set_tiling_cache(std::make_shared<TilingCache>());
         ParseOptions popts;
         popts.lg_resident_weights = walk.lg_resident_weights;
 

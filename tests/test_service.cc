@@ -356,40 +356,31 @@ TEST(GraphCache, BuildsOncePerModelBatch)
     EXPECT_NE(err.find("nope"), std::string::npos);
 }
 
-TEST(GraphCache, OneTilingCachePerWorkloadEvictedWithItsGraph)
+TEST(GraphCache, EvictsInLruOrderAndHoldersKeepTheirGraph)
 {
     ModelRegistry models;
     models.Register("svc-tiny", BuildSvcTiny);
     GraphCache cache(2);
     std::string err;
-    std::shared_ptr<TilingCache> t1, t1_again, t4;
-    auto g1 = cache.Get("svc-tiny", 1, models, &err, &t1);
-    ASSERT_TRUE(g1 && t1) << err;
-    cache.Get("svc-tiny", 1, models, &err, &t1_again);
-    EXPECT_EQ(t1.get(), t1_again.get());  // one cache per (model, batch)
-    ASSERT_TRUE(cache.Get("svc-tiny", 4, models, &err, &t4));
-    EXPECT_NE(t1.get(), t4.get());
+    auto g1 = cache.Get("svc-tiny", 1, models, &err);
+    auto g4 = cache.Get("svc-tiny", 4, models, &err);
+    ASSERT_TRUE(g1 && g4) << err;
+    // Touch batch 1: batch 4 becomes the LRU tail.
+    EXPECT_EQ(cache.Get("svc-tiny", 1, models, &err).get(), g1.get());
 
-    std::vector<std::size_t> perm;
-    ASSERT_TRUE(t1->GetView(*g1, {0}, 1, &perm));
-    EXPECT_EQ(cache.warm_stats().tiling_entries, 1u);
-
-    // Beyond capacity the LRU tail (batch 1) drops graph and tilings
-    // together: the next Get rebuilds both, cold.
-    cache.Get("svc-tiny", 2, models, &err);
+    // Beyond capacity the tail (batch 4) goes; batch 1 stays resident.
+    ASSERT_TRUE(cache.Get("svc-tiny", 2, models, &err));
     EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(cache.warm_stats().tiling_entries, 0u);
-    std::shared_ptr<TilingCache> t1_rebuilt;
-    auto g1_rebuilt = cache.Get("svc-tiny", 1, models, &err, &t1_rebuilt);
-    EXPECT_NE(g1_rebuilt.get(), g1.get());
-    EXPECT_NE(t1_rebuilt.get(), t1.get());
-    EXPECT_EQ(t1_rebuilt->size(), 0u);
+    EXPECT_EQ(cache.Get("svc-tiny", 1, models, &err).get(), g1.get());
+    EXPECT_EQ(cache.stats().misses, 3u);
+    auto g4_rebuilt = cache.Get("svc-tiny", 4, models, &err);
+    ASSERT_TRUE(g4_rebuilt);
+    EXPECT_NE(g4_rebuilt.get(), g4.get());
     EXPECT_EQ(cache.stats().misses, 4u);
 
-    // A holder of the evicted entry keeps using its graph and tilings.
-    EXPECT_TRUE(t1->GetView(*g1, {0}, 1, &perm));
-    EXPECT_EQ(t1->size(), 1u);
-    EXPECT_EQ(t1->stats().hits, 1u);
+    // A holder of an evicted entry keeps using its graph.
+    EXPECT_EQ(g4->NumLayers(), g4_rebuilt->NumLayers());
+    EXPECT_EQ(g4->batch(), 4);
 }
 
 // --------------------------------------------------------------- service
@@ -698,18 +689,16 @@ TEST(Service, FailuresAreNeverCachedAndHealAfterRegister)
     EXPECT_EQ(stats.result_cache.insertions, 1u);
 }
 
-// ------------------------------------------------------------- warm state
+// ------------------------------------------------------------ graph cache
 
-TEST(Service, WarmStateIsByteIdenticalAndWarmsAcrossSeeds)
+TEST(Service, CachedGraphRunsAreByteIdenticalToTheFacade)
 {
-    // The warm-state determinism contract: a search that starts from
-    // another request's tilings produces the same bytes as a fully
-    // cold one — the cache holds content-addressed pure values, so
-    // presence must not change any result. The cold side is the plain
-    // facade, whose every search derives its tilings from scratch.
-    Scheduler cold;
-    cold.models().Register("svc-tiny", BuildSvcTiny);
-    auto warm = MakeService();
+    // A search over the graph cache's shared graph produces the same
+    // bytes as the plain facade, which builds its own graph per
+    // request: a cached graph is content-identical to a fresh build.
+    Scheduler facade;
+    facade.models().Register("svc-tiny", BuildSvcTiny);
+    auto service = MakeService();
 
     // "Identical" means every scheduling field: only the wall-clock
     // timings under "stats" may differ between two real runs (the CI
@@ -722,30 +711,29 @@ TEST(Service, WarmStateIsByteIdenticalAndWarmsAcrossSeeds)
         return json.Dump(2);
     };
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        std::string cold_text, warm_text;
-        ScheduleResult c = cold.Schedule(TinyRequest(seed));
-        cold_text = c.ToJson().Dump(2);
-        ScheduleResult w = warm->Schedule(TinyRequest(seed), &warm_text);
+        std::string facade_text, service_text;
+        ScheduleResult c = facade.Schedule(TinyRequest(seed));
+        facade_text = c.ToJson().Dump(2);
+        ScheduleResult w =
+            service->Schedule(TinyRequest(seed), &service_text);
         ASSERT_TRUE(c.ok) << c.error;
         ASSERT_TRUE(w.ok) << w.error;
-        EXPECT_EQ(scheduling_bytes(cold_text), scheduling_bytes(warm_text))
+        EXPECT_EQ(scheduling_bytes(facade_text),
+                  scheduling_bytes(service_text))
             << "seed " << seed;
         EXPECT_EQ(c.stats.iterations, w.stats.iterations);
         EXPECT_EQ(c.stats.evaluated, w.stats.evaluated);
         EXPECT_EQ(c.stats.accepted, w.stats.accepted);
     }
     // A GBUF-override point of the same model is a result-cache miss
-    // but a warm-state hit: tilings are hardware-free.
+    // but a graph-cache hit: the graph is hardware-free.
     ScheduleRequest dse = TinyRequest(1);
     dse.gbuf_bytes = 1 << 20;
-    ASSERT_TRUE(warm->Schedule(dse).ok);
+    ASSERT_TRUE(service->Schedule(dse).ok);
 
-    const ServiceStats ws = warm->stats();
+    const ServiceStats ws = service->stats();
     EXPECT_EQ(ws.graph_cache.misses, 1u);
     EXPECT_EQ(ws.graph_cache.hits, 3u);  // seeds 2, 3 and the DSE point
-    EXPECT_GT(ws.warm_state.tiling_hits, 0u);
-    EXPECT_GT(ws.warm_state.tiling_entries, 0u);
-    EXPECT_GT(ws.warm_state.approx_bytes, 0u);
 }
 
 // ---------------------------------------------------- counter correctness

@@ -119,9 +119,9 @@ Usage(std::ostream &os, int code)
           "--repeat N runs the grid N times against one service — a\n"
           "warm-traffic self-check: somac exits non-zero unless every\n"
           "pass reproduces the first pass's table byte-for-byte, and\n"
-          "--stats then shows the cumulative cache/warm-state counters\n"
-          "(warm-state hits come from result-cache-cold requests that\n"
-          "share a workload, e.g. the seeds axis).\n"
+          "--stats then shows the cumulative cache counters (graph-cache\n"
+          "hits come from result-cache-cold requests that share a\n"
+          "workload, e.g. the seeds axis).\n"
           "\n"
           "fingerprint prints the request's canonical 64-bit identity\n"
           "(the service-layer cache key) as 16 hex digits;\n"
@@ -636,25 +636,22 @@ NumberAxis(const Json &value, const std::string &key,
     return true;
 }
 
-/** Exact unsigned integers (no silent truncation: fractional values
- *  and values beyond 2^63 are rejected; integer literals keep their
- *  exact u64 payload through Json). */
+/** Seeds under the request JSON's seed rule (SeedFromJson). */
 bool
-U64Axis(const Json &value, const std::string &key,
-        std::vector<std::uint64_t> *out, std::string *err)
+SeedAxis(const Json &value, const std::string &key,
+         std::vector<std::uint64_t> *out, std::string *err)
 {
     if (!value.IsArray()) {
         *err = "sweep field \"" + key + "\" must be an array of integers";
         return false;
     }
     for (const Json &v : value.array_items()) {
-        const double d = v.AsDouble();
-        if (!v.IsNumber() || d < 0 || d != std::floor(d) || d > 9.2e18) {
-            *err = "sweep field \"" + key +
-                   "\" must contain non-negative integers (< 2^63)";
+        std::uint64_t seed = 0;
+        if (!SeedFromJson(v, key, &seed, err)) {
+            *err = "sweep " + *err;
             return false;
         }
-        out->push_back(v.AsU64());
+        out->push_back(seed);
     }
     return true;
 }
@@ -695,7 +692,7 @@ ExpandSweepSpec(const Json &spec_json,
         } else if (key == "dram_gbps") {
             if (!NumberAxis(value, key, &dram_gbps, err)) return false;
         } else if (key == "seeds") {
-            if (!U64Axis(value, key, &seeds, err)) return false;
+            if (!SeedAxis(value, key, &seeds, err)) return false;
         } else {
             *err = "unknown sweep field \"" + key + "\"";
             return false;
@@ -1050,8 +1047,8 @@ CmdSweep(const std::vector<std::string> &args)
         for (std::thread &t : team) t.join();
 
         // The determinism self-check behind --repeat: every pass over
-        // one grid — cold, result-cache-warm, warm-state-warm — must
-        // produce the identical table.
+        // one grid — cold, then result-cache-warm — must produce the
+        // identical table.
         std::ostringstream table;
         table << kSweepCsvHeader << "\n";
         for (const SweepRow &row : rows) table << CsvRow(row) << "\n";
@@ -1116,9 +1113,7 @@ CmdSweep(const std::vector<std::string> &args)
                   << stats.searches << " searches, "
                   << stats.result_cache.hits << " cache hits ("
                   << stats.result_cache.disk_hits << " from disk), "
-                  << stats.coalesced << " coalesced, warm-state "
-                  << stats.warm_state.tiling_hits << " tiling hits / "
-                  << stats.warm_state.approx_bytes << " bytes\n";
+                  << stats.coalesced << " coalesced\n";
     }
     return failed == 0 ? 0 : 1;
 }
