@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "api/scheduler.h"
+#include "common/hash.h"
 #include "search/soma.h"
 #include "workload/graph_builder.h"
 
@@ -406,6 +407,56 @@ TEST(SchedulerFacade, MatchesLegacyRunSomaBitForBit)
     EXPECT_EQ(result.report.EnergyJ(), legacy.report.EnergyJ());
     EXPECT_EQ(result.cost, legacy.cost);
     EXPECT_EQ(result.scheme, legacy.lfa.ToString(*graph));
+}
+
+/**
+ * Whole-search results pinned against recorded values: every builtin
+ * scheduler at every profile on resnet50 (edge, seed 1). The digest
+ * covers the winning scheme, the final and stage-1 reports as
+ * ReportToJson writes them, and the search counters, so a change to
+ * any budget, schedule constant, seed draw or stage order fails here
+ * even when the search still finds a good schedule. The counters and
+ * results do not depend on the driver thread count.
+ */
+TEST(SchedulerFacade, ResultsArePinnedPerSchedulerAndProfile)
+{
+    struct Pinned {
+        const char *scheduler;
+        SearchProfile profile;
+        const char *digest;  ///< HexU64 of Fnv1a64 over the fields
+    };
+    const Pinned pinned[] = {
+        {"soma", SearchProfile::kQuick, "ab70220dc1864e9d"},
+        {"soma", SearchProfile::kDefault, "2e71b9300dfb684f"},
+        {"soma", SearchProfile::kFull, "7d10aa56a3f1181b"},
+        {"cocco", SearchProfile::kQuick, "66276de09df41ed7"},
+        {"cocco", SearchProfile::kDefault, "b6cc521b82abd60c"},
+        {"cocco", SearchProfile::kFull, "0f1c4ada53f6fce7"},
+        {"lfa-only", SearchProfile::kQuick, "63867a952093f41b"},
+        {"lfa-only", SearchProfile::kDefault, "9fbc24f1ffad6013"},
+        {"lfa-only", SearchProfile::kFull, "47efbb28834830b9"},
+    };
+    Scheduler scheduler;
+    for (const Pinned &p : pinned) {
+        SCOPED_TRACE(std::string(p.scheduler) + "/" + ToString(p.profile));
+        ScheduleRequest request;
+        request.model = "resnet50";
+        request.hardware = "edge";
+        request.scheduler = p.scheduler;
+        request.profile = p.profile;
+        request.seed = 1;
+        const ScheduleResult r = scheduler.Schedule(request);
+        ASSERT_TRUE(r.ok) << r.error;
+        std::string text = r.scheme;
+        text += "\n" + ReportToJson(r.report).CanonicalDump();
+        text += "\n" + ReportToJson(r.stage1_report).CanonicalDump();
+        for (long long v : {r.stats.iterations, r.stats.evaluated,
+                            r.stats.accepted, r.stats.improved,
+                            static_cast<long long>(
+                                r.stats.outer_iterations)})
+            text += "\n" + std::to_string(v);
+        EXPECT_EQ(HexU64(Fnv1a64(text)), p.digest);
+    }
 }
 
 TEST(SchedulerFacade, InvalidHardwareOverridesFailTheRequest)
