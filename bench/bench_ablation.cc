@@ -49,7 +49,7 @@ StageContribution(benchmark::State &state, const char *net)
         Graph g = BuildModelByName(net, 1);
         HardwareConfig hw = EdgeAccelerator();
         SomaSearchResult res =
-            RunSoma(g, hw, SomaOptsFor(ProfileFromEnv(), 1));
+            RunSoma(g, hw, BenchSomaOptions(ProfileFromEnv(), 1));
         AddRow("A1 two-stage", net, "stage1 only", res.stage1_report);
         AddRow("A1 two-stage", net, "stage1+stage2", res.report);
         if (res.report.valid && res.stage1_report.valid) {
@@ -65,9 +65,9 @@ BufferAllocator(benchmark::State &state, const char *net)
     for (auto _ : state) {
         Graph g = BuildModelByName(net, 1);
         HardwareConfig hw = EdgeAccelerator();
-        SomaOptions one = SomaOptsFor(ProfileFromEnv(), 1);
+        SomaOptions one = BenchSomaOptions(ProfileFromEnv(), 1);
         one.alloc.max_iterations = 1;
-        SomaOptions loop = SomaOptsFor(ProfileFromEnv(), 1);
+        SomaOptions loop = BenchSomaOptions(ProfileFromEnv(), 1);
         loop.alloc.max_iterations = 4;
         SomaSearchResult r_one = RunSoma(g, hw, one);
         SomaSearchResult r_loop = RunSoma(g, hw, loop);
@@ -88,7 +88,7 @@ GreedySeed(benchmark::State &state, const char *net)
     for (auto _ : state) {
         Graph g = BuildModelByName(net, 1);
         HardwareConfig hw = EdgeAccelerator();
-        SomaOptions with = SomaOptsFor(ProfileFromEnv(), 1);
+        SomaOptions with = BenchSomaOptions(ProfileFromEnv(), 1);
         SomaOptions without = with;
         without.lfa.greedy_seed = false;
         SomaSearchResult r_with = RunSoma(g, hw, with);
@@ -109,7 +109,7 @@ DlsaStrategies(benchmark::State &state, const char *net)
         Graph g = BuildModelByName(net, 1);
         HardwareConfig hw = EdgeAccelerator();
         SomaSearchResult res =
-            RunSoma(g, hw, SomaOptsFor(ProfileFromEnv(), 1));
+            RunSoma(g, hw, BenchSomaOptions(ProfileFromEnv(), 1));
         if (!res.report.valid) continue;
         Ops ops = g.TotalOps();
         EvalReport lazy = EvaluateSchedule(
@@ -134,7 +134,7 @@ int
 main(int argc, char **argv)
 {
     bench::InitBenchJson(&argc, argv);
-    std::cout << "bench_ablation profile=" << ProfileName(ProfileFromEnv())
+    std::cout << "bench_ablation profile=" << ToString(ProfileFromEnv())
               << "\n";
     const char *nets[] = {"resnet50", "randwire"};
     for (const char *net : nets) {

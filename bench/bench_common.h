@@ -11,7 +11,6 @@
 #define SOMA_BENCH_BENCH_COMMON_H
 
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -28,63 +27,38 @@
 namespace soma {
 namespace bench {
 
-enum class Profile { kQuick, kDefault, kFull };
-
-inline Profile
+/** SOMA_BENCH_PROFILE as a SearchProfile; unset or unknown values
+ *  fall back to the default profile. */
+inline SearchProfile
 ProfileFromEnv()
 {
-    const char *env = std::getenv("SOMA_BENCH_PROFILE");
-    if (!env) return Profile::kDefault;
-    if (!std::strcmp(env, "quick")) return Profile::kQuick;
-    if (!std::strcmp(env, "full")) return Profile::kFull;
-    return Profile::kDefault;
+    SearchProfile profile = SearchProfile::kDefault;
+    if (const char *env = std::getenv("SOMA_BENCH_PROFILE"))
+        ParseSearchProfile(env, &profile);
+    return profile;
 }
 
-inline const char *
-ProfileName(Profile p)
-{
-    switch (p) {
-      case Profile::kQuick: return "quick";
-      case Profile::kDefault: return "default";
-      case Profile::kFull: return "full";
-    }
-    return "?";
-}
-
+/**
+ * SomaOptionsFor @p profile as the bench tables were recorded: the
+ * default profile runs 2 buffer-allocator iterations, one fewer than
+ * the API's default.
+ */
 inline SomaOptions
-SomaOptsFor(Profile p, std::uint64_t seed)
+BenchSomaOptions(SearchProfile profile, std::uint64_t seed)
 {
-    switch (p) {
-      case Profile::kQuick: return QuickSomaOptions(seed);
-      case Profile::kDefault: {
-        SomaOptions o = DefaultSomaOptions(seed);
-        o.alloc.max_iterations = 2;
-        return o;
-      }
-      case Profile::kFull: return FullSomaOptions(seed);
-    }
-    return QuickSomaOptions(seed);
-}
-
-inline CoccoOptions
-CoccoOptsFor(Profile p, std::uint64_t seed)
-{
-    switch (p) {
-      case Profile::kQuick: return QuickCoccoOptions(seed);
-      case Profile::kDefault: return DefaultCoccoOptions(seed);
-      case Profile::kFull: return FullCoccoOptions(seed);
-    }
-    return QuickCoccoOptions(seed);
+    SomaOptions opts = SomaOptionsFor(profile, seed);
+    if (profile == SearchProfile::kDefault) opts.alloc.max_iterations = 2;
+    return opts;
 }
 
 /** Batch sizes swept per profile (the paper uses 1..64). */
 inline std::vector<int>
-BatchesFor(Profile p)
+BatchesFor(SearchProfile p)
 {
     switch (p) {
-      case Profile::kQuick: return {1};
-      case Profile::kDefault: return {1, 4};
-      case Profile::kFull: return {1, 4, 16, 64};
+      case SearchProfile::kQuick: return {1};
+      case SearchProfile::kDefault: return {1, 4};
+      case SearchProfile::kFull: return {1, 4, 16, 64};
     }
     return {1};
 }
@@ -220,7 +194,7 @@ struct ComparisonRow {
 
 /** Run the three schemes of Fig. 6 for one configuration. */
 inline ComparisonRow
-RunComparison(const WorkloadConfig &cfg, int batch, Profile profile,
+RunComparison(const WorkloadConfig &cfg, int batch, SearchProfile profile,
               std::uint64_t seed)
 {
     ComparisonRow row;
@@ -228,8 +202,9 @@ RunComparison(const WorkloadConfig &cfg, int batch, Profile profile,
     row.batch = batch;
     Graph graph = BuildModelByName(cfg.workload, batch);
     HardwareConfig hw = PlatformFor(cfg);
-    CoccoResult cocco = RunCocco(graph, hw, CoccoOptsFor(profile, seed));
-    SomaSearchResult ours = RunSoma(graph, hw, SomaOptsFor(profile, seed));
+    CoccoResult cocco = RunCocco(graph, hw, CoccoOptionsFor(profile, seed));
+    SomaSearchResult ours =
+        RunSoma(graph, hw, BenchSomaOptions(profile, seed));
     row.cocco = cocco.report;
     row.ours1 = ours.stage1_report;
     row.ours2 = ours.report;

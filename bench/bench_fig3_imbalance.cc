@@ -119,7 +119,7 @@ RunNet(benchmark::State &state, const char *model)
         Graph g = BuildModelByName(model, 1);
         HardwareConfig hw = EdgeAccelerator();
         CoccoResult cocco = RunCocco(g, hw,
-                                     CoccoOptsFor(ProfileFromEnv(), 1));
+                                     CoccoOptionsFor(ProfileFromEnv(), 1));
         Fig3Result res;
         res.net = model;
         res.layers = LayerScatter(g);
@@ -144,7 +144,7 @@ main(int argc, char **argv)
 {
     bench::InitBenchJson(&argc, argv);
     std::cout << "bench_fig3_imbalance profile="
-              << ProfileName(ProfileFromEnv()) << "\n";
+              << ToString(ProfileFromEnv()) << "\n";
     benchmark::RegisterBenchmark("fig3/resnet50", RunNet, "resnet50")
         ->Unit(benchmark::kSecond)->Iterations(1);
     benchmark::RegisterBenchmark("fig3/transformer-large", RunNet,

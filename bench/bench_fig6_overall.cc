@@ -56,7 +56,7 @@ RunConfig(benchmark::State &state, const WorkloadConfig &cfg, int batch)
 void
 RegisterAll()
 {
-    Profile profile = ProfileFromEnv();
+    SearchProfile profile = ProfileFromEnv();
     for (const WorkloadConfig &cfg : Fig6Grid()) {
         for (int batch : BatchesFor(profile)) {
             std::string name = "fig6/" + cfg.label +
@@ -215,7 +215,7 @@ main(int argc, char **argv)
 {
     bench::InitBenchJson(&argc, argv);
     std::cout << "bench_fig6_overall profile="
-              << ProfileName(ProfileFromEnv()) << "\n";
+              << ToString(ProfileFromEnv()) << "\n";
     RegisterAll();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();

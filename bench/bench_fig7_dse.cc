@@ -40,10 +40,10 @@ struct GridResult {
 std::vector<GridResult> g_grids;
 
 std::vector<const char *>
-NetsFor(Profile p)
+NetsFor(SearchProfile p)
 {
-    if (p == Profile::kQuick) return {"resnet50"};
-    if (p == Profile::kDefault) return {"resnet50", "gpt2s-decode"};
+    if (p == SearchProfile::kQuick) return {"resnet50"};
+    if (p == SearchProfile::kDefault) return {"resnet50", "gpt2s-decode"};
     return {"resnet50", "resnet101", "ires", "randwire", "gpt2s-prefill",
             "gpt2s-decode"};
 }
@@ -57,10 +57,11 @@ RunGrid(benchmark::State &state, const char *net, int batch, bool use_soma)
         grid.net = net;
         grid.batch = batch;
         grid.use_soma = use_soma;
-        Profile profile = ProfileFromEnv();
+        SearchProfile profile = ProfileFromEnv();
         // The DSE sweep runs many searches; drop one budget tier.
-        Profile inner = profile == Profile::kFull ? Profile::kDefault
-                                                  : Profile::kQuick;
+        SearchProfile inner = profile == SearchProfile::kFull
+                                  ? SearchProfile::kDefault
+                                  : SearchProfile::kQuick;
         double best = 1e30;
         for (double bw : kBandwidths) {
             std::vector<double> row;
@@ -69,10 +70,10 @@ RunGrid(benchmark::State &state, const char *net, int batch, bool use_soma)
                     WithBufferAndBandwidth(EdgeAccelerator(), buf, bw);
                 double latency;
                 if (use_soma) {
-                    latency = RunSoma(g, hw, SomaOptsFor(inner, 1))
+                    latency = RunSoma(g, hw, BenchSomaOptions(inner, 1))
                                   .report.latency;
                 } else {
-                    latency = RunCocco(g, hw, CoccoOptsFor(inner, 1))
+                    latency = RunCocco(g, hw, CoccoOptionsFor(inner, 1))
                                   .report.latency;
                 }
                 row.push_back(latency);
@@ -141,8 +142,8 @@ int
 main(int argc, char **argv)
 {
     bench::InitBenchJson(&argc, argv);
-    Profile profile = ProfileFromEnv();
-    std::cout << "bench_fig7_dse profile=" << ProfileName(profile) << "\n";
+    SearchProfile profile = ProfileFromEnv();
+    std::cout << "bench_fig7_dse profile=" << ToString(profile) << "\n";
     for (const char *net : NetsFor(profile)) {
         for (int batch : BatchesFor(profile)) {
             for (bool use_soma : {false, true}) {

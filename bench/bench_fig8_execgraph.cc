@@ -37,9 +37,9 @@ RunCase(benchmark::State &state, const char *net)
         c.net = net;
         c.graph = BuildModelByName(net, 1);
         HardwareConfig hw = EdgeAccelerator();
-        Profile profile = ProfileFromEnv();
-        c.cocco = RunCocco(c.graph, hw, CoccoOptsFor(profile, 1));
-        c.ours = RunSoma(c.graph, hw, SomaOptsFor(profile, 1));
+        SearchProfile profile = ProfileFromEnv();
+        c.cocco = RunCocco(c.graph, hw, CoccoOptionsFor(profile, 1));
+        c.ours = RunSoma(c.graph, hw, BenchSomaOptions(profile, 1));
         if (c.cocco.report.valid && c.ours.report.valid) {
             state.counters["stage1_speedup"] =
                 c.cocco.report.latency / c.ours.stage1_report.latency;
@@ -99,7 +99,7 @@ main(int argc, char **argv)
 {
     bench::InitBenchJson(&argc, argv);
     std::cout << "bench_fig8_execgraph profile="
-              << ProfileName(ProfileFromEnv()) << "\n";
+              << ToString(ProfileFromEnv()) << "\n";
     benchmark::RegisterBenchmark("fig8/resnet50", RunCase, "resnet50")
         ->Unit(benchmark::kSecond)->Iterations(1);
     // The paper's right half shows one block of GPT-2-XL-prefill on the

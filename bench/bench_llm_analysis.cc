@@ -44,14 +44,14 @@ RunPoint(benchmark::State &state, bool xl, bool decode, int batch)
         Graph g = decode ? BuildGpt2Decode(cfg, batch, tokens)
                          : BuildGpt2Prefill(cfg, batch, tokens);
         HardwareConfig hw = xl ? CloudAccelerator() : EdgeAccelerator();
-        Profile profile = ProfileFromEnv();
+        SearchProfile profile = ProfileFromEnv();
 
         LlmRow row;
         row.model = xl ? "gpt2-xl" : "gpt2-small";
         row.phase = decode ? "decode" : "prefill";
         row.batch = batch;
-        row.cocco = RunCocco(g, hw, CoccoOptsFor(profile, 1)).report;
-        row.ours = RunSoma(g, hw, SomaOptsFor(profile, 1)).report;
+        row.cocco = RunCocco(g, hw, CoccoOptionsFor(profile, 1)).report;
+        row.ours = RunSoma(g, hw, BenchSomaOptions(profile, 1)).report;
         row.kv_over_weights =
             2.0 * cfg.layers * batch * tokens * cfg.hidden /
             static_cast<double>(g.TotalWeightBytes());
@@ -67,14 +67,14 @@ int
 main(int argc, char **argv)
 {
     bench::InitBenchJson(&argc, argv);
-    Profile profile = ProfileFromEnv();
-    std::cout << "bench_llm_analysis profile=" << ProfileName(profile)
+    SearchProfile profile = ProfileFromEnv();
+    std::cout << "bench_llm_analysis profile=" << ToString(profile)
               << "\n";
     std::vector<int> batches =
-        profile == Profile::kQuick ? std::vector<int>{1, 4}
-                                   : std::vector<int>{1, 4, 16, 64};
+        profile == SearchProfile::kQuick ? std::vector<int>{1, 4}
+                                         : std::vector<int>{1, 4, 16, 64};
     for (bool xl : {false, true}) {
-        if (xl && profile == Profile::kQuick) continue;
+        if (xl && profile == SearchProfile::kQuick) continue;
         for (int batch : batches) {
             for (bool decode : {false, true}) {
                 // The prefill side only needs a few points to show the

@@ -70,17 +70,16 @@ TimeLoop(int iters, Fn &&fn)
 int
 main(int argc, char **argv)
 {
-    using bench::Profile;
     bench::InitBenchJson(&argc, argv);
-    const Profile profile = bench::ProfileFromEnv();
+    const SearchProfile profile = bench::ProfileFromEnv();
     // Even the quick profile needs real sample sizes: the CI overhead
     // gate is 2%, so each round must be long enough (and the best-of
     // wide enough) that scheduler noise stays well under that.
-    const int eval_iters = profile == Profile::kQuick    ? 150
-                           : profile == Profile::kFull   ? 600
-                                                         : 250;
+    const int eval_iters = profile == SearchProfile::kQuick  ? 150
+                           : profile == SearchProfile::kFull ? 600
+                                                             : 250;
     const int parse_iters = eval_iters / 4 + 1;
-    const int rounds = profile == Profile::kQuick ? 15 : 9;
+    const int rounds = profile == SearchProfile::kQuick ? 15 : 9;
 
     Graph graph = BuildResNet50(1);
     HardwareConfig hw_legacy = EdgeAccelerator();
@@ -145,7 +144,7 @@ main(int argc, char **argv)
 
     std::printf("micro_eval (profile %s, resnet50 bs1, %d tiles / %d "
                 "tensors, best of %d rounds)\n",
-                bench::ProfileName(profile), parsed.NumTiles(),
+                ToString(profile), parsed.NumTiles(),
                 parsed.NumTensors(), rounds);
     PrintRow(parse);
     PrintRow(legacy);

@@ -158,19 +158,15 @@ DlsaWalk(const std::string &name, const ParsedSchedule &parsed,
 int
 main(int argc, char **argv)
 {
-    using bench::Profile;
     bench::InitBenchJson(&argc, argv);
-    const Profile profile = bench::ProfileFromEnv();
-    // Loop sizes come from the same budget table the SomaOptions
-    // presets are built from (SomaBudgetsFor) — bench and facade
-    // profiles cannot drift.
-    const SomaProfileBudgets &budgets = SomaBudgetsFor(
-        profile == Profile::kQuick  ? SearchProfile::kQuick
-        : profile == Profile::kFull ? SearchProfile::kFull
-                                    : SearchProfile::kDefault);
-    const int dlsa_iters = budgets.bench_dlsa_iters;
-    const int lfa_iters = budgets.bench_lfa_iters;
-    const int stage_cap = budgets.bench_stage_iters;
+    const SearchProfile profile = bench::ProfileFromEnv();
+    // Loop sizes: the DLSA and LFA walk lengths and the driver rows'
+    // per-chain iteration cap.
+    const bool quick = profile == SearchProfile::kQuick;
+    const bool full = profile == SearchProfile::kFull;
+    const int dlsa_iters = quick ? 2000 : full ? 50000 : 10000;
+    const int lfa_iters = quick ? 200 : full ? 4000 : 1000;
+    const int stage_cap = quick ? 1500 : full ? 20000 : 6000;
 
     Graph graph = BuildResNet50(1);
     HardwareConfig hw = EdgeAccelerator();
@@ -181,9 +177,9 @@ main(int argc, char **argv)
     LfaEncoding lfa = MakeInitialLfa(graph, hw, 64);
     {
         Rng seed_rng(3);
-        LfaStageOptions seed_opts;
-        seed_opts.beta = 5;
-        seed_opts.max_iterations = 200;
+        SomaOptions seed_opts;
+        seed_opts.lfa.beta = 5;
+        seed_opts.lfa.max_iterations = 200;
         seed_opts.driver.chains = 1;
         seed_opts.driver.threads = 1;
         LfaStageResult seeded = RunLfaStage(graph, hw, core_eval,
@@ -199,7 +195,7 @@ main(int argc, char **argv)
             .Cost();
 
     std::printf("SA hot-path throughput (profile=%s)\n",
-                bench::ProfileName(profile));
+                ToString(profile));
     std::printf("workload=resnet50 b=1: %d tiles, %d DRAM tensors, "
                 "%d LGs\n\n",
                 parsed.NumTiles(), parsed.NumTensors(), parsed.num_lgs);
@@ -347,9 +343,9 @@ main(int argc, char **argv)
     const int hw_threads = ResolveDriverThreads(SearchDriverOptions{});
     std::vector<Row> driver_rows;
     for (int chains : {1, hw_threads > 1 ? hw_threads : 4}) {
-        DlsaStageOptions opts;
-        opts.beta = 1000;
-        opts.max_iterations = stage_cap;
+        SomaOptions opts;
+        opts.dlsa.beta = 1000;
+        opts.dlsa.max_iterations = stage_cap;
         opts.driver.chains = chains;
         opts.driver.threads = hw_threads;
         Rng rng(31);

@@ -45,22 +45,21 @@ SweepPoint(SearchProfile profile, std::uint64_t seed)
 int
 main(int argc, char **argv)
 {
-    using bench::Profile;
     bench::InitBenchJson(&argc, argv);
-    const Profile profile = bench::ProfileFromEnv();
+    const SearchProfile profile = bench::ProfileFromEnv();
 
     int requests;
     SearchProfile search_profile;
     switch (profile) {
-      case Profile::kQuick:
+      case SearchProfile::kQuick:
         requests = 8;
         search_profile = SearchProfile::kQuick;
         break;
-      case Profile::kFull:
+      case SearchProfile::kFull:
         requests = 24;
         search_profile = SearchProfile::kDefault;
         break;
-      case Profile::kDefault:
+      case SearchProfile::kDefault:
       default:
         requests = 16;
         search_profile = SearchProfile::kQuick;
@@ -69,7 +68,7 @@ main(int argc, char **argv)
 
     std::printf("service throughput (profile=%s, %d requests, "
                 "search profile=%s)\n\n",
-                bench::ProfileName(profile), requests,
+                ToString(profile), requests,
                 ToString(search_profile));
 
     SchedulerService service;

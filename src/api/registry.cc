@@ -146,9 +146,12 @@ namespace {
 
 SchedulerRunResult
 RunSomaScheduler(const Graph &graph, const HardwareConfig &hw,
-                 const ScheduleRequest &, const SomaOptions &opts)
+                 const ScheduleRequest &request)
 {
-    SomaSearchResult r = RunSoma(graph, hw, opts);
+    SomaSearchResult r = RunSoma(
+        graph, hw,
+        WithRequestOverrides(SomaOptionsFor(request.profile, request.seed),
+                             request));
     SchedulerRunResult out;
     out.lfa = std::move(r.lfa);
     out.parsed = std::move(r.parsed);
@@ -165,9 +168,12 @@ RunSomaScheduler(const Graph &graph, const HardwareConfig &hw,
 
 SchedulerRunResult
 RunCoccoScheduler(const Graph &graph, const HardwareConfig &hw,
-                  const ScheduleRequest &request, const SomaOptions &)
+                  const ScheduleRequest &request)
 {
-    CoccoResult r = RunCocco(graph, hw, CoccoOptionsForRequest(request));
+    CoccoResult r = RunCocco(
+        graph, hw,
+        WithRequestOverrides(CoccoOptionsFor(request.profile, request.seed),
+                             request));
     SchedulerRunResult out;
     out.lfa = std::move(r.lfa);
     out.parsed = std::move(r.parsed);
@@ -182,13 +188,14 @@ RunCoccoScheduler(const Graph &graph, const HardwareConfig &hw,
 
 SchedulerRunResult
 RunLfaOnlyScheduler(const Graph &graph, const HardwareConfig &hw,
-                    const ScheduleRequest &, const SomaOptions &raw_opts)
+                    const ScheduleRequest &request)
 {
-    SomaOptions opts = PropagateSomaOptions(raw_opts);
+    const SomaOptions opts = WithRequestOverrides(
+        SomaOptionsFor(request.profile, request.seed), request);
     const CoreArrayEvaluator core_eval(graph, hw);
     Rng rng(opts.seed);
-    LfaStageResult r = RunLfaStage(graph, hw, core_eval, hw.gbuf_bytes,
-                                   opts.lfa, rng);
+    LfaStageResult r =
+        RunLfaStage(graph, hw, core_eval, hw.gbuf_bytes, opts, rng);
     SchedulerRunResult out;
     out.lfa = std::move(r.lfa);
     out.parsed = std::move(r.parsed);

@@ -97,13 +97,13 @@ struct SchedulerRunResult {
 };
 
 /**
- * An exploration strategy. @p opts is the request's resolved
- * SomaOptions (profile budgets + objective + driver overrides); the raw
- * request is also passed for strategies with their own knobs.
+ * An exploration strategy. It resolves its own options from
+ * @p request: the builtins apply WithRequestOverrides to
+ * SomaOptionsFor / CoccoOptionsFor of the request's profile and seed.
  */
 using SchedulerFn = std::function<SchedulerRunResult(
     const Graph &graph, const HardwareConfig &hw,
-    const ScheduleRequest &request, const SomaOptions &opts)>;
+    const ScheduleRequest &request)>;
 
 class SchedulerRegistry {
   public:

@@ -1,33 +1,10 @@
 #include "api/request.h"
 
-#include <chrono>
 #include <cmath>
 
 #include "common/hash.h"
-#include "obs/clock.h"
 
 namespace soma {
-
-const char *
-ToString(SearchProfile profile)
-{
-    switch (profile) {
-      case SearchProfile::kQuick: return "quick";
-      case SearchProfile::kDefault: return "default";
-      case SearchProfile::kFull: return "full";
-    }
-    return "?";
-}
-
-bool
-ParseSearchProfile(const std::string &name, SearchProfile *out)
-{
-    if (name == "quick") *out = SearchProfile::kQuick;
-    else if (name == "default") *out = SearchProfile::kDefault;
-    else if (name == "full") *out = SearchProfile::kFull;
-    else return false;
-    return true;
-}
 
 namespace {
 
@@ -495,74 +472,6 @@ ScheduleResult::FromJson(const Json &json, ScheduleResult *out,
         out->num_computes = count("computes");
     }
     return true;
-}
-
-namespace {
-
-/** The runtime-hook wiring shared by both option resolvers: point the
- *  driver at the request's cancel flag, deadline cutoff and span
- *  tracer. The facade pre-resolves deadline_tp at pipeline start;
- *  requests built outside a pipeline (direct option-resolver callers)
- *  anchor here. */
-void
-ApplyStopRequest(const ScheduleRequest &request, SearchDriverOptions *driver)
-{
-    driver->cancel = request.cancel;
-    driver->trace = request.trace;
-    if (request.deadline_tp.time_since_epoch().count() != 0) {
-        driver->deadline = request.deadline_tp;
-    } else if (request.deadline_ms > 0) {
-        driver->deadline = obs::MonotonicNow() +
-                           std::chrono::milliseconds(request.deadline_ms);
-    }
-}
-
-}  // namespace
-
-SomaOptions
-SomaOptionsForRequest(const ScheduleRequest &request)
-{
-    SomaOptions opts;
-    switch (request.profile) {
-      case SearchProfile::kQuick:
-        opts = QuickSomaOptions(request.seed);
-        break;
-      case SearchProfile::kDefault:
-        opts = DefaultSomaOptions(request.seed);
-        break;
-      case SearchProfile::kFull:
-        opts = FullSomaOptions(request.seed);
-        break;
-    }
-    opts.cost_n = request.cost_n;
-    opts.cost_m = request.cost_m;
-    if (request.chains > 0) opts.driver.chains = request.chains;
-    if (request.threads > 0) opts.driver.threads = request.threads;
-    ApplyStopRequest(request, &opts.driver);
-    return opts;
-}
-
-CoccoOptions
-CoccoOptionsForRequest(const ScheduleRequest &request)
-{
-    CoccoOptions opts;
-    switch (request.profile) {
-      case SearchProfile::kQuick:
-        opts = QuickCoccoOptions(request.seed);
-        break;
-      case SearchProfile::kDefault:
-        opts = DefaultCoccoOptions(request.seed);
-        break;
-      case SearchProfile::kFull:
-        opts = FullCoccoOptions(request.seed);
-        break;
-    }
-    opts.cost_n = request.cost_n;
-    opts.cost_m = request.cost_m;
-    if (request.chains > 0) opts.driver.chains = request.chains;
-    if (request.threads > 0) opts.driver.threads = request.threads;
-    ApplyStopRequest(request, &opts.driver);
-    return opts;
 }
 
 }  // namespace soma

@@ -26,7 +26,6 @@
 #include <memory>
 #include <string>
 
-#include "baselines/cocco.h"
 #include "common/json.h"
 #include "search/soma.h"
 #include "sim/report.h"
@@ -37,10 +36,6 @@ namespace soma {
 namespace obs {
 class Tracer;
 }
-
-/** SearchProfile (search/soma.h) names: "quick", "default", "full". */
-const char *ToString(SearchProfile profile);
-bool ParseSearchProfile(const std::string &name, SearchProfile *out);
 
 /**
  * The one seed rule, shared by a request's "seed" and a sweep's
@@ -138,7 +133,7 @@ struct ScheduleRequest {
 
     /**
      * Cooperative cancel flag polled inside the search (every
-     * SaOptions::cancel_check_interval iterations) and at phase
+     * kStopCheckInterval iterations, search/driver.h) and at phase
      * boundaries. Point it at your own atomic to cancel a running
      * Schedule() from another thread. Not serialized.
      */
@@ -274,15 +269,25 @@ Json ReportToJson(const EvalReport &report);
 bool ReportFromJson(const Json &json, EvalReport *out, std::string *err);
 
 /**
- * Resolve a request's profile/seed/objective/driver overrides into the
- * canonical SomaOptions (Quick/Default/FullSomaOptions + overrides).
- * The same resolution feeds every registered scheduler, so "same
- * request" means "same search" no matter which path ran it.
+ * Apply @p request's objective, driver and stop overrides to options
+ * resolved from its profile and seed (SomaOptionsFor, CoccoOptionsFor):
+ * the one resolution every builtin scheduler uses, so "same request"
+ * means "same search" no matter which path ran it. The stop request
+ * is the request's cancel flag and its resolved deadline_tp.
  */
-SomaOptions SomaOptionsForRequest(const ScheduleRequest &request);
-
-/** The Cocco-baseline equivalent (mirrors the bench profiles). */
-CoccoOptions CoccoOptionsForRequest(const ScheduleRequest &request);
+template <typename Options>
+Options
+WithRequestOverrides(Options opts, const ScheduleRequest &request)
+{
+    opts.cost_n = request.cost_n;
+    opts.cost_m = request.cost_m;
+    if (request.chains > 0) opts.driver.chains = request.chains;
+    if (request.threads > 0) opts.driver.threads = request.threads;
+    opts.driver.cancel = request.cancel;
+    opts.driver.deadline = request.deadline_tp;
+    opts.driver.trace = request.trace;
+    return opts;
+}
 
 }  // namespace soma
 

@@ -167,7 +167,6 @@ Scheduler::Schedule(const ScheduleRequest &original) const
     const SchedulerFn *scheduler_fn =
         schedulers_.Find(request.scheduler, &err);
     if (!scheduler_fn) return fail(err);
-    const SomaOptions opts = SomaOptionsForRequest(request);
 
     if (tracer) {
         std::vector<obs::SpanArg> args;
@@ -182,7 +181,7 @@ Scheduler::Schedule(const ScheduleRequest &original) const
     // ---- search: the expensive phase.
     progress("search");
     const auto t_search = MonotonicNow();
-    SchedulerRunResult run = (*scheduler_fn)(*graph, hw, request, opts);
+    SchedulerRunResult run = (*scheduler_fn)(*graph, hw, request);
     const auto t_search_end = MonotonicNow();
     result.stats.search_seconds =
         std::chrono::duration<double>(t_search_end - t_search).count();

@@ -20,15 +20,15 @@
  *
  * Cancellation is cooperative and iteration-granular: the caller sets
  * the atomic ScheduleRequest::cancel points at, the annealing loops
- * poll it every SaOptions::cancel_check_interval iterations
- * (RunSaWindow), and the pipeline gives up at the next phase boundary
+ * poll it every kStopCheckInterval iterations (RunSaWindow,
+ * search/driver.h), and the pipeline gives up at the next phase boundary
  * with error "cancelled". ScheduleRequest::deadline_ms rides the same
  * mechanism: the search stops once the wall-clock budget is spent and
  * the result is marked deadline_expired (ok with the best-so-far scheme
  * if one was found, an error otherwise).
  *
- * The legacy free functions (RunSoma, RunCocco, GenerateIr, ...) remain
- * as thin compatibility wrappers — the facade is built from them.
+ * The facade is built from the free functions that implement each step
+ * (RunSoma, RunCocco, GenerateIr, ...), which stay callable directly.
  */
 #ifndef SOMA_API_SCHEDULER_H
 #define SOMA_API_SCHEDULER_H

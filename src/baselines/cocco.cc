@@ -12,31 +12,14 @@
 namespace soma {
 
 CoccoOptions
-QuickCoccoOptions(std::uint64_t seed)
+CoccoOptionsFor(SearchProfile profile, std::uint64_t seed)
 {
+    const ProfileBudgets &b = BudgetsFor(profile);
     CoccoOptions opts;
     opts.seed = seed;
-    opts.beta = 10;
-    opts.max_iterations = 600;
-    return opts;
-}
-
-CoccoOptions
-DefaultCoccoOptions(std::uint64_t seed)
-{
-    CoccoOptions opts;
-    opts.seed = seed;
-    opts.beta = 40;
-    opts.max_iterations = 4000;
-    return opts;
-}
-
-CoccoOptions
-FullCoccoOptions(std::uint64_t seed)
-{
-    CoccoOptions opts = DefaultCoccoOptions(seed);
-    opts.beta = 100;
-    opts.max_iterations = 20000;
+    opts.beta = b.cocco_beta;
+    opts.max_iterations = b.cocco_max_iterations;
+    opts.driver.chains = b.cocco_chains;
     return opts;
 }
 
@@ -111,11 +94,10 @@ RunCocco(const Graph &graph, const HardwareConfig &hw,
     const ParseOptions popts{/*lg_resident_weights=*/true};
 
     auto eval_with = [&graph, &hw, &core_eval, popts, total_ops,
-                      cap = opts.tiling_cap, n = opts.cost_n,
-                      m = opts.cost_m](EvalContext &ctx,
-                                       const CoccoState &state) -> double {
+                      n = opts.cost_n, m = opts.cost_m](
+                         EvalContext &ctx, const CoccoState &state) -> double {
         LfaEncoding lfa = MakeCoccoLfa(graph, hw, state.order, state.cuts,
-                                       cap);
+                                       kTilingCap);
         const ParsedSchedule &parsed =
             ctx.Parse(graph, lfa, core_eval, popts);
         if (!parsed.valid) return std::numeric_limits<double>::infinity();
@@ -152,9 +134,8 @@ RunCocco(const Graph &graph, const HardwareConfig &hw,
         }
     }
 
-    SaOptions sa = opts.sa;
-    sa.iterations = std::min(opts.max_iterations,
-                             opts.beta * graph.NumLayers());
+    const int iterations =
+        std::min(opts.max_iterations, opts.beta * graph.NumLayers());
 
     auto make_env = [&](int /*chain*/) {
         ChainEnv<CoccoState> env;
@@ -169,11 +150,11 @@ RunCocco(const Graph &graph, const HardwareConfig &hw,
         return env;
     };
     CoccoResult result;
-    result.stats = RunDriverAndAdopt<CoccoState>(make_env, sa, opts.driver,
-                                                 rng, &state, &cost);
+    result.stats = RunDriverAndAdopt<CoccoState>(
+        make_env, iterations, opts.driver, rng, &state, &cost);
     result.cost = cost;
-    result.lfa = MakeCoccoLfa(graph, hw, state.order, state.cuts,
-                              opts.tiling_cap);
+    result.lfa =
+        MakeCoccoLfa(graph, hw, state.order, state.cuts, kTilingCap);
     result.parsed = ParseLfa(graph, result.lfa, core_eval, popts);
     result.dlsa = MakeCoccoDlsa(result.parsed);
     result.report = EvaluateSchedule(graph, hw, result.parsed, result.dlsa,

@@ -14,25 +14,23 @@
 #include "corearray/core_array.h"
 #include "notation/encoding.h"
 #include "search/driver.h"
-#include "search/sa.h"
+#include "search/soma.h"
 #include "sim/report.h"
 
 namespace soma {
 
-/** Cocco search hyperparameters. */
+/** Cocco search settings. */
 struct CoccoOptions {
     int beta = 100;             ///< iterations = beta * num_layers
     int max_iterations = 8000;
-    int tiling_cap = 64;
-    double cost_n = 1.0;
-    double cost_m = 1.0;
-    std::uint64_t seed = 1;
     /** Greedy fusion seeding, mirroring the LFA stage's. Cocco's real
      *  genetic search explores grouping thoroughly; the seed keeps the
      *  laptop-budget comparison about the scheduling space, not the
      *  optimizer budget. */
     bool greedy_seed = true;
-    SaOptions sa;
+    double cost_n = 1.0;
+    double cost_m = 1.0;
+    std::uint64_t seed = 1;
     SearchDriverOptions driver;
 };
 
@@ -46,15 +44,9 @@ struct CoccoResult {
     SaStats stats;
 };
 
-/** A quick profile mirroring QuickSomaOptions. */
-CoccoOptions QuickCoccoOptions(std::uint64_t seed = 1);
-
-/** The default evaluation profile used by the benches. */
-CoccoOptions DefaultCoccoOptions(std::uint64_t seed = 1);
-
-/** Paper-fidelity budgets mirroring FullSomaOptions: the benches' and
- *  the API's "full" profile. */
-CoccoOptions FullCoccoOptions(std::uint64_t seed = 1);
+/** The Cocco options of @p profile (the Cocco rows of BudgetsFor),
+ *  seeded with @p seed. */
+CoccoOptions CoccoOptionsFor(SearchProfile profile, std::uint64_t seed = 1);
 
 /** Run the Cocco exploration. */
 CoccoResult RunCocco(const Graph &graph, const HardwareConfig &hw,

@@ -22,8 +22,8 @@
  * intrusive list of function-local statics; ProfSnapshot() walks the
  * list into a name-sorted vector. Counters only ever accumulate —
  * consumers diff two snapshots to attribute cost to a phase (see
- * Scheduler::Schedule, which feeds the eval.timeline share of
- * search time into the metrics registry).
+ * Scheduler::Schedule, which feeds each site's per-request
+ * prof.<site>.{calls,nanos} deltas into the metrics registry).
  */
 #ifndef SOMA_OBS_PROF_H
 #define SOMA_OBS_PROF_H

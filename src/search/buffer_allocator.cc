@@ -5,19 +5,18 @@
 #include "common/logging.h"
 #include "obs/trace.h"
 #include "search/dlsa_heuristics.h"
+#include "search/soma.h"
 #include "sim/evaluator.h"
 
 namespace soma {
 
 SomaSearchResult
 RunBufferAllocatedSearch(const Graph &graph, const HardwareConfig &hw,
-                         const LfaStageOptions &lfa_opts,
-                         const DlsaStageOptions &dlsa_opts,
-                         const BufferAllocatorOptions &opts, Rng &rng)
+                         const SomaOptions &opts, Rng &rng)
 {
     SomaSearchResult best;
     best.cost = std::numeric_limits<double>::infinity();
-    obs::Tracer *const tracer = lfa_opts.driver.trace;
+    obs::Tracer *const tracer = opts.driver.trace;
     obs::SpanScope search_span(tracer, "alloc.search");
 
     const CoreArrayEvaluator core_eval(graph, hw);
@@ -25,7 +24,7 @@ RunBufferAllocatedSearch(const Graph &graph, const HardwareConfig &hw,
 
     // Keep the result well-formed even if no valid scheme is ever found
     // (reports stay invalid; encodings stay consistent).
-    best.lfa = MakeInitialLfa(graph, hw, lfa_opts.tiling_cap);
+    best.lfa = MakeInitialLfa(graph, hw, kTilingCap);
     best.parsed = ParseLfa(graph, best.lfa, core_eval);
     best.stage1_dlsa = MakeDoubleBufferDlsa(best.parsed);
     best.dlsa = best.stage1_dlsa;
@@ -33,17 +32,17 @@ RunBufferAllocatedSearch(const Graph &graph, const HardwareConfig &hw,
     Bytes buffer_max = 0;
     int no_improve = 0;
 
-    for (int iter = 0; iter < opts.max_iterations; ++iter) {
+    for (int iter = 0; iter < opts.alloc.max_iterations; ++iter) {
         // Cooperative stop between outer iterations; the stages below
-        // additionally stop iteration-granularly via the same flag.
-        if (DriverStopRequested(lfa_opts.driver)) break;
+        // additionally stop iteration-granularly via the same request.
+        if (StopRequested(opts.driver)) break;
         Bytes stage_budget;
         if (iter == 0) {
             stage_budget = hw.gbuf_bytes;
         } else {
             stage_budget = buffer_max -
                            static_cast<Bytes>(std::llround(
-                               static_cast<double>(iter) * opts.shrink_frac *
+                               static_cast<double>(iter) * kAllocShrinkFrac *
                                static_cast<double>(buffer_max)));
             if (stage_budget <= 0) break;
         }
@@ -54,14 +53,14 @@ RunBufferAllocatedSearch(const Graph &graph, const HardwareConfig &hw,
                       static_cast<std::int64_t>(stage_budget));
 
         LfaStageResult s1 = RunLfaStage(graph, hw, core_eval, stage_budget,
-                                        lfa_opts, rng);
+                                        opts, rng);
         AccumulateSaStats(&best.lfa_stats, s1.stats);
         if (!s1.report.valid) {
             SOMA_INFO << "buffer allocator iter " << iter
                       << ": stage 1 found no valid scheme under budget "
                       << stage_budget;
             ++no_improve;
-            if (no_improve >= opts.patience && iter > 0) break;
+            if (no_improve >= kAllocPatience && iter > 0) break;
             continue;
         }
         if (iter == 0) {
@@ -70,7 +69,7 @@ RunBufferAllocatedSearch(const Graph &graph, const HardwareConfig &hw,
         }
 
         DlsaStageResult s2 = RunDlsaStage(graph, hw, s1.parsed, s1.dlsa,
-                                          hw.gbuf_bytes, dlsa_opts, rng);
+                                          hw.gbuf_bytes, opts, rng);
         AccumulateSaStats(&best.dlsa_stats, s2.stats);
 
         best.iteration_costs.push_back(s2.cost);
@@ -92,7 +91,7 @@ RunBufferAllocatedSearch(const Graph &graph, const HardwareConfig &hw,
             no_improve = 0;
         } else {
             ++no_improve;
-            if (no_improve >= opts.patience) break;
+            if (no_improve >= kAllocPatience) break;
         }
     }
     search_span.Arg("outer_iterations",

@@ -3,9 +3,10 @@
  * The Buffer Allocator (Sec. V-B): the outermost iteration that divides
  * the GBUF between the two competing stages. Iteration 0 gives stage 1
  * the whole buffer; each following iteration shrinks the stage-1 budget
- * by shrink_frac of the first iteration's peak usage (BufferMax),
+ * by kAllocShrinkFrac of the first iteration's peak usage (BufferMax),
  * leaving headroom for the DLSA stage's prefetching. Stops when two
- * consecutive iterations fail to improve the best overall cost.
+ * (kAllocPatience) consecutive iterations fail to improve the best
+ * overall cost.
  */
 #ifndef SOMA_SEARCH_BUFFER_ALLOCATOR_H
 #define SOMA_SEARCH_BUFFER_ALLOCATOR_H
@@ -17,11 +18,16 @@
 
 namespace soma {
 
-/** Outer-loop hyperparameters. */
+/** Share of BufferMax each outer iteration removes from the stage-1
+ *  budget. */
+constexpr double kAllocShrinkFrac = 0.10;
+/** The allocator stops after this many consecutive non-improving
+ *  outer iterations. */
+constexpr int kAllocPatience = 2;
+
+/** Outer-loop budget. */
 struct BufferAllocatorOptions {
-    double shrink_frac = 0.10;  ///< a% of BufferMax removed per iteration
-    int max_iterations = 6;     ///< hard cap on outer iterations
-    int patience = 2;           ///< stop after this many non-improvements
+    int max_iterations = 6;  ///< hard cap on outer iterations
 };
 
 /** The best complete scheme found by the two-stage search. */
@@ -40,13 +46,13 @@ struct SomaSearchResult {
 };
 
 /**
- * Run the Buffer-Allocator-wrapped two-stage search.
+ * Run the Buffer-Allocator-wrapped two-stage search: every stage reads
+ * its budget, the objective and the driver from @p opts and draws from
+ * @p rng.
  */
 SomaSearchResult RunBufferAllocatedSearch(const Graph &graph,
                                           const HardwareConfig &hw,
-                                          const LfaStageOptions &lfa_opts,
-                                          const DlsaStageOptions &dlsa_opts,
-                                          const BufferAllocatorOptions &opts,
+                                          const SomaOptions &opts,
                                           Rng &rng);
 
 }  // namespace soma

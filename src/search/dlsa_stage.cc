@@ -6,6 +6,7 @@
 
 #include "obs/trace.h"
 #include "search/dlsa_heuristics.h"
+#include "search/soma.h"
 #include "sim/eval_context.h"
 #include "sim/evaluator.h"
 
@@ -109,7 +110,7 @@ DlsaMutator::operator()(const DlsaEncoding &cur, DlsaEncoding *next,
 DlsaStageResult
 RunDlsaStage(const Graph &graph, const HardwareConfig &hw,
              const ParsedSchedule &parsed, const DlsaEncoding &initial,
-             Bytes buffer_budget, const DlsaStageOptions &opts, Rng &rng)
+             Bytes buffer_budget, const SomaOptions &opts, Rng &rng)
 {
     const Ops total_ops = graph.TotalOps();
     obs::SpanScope stage_span(opts.driver.trace, "dlsa.stage");
@@ -145,10 +146,9 @@ RunDlsaStage(const Graph &graph, const HardwareConfig &hw,
         }
     }
 
-    SaOptions sa = opts.sa;
-    sa.iterations = static_cast<int>(std::min<std::int64_t>(
-        opts.max_iterations,
-        static_cast<std::int64_t>(opts.beta) *
+    const int iterations = static_cast<int>(std::min<std::int64_t>(
+        opts.dlsa.max_iterations,
+        static_cast<std::int64_t>(opts.dlsa.beta) *
             std::max(1, parsed.NumTensors())));
 
     // Each chain owns an EvalContext whose committed base tracks the
@@ -191,7 +191,7 @@ RunDlsaStage(const Graph &graph, const HardwareConfig &hw,
     };
 
     result.stats = RunDriverAndAdopt<DlsaEncoding>(
-        make_env, sa, opts.driver, rng, &result.dlsa, &result.cost);
+        make_env, iterations, opts.driver, rng, &result.dlsa, &result.cost);
     result.report = EvaluateSchedule(graph, hw, parsed, result.dlsa,
                                      buffer_budget, total_ops);
     stage_span.Arg("iterations", static_cast<std::int64_t>(

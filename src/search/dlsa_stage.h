@@ -11,7 +11,6 @@
 #include "notation/encoding.h"
 #include "notation/parser.h"
 #include "search/driver.h"
-#include "search/sa.h"
 #include "sim/eval_context.h"
 #include "sim/report.h"
 
@@ -38,15 +37,14 @@ class DlsaMutator {
     std::vector<double> weights_;  ///< per-tensor byte sizes
 };
 
-/** Hyperparameters of the DLSA stage. */
+/** Budget of the DLSA stage; the objective and driver come from the
+ *  SomaOptions the stage is run with. */
 struct DlsaStageOptions {
     int beta = 1000;            ///< iterations = beta * num_tensors
     int max_iterations = 20000; ///< scaled-down cap (see DESIGN.md)
-    double cost_n = 1.0;
-    double cost_m = 1.0;
-    SaOptions sa;
-    SearchDriverOptions driver;
 };
+
+struct SomaOptions;  // search/soma.h
 
 /** Best DLSA found for the given parse. */
 struct DlsaStageResult {
@@ -58,13 +56,14 @@ struct DlsaStageResult {
 
 /**
  * Run the DLSA stage over @p parsed with the full hardware budget
- * @p buffer_budget, starting from @p initial.
+ * @p buffer_budget, starting from @p initial, with the budget in
+ * opts.dlsa and the objective and driver of @p opts.
  */
 DlsaStageResult RunDlsaStage(const Graph &graph, const HardwareConfig &hw,
                              const ParsedSchedule &parsed,
                              const DlsaEncoding &initial,
-                             Bytes buffer_budget,
-                             const DlsaStageOptions &opts, Rng &rng);
+                             Bytes buffer_budget, const SomaOptions &opts,
+                             Rng &rng);
 
 }  // namespace soma
 

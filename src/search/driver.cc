@@ -1,16 +1,26 @@
 #include "search/driver.h"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
 namespace soma {
 
+namespace {
+
+int
+HardwareThreads()
+{
+    unsigned hc = std::thread::hardware_concurrency();
+    return hc > 0 ? static_cast<int>(hc) : 1;
+}
+
+}  // namespace
+
 int
 ResolveDriverThreads(const SearchDriverOptions &opts)
 {
-    if (opts.threads > 0) return opts.threads;
-    unsigned hc = std::thread::hardware_concurrency();
-    return hc > 0 ? static_cast<int>(hc) : 1;
+    return opts.threads > 0 ? opts.threads : HardwareThreads();
 }
 
 std::uint64_t
@@ -29,7 +39,11 @@ DeriveChainSeed(std::uint64_t base, int chain)
 void
 RunOnWorkers(int threads, int tasks, const std::function<void(int)> &fn)
 {
-    if (threads <= 1 || tasks == 1) {
+    // Workers beyond the core count only add start-up cost, and a
+    // request for a million threads could not start them: cap at the
+    // cores.
+    const int spawn = std::min({threads, tasks, HardwareThreads()});
+    if (spawn <= 1) {
         for (int i = 0; i < tasks; ++i) fn(i);
         return;
     }
@@ -42,7 +56,6 @@ RunOnWorkers(int threads, int tasks, const std::function<void(int)> &fn)
         }
     };
     std::vector<std::thread> team;
-    const int spawn = std::min(threads, tasks);
     team.reserve(spawn - 1);
     for (int t = 1; t < spawn; ++t) team.emplace_back(worker);
     worker();

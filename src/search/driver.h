@@ -8,8 +8,9 @@
  * restores the paper's throughput model: every exploration stage
  * (RunLfaStage, RunDlsaStage, the Cocco baseline) hands its mutate /
  * evaluate closures to RunSearchDriver, which anneals `chains`
- * independent walks in `exchange_rounds` temperature windows and
- * migrates the globally best state into lagging chains between windows.
+ * independent walks in kExchangeRounds temperature windows
+ * (RunSaWindow) and migrates the globally best state into lagging
+ * chains between windows.
  *
  * Determinism: each chain draws from its own Rng stream derived from
  * the driver seed via SplitMix64, chains only interact at the
@@ -28,57 +29,67 @@
 #ifndef SOMA_SEARCH_DRIVER_H
 #define SOMA_SEARCH_DRIVER_H
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "obs/clock.h"
 #include "obs/trace.h"
 #include "search/sa.h"
 
 namespace soma {
 
-/** Parallel-search hyperparameters shared by all exploration stages. */
+/** Temperature windows per driver run; chains exchange their best
+ *  states at window boundaries. */
+constexpr int kExchangeRounds = 4;
+
+/** Iterations between two polls of the stop request inside a window. */
+constexpr int kStopCheckInterval = 64;
+
+/** Parallel-search settings shared by all exploration stages. */
 struct SearchDriverOptions {
     /** Independently seeded annealing chains (K). Each chain anneals
-     *  the full SaOptions::iterations budget; raising K widens the
+     *  the stage's full iteration budget; raising K widens the
      *  exploration like the paper's multi-seed server runs. */
     int chains = 2;
     /** Worker threads; 0 = std::thread::hardware_concurrency(). The
      *  thread count never changes results, only wall-clock time. */
     int threads = 0;
-    /** Temperature windows per run; chains exchange their best states
-     *  at window boundaries (no exchange happens with 1 window). */
-    int exchange_rounds = 4;
     /**
-     * Cooperative stop, shared by every stage of a request: the driver
-     * copies both fields into the SaOptions of each annealing window
-     * (RunSaWindow polls them every cancel_check_interval iterations)
-     * and skips remaining exchange rounds once either fires. The facade
-     * copies `cancel` from ScheduleRequest::cancel and derives
-     * `deadline` from ScheduleRequest::deadline_ms. Defaults mean "never stop
-     * early" and leave results bit-identical to unconstrained runs.
+     * The one cooperative stop request of a search: RunSaWindow polls
+     * it every kStopCheckInterval iterations, the driver skips its
+     * remaining exchange rounds and the buffer allocator its remaining
+     * outer iterations once either fires. The facade copies `cancel`
+     * from ScheduleRequest::cancel and `deadline` from the request's
+     * resolved deadline_ms cutoff. Defaults mean "never stop early"
+     * and leave results bit-identical to unconstrained runs.
      */
     const std::atomic<bool> *cancel = nullptr;
+    /** Wall-clock cutoff; time_point{} (the default) means none. */
     std::chrono::steady_clock::time_point deadline{};
     /**
      * Optional span tracer (obs/trace.h). When set, every chain's
      * annealing window records one "sa.window" span (args: chain,
-     * round, iteration range). Observational only: spans read walk
-     * state, never steer it, so attaching a tracer leaves results
-     * bit-identical — like `threads`, it is excluded from request
-     * fingerprints. Propagated from SomaOptions.driver into both
-     * stages by PropagateSomaOptions.
+     * round, iteration range), and the stages and the buffer allocator
+     * record theirs. Observational only: spans read walk state, never
+     * steer it, so attaching a tracer leaves results bit-identical —
+     * like `threads`, it is excluded from request fingerprints.
      */
     obs::Tracer *trace = nullptr;
 };
 
-/** True once @p opts's cancel flag is set or its deadline has passed.
- *  The between-stage twin of SaStopRequested (sa.h). */
+/** True once @p opts's cancel flag is set or its deadline has passed. */
 inline bool
-DriverStopRequested(const SearchDriverOptions &opts)
+StopRequested(const SearchDriverOptions &opts)
 {
-    return StopRequested(opts.cancel, opts.deadline);
+    if (opts.cancel && opts.cancel->load(std::memory_order_relaxed))
+        return true;
+    return opts.deadline.time_since_epoch().count() != 0 &&
+           obs::MonotonicNow() >= opts.deadline;
 }
 
 /** Effective worker count for @p opts (resolves threads == 0). */
@@ -89,12 +100,77 @@ int ResolveDriverThreads(const SearchDriverOptions &opts);
 std::uint64_t DeriveChainSeed(std::uint64_t base, int chain);
 
 /**
- * Run @p tasks independent jobs on up to @p threads workers. Jobs are
- * claimed from an atomic counter; fn(i) must only touch job-i state.
- * Runs inline when threads <= 1 or tasks == 1.
+ * Run @p tasks independent jobs on up to @p threads workers, and never
+ * on more than std::thread::hardware_concurrency(). Jobs are claimed
+ * from an atomic counter; fn(i) must only touch job-i state. Runs
+ * inline when that leaves one worker.
  */
 void RunOnWorkers(int threads, int tasks,
                   const std::function<void(int)> &fn);
+
+/**
+ * Anneal iterations [begin, end) of an @p iterations-long schedule.
+ *
+ * @p current / @p current_cost is the walking state, @p best /
+ * @p best_cost the best state ever seen; both are updated in place so a
+ * later window (or another chain, via the driver's exchange) can
+ * continue the walk. @p mutate proposes a neighbour (returning false
+ * to signal "no move possible"); @p evaluate returns the cost (+inf for
+ * invalid schemes, which are then rejected unless the current state is
+ * itself invalid). @p on_accept, when set, fires right after a candidate
+ * is accepted — the hook incremental evaluation contexts use to promote
+ * the candidate's scratch state to the new base (EvalContext::Commit).
+ * Counters are accumulated into @p stats. Once @p stop requests a stop,
+ * the window returns early with only the iterations actually annealed
+ * accounted for, and current/best reflect every one of them, so a
+ * stopped search still yields its best-so-far. Without a cancel flag
+ * or deadline no check runs.
+ */
+template <typename State>
+void
+RunSaWindow(State *current, double *current_cost, State *best,
+            double *best_cost,
+            const std::function<bool(const State &, State *, Rng &)> &mutate,
+            const std::function<double(const State &)> &evaluate,
+            int iterations, const SearchDriverOptions &stop, Rng &rng,
+            int begin, int end, SaStats *stats,
+            const std::function<void(const State &)> &on_accept = nullptr)
+{
+    const int greedy_from =
+        iterations - static_cast<int>(iterations * kSaGreedyTail);
+    const bool may_stop = stop.cancel != nullptr ||
+                          stop.deadline.time_since_epoch().count() != 0;
+    int until_check = kStopCheckInterval;
+    State candidate;  // hoisted: reuses its capacity across iterations
+    for (int n = begin; n < end; ++n) {
+        if (may_stop && --until_check <= 0) {
+            until_check = kStopCheckInterval;
+            if (StopRequested(stop)) return;
+        }
+        ++stats->iterations;
+        if (!mutate(*current, &candidate, rng)) {
+            ++stats->no_move;
+            continue;
+        }
+        double cand_cost = evaluate(candidate);
+        ++stats->evaluated;
+        double temp = SaTemperature(iterations, n);
+        bool greedy = n >= greedy_from;
+        if (SaAccept(*current_cost, cand_cost, temp, greedy, rng)) {
+            std::swap(*current, candidate);
+            *current_cost = cand_cost;
+            ++stats->accepted;
+            if (on_accept) on_accept(*current);
+            if (*current_cost < *best_cost) {
+                *best = *current;
+                *best_cost = *current_cost;
+                ++stats->improved;
+            }
+        } else {
+            ++stats->rejected;
+        }
+    }
+}
 
 /**
  * The per-chain search environment. Built once per chain by the
@@ -132,27 +208,20 @@ struct DriverResult {
 };
 
 /**
- * Anneal @p opts.chains chains from @p initial / @p initial_cost.
- * @p make_env is called once per chain, serially, before any worker
- * starts; the returned closures are then only invoked from that
- * chain's worker.
+ * Anneal @p opts.chains chains of @p iterations each from @p initial /
+ * @p initial_cost. @p make_env is called once per chain, serially,
+ * before any worker starts; the returned closures are then only
+ * invoked from that chain's worker.
  */
 template <typename State>
 DriverResult<State>
 RunSearchDriver(const State &initial, double initial_cost,
                 const std::function<ChainEnv<State>(int)> &make_env,
-                const SaOptions &sa, const SearchDriverOptions &opts,
+                int iterations, const SearchDriverOptions &opts,
                 std::uint64_t seed)
 {
     const int chains = std::max(1, opts.chains);
     const int threads = std::min(ResolveDriverThreads(opts), chains);
-
-    // Windows inherit the driver-level stop request (unless the stage
-    // already wired its own flag into the SaOptions directly).
-    SaOptions sa_eff = sa;
-    if (!sa_eff.cancel) sa_eff.cancel = opts.cancel;
-    if (sa_eff.deadline.time_since_epoch().count() == 0)
-        sa_eff.deadline = opts.deadline;
 
     struct Chain {
         State current, best;
@@ -175,13 +244,12 @@ RunSearchDriver(const State &initial, double initial_cost,
         pool.back().stats.initial_cost = initial_cost;
     }
 
-    const int rounds =
-        std::max(1, std::min(opts.exchange_rounds, sa.iterations));
+    const int rounds = std::max(1, std::min(kExchangeRounds, iterations));
     for (int r = 0; r < rounds; ++r) {
         const int begin = static_cast<int>(
-            static_cast<std::int64_t>(sa.iterations) * r / rounds);
+            static_cast<std::int64_t>(iterations) * r / rounds);
         const int end = static_cast<int>(
-            static_cast<std::int64_t>(sa.iterations) * (r + 1) / rounds);
+            static_cast<std::int64_t>(iterations) * (r + 1) / rounds);
         RunOnWorkers(threads, chains, [&](int c) {
             Chain &ch = pool[c];
             obs::SpanScope span(opts.trace, "sa.window");
@@ -193,14 +261,14 @@ RunSearchDriver(const State &initial, double initial_cost,
                 ch.env.on_adopt(ch.current, ch.current_cost);
             RunSaWindow<State>(&ch.current, &ch.current_cost, &ch.best,
                                &ch.best_cost, ch.env.mutate, ch.env.evaluate,
-                               sa_eff, ch.rng, begin, end, &ch.stats,
-                               ch.env.on_accept);
+                               iterations, opts, ch.rng, begin, end,
+                               &ch.stats, ch.env.on_accept);
             span.Arg("evaluated",
                      static_cast<std::int64_t>(ch.stats.evaluated));
             span.Arg("best_cost", ch.best_cost);
             if (ch.env.annotate) ch.env.annotate(span);
         });
-        if (r + 1 >= rounds || SaStopRequested(sa_eff)) break;
+        if (r + 1 >= rounds || StopRequested(opts)) break;
         // Deterministic exchange: migrate the global best-so-far into
         // every chain whose walk has fallen behind it.
         int w = 0;
@@ -241,12 +309,12 @@ RunSearchDriver(const State &initial, double initial_cost,
 template <typename State>
 SaStats
 RunDriverAndAdopt(const std::function<ChainEnv<State>(int)> &make_env,
-                  const SaOptions &sa, const SearchDriverOptions &opts,
+                  int iterations, const SearchDriverOptions &opts,
                   Rng &rng, State *state, double *cost)
 {
     const std::uint64_t driver_seed = rng.engine()();
-    DriverResult<State> dr = RunSearchDriver<State>(*state, *cost, make_env,
-                                                    sa, opts, driver_seed);
+    DriverResult<State> dr = RunSearchDriver<State>(
+        *state, *cost, make_env, iterations, opts, driver_seed);
     if (dr.cost < *cost) {
         *state = std::move(dr.state);
         *cost = dr.cost;

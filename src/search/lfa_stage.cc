@@ -6,6 +6,7 @@
 
 #include "obs/trace.h"
 #include "search/dlsa_heuristics.h"
+#include "search/soma.h"
 #include "sim/eval_context.h"
 #include "sim/evaluator.h"
 
@@ -151,7 +152,7 @@ MutateLfaEncoding(const Graph &graph, const LfaEncoding &cur,
 LfaStageResult
 RunLfaStage(const Graph &graph, const HardwareConfig &hw,
             const CoreArrayEvaluator &core_eval, Bytes stage_budget,
-            const LfaStageOptions &opts, Rng &rng)
+            const SomaOptions &opts, Rng &rng)
 {
     const Ops total_ops = graph.TotalOps();
     obs::Tracer *const tracer = opts.driver.trace;
@@ -190,14 +191,14 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
     LfaStageResult result;
     {
         obs::SpanScope seed_span(tracer, "lfa.seed");
-        result.lfa = MakeInitialLfa(graph, hw, opts.tiling_cap);
+        result.lfa = MakeInitialLfa(graph, hw, kTilingCap);
         result.cost = evaluate(result.lfa);
         seed_span.Arg("initial_cost", result.cost);
         seed_span.Arg("greedy", static_cast<std::int64_t>(
-                                    opts.greedy_seed ? 1 : 0));
+                                    opts.lfa.greedy_seed ? 1 : 0));
     }
 
-    if (opts.greedy_seed) {
+    if (opts.lfa.greedy_seed) {
         // One right-to-left sweep over the DRAM cuts: merge neighbours
         // whenever it does not hurt. Right-to-left keeps positions of
         // not-yet-visited cuts stable.
@@ -231,9 +232,8 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
         }
     }
 
-    SaOptions sa = opts.sa;
-    sa.iterations = std::min(opts.max_iterations,
-                             opts.beta * graph.NumLayers());
+    const int iterations = std::min(opts.lfa.max_iterations,
+                                    opts.lfa.beta * graph.NumLayers());
 
     // Anneal K chains; each owns an EvalContext of parse/eval scratch
     // (and so its own group memo).
@@ -241,10 +241,9 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
         ChainEnv<LfaEncoding> env;
         auto ctx = std::make_shared<EvalContext>();
         auto dlsa = std::make_shared<DlsaEncoding>();
-        env.mutate = [&graph, cap = opts.tiling_cap](const LfaEncoding &cur,
-                                                     LfaEncoding *next,
-                                                     Rng &r) {
-            return MutateLfaEncoding(graph, cur, next, cap, r);
+        env.mutate = [&graph](const LfaEncoding &cur, LfaEncoding *next,
+                              Rng &r) {
+            return MutateLfaEncoding(graph, cur, next, kTilingCap, r);
         };
         env.evaluate = [eval_with, ctx, dlsa](const LfaEncoding &lfa) {
             return eval_with(*ctx, *dlsa, lfa);
@@ -252,7 +251,7 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
         return env;
     };
     result.stats = RunDriverAndAdopt<LfaEncoding>(
-        make_env, sa, opts.driver, rng, &result.lfa, &result.cost);
+        make_env, iterations, opts.driver, rng, &result.lfa, &result.cost);
 
     // Materialize the winning scheme once more for the caller.
     {

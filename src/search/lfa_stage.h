@@ -12,18 +12,19 @@
 #include "notation/encoding.h"
 #include "notation/parser.h"
 #include "search/driver.h"
-#include "search/sa.h"
 #include "sim/report.h"
 
 namespace soma {
 
-/** Hyperparameters of the LFA stage. */
+/** Upper bound on any Tiling Number the LFA stage (and the Cocco
+ *  baseline) proposes. */
+constexpr int kTilingCap = 64;
+
+/** Budget of the LFA stage; the objective and driver come from the
+ *  SomaOptions the stage is run with. */
 struct LfaStageOptions {
     int beta = 100;            ///< iterations = beta * num_layers
     int max_iterations = 8000; ///< scaled-down cap (see DESIGN.md)
-    int tiling_cap = 64;       ///< upper bound on any Tiling Number
-    double cost_n = 1.0;       ///< Energy exponent
-    double cost_m = 1.0;       ///< Delay exponent
     /**
      * Greedy fusion seeding: before annealing, sweep the DRAM cuts once
      * and keep each merge that does not worsen the cost. A scaled-down-
@@ -32,9 +33,9 @@ struct LfaStageOptions {
      * recovers that head start deterministically.
      */
     bool greedy_seed = true;
-    SaOptions sa;
-    SearchDriverOptions driver;
 };
+
+struct SomaOptions;  // search/soma.h
 
 /** Best scheme found by one LFA stage run. */
 struct LfaStageResult {
@@ -47,12 +48,12 @@ struct LfaStageResult {
 };
 
 /**
- * Run the LFA stage under @p stage_budget bytes of GBUF.
- * @p total_ops is the utilization numerator (graph.TotalOps()).
+ * Run the LFA stage under @p stage_budget bytes of GBUF with the
+ * budget in opts.lfa and the objective and driver of @p opts.
  */
 LfaStageResult RunLfaStage(const Graph &graph, const HardwareConfig &hw,
                            const CoreArrayEvaluator &core_eval,
-                           Bytes stage_budget, const LfaStageOptions &opts,
+                           Bytes stage_budget, const SomaOptions &opts,
                            Rng &rng);
 
 /**

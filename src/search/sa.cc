@@ -6,10 +6,11 @@
 namespace soma {
 
 double
-SaTemperature(const SaOptions &opts, int n)
+SaTemperature(int iterations, int n)
 {
-    double frac = static_cast<double>(n) / std::max(1, opts.iterations);
-    return opts.t0 * (1.0 - frac) / (1.0 + opts.alpha * frac);
+    double frac = static_cast<double>(n) / std::max(1, iterations);
+    return kSaInitialTemperature * (1.0 - frac) /
+           (1.0 + kSaCoolingRate * frac);
 }
 
 void

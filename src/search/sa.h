@@ -1,81 +1,39 @@
 /**
  * @file
- * The simulated-annealing engine shared by both exploration stages and
+ * The simulated-annealing math shared by both exploration stages and
  * the Cocco baseline (Sec. V-C): temperature schedule
  * Tn = T0 * (1 - n/N) / (1 + alpha * n/N), acceptance probability
- * p = exp((c - c') / (c * Tn)) for worse candidates.
- *
- * Two entry points: RunSa anneals a full budget in one call; RunSaWindow
- * anneals one iteration window [begin, end) of the budget so that the
- * SearchDriver (search/driver.h) can interleave windows of several
- * chains with best-state exchanges while keeping one global temperature
- * schedule.
+ * p = exp((c - c') / (c * Tn)) for worse candidates, and the per-walk
+ * counters. The annealing loop itself (RunSaWindow) lives with the
+ * SearchDriver (search/driver.h), which interleaves windows of several
+ * chains with best-state exchanges under one global schedule.
  */
 #ifndef SOMA_SEARCH_SA_H
 #define SOMA_SEARCH_SA_H
 
-#include <atomic>
-#include <chrono>
-#include <functional>
 #include <limits>
-#include <utility>
 
 #include "common/rng.h"
-#include "obs/clock.h"
 
 namespace soma {
 
-/** Annealing hyperparameters. */
-struct SaOptions {
-    int iterations = 1000;   ///< N
-    double t0 = 0.2;         ///< initial temperature
-    double alpha = 4.0;      ///< cooling rate
-    /** Fraction of trailing iterations that accept improvements only
-     *  (the paper's post-deadline greedy phase). */
-    double greedy_tail = 0.1;
-    /**
-     * Cooperative stop: when set, RunSaWindow polls the flag (and the
-     * deadline, if any) every cancel_check_interval iterations and
-     * returns early once either fires. The walk state stays consistent
-     * — current/best reflect every iteration actually annealed — so a
-     * cancelled search still yields its best-so-far. A null flag with
-     * no deadline (the default) skips all checks; results are then
-     * identical to pre-cancellation builds.
-     */
-    const std::atomic<bool> *cancel = nullptr;
-    /** Wall-clock cutoff; time_point{} (the default) means none. */
-    std::chrono::steady_clock::time_point deadline{};
-    int cancel_check_interval = 64;
-};
+/** Initial temperature T0 of every annealing schedule. */
+constexpr double kSaInitialTemperature = 0.2;
+/** Cooling rate alpha of every annealing schedule. */
+constexpr double kSaCoolingRate = 4.0;
+/** Fraction of trailing iterations that accept improvements only
+ *  (the paper's post-deadline greedy phase). */
+constexpr double kSaGreedyTail = 0.1;
 
-/** The shared cooperative-stop predicate: a set flag or a passed
- *  deadline (time_point{} means none). Also wrapped by
- *  DriverStopRequested (driver.h) for between-stage checks. */
-inline bool
-StopRequested(const std::atomic<bool> *cancel,
-              std::chrono::steady_clock::time_point deadline)
-{
-    if (cancel && cancel->load(std::memory_order_relaxed)) return true;
-    return deadline.time_since_epoch().count() != 0 &&
-           obs::MonotonicNow() >= deadline;
-}
-
-/** True once @p opts's cancel flag is set or its deadline has passed. */
-inline bool
-SaStopRequested(const SaOptions &opts)
-{
-    return StopRequested(opts.cancel, opts.deadline);
-}
-
-/** Temperature at iteration @p n of @p total. */
-double SaTemperature(const SaOptions &opts, int n);
+/** Temperature at iteration @p n of an @p iterations-long schedule. */
+double SaTemperature(int iterations, int n);
 
 /** Whether to accept a move from cost @p c to cost @p c_new. */
 bool SaAccept(double c, double c_new, double temperature, bool greedy,
               Rng &rng);
 
 /**
- * Bookkeeping returned by RunSa. Every iteration of the budget is
+ * Bookkeeping of an annealing walk. Every iteration of the budget is
  * accounted for: iterations == no_move + evaluated and
  * evaluated == accepted + rejected.
  */
@@ -97,98 +55,6 @@ struct SaStats {
  * per-outer-iteration stage stats.
  */
 void AccumulateSaStats(SaStats *into, const SaStats &add);
-
-/**
- * Anneal iterations [begin, end) of the opts.iterations-long schedule.
- *
- * @p current / @p current_cost is the walking state, @p best /
- * @p best_cost the best state ever seen; both are updated in place so a
- * later window (or another chain, via the SearchDriver's exchange)
- * can continue the walk. @p mutate proposes a neighbour (returning false
- * to signal "no move possible"); @p evaluate returns the cost (+inf for
- * invalid schemes, which are then rejected unless the current state is
- * itself invalid). @p on_accept, when set, fires right after a candidate
- * is accepted — the hook incremental evaluation contexts use to promote
- * the candidate's scratch state to the new base (EvalContext::Commit).
- * Counters are accumulated into @p stats. When opts.cancel / deadline
- * request a stop, the window returns early with only the iterations
- * actually annealed accounted for.
- */
-template <typename State>
-void
-RunSaWindow(State *current, double *current_cost, State *best,
-            double *best_cost,
-            const std::function<bool(const State &, State *, Rng &)> &mutate,
-            const std::function<double(const State &)> &evaluate,
-            const SaOptions &opts, Rng &rng, int begin, int end,
-            SaStats *stats,
-            const std::function<void(const State &)> &on_accept = nullptr)
-{
-    const int greedy_from =
-        opts.iterations - static_cast<int>(opts.iterations *
-                                           opts.greedy_tail);
-    const bool may_stop =
-        opts.cancel != nullptr ||
-        opts.deadline.time_since_epoch().count() != 0;
-    const int check_every = opts.cancel_check_interval > 0
-                                ? opts.cancel_check_interval
-                                : 64;
-    int until_check = check_every;
-    State candidate;  // hoisted: reuses its capacity across iterations
-    for (int n = begin; n < end; ++n) {
-        if (may_stop && --until_check <= 0) {
-            until_check = check_every;
-            if (SaStopRequested(opts)) return;
-        }
-        ++stats->iterations;
-        if (!mutate(*current, &candidate, rng)) {
-            ++stats->no_move;
-            continue;
-        }
-        double cand_cost = evaluate(candidate);
-        ++stats->evaluated;
-        double temp = SaTemperature(opts, n);
-        bool greedy = n >= greedy_from;
-        if (SaAccept(*current_cost, cand_cost, temp, greedy, rng)) {
-            std::swap(*current, candidate);
-            *current_cost = cand_cost;
-            ++stats->accepted;
-            if (on_accept) on_accept(*current);
-            if (*current_cost < *best_cost) {
-                *best = *current;
-                *best_cost = *current_cost;
-                ++stats->improved;
-            }
-        } else {
-            ++stats->rejected;
-        }
-    }
-}
-
-/**
- * Generic single-chain annealer over the full budget. Keeps and returns
- * the best state ever seen.
- */
-template <typename State>
-SaStats
-RunSa(State *state, double *cost,
-      const std::function<bool(const State &, State *, Rng &)> &mutate,
-      const std::function<double(const State &)> &evaluate,
-      const SaOptions &opts, Rng &rng)
-{
-    SaStats stats;
-    stats.initial_cost = *cost;
-    State best = *state;
-    double best_cost = *cost;
-    State current = *state;
-    double current_cost = *cost;
-    RunSaWindow<State>(&current, &current_cost, &best, &best_cost, mutate,
-                       evaluate, opts, rng, 0, opts.iterations, &stats);
-    *state = std::move(best);
-    *cost = best_cost;
-    stats.best_cost = best_cost;
-    return stats;
-}
 
 }  // namespace soma
 

@@ -2,62 +2,51 @@
 
 namespace soma {
 
-SomaOptions
-PropagateSomaOptions(SomaOptions opts)
+const char *
+ToString(SearchProfile profile)
 {
-    opts.lfa.cost_n = opts.cost_n;
-    opts.lfa.cost_m = opts.cost_m;
-    opts.dlsa.cost_n = opts.cost_n;
-    opts.dlsa.cost_m = opts.cost_m;
-    opts.lfa.driver = opts.driver;
-    opts.dlsa.driver = opts.driver;
-    return opts;
+    switch (profile) {
+      case SearchProfile::kQuick: return "quick";
+      case SearchProfile::kDefault: return "default";
+      case SearchProfile::kFull: return "full";
+    }
+    return "?";
 }
 
-const SomaProfileBudgets &
-SomaBudgetsFor(SearchProfile profile)
+bool
+ParseSearchProfile(const std::string &name, SearchProfile *out)
+{
+    if (name == "quick") *out = SearchProfile::kQuick;
+    else if (name == "default") *out = SearchProfile::kDefault;
+    else if (name == "full") *out = SearchProfile::kFull;
+    else return false;
+    return true;
+}
+
+const ProfileBudgets &
+BudgetsFor(SearchProfile profile)
 {
     // Default was raised from (40/6000, 40/8000) once the incremental
     // LFA pipeline (the group-memoized parse) lifted candidates/s; Full
-    // carries the paper's budgets
-    // (Sec. V-C): beta_1 = 100, beta_2 = 1000 — the caps only guard
-    // degenerate workloads (thousands of layers / tensors).
-    static const SomaProfileBudgets kQuick = {
-        /*lfa_beta=*/10,   /*lfa_max_iterations=*/600,
-        /*dlsa_beta=*/10,  /*dlsa_max_iterations=*/1500,
-        /*alloc_max_iterations=*/2,
-        /*bench_dlsa_iters=*/2000, /*bench_lfa_iters=*/200,
-        /*bench_stage_iters=*/1500};
-    static const SomaProfileBudgets kDefault = {
-        /*lfa_beta=*/60,   /*lfa_max_iterations=*/12000,
-        /*dlsa_beta=*/200, /*dlsa_max_iterations=*/24000,
-        /*alloc_max_iterations=*/3,
-        /*bench_dlsa_iters=*/10000, /*bench_lfa_iters=*/1000,
-        /*bench_stage_iters=*/6000};
-    static const SomaProfileBudgets kFull = {
-        /*lfa_beta=*/100,   /*lfa_max_iterations=*/50000,
-        /*dlsa_beta=*/1000, /*dlsa_max_iterations=*/150000,
-        /*alloc_max_iterations=*/5,
-        /*bench_dlsa_iters=*/50000, /*bench_lfa_iters=*/4000,
-        /*bench_stage_iters=*/20000};
-    switch (profile) {
-      case SearchProfile::kQuick:
-        return kQuick;
-      case SearchProfile::kFull:
-        return kFull;
-      case SearchProfile::kDefault:
-      default:
-        return kDefault;
-    }
+    // carries the paper's budgets (Sec. V-C): beta_1 = 100,
+    // beta_2 = 1000 — the caps only guard degenerate workloads
+    // (thousands of layers / tensors).
+    static const ProfileBudgets kTable[] = {
+        //  LFA beta/cap  DLSA beta/cap  alloc chains  Cocco beta/cap chains
+        {10, 600, 10, 1500, 2, 2, 10, 600, 2},               // quick
+        {60, 12000, 200, 24000, 3, 4, 40, 4000, 2},          // default
+        {100, 50000, 1000, 150000, 5, 4, 100, 20000, 2},     // full
+    };
+    return kTable[static_cast<int>(profile)];
 }
 
-namespace {
-
 SomaOptions
-OptionsFromBudgets(const SomaProfileBudgets &b, std::uint64_t seed)
+SomaOptionsFor(SearchProfile profile, std::uint64_t seed)
 {
+    const ProfileBudgets &b = BudgetsFor(profile);
     SomaOptions opts;
     opts.seed = seed;
+    opts.driver.chains = b.soma_chains;
     opts.lfa.beta = b.lfa_beta;
     opts.lfa.max_iterations = b.lfa_max_iterations;
     opts.dlsa.beta = b.dlsa_beta;
@@ -66,39 +55,11 @@ OptionsFromBudgets(const SomaProfileBudgets &b, std::uint64_t seed)
     return opts;
 }
 
-}  // namespace
-
-SomaOptions
-QuickSomaOptions(std::uint64_t seed)
-{
-    return OptionsFromBudgets(SomaBudgetsFor(SearchProfile::kQuick), seed);
-}
-
-SomaOptions
-DefaultSomaOptions(std::uint64_t seed)
-{
-    SomaOptions opts =
-        OptionsFromBudgets(SomaBudgetsFor(SearchProfile::kDefault), seed);
-    opts.driver.chains = 4;
-    return opts;
-}
-
-SomaOptions
-FullSomaOptions(std::uint64_t seed)
-{
-    SomaOptions opts =
-        OptionsFromBudgets(SomaBudgetsFor(SearchProfile::kFull), seed);
-    opts.driver.chains = 4;
-    return opts;
-}
-
 SomaSearchResult
-RunSoma(const Graph &graph, const HardwareConfig &hw, SomaOptions opts)
+RunSoma(const Graph &graph, const HardwareConfig &hw, const SomaOptions &opts)
 {
-    opts = PropagateSomaOptions(std::move(opts));
     Rng rng(opts.seed);
-    return RunBufferAllocatedSearch(graph, hw, opts.lfa, opts.dlsa,
-                                    opts.alloc, rng);
+    return RunBufferAllocatedSearch(graph, hw, opts, rng);
 }
 
 }  // namespace soma

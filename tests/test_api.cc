@@ -392,7 +392,8 @@ TEST(SchedulerFacade, MatchesLegacyRunSomaBitForBit)
 {
     std::shared_ptr<const Graph> graph = TinyNet();
     HardwareConfig hw = EdgeAccelerator();
-    SomaSearchResult legacy = RunSoma(*graph, hw, QuickSomaOptions(13));
+    SomaSearchResult legacy =
+        RunSoma(*graph, hw, SomaOptionsFor(SearchProfile::kQuick, 13));
 
     Scheduler scheduler;
     ScheduleRequest request;

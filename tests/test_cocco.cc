@@ -51,7 +51,8 @@ TEST(Cocco, RunProducesValidScheme)
 {
     Graph g = MakeNet();
     HardwareConfig hw = EdgeAccelerator();
-    CoccoResult res = RunCocco(g, hw, QuickCoccoOptions(5));
+    CoccoResult res =
+        RunCocco(g, hw, CoccoOptionsFor(SearchProfile::kQuick, 5));
     ASSERT_TRUE(res.report.valid) << res.report.why_invalid;
     EXPECT_LE(res.report.peak_buffer, hw.gbuf_bytes);
     EXPECT_TRUE(res.lfa.StructurallyValid(g));
@@ -62,7 +63,8 @@ TEST(Cocco, WeightsResidentForWholeGroup)
 {
     Graph g = MakeNet();
     HardwareConfig hw = EdgeAccelerator();
-    CoccoResult res = RunCocco(g, hw, QuickCoccoOptions(5));
+    CoccoResult res =
+        RunCocco(g, hw, CoccoOptionsFor(SearchProfile::kQuick, 5));
     ASSERT_TRUE(res.report.valid);
     for (const DramTensor &t : res.parsed.tensors) {
         if (t.kind == DramTensorKind::kWeight) {
@@ -85,11 +87,15 @@ TEST(Cocco, WeightResidencyLimitsFusion)
     Graph g = b.Take();
     HardwareConfig hw = EdgeAccelerator();
 
-    CoccoResult cocco = RunCocco(g, hw, QuickCoccoOptions(5));
+    CoccoResult cocco =
+
+        RunCocco(g, hw, CoccoOptionsFor(SearchProfile::kQuick, 5));
     ASSERT_TRUE(cocco.report.valid);
     EXPECT_GE(cocco.report.num_lgs, 2);
 
-    SomaSearchResult ours = RunSoma(g, hw, QuickSomaOptions(5));
+    SomaSearchResult ours =
+
+        RunSoma(g, hw, SomaOptionsFor(SearchProfile::kQuick, 5));
     ASSERT_TRUE(ours.report.valid);
     EXPECT_LE(ours.report.num_lgs, cocco.report.num_lgs);
     EXPECT_LE(ours.report.dram_bytes, cocco.report.dram_bytes);
@@ -102,8 +108,10 @@ TEST(Cocco, SomaNeverMeaningfullyWorse)
     // Cocco's cost (tolerance for SA noise).
     Graph g = MakeNet();
     HardwareConfig hw = EdgeAccelerator();
-    CoccoResult cocco = RunCocco(g, hw, QuickCoccoOptions(1));
-    SomaSearchResult ours = RunSoma(g, hw, QuickSomaOptions(1));
+    CoccoResult cocco =
+        RunCocco(g, hw, CoccoOptionsFor(SearchProfile::kQuick, 1));
+    SomaSearchResult ours =
+        RunSoma(g, hw, SomaOptionsFor(SearchProfile::kQuick, 1));
     ASSERT_TRUE(cocco.report.valid);
     ASSERT_TRUE(ours.report.valid);
     EXPECT_LE(ours.cost, cocco.cost * 1.05);
@@ -122,7 +130,8 @@ TEST(Cocco, InfeasibleWhenSingleLayerExceedsBuffer)
     b.graph().AddLayer(std::move(l));
     Graph g = b.Take();
     HardwareConfig hw = EdgeAccelerator();
-    CoccoResult res = RunCocco(g, hw, QuickCoccoOptions(1));
+    CoccoResult res =
+        RunCocco(g, hw, CoccoOptionsFor(SearchProfile::kQuick, 1));
     EXPECT_FALSE(res.report.valid);
 }
 

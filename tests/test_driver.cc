@@ -1,15 +1,19 @@
 /**
  * @file
- * SearchDriver tests: worker-pool correctness, per-chain seed streams,
- * thread-count-independent determinism (generic, DLSA-stage and full
- * RunSoma level), exchange behaviour, and the SaStats budget accounting
- * contract (iterations == no_move + evaluated == budget).
+ * SearchDriver tests: worker-pool correctness and its core cap,
+ * per-chain seed streams, thread-count-independent determinism
+ * (generic, DLSA-stage and full RunSoma level), exchange behaviour, and
+ * the SaStats budget accounting contract
+ * (iterations == no_move + evaluated == budget).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <thread>
 
 #include "search/dlsa_heuristics.h"
 #include "search/dlsa_stage.h"
@@ -38,6 +42,22 @@ TEST(Workers, InlineWhenSingleThread)
     EXPECT_EQ(sum, 45);
 }
 
+TEST(Workers, NeverMoreThanTheCores)
+{
+    // A request may ask for any thread count; the pool must not start
+    // more workers than the machine has cores. Each task sleeps so that
+    // every started worker gets to claim one.
+    const int tasks = 64;
+    std::vector<std::thread::id> ran_on(tasks);
+    RunOnWorkers(1000000, tasks, [&](int i) {
+        ran_on[i] = std::this_thread::get_id();
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    });
+    const std::set<std::thread::id> workers(ran_on.begin(), ran_on.end());
+    const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+    EXPECT_LE(workers.size(), cores);
+}
+
 TEST(ChainSeeds, DistinctAcrossChainsAndAdjacentBases)
 {
     std::set<std::uint64_t> seen;
@@ -63,17 +83,16 @@ ToyEnv()
 
 TEST(SearchDriver, SolvesToyProblemAndAggregatesStats)
 {
-    SaOptions sa;
-    sa.iterations = 2000;
+    const int iterations = 2000;
     SearchDriverOptions opts;
     opts.chains = 4;
     opts.threads = 2;
     DriverResult<int> res = RunSearchDriver<int>(
-        500, std::abs(500 - 42.0), [](int) { return ToyEnv(); }, sa, opts,
-        /*seed=*/9);
+        500, std::abs(500 - 42.0), [](int) { return ToyEnv(); }, iterations,
+        opts, /*seed=*/9);
     EXPECT_LE(res.cost, 5.0);
     EXPECT_EQ(res.chain_stats.size(), 4u);
-    EXPECT_EQ(res.stats.iterations, 4 * sa.iterations);
+    EXPECT_EQ(res.stats.iterations, 4 * iterations);
     EXPECT_EQ(res.stats.iterations,
               res.stats.no_move + res.stats.evaluated);
     EXPECT_EQ(res.stats.evaluated,
@@ -85,8 +104,7 @@ TEST(SearchDriver, SolvesToyProblemAndAggregatesStats)
 
 TEST(SearchDriver, DeterministicAcrossThreadCounts)
 {
-    SaOptions sa;
-    sa.iterations = 3000;
+    const int iterations = 3000;
     for (int chains : {1, 3, 5}) {
         SearchDriverOptions a;
         a.chains = chains;
@@ -94,11 +112,11 @@ TEST(SearchDriver, DeterministicAcrossThreadCounts)
         SearchDriverOptions b = a;
         b.threads = 8;
         DriverResult<int> ra = RunSearchDriver<int>(
-            700, std::abs(700 - 42.0), [](int) { return ToyEnv(); }, sa, a,
-            11);
+            700, std::abs(700 - 42.0), [](int) { return ToyEnv(); },
+            iterations, a, 11);
         DriverResult<int> rb = RunSearchDriver<int>(
-            700, std::abs(700 - 42.0), [](int) { return ToyEnv(); }, sa, b,
-            11);
+            700, std::abs(700 - 42.0), [](int) { return ToyEnv(); },
+            iterations, b, 11);
         EXPECT_EQ(ra.cost, rb.cost) << chains;
         EXPECT_EQ(ra.state, rb.state) << chains;
         EXPECT_EQ(ra.winner_chain, rb.winner_chain) << chains;
@@ -116,13 +134,11 @@ TEST(SearchDriver, BestNeverWorseThanInitial)
         return true;
     };
     env.evaluate = [](const int &s) { return static_cast<double>(s); };
-    SaOptions sa;
-    sa.iterations = 300;
     SearchDriverOptions opts;
     opts.chains = 3;
     opts.threads = 3;
     DriverResult<int> res = RunSearchDriver<int>(
-        10, 10.0, [&](int) { return env; }, sa, opts, 5);
+        10, 10.0, [&](int) { return env; }, /*iterations=*/300, opts, 5);
     EXPECT_EQ(res.state, 10);
     EXPECT_EQ(res.cost, 10.0);
 }
@@ -141,12 +157,14 @@ TEST(SaStats, FailedMutationsStillConsumeBudget)
     std::function<double(const int &)> eval = [](const int &s) {
         return std::abs(s - 5.0);
     };
-    SaOptions opts;
-    opts.iterations = 900;
+    const int iterations = 900;
     Rng rng(3);
-    int state = 50;
-    double cost = 45.0;
-    SaStats stats = RunSa<int>(&state, &cost, mutate, eval, opts, rng);
+    int state = 50, best = 50;
+    double cost = 45.0, best_cost = 45.0;
+    SaStats stats;
+    RunSaWindow<int>(&state, &cost, &best, &best_cost, mutate, eval,
+                     iterations, SearchDriverOptions{}, rng, 0, iterations,
+                     &stats);
     EXPECT_EQ(stats.iterations, 900);
     EXPECT_EQ(stats.no_move, 300);
     EXPECT_EQ(stats.evaluated, 600);
@@ -177,9 +195,9 @@ TEST(DlsaStageDriver, DeterministicAcrossThreadCounts)
     ASSERT_TRUE(parsed.valid);
     DlsaEncoding init = MakeDoubleBufferDlsa(parsed);
 
-    DlsaStageOptions opts;
-    opts.beta = 20;
-    opts.max_iterations = 600;
+    SomaOptions opts;
+    opts.dlsa.beta = 20;
+    opts.dlsa.max_iterations = 600;
     opts.driver.chains = 3;
 
     opts.driver.threads = 1;
@@ -208,9 +226,9 @@ TEST(LfaStageDriver, SharedMemoDeterministicAcrossThreadCounts)
     HardwareConfig hw = EdgeAccelerator();
     const CoreArrayEvaluator ce(g, hw);
 
-    LfaStageOptions opts;
-    opts.beta = 10;
-    opts.max_iterations = 400;
+    SomaOptions opts;
+    opts.lfa.beta = 10;
+    opts.lfa.max_iterations = 400;
     opts.driver.chains = 3;
 
     opts.driver.threads = 1;
@@ -234,7 +252,7 @@ TEST(RunSomaDriver, DeterministicAcrossThreadCounts)
 {
     Graph g = MakeDriverNet();
     HardwareConfig hw = EdgeAccelerator();
-    SomaOptions opts = QuickSomaOptions(21);
+    SomaOptions opts = SomaOptionsFor(SearchProfile::kQuick, 21);
     opts.driver.chains = 2;
 
     opts.driver.threads = 1;
@@ -257,9 +275,9 @@ TEST(RunSomaDriver, MultiChainNoWorseThanSingleChain)
     Graph g = MakeDriverNet();
     HardwareConfig hw = EdgeAccelerator();
 
-    SomaOptions single = QuickSomaOptions(33);
+    SomaOptions single = SomaOptionsFor(SearchProfile::kQuick, 33);
     single.driver.chains = 1;
-    SomaOptions multi = QuickSomaOptions(33);
+    SomaOptions multi = SomaOptionsFor(SearchProfile::kQuick, 33);
     multi.driver.chains = 3;
 
     SomaSearchResult a = RunSoma(g, hw, single);

@@ -4,8 +4,8 @@
  * API (soma::Scheduler): full SoMa runs on real workloads, the
  * model->search->IR->instructions pipeline, and cross-framework
  * relationships (SoMa vs Cocco, edge vs cloud). The quick profile
- * resolves to the same QuickSomaOptions the legacy RunSoma callers
- * used, so the expectations are unchanged from the pre-facade tests.
+ * resolves to the same SomaOptionsFor(SearchProfile::kQuick, seed)
+ * that direct RunSoma callers use.
  */
 #include <gtest/gtest.h>
 

@@ -453,8 +453,8 @@ FusedStart(const Graph &g, const LfaEncoding &base)
  * Golden parse digests. Per (model, weight semantics), two fixed-seed
  * MakeInitialLfa + MutateLfaEncoding walks: one from the unfused
  * initial LFA, one from a fused single-LG start. Every candidate is
- * parsed through the incremental EvalContext (group memo + shared
- * tiling cache) and scored under the double-buffer DLSA. Unlike the
+ * parsed through the incremental EvalContext (and its group memo) and
+ * scored under the double-buffer DLSA. Unlike the
  * incremental-vs-full walks, which compare the parser with itself,
  * these pin the exact emission order and every field against recorded
  * values, so a parser rewrite that reorders tensors or loads fails

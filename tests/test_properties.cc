@@ -259,7 +259,7 @@ TEST_P(TrafficProperty, SearchNeverAddsDramTraffic)
     ParsedSchedule p0 = ParseLfa(g, init, eval);
     ASSERT_TRUE(p0.valid);
 
-    SomaOptions opts = QuickSomaOptions(31);
+    SomaOptions opts = SomaOptionsFor(SearchProfile::kQuick, 31);
     SomaSearchResult res = RunSoma(g, hw, opts);
     ASSERT_TRUE(res.report.valid);
     EXPECT_LE(res.report.dram_bytes, p0.TotalDramBytes());

@@ -1,7 +1,7 @@
 /**
  * @file
- * Search engine tests: SA schedule/acceptance math, the generic
- * annealer, LFA/DLSA operators and stages, and the buffer allocator.
+ * Search engine tests: SA schedule/acceptance math, the annealing
+ * window, LFA/DLSA operators and stages, and the buffer allocator.
  */
 #include <gtest/gtest.h>
 
@@ -11,7 +11,7 @@
 #include "search/dlsa_heuristics.h"
 #include "search/dlsa_stage.h"
 #include "search/lfa_stage.h"
-#include "search/sa.h"
+#include "search/driver.h"
 #include "search/soma.h"
 #include "sim/evaluator.h"
 #include "workload/graph_builder.h"
@@ -22,18 +22,16 @@ namespace {
 
 TEST(Sa, TemperatureSchedule)
 {
-    SaOptions opts;
-    opts.iterations = 100;
-    opts.t0 = 0.5;
-    opts.alpha = 4.0;
-    EXPECT_DOUBLE_EQ(SaTemperature(opts, 0), 0.5);
+    // T0 = 0.2 and alpha = 4: T(N/2) = 0.2 * 0.5 / (1 + 4 * 0.5).
+    EXPECT_DOUBLE_EQ(SaTemperature(100, 0), 0.2);
+    EXPECT_DOUBLE_EQ(SaTemperature(100, 50), 0.1 / 3.0);
     double prev = 1e9;
     for (int n = 0; n <= 100; n += 10) {
-        double t = SaTemperature(opts, n);
+        double t = SaTemperature(100, n);
         EXPECT_LT(t, prev);
         prev = t;
     }
-    EXPECT_NEAR(SaTemperature(opts, 100), 0.0, 1e-12);
+    EXPECT_NEAR(SaTemperature(100, 100), 0.0, 1e-12);
 }
 
 TEST(Sa, AcceptRules)
@@ -80,12 +78,16 @@ TEST(Sa, GenericAnnealerSolvesToyProblem)
     std::function<double(const int &)> eval = [](const int &s) {
         return std::abs(s - 42.0);
     };
-    SaOptions opts;
-    opts.iterations = 4000;
+    const int iterations = 4000;
     Rng rng(3);
-    SaStats stats = RunSa<int>(&state, &cost, mutate, eval, opts, rng);
-    EXPECT_LE(cost, 5.0);
-    EXPECT_EQ(stats.best_cost, cost);
+    int best = state;
+    double best_cost = cost;
+    SaStats stats;
+    RunSaWindow<int>(&state, &cost, &best, &best_cost, mutate, eval,
+                     iterations, SearchDriverOptions{}, rng, 0, iterations,
+                     &stats);
+    EXPECT_LE(best_cost, 5.0);
+    EXPECT_LE(best_cost, cost);
     EXPECT_GT(stats.accepted, 0);
 }
 
@@ -101,12 +103,16 @@ TEST(Sa, BestNeverWorseThanInitial)
     std::function<double(const int &)> eval = [](const int &s) {
         return static_cast<double>(s);
     };
-    SaOptions opts;
-    opts.iterations = 200;
+    const int iterations = 200;
     Rng rng(4);
-    RunSa<int>(&state, &cost, mutate, eval, opts, rng);
-    EXPECT_EQ(state, 10);
-    EXPECT_EQ(cost, 10.0);
+    int best = state;
+    double best_cost = cost;
+    SaStats stats;
+    RunSaWindow<int>(&state, &cost, &best, &best_cost, mutate, eval,
+                     iterations, SearchDriverOptions{}, rng, 0, iterations,
+                     &stats);
+    EXPECT_EQ(best, 10);
+    EXPECT_EQ(best_cost, 10.0);
 }
 
 TEST(OrderMutation, PreservesValidity)
@@ -163,9 +169,9 @@ TEST(LfaStage, ImprovesOverInitial)
     HardwareConfig hw = EdgeAccelerator();
     CoreArrayEvaluator eval(g, hw);
     Rng rng(9);
-    LfaStageOptions opts;
-    opts.beta = 30;
-    opts.max_iterations = 800;
+    SomaOptions opts;
+    opts.lfa.beta = 30;
+    opts.lfa.max_iterations = 800;
     LfaStageResult res = RunLfaStage(g, hw, eval, hw.gbuf_bytes, opts, rng);
     ASSERT_TRUE(res.report.valid);
     EXPECT_LE(res.cost, res.stats.initial_cost);
@@ -180,9 +186,9 @@ TEST(LfaStage, RespectsStageBudget)
     HardwareConfig hw = EdgeAccelerator();
     CoreArrayEvaluator eval(g, hw);
     Rng rng(9);
-    LfaStageOptions opts;
-    opts.beta = 20;
-    opts.max_iterations = 500;
+    SomaOptions opts;
+    opts.lfa.beta = 20;
+    opts.lfa.max_iterations = 500;
     Bytes budget = hw.gbuf_bytes / 4;
     LfaStageResult res = RunLfaStage(g, hw, eval, budget, opts, rng);
     if (res.report.valid) {
@@ -212,9 +218,9 @@ TEST(DlsaStage, ImprovesOverDoubleBuffer)
                                         g.TotalOps()).Cost();
 
     Rng rng(13);
-    DlsaStageOptions opts;
-    opts.beta = 30;
-    opts.max_iterations = 1500;
+    SomaOptions opts;
+    opts.dlsa.beta = 30;
+    opts.dlsa.max_iterations = 1500;
     DlsaStageResult res = RunDlsaStage(g, hw, p, init, hw.gbuf_bytes, opts,
                                        rng);
     ASSERT_TRUE(res.report.valid);
@@ -226,17 +232,14 @@ TEST(BufferAllocator, ProducesValidBestScheme)
 {
     Graph g = MakeSearchNet();
     HardwareConfig hw = EdgeAccelerator();
-    LfaStageOptions lfa_opts;
-    lfa_opts.beta = 20;
-    lfa_opts.max_iterations = 400;
-    DlsaStageOptions dlsa_opts;
-    dlsa_opts.beta = 10;
-    dlsa_opts.max_iterations = 500;
-    BufferAllocatorOptions alloc;
-    alloc.max_iterations = 3;
+    SomaOptions opts;
+    opts.lfa.beta = 20;
+    opts.lfa.max_iterations = 400;
+    opts.dlsa.beta = 10;
+    opts.dlsa.max_iterations = 500;
+    opts.alloc.max_iterations = 3;
     Rng rng(17);
-    SomaSearchResult res = RunBufferAllocatedSearch(g, hw, lfa_opts,
-                                                    dlsa_opts, alloc, rng);
+    SomaSearchResult res = RunBufferAllocatedSearch(g, hw, opts, rng);
     ASSERT_TRUE(res.report.valid);
     ASSERT_TRUE(res.stage1_report.valid);
     EXPECT_GT(res.outer_iterations, 0);
@@ -250,7 +253,7 @@ TEST(BufferAllocator, DeterministicForSeed)
 {
     Graph g = MakeSearchNet();
     HardwareConfig hw = EdgeAccelerator();
-    SomaOptions opts = QuickSomaOptions(21);
+    SomaOptions opts = SomaOptionsFor(SearchProfile::kQuick, 21);
     SomaSearchResult a = RunSoma(g, hw, opts);
     SomaSearchResult b = RunSoma(g, hw, opts);
     ASSERT_TRUE(a.report.valid);

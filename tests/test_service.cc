@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "search/sa.h"
+#include "search/driver.h"
 #include "service/service.h"
 #include "workload/graph_builder.h"
 
@@ -785,10 +785,9 @@ TEST(Service, ConcurrentScheduleKeepsCountersConsistent)
 TEST(Cancellation, RunSaWindowStopsIterationGranularly)
 {
     std::atomic<bool> cancel{true};  // pre-set: stop at the first check
-    SaOptions opts;
-    opts.iterations = 100000;
-    opts.cancel = &cancel;
-    opts.cancel_check_interval = 64;
+    SearchDriverOptions stop;
+    stop.cancel = &cancel;
+    const int iterations = 100000;
 
     int current = 0, best = 0;
     double current_cost = 1000.0, best_cost = 1000.0;
@@ -800,10 +799,10 @@ TEST(Cancellation, RunSaWindowStopsIterationGranularly)
             *next = cur + 1;
             return true;
         },
-        [](const int &state) { return 1000.0 - state; }, opts, rng, 0,
-        opts.iterations, &stats);
+        [](const int &state) { return 1000.0 - state; }, iterations, stop,
+        rng, 0, iterations, &stats);
 
-    EXPECT_LT(stats.iterations, opts.cancel_check_interval);
+    EXPECT_LT(stats.iterations, kStopCheckInterval);
     EXPECT_EQ(stats.iterations, stats.evaluated + stats.no_move);
 }
 

@@ -85,7 +85,8 @@ TEST(Vm, MatchesEvaluatorOnSearchedResNetScheme)
 {
     Graph g = BuildResNet50(1);
     HardwareConfig hw = EdgeAccelerator();
-    SomaSearchResult res = RunSoma(g, hw, QuickSomaOptions(5));
+    SomaSearchResult res =
+        RunSoma(g, hw, SomaOptionsFor(SearchProfile::kQuick, 5));
     ASSERT_TRUE(res.report.valid);
     IrModule ir = GenerateIr(g, res.parsed, res.dlsa);
     VmResult vm = ExecuteIr(ir, hw);
@@ -98,7 +99,8 @@ TEST(Vm, MatchesEvaluatorOnCoccoScheme)
 {
     Graph g = BuildRandWire(1, 7, 6);
     HardwareConfig hw = EdgeAccelerator();
-    CoccoResult res = RunCocco(g, hw, QuickCoccoOptions(5));
+    CoccoResult res =
+        RunCocco(g, hw, CoccoOptionsFor(SearchProfile::kQuick, 5));
     ASSERT_TRUE(res.report.valid);
     IrModule ir = GenerateIr(g, res.parsed, res.dlsa);
     VmResult vm = ExecuteIr(ir, hw);

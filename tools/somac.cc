@@ -23,7 +23,6 @@
  * output; it checks presence and types of the stable result fields.
  */
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <climits>
@@ -34,7 +33,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/scheduler.h"
@@ -43,6 +41,7 @@
 #include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/trace.h"
+#include "search/driver.h"
 #include "service/service.h"
 
 namespace {
@@ -885,6 +884,17 @@ CmdSweep(const std::vector<std::string> &args)
         }
         return &args[i + 1];
     };
+    // --cache-capacity, --jobs and --repeat take an integer N >= 1.
+    auto parse_count = [&need_value](std::size_t i, const std::string &flag,
+                                     int *out) {
+        const std::string *v = need_value(i, flag);
+        if (!v || !ParseIntArg(flag, *v, out)) return false;
+        if (*out < 1) {
+            std::cerr << flag << ": need N >= 1, got " << *out << "\n";
+            return false;
+        }
+        return true;
+    };
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &arg = args[i];
         const std::string *v = nullptr;
@@ -914,25 +924,14 @@ CmdSweep(const std::vector<std::string> &args)
             if (!(v = need_value(i, arg))) return 2;
             cache_dir = *v, ++i;
         } else if (arg == "--cache-capacity") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseIntArg(arg, *v, &cache_capacity)) return 2;
-            ++i;
+            if (!parse_count(i++, arg, &cache_capacity)) return 2;
         } else if (arg == "--jobs") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseIntArg(arg, *v, &jobs)) return 2;
-            ++i;
+            if (!parse_count(i++, arg, &jobs)) return 2;
+        } else if (arg == "--repeat") {
+            if (!parse_count(i++, arg, &repeat)) return 2;
         } else if (arg == "--shard") {
             if (!(v = need_value(i, arg))) return 2;
             if (!ParseShardArg(*v, &shard_index, &shard_count)) return 2;
-            ++i;
-        } else if (arg == "--repeat") {
-            if (!(v = need_value(i, arg))) return 2;
-            if (!ParseIntArg(arg, *v, &repeat)) return 2;
-            if (repeat < 1) {
-                std::cerr << "--repeat: need N >= 1, got " << repeat
-                          << "\n";
-                return 2;
-            }
             ++i;
         } else if (arg == "--quiet") {
             quiet = true;
@@ -1029,22 +1028,9 @@ CmdSweep(const std::vector<std::string> &args)
         // Work-stealing over the grid; rows land at their expansion
         // index, so the table order never depends on jobs or
         // completion order.
-        std::atomic<std::size_t> next{0};
-        auto worker = [&] {
-            for (;;) {
-                std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= rows.size()) return;
-                rows[i].result = service.Schedule(rows[i].request);
-            }
-        };
-        const int spawn = std::max(
-            1, std::min<int>(jobs, static_cast<int>(rows.size())));
-        std::vector<std::thread> team;
-        team.reserve(spawn - 1);
-        for (int t = 1; t < spawn; ++t) team.emplace_back(worker);
-        worker();
-        for (std::thread &t : team) t.join();
+        RunOnWorkers(jobs, static_cast<int>(rows.size()), [&](int i) {
+            rows[i].result = service.Schedule(rows[i].request);
+        });
 
         // The determinism self-check behind --repeat: every pass over
         // one grid — cold, then result-cache-warm — must produce the
