@@ -17,11 +17,11 @@ namespace soma {
 /**
  * Framework configuration, the one home of every SoMa search setting:
  * optimization goal Energy^n x Delay^m, seed, the parallel driver and
- * each stage's budget. Both stages and the buffer allocator read the
- * objective, seed and driver from here. The default iteration budgets
- * are scaled down from the paper's (beta_1=100, beta_2=1000 on a
- * 192-core server) to laptop-friendly values; SomaOptionsFor gives the
- * profile budgets.
+ * each stage's budget. RunSoma seeds the search from `seed`; both
+ * stages and the buffer allocator read the objective and the driver
+ * from here. The default iteration budgets are scaled down from the
+ * paper's (beta_1=100, beta_2=1000 on a 192-core server) to
+ * laptop-friendly values; SomaOptionsFor gives the profile budgets.
  */
 struct SomaOptions {
     double cost_n = 1.0;
