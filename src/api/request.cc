@@ -184,9 +184,12 @@ ScheduleRequest::FromJson(const Json &json, ScheduleRequest *out,
             if (!ExpectString(value, key, err)) return false;
             out->hardware = value.AsString();
         } else if (key == "gbuf_bytes") {
+            // 0 keeps the preset, so a fraction is rejected, never
+            // truncated (0.5 would silently run on the preset).
             if (!ExpectNumber(value, key, err)) return false;
+            const double d = value.AsDouble();
             out->gbuf_bytes = value.AsInt();
-            if (out->gbuf_bytes < 0)
+            if (d != std::floor(d) || out->gbuf_bytes < 0)
                 return RangeError(err, key, "a non-negative integer");
         } else if (key == "dram_gbps") {
             if (!FiniteFromJson(value, key, &out->dram_gbps, err))

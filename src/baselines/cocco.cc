@@ -93,8 +93,8 @@ RunCocco(const Graph &graph, const HardwareConfig &hw,
     // their whole LG (no fine-grained weight windowing).
     const ParseOptions popts{/*lg_resident_weights=*/true};
 
-    auto eval_with = [&graph, &hw, &core_eval, popts, total_ops,
-                      n = opts.cost_n, m = opts.cost_m](
+    auto eval_with = [&graph, &hw, &core_eval, popts, n = opts.cost_n,
+                      m = opts.cost_m](
                          EvalContext &ctx, const CoccoState &state) -> double {
         LfaEncoding lfa = MakeCoccoLfa(graph, hw, state.order, state.cuts,
                                        kTilingCap);
@@ -102,12 +102,10 @@ RunCocco(const Graph &graph, const HardwareConfig &hw,
             ctx.Parse(graph, lfa, core_eval, popts);
         if (!parsed.valid) return std::numeric_limits<double>::infinity();
         DlsaEncoding dlsa = MakeCoccoDlsa(parsed);
-        const EvalReport &rep = ctx.Evaluate(graph, hw, parsed, dlsa,
-                                             hw.gbuf_bytes, total_ops);
-        return rep.Cost(n, m);
+        return ctx.Evaluate(parsed, dlsa).Cost(n, m);
     };
 
-    EvalContext serial_ctx;
+    EvalContext serial_ctx(hw, hw.gbuf_bytes, total_ops);
     auto evaluate = [&](const CoccoState &state) -> double {
         return eval_with(serial_ctx, state);
     };
@@ -139,7 +137,8 @@ RunCocco(const Graph &graph, const HardwareConfig &hw,
 
     auto make_env = [&](int /*chain*/) {
         ChainEnv<CoccoState> env;
-        auto ctx = std::make_shared<EvalContext>();
+        auto ctx = std::make_shared<EvalContext>(hw, hw.gbuf_bytes,
+                                                 total_ops);
         env.mutate = [&graph](const CoccoState &cur, CoccoState *next,
                               Rng &r) {
             return MutateCocco(graph, cur, next, r);

@@ -54,8 +54,8 @@ struct HardwareConfig {
 
     /**
      * DRAM timing backend for the evaluator's seam (hw/memory_model.h).
-     * nullptr means the analytical model — the evaluator treats a null
-     * pointer and &AnalyticalMemoryModel() identically. Non-owning:
+     * nullptr means the analytical model (MemoryModelOf resolves it
+     * to &AnalyticalMemoryModel()). Non-owning:
      * points at a process-wide registry singleton.
      */
     const MemoryModel *memory_model = nullptr;

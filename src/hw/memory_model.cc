@@ -17,9 +17,8 @@ AnalyticalDramModel::FillTransferSeconds(const HardwareConfig &hw,
                                          std::vector<double> *seconds) const
 {
     seconds->resize(transfers.count);
-    // Exactly the pre-seam inline loop: same call, same iteration
-    // order, so the analytical backend is bit-identical to the legacy
-    // math (pinned by tests/test_memory_model.cc).
+    // One HardwareConfig::DramSeconds call per transfer, in list order
+    // (pinned by tests/test_memory_model.cc).
     for (int j = 0; j < transfers.count; ++j)
         (*seconds)[j] = hw.DramSeconds(transfers.bytes[j]);
 }
@@ -41,17 +40,22 @@ AnalyticalMemoryModel()
     return model;
 }
 
+const MemoryModel &
+MemoryModelOf(const HardwareConfig &hw)
+{
+    return hw.memory_model ? *hw.memory_model : AnalyticalMemoryModel();
+}
+
 double
 ModelTransferSeconds(const HardwareConfig &hw, Bytes bytes, bool is_load)
 {
-    if (hw.memory_model == nullptr) return hw.DramSeconds(bytes);
     const unsigned char load_flag = is_load ? 1 : 0;
     DramTransferList one;
     one.bytes = &bytes;
     one.is_load = &load_flag;
     one.count = 1;
     std::vector<double> seconds;
-    hw.memory_model->FillTransferSeconds(hw, one, &seconds);
+    MemoryModelOf(hw).FillTransferSeconds(hw, one, &seconds);
     return seconds[0];
 }
 

@@ -10,14 +10,12 @@
  *  - FillTransferSeconds is a *pure function* of the transfer list and
  *    the hardware point: no cross-call state, no dependence on the
  *    DLSA order. That is what keeps every incremental-evaluation
- *    invariant intact — the SoA per-tensor seconds stay constants of
- *    the parse, so delta resumption, the splice gate's bitwise
- *    reconvergence test and the cross-check reference all work
+ *    invariant intact — the per-tensor seconds stay constants of the
+ *    parse, so delta resumption and the cross-check reference work
  *    unchanged no matter which backend filled the array.
  *  - The analytical backend reproduces HardwareConfig::DramSeconds
- *    bit for bit (same arithmetic, same order), so a null/analytical
- *    seam is byte-identical to the pre-seam evaluator (pinned by
- *    tests/test_memory_model.cc).
+ *    bit for bit (same arithmetic, same order); a null seam resolves
+ *    to it (MemoryModelOf), pinned by tests/test_memory_model.cc.
  *  - History-dependent effects (row-buffer state across tensors,
  *    read/write turnaround) deliberately do NOT fit this interface;
  *    they live in the banked backend's trace replay
@@ -37,8 +35,8 @@ namespace soma {
 
 /**
  * The per-tensor DRAM transfer list, in tensor-index order (the parse's
- * canonical order, NOT the DLSA issue order). Pointer views into the
- * evaluator's SoA arrays — no copies on the fill path.
+ * canonical order, NOT the DLSA issue order). Pointer views into
+ * caller-owned arrays.
  */
 struct DramTransferList {
     const Bytes *bytes = nullptr;          ///< transfer sizes
@@ -80,10 +78,9 @@ class MemoryModel {
 };
 
 /**
- * Backend #1: the paper's flat-bandwidth model. TransferSeconds(bytes)
- * is exactly HardwareConfig::DramSeconds(bytes) and ChannelBusySeconds
- * exactly DramSeconds(total_bytes) — bit-identical to the pre-seam
- * inline math.
+ * Backend #1: the paper's flat-bandwidth model. Each transfer's
+ * seconds are exactly HardwareConfig::DramSeconds(bytes) and
+ * ChannelBusySeconds exactly DramSeconds(total_bytes).
  */
 class AnalyticalDramModel final : public MemoryModel {
   public:
@@ -101,9 +98,13 @@ class AnalyticalDramModel final : public MemoryModel {
  *  HardwareConfig::memory_model resolves to). */
 const MemoryModel &AnalyticalMemoryModel();
 
+/** @p hw's DRAM timing backend: hw.memory_model, or the analytical
+ *  model when that is null. The one place a null seam is resolved. */
+const MemoryModel &MemoryModelOf(const HardwareConfig &hw);
+
 /**
- * One transfer's channel seconds through @p hw's seam (analytical when
- * hw.memory_model is null). Both builtin backends are element-wise
+ * One transfer's channel seconds through @p hw's seam
+ * (MemoryModelOf). Both builtin backends are element-wise
  * pure, so a single-transfer call equals that transfer's entry in a
  * full-list fill — the property the compiler VM cross-check relies on
  * to stay bitwise-consistent with the evaluator under any backend.

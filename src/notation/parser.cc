@@ -107,8 +107,8 @@ ParsedSchedulesIdentical(const ParsedSchedule &a, const ParsedSchedule &b)
 {
     return a.valid == b.valid && a.why_invalid == b.why_invalid &&
            a.num_flgs == b.num_flgs && a.num_lgs == b.num_lgs &&
-           a.tiles == b.tiles && a.tensors == b.tensors &&
-           a.onchip == b.onchip;
+           a.lg_base == b.lg_base && a.tiles == b.tiles &&
+           a.tensors == b.tensors && a.onchip == b.onchip;
 }
 
 void
@@ -152,6 +152,7 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
     out.tiles.clear();
     out.tensors.clear();
     out.onchip.clear();
+    out.lg_base.clear();
     out.num_flgs = 0;
     out.num_lgs = 0;
     if (!lfa.StructurallyValid(graph, &out.why_invalid)) return;
@@ -295,22 +296,18 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
 
     // Tile positions: FLGs run back to back, each round-robin over its
     // rounds, so layer i of FLG g runs round t at flg_base[g] +
-    // t * |g| + i. An LG is a run of consecutive FLGs, hence one
-    // contiguous position range [lg_begin, lg_end).
+    // t * |g| + i. An LG is a run of consecutive FLGs, numbered in
+    // order, so the last FLG of LG lg ends where LG lg + 1 begins.
     std::vector<TilePos> &flg_base = scratch->flg_base;
-    std::vector<TilePos> &lg_begin = scratch->lg_begin;
-    std::vector<TilePos> &lg_end = scratch->lg_end;
     flg_base.resize(lfa.NumFlgs() + 1);
-    lg_begin.assign(lfa.NumLgs(), -1);
-    lg_end.resize(lfa.NumLgs());
+    out.lg_base.resize(lfa.NumLgs() + 1);
     flg_base[0] = 0;
+    out.lg_base[0] = 0;
     for (int g = 0; g < lfa.NumFlgs(); ++g) {
-        const int lg = lg_of_layer[flg_layers[g][0]];
-        if (lg_begin[lg] < 0) lg_begin[lg] = flg_base[g];
         flg_base[g + 1] =
             flg_base[g] +
             static_cast<TilePos>(flg_layers[g].size()) * lfa.tiling[g];
-        lg_end[lg] = flg_base[g + 1];
+        out.lg_base[lg_of_layer[flg_layers[g][0]] + 1] = flg_base[g + 1];
     }
     auto pos_of = [&](LayerId id, int t) {
         const int g = flg_of_layer[id];
@@ -413,8 +410,6 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
                 DramTensor at;
                 at.layer = id;
                 at.first_use = pos;
-                at.lg_begin = lg_begin[lg];
-                at.lg_end = lg_end[lg];
 
                 // Weights: one load per layer. SoMa releases them right
                 // after the layer's last tile; Cocco semantics hold
@@ -425,7 +420,7 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
                     dt.bytes = l.weightBytes();
                     dt.fixed_end =
                         popts.lg_resident_weights
-                            ? lg_end[lg]
+                            ? out.lg_base[lg + 1]
                             : pos + static_cast<TilePos>((rounds - 1) *
                                                          size) + 1;
                     out.tensors.push_back(dt);

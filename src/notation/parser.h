@@ -70,11 +70,6 @@ struct DramTensor {
      */
     TilePos fixed_end = 0;
 
-    /** Tile-position range [lg_begin, lg_end) of the owning layer's LG
-     *  (used by Cocco's group-granular prefetch heuristic). */
-    TilePos lg_begin = 0;
-    TilePos lg_end = 0;
-
     bool IsLoad() const { return kind != DramTensorKind::kOfmap; }
 
     bool operator==(const DramTensor &o) const
@@ -82,8 +77,7 @@ struct DramTensor {
         return kind == o.kind && layer == o.layer &&
                src_layer == o.src_layer && round == o.round &&
                input_index == o.input_index && bytes == o.bytes &&
-               first_use == o.first_use && fixed_end == o.fixed_end &&
-               lg_begin == o.lg_begin && lg_end == o.lg_end;
+               first_use == o.first_use && fixed_end == o.fixed_end;
     }
 
     /** "WA", "IC2", "OE1"-style label for execution-graph dumps. */
@@ -138,6 +132,11 @@ struct ParsedSchedule {
 
     int num_flgs = 0;
     int num_lgs = 0;
+
+    /** First tile position of each LG, then NumTiles(): LG g holds the
+     *  positions [lg_base[g], lg_base[g + 1]), since an LG is a run of
+     *  consecutive FLGs. A tensor's LG is tiles[first_use].lg. */
+    std::vector<TilePos> lg_base;
 
     int NumTiles() const { return static_cast<int>(tiles.size()); }
     int NumTensors() const { return static_cast<int>(tensors.size()); }
@@ -208,7 +207,6 @@ struct ParseScratch {
     std::vector<std::size_t> view_perm;   ///< perm-composition scratch
     std::vector<const GroupParse *> groups;  ///< per-FLG view, this parse
     std::vector<TilePos> flg_base;        ///< first tile position per FLG
-    std::vector<TilePos> lg_begin, lg_end;
     std::vector<char> stores;             ///< per layer: ofmap stored
     std::vector<Region> prev_need;        ///< residency-extension scratch
     std::vector<int> prev_load;           ///< residency-extension scratch

@@ -11,8 +11,6 @@
  *    no clock read, no stores. bench_sa_throughput gates this at < 2%
  *    of per-candidate cost in CI.
  *  - enabled: two clock reads + two relaxed fetch_adds per scope.
- *  - compiled out: -DSOMA_OBS_DISABLE_PROF makes the macro expand to
- *    nothing (the compile-time no-op path).
  *
  * Enabling is scoped and refcounted: hold a ProfEnableScope for the
  * measured region (somac --stats, a traced pipeline, the bench's
@@ -110,11 +108,6 @@ class ProfScopeTimer {
 #define SOMA_PROF_CONCAT_(a, b) a##b
 #define SOMA_PROF_CONCAT(a, b) SOMA_PROF_CONCAT_(a, b)
 
-#if defined(SOMA_OBS_DISABLE_PROF)
-#define SOMA_PROF_SCOPE(site_name) \
-    do {                           \
-    } while (false)
-#else
 /** Aggregate the enclosing scope's wall time under @p site_name. */
 #define SOMA_PROF_SCOPE(site_name)                                     \
     static ::soma::obs::ProfSite SOMA_PROF_CONCAT(soma_prof_site_,     \
@@ -122,6 +115,5 @@ class ProfScopeTimer {
     ::soma::obs::ProfScopeTimer SOMA_PROF_CONCAT(soma_prof_timer_,     \
                                                  __LINE__)(            \
         SOMA_PROF_CONCAT(soma_prof_site_, __LINE__))
-#endif
 
 #endif  // SOMA_OBS_PROF_H

@@ -73,8 +73,10 @@ MakeCoccoDlsa(const ParsedSchedule &parsed)
     for (int j = 0; j < parsed.NumTensors(); ++j) {
         const DramTensor &t = parsed.tensors[j];
         if (t.kind == DramTensorKind::kWeight) {
+            const TilePos lg_begin =
+                parsed.lg_base[parsed.tiles[t.first_use].lg];
             dlsa.free_point[j] =
-                std::clamp<TilePos>(t.lg_begin - 1, parsed.FreePointMin(j),
+                std::clamp<TilePos>(lg_begin - 1, parsed.FreePointMin(j),
                                     parsed.FreePointMax(j));
         }
     }

@@ -120,11 +120,10 @@ RunDlsaStage(const Graph &graph, const HardwareConfig &hw,
                    static_cast<std::int64_t>(buffer_budget));
     auto mutator = std::make_shared<DlsaMutator>(parsed);
 
-    EvalContext serial_ctx;
+    EvalContext serial_ctx(hw, buffer_budget, total_ops);
     auto evaluate_serial = [&](const DlsaEncoding &dlsa) -> double {
-        return serial_ctx
-            .Evaluate(graph, hw, parsed, dlsa, buffer_budget, total_ops)
-            .Cost(opts.cost_n, opts.cost_m);
+        return serial_ctx.Evaluate(parsed, dlsa).Cost(opts.cost_n,
+                                                      opts.cost_m);
     };
 
     DlsaStageResult result;
@@ -156,24 +155,22 @@ RunDlsaStage(const Graph &graph, const HardwareConfig &hw,
     // timeline from the earliest slot the mutation touched.
     auto make_env = [&](int /*chain*/) {
         ChainEnv<DlsaEncoding> env;
-        auto ctx = std::make_shared<EvalContext>();
+        auto ctx =
+            std::make_shared<EvalContext>(hw, buffer_budget, total_ops);
         auto delta = std::make_shared<DlsaDelta>();
         env.mutate = [mutator, delta](const DlsaEncoding &cur,
                                       DlsaEncoding *next, Rng &r) {
             return (*mutator)(cur, next, r, delta.get());
         };
-        env.evaluate = [&graph, &hw, &parsed, buffer_budget, total_ops,
-                        ctx, delta, n = opts.cost_n,
+        env.evaluate = [&parsed, ctx, delta, n = opts.cost_n,
                         m = opts.cost_m](const DlsaEncoding &d) {
-            const EvalReport &rep = ctx->EvaluateDelta(
-                graph, hw, parsed, d, *delta, buffer_budget, total_ops);
+            const EvalReport &rep = ctx->EvaluateDelta(parsed, d, *delta);
             delta->kind = DlsaDelta::Kind::kNone;  // consumed
             return rep.Cost(n, m);
         };
         env.on_accept = [ctx](const DlsaEncoding &) { ctx->Commit(); };
-        env.on_adopt = [&graph, &hw, &parsed, buffer_budget, total_ops,
-                        ctx](const DlsaEncoding &d, double) {
-            ctx->Evaluate(graph, hw, parsed, d, buffer_budget, total_ops);
+        env.on_adopt = [&parsed, ctx](const DlsaEncoding &d, double) {
+            ctx->Evaluate(parsed, d);
             ctx->Commit();
         };
         env.annotate = [ctx](obs::SpanScope &span) {

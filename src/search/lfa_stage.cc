@@ -163,26 +163,22 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
     // fallback under tight budgets). The context keeps parse and
     // timeline scratch (and the incremental group memo) alive across
     // candidates; @p ctx is per-chain.
-    auto eval_with = [&graph, &hw, &core_eval, stage_budget, total_ops,
-                      n = opts.cost_n, m = opts.cost_m](
+    auto eval_with = [&graph, &core_eval, n = opts.cost_n, m = opts.cost_m](
                          EvalContext &ctx, DlsaEncoding &dlsa_scratch,
                          const LfaEncoding &lfa) -> double {
         const ParsedSchedule &parsed = ctx.Parse(graph, lfa, core_eval);
         if (!parsed.valid) return std::numeric_limits<double>::infinity();
         MakeDoubleBufferDlsaInto(parsed, &dlsa_scratch);
         {
-            const EvalReport &rep = ctx.Evaluate(
-                graph, hw, parsed, dlsa_scratch, stage_budget, total_ops);
+            const EvalReport &rep = ctx.Evaluate(parsed, dlsa_scratch);
             if (rep.valid) return rep.Cost(n, m);
         }
         // A tight budget may only fit the lazy variant.
         MakeLazyDlsaInto(parsed, &dlsa_scratch);
-        const EvalReport &rep = ctx.Evaluate(graph, hw, parsed, dlsa_scratch,
-                                             stage_budget, total_ops);
-        return rep.Cost(n, m);
+        return ctx.Evaluate(parsed, dlsa_scratch).Cost(n, m);
     };
 
-    EvalContext serial_ctx;
+    EvalContext serial_ctx(hw, stage_budget, total_ops);
     DlsaEncoding serial_dlsa;
     auto evaluate = [&](const LfaEncoding &lfa) -> double {
         return eval_with(serial_ctx, serial_dlsa, lfa);
@@ -239,7 +235,7 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
     // (and so its own group memo).
     auto make_env = [&](int /*chain*/) {
         ChainEnv<LfaEncoding> env;
-        auto ctx = std::make_shared<EvalContext>();
+        auto ctx = std::make_shared<EvalContext>(hw, stage_budget, total_ops);
         auto dlsa = std::make_shared<DlsaEncoding>();
         env.mutate = [&graph](const LfaEncoding &cur, LfaEncoding *next,
                               Rng &r) {

@@ -76,7 +76,11 @@ ReportsEqual(const EvalReport &a, const EvalReport &b)
 
 }  // namespace
 
-EvalContext::EvalContext()
+EvalContext::EvalContext(const HardwareConfig &hw, Bytes buffer_budget,
+                         Ops total_ops)
+    : hw_(hw),
+      budget_(buffer_budget),
+      total_ops_(total_ops)
 {
     const char *cc = std::getenv("SOMA_CROSS_CHECK");
     if (cc && *cc && !(cc[0] == '0' && cc[1] == '\0')) cross_check_ = true;
@@ -87,12 +91,13 @@ EvalContext::Parse(const Graph &graph, const LfaEncoding &lfa,
                    const CoreArrayEvaluator &core_eval,
                    const ParseOptions &popts)
 {
-    // The slot is overwritten: a base or uncommitted evaluation against
-    // it would describe a schedule that no longer exists.
+    // The slot is overwritten: a base, an uncommitted evaluation or a
+    // derivation against it would describe a schedule that no longer
+    // exists.
     if (base_parsed_ == &parsed_) InvalidateBase();
     cand_fresh_ = false;
     cand_parsed_ = nullptr;
-    soa_.built_for = nullptr;
+    derived_for_ = nullptr;
     ParseOptions opts = popts;
     opts.cross_check = opts.cross_check || cross_check_;
     ParseLfaInto(graph, lfa, core_eval, opts, &parse_scratch_, &parsed_);
@@ -131,14 +136,14 @@ EvalContext::ResetReportForEval(const ParsedSchedule &parsed, EvalReport *rep)
 
 void
 EvalContext::RebuildStoreBuckets(const ParsedSchedule &parsed,
-                                 const Side &side)
+                                 const std::vector<TilePos> &free_point)
 {
     const int T = parsed.NumTiles();
     stores_by_end_.resize(T + 1);
     for (auto &bucket : stores_by_end_) bucket.clear();
     for (int j = 0; j < parsed.NumTensors(); ++j) {
         if (!parsed.tensors[j].IsLoad())
-            stores_by_end_[side.free_point[j]].push_back(j);
+            stores_by_end_[free_point[j]].push_back(j);
     }
     pending_move_ = false;
 }
@@ -170,117 +175,78 @@ EvalContext::RevertPendingStoreMove()
 }
 
 void
-EvalContext::BuildSoA(const ParsedSchedule &parsed, TimelineSoA *soa)
+EvalContext::DeriveFromParse(const ParsedSchedule &parsed)
 {
-    const int T = parsed.NumTiles();
-    const int D = parsed.NumTensors();
-    soa->tile_seconds.resize(T);
-    soa->load_begin.resize(T);
-    soa->load_end.resize(T);
-    // Separate accumulators in parse order: bitwise-identical to the
-    // sums the full evaluator used to fold per candidate.
-    double sum_seconds = 0.0;
-    double sum_energy = 0.0;
-    for (int t = 0; t < T; ++t) {
-        const TileInfo &tile = parsed.tiles[t];
-        soa->tile_seconds[t] = tile.cost.seconds;
-        sum_energy += tile.cost.energy_pj;
-        sum_seconds += tile.cost.seconds;
-        soa->load_begin[t] = tile.load_begin;
-        soa->load_end[t] = tile.load_end;
+    // Separate accumulators in a fixed order, tiles by position and
+    // tensors by index: the pinned results depend on these exact bits.
+    double seconds = 0.0;
+    double energy = 0.0;
+    for (const TileInfo &tile : parsed.tiles) {
+        energy += tile.cost.energy_pj;
+        seconds += tile.cost.seconds;
     }
-    soa->t_bytes.resize(D);
-    soa->t_is_load.resize(D);
-    soa->t_first_use.resize(D);
-    Bytes sum_bytes = 0;
+    const int D = parsed.NumTensors();
+    transfer_bytes_.resize(D);
+    transfer_is_load_.resize(D);
+    Bytes bytes = 0;
     for (int j = 0; j < D; ++j) {
         const DramTensor &t = parsed.tensors[j];
-        soa->t_bytes[j] = t.bytes;
-        sum_bytes += t.bytes;
-        soa->t_is_load[j] = t.IsLoad() ? 1 : 0;
-        soa->t_first_use[j] = t.first_use;
+        transfer_bytes_[j] = t.bytes;
+        transfer_is_load_[j] = t.IsLoad() ? 1 : 0;
+        bytes += t.bytes;
     }
-    soa->sum_seconds = sum_seconds;
-    soa->sum_energy_pj = sum_energy;
-    soa->sum_dram_bytes = sum_bytes;
-    soa->built_for = &parsed;
-    soa->hw_for = nullptr;
-}
-
-void
-EvalContext::FillDramSeconds(const HardwareConfig &hw, TimelineSoA *soa)
-{
-    const int D = soa->D();
-    if (hw.memory_model == nullptr) {
-        // Default (analytical) path kept inline so a null seam is
-        // trivially the legacy math: DramSeconds is a pure function of
-        // the byte count, so hoisting it out of the event loop cannot
-        // change a single result bit.
-        soa->t_dram_seconds.resize(D);
-        for (int j = 0; j < D; ++j)
-            soa->t_dram_seconds[j] = hw.DramSeconds(soa->t_bytes[j]);
-        soa->dram_busy_seconds = hw.DramSeconds(soa->sum_dram_bytes);
-    } else {
-        // Seam path. The model sees the tensor-index-ordered transfer
-        // list; its contract (memory_model.h) makes the fill a pure
-        // function of (parse, hw), which is all the delta logic
-        // relies on — the hot loop only ever reads this array.
-        DramTransferList transfers;
-        transfers.bytes = soa->t_bytes.data();
-        transfers.is_load = soa->t_is_load.data();
-        transfers.count = D;
-        hw.memory_model->FillTransferSeconds(hw, transfers,
-                                             &soa->t_dram_seconds);
-        soa->dram_busy_seconds = hw.memory_model->ChannelBusySeconds(
-            hw, soa->sum_dram_bytes, soa->t_dram_seconds);
-    }
-    soa->hw_for = &hw;
-}
-
-const EvalContext::TimelineSoA &
-EvalContext::SoAFor(const ParsedSchedule &parsed, const HardwareConfig &hw)
-{
-    TimelineSoA *soa = &parsed == &parsed_ ? &soa_ : &soa_ext_;
-    if (soa->built_for != &parsed) BuildSoA(parsed, soa);
-    if (soa->hw_for != &hw) FillDramSeconds(hw, soa);
-    return *soa;
+    compute_busy_ = seconds;
+    core_energy_pj_ = energy;
+    dram_bytes_ = bytes;
+    // The model sees the tensor-index-ordered transfer list; its
+    // contract (memory_model.h) makes the fill a pure function of
+    // (parse, hw), which is all the delta logic relies on.
+    DramTransferList transfers;
+    transfers.bytes = transfer_bytes_.data();
+    transfers.is_load = transfer_is_load_.data();
+    transfers.count = D;
+    const MemoryModel &model = MemoryModelOf(hw_);
+    model.FillTransferSeconds(hw_, transfers, &dram_seconds_);
+    dram_busy_ = model.ChannelBusySeconds(hw_, bytes, dram_seconds_);
+    derived_for_ = &parsed;
 }
 
 bool
-EvalContext::RunTimeline(const TimelineSoA &soa, Side *side, int ci, int di,
-                         double dram_prev_finish)
+EvalContext::RunTimeline(const ParsedSchedule &parsed, Side *side, int ci,
+                         int di, double dram_prev_finish)
 {
     SOMA_PROF_SCOPE("eval.timeline");
-    const int T = soa.T();
-    const int D = soa.D();
-    EvalReport &rep = side->report;
-    const double *tile_seconds = soa.tile_seconds.data();
-    const double *t_dram = soa.t_dram_seconds.data();
-    const int *load_begin = soa.load_begin.data();
-    const int *load_end = soa.load_end.data();
-    const unsigned char *is_load = soa.t_is_load.data();
-    const TilePos *first_use = soa.t_first_use.data();
+    const int T = parsed.NumTiles();
+    const int D = parsed.NumTensors();
+    const TileInfo *tiles = parsed.tiles.data();
+    const DramTensor *tensors = parsed.tensors.data();
+    const double *dram_seconds = dram_seconds_.data();
+    const int *order = side->order.data();
+    const int *rank_of = side->rank_of.data();
+    const TilePos *free_point = side->free_point.data();
+    EventTiming *tile_times = side->report.tile_times.data();
+    EventTiming *tensor_times = side->report.tensor_times.data();
 
     while (ci < T || di < D) {
         bool progress = false;
 
-        // DRAM head: a load waits for tiles before its Start; a store
-        // waits for its producing tile.
+        // DRAM head, in rank order: a load waits for tiles before its
+        // Start; a store waits for its producing tile.
         while (di < D) {
-            const int j = side->order[di];
+            const int j = order[di];
+            const DramTensor &t = tensors[j];
             double ready;
-            if (is_load[j]) {
-                TilePos s = side->free_point[j];
+            if (t.IsLoad()) {
+                TilePos s = free_point[j];
                 if (s > ci) break;  // tiles before Start not yet scheduled
-                ready = (s == 0) ? 0.0 : side->tile_finish[s - 1];
+                ready = (s == 0) ? 0.0 : tile_times[s - 1].finish;
             } else {
-                if (first_use[j] >= ci) break;  // producer not scheduled
-                ready = side->tile_finish[first_use[j]];
+                if (t.first_use >= ci) break;  // producer not scheduled
+                ready = tile_times[t.first_use].finish;
             }
             const double start = std::max(dram_prev_finish, ready);
-            const double finish = start + t_dram[j];
-            rep.tensor_times[j] = EventTiming{start, finish};
-            side->tensor_finish[j] = finish;
+            const double finish = start + dram_seconds[j];
+            tensor_times[j] = EventTiming{start, finish};
             side->ci_at_rank[di] = ci;
             dram_prev_finish = finish;
             ++di;
@@ -288,27 +254,24 @@ EvalContext::RunTimeline(const TimelineSoA &soa, Side *side, int ci, int di,
         }
 
         // Compute head: waits for the previous tile, its operand loads,
-        // and all stores whose End equals this tile.
+        // and all stores whose End equals this tile. Tensor j has been
+        // issued exactly when its rank is below the DRAM head.
         while (ci < T) {
-            double start = (ci == 0) ? 0.0 : side->tile_finish[ci - 1];
+            const TileInfo &tile = tiles[ci];
+            double start = (ci == 0) ? 0.0 : tile_times[ci - 1].finish;
             bool blocked = false;
-            for (int j = load_begin[ci]; j < load_end[ci]; ++j) {
-                if (side->tensor_finish[j] < 0.0) { blocked = true; break; }
-                start = std::max(start, side->tensor_finish[j]);
+            for (int j = tile.load_begin; j < tile.load_end; ++j) {
+                if (rank_of[j] >= di) { blocked = true; break; }
+                start = std::max(start, tensor_times[j].finish);
             }
             if (!blocked) {
                 for (int j : stores_by_end_[ci]) {
-                    if (side->tensor_finish[j] < 0.0) {
-                        blocked = true;
-                        break;
-                    }
-                    start = std::max(start, side->tensor_finish[j]);
+                    if (rank_of[j] >= di) { blocked = true; break; }
+                    start = std::max(start, tensor_times[j].finish);
                 }
             }
             if (blocked) break;
-            const double finish = start + tile_seconds[ci];
-            rep.tile_times[ci] = EventTiming{start, finish};
-            side->tile_finish[ci] = finish;
+            tile_times[ci] = EventTiming{start, start + tile.cost.seconds};
             side->rank_at_tile[ci] = di;
             ++ci;
             progress = true;
@@ -324,32 +287,32 @@ EvalContext::RunTimeline(const TimelineSoA &soa, Side *side, int ci, int di,
 }
 
 void
-EvalContext::FinalizeAggregates(const TimelineSoA &soa,
-                                const HardwareConfig &hw, Ops total_ops,
-                                Side *side, double known_avg)
+EvalContext::FinalizeAggregates(const ParsedSchedule &parsed, Side *side,
+                                double known_avg)
 {
     EvalReport &rep = side->report;
-    const int T = soa.T();
 
     double makespan = 0.0;
-    for (double f : side->tile_finish) makespan = std::max(makespan, f);
-    for (double f : side->tensor_finish) makespan = std::max(makespan, f);
+    for (const EventTiming &e : rep.tile_times)
+        makespan = std::max(makespan, e.finish);
+    for (const EventTiming &e : rep.tensor_times)
+        makespan = std::max(makespan, e.finish);
     rep.latency = makespan;
 
-    rep.compute_busy = soa.sum_seconds;
-    rep.dram_bytes = soa.sum_dram_bytes;
-    rep.dram_busy = soa.dram_busy_seconds;
-    rep.core_energy_j = soa.sum_energy_pj * 1e-12;
-    rep.dram_energy_j = static_cast<double>(soa.sum_dram_bytes) *
-                        hw.energy.dram_pj_per_byte * 1e-12;
+    rep.compute_busy = compute_busy_;
+    rep.dram_bytes = dram_bytes_;
+    rep.dram_busy = dram_busy_;
+    rep.core_energy_j = core_energy_pj_ * 1e-12;
+    rep.dram_energy_j = static_cast<double>(dram_bytes_) *
+                        hw_.energy.dram_pj_per_byte * 1e-12;
 
-    double peak_ops = hw.PeakOpsPerSecond();
-    rep.compute_util = static_cast<double>(total_ops) /
+    double peak_ops = hw_.PeakOpsPerSecond();
+    rep.compute_util = static_cast<double>(total_ops_) /
                        (peak_ops * rep.latency);
     rep.dram_util = rep.dram_busy / rep.latency;
     double bound = std::max(rep.compute_busy, rep.dram_busy);
     rep.theory_max_util =
-        bound > 0.0 ? static_cast<double>(total_ops) / (peak_ops * bound)
+        bound > 0.0 ? static_cast<double>(total_ops_) / (peak_ops * bound)
                     : 0.0;
 
     if (known_avg >= 0.0) {
@@ -359,111 +322,100 @@ EvalContext::FinalizeAggregates(const TimelineSoA &soa,
         // Compute-time-weighted average buffer usage (Fig. 6
         // definition).
         double weighted = 0.0;
-        for (int s = 0; s < T; ++s)
+        for (int s = 0; s < parsed.NumTiles(); ++s)
             weighted += static_cast<double>(side->usage[s]) *
-                        soa.tile_seconds[s];
+                        parsed.tiles[s].cost.seconds;
         rep.avg_buffer =
             rep.compute_busy > 0.0 ? weighted / rep.compute_busy : 0.0;
     }
 }
 
-const EvalReport &
-EvalContext::Evaluate(const Graph &graph, const HardwareConfig &hw,
-                      const ParsedSchedule &parsed, const DlsaEncoding &dlsa,
-                      Bytes buffer_budget, Ops total_ops)
+bool
+EvalContext::Simulate(const ParsedSchedule &parsed, const DlsaEncoding &dlsa,
+                      Side *side)
 {
-    SOMA_PROF_SCOPE("eval.full");
-    (void)graph;
-    // Keep the base's buckets coherent before the rebuild below claims
-    // them for this candidate: the committed base itself survives full
-    // evaluations (EvaluateDelta restores the buckets lazily).
-    RevertPendingStoreMove();
-
-    // External parses have no invalidation hook (Parse only guards the
-    // context-owned slot), so re-mirror them on every full pass.
-    if (&parsed != &parsed_) soa_ext_.built_for = nullptr;
-
-    Side &side = sides_[cand_];
-    EvalReport &rep = side.report;
+    EvalReport &rep = side->report;
     ResetReportForEval(parsed, &rep);
-    cand_fresh_ = false;
-
-    if (!parsed.valid) {
-        rep.why_invalid = parsed.why_invalid;
-        return rep;
-    }
-    if (!DlsaValid(parsed, dlsa, &why_scratch_, &check_scratch_)) {
-        rep.why_invalid = "dlsa: " + why_scratch_;
-        return rep;
-    }
-
-    side.order = dlsa.order;
-    side.free_point = dlsa.free_point;
     const int T = parsed.NumTiles();
     const int D = parsed.NumTensors();
-    side.rank_of.assign(D, 0);
-    for (int r = 0; r < D; ++r) side.rank_of[side.order[r]] = r;
+    side->order = dlsa.order;
+    side->free_point = dlsa.free_point;
+    side->rank_of.resize(D);
+    for (int r = 0; r < D; ++r) side->rank_of[side->order[r]] = r;
 
     // --- Buffer feasibility (slot-based, Fig. 4 BUFFER row) ---
-    ComputeBufferBySlot(parsed, side.free_point, &buffer_diff_,
-                        &side.usage);
+    ComputeBufferBySlot(parsed, side->free_point, &buffer_diff_,
+                        &side->usage);
     Bytes peak = 0;
-    for (Bytes b : side.usage) peak = std::max(peak, b);
+    for (Bytes b : side->usage) peak = std::max(peak, b);
     rep.peak_buffer = peak;
-    if (peak > buffer_budget) {
+    if (peak > budget_) {
         rep.why_invalid = "buffer overflow";
-        return rep;
+        return false;
     }
 
-    RebuildStoreBuckets(parsed, side);
+    RebuildStoreBuckets(parsed, side->free_point);
     buckets_for_base_ = false;
-
-    const TimelineSoA &soa = SoAFor(parsed, hw);
+    if (derived_for_ != &parsed) DeriveFromParse(parsed);
 
     // --- Two serial resources, two-pointer list scheduling ---
-    side.tile_finish.assign(T, 0.0);
-    side.tensor_finish.assign(D, -1.0);
-    side.ci_at_rank.assign(D, 0);
-    side.rank_at_tile.assign(T, 0);
+    side->ci_at_rank.resize(D);
+    side->rank_at_tile.resize(T);
     rep.tile_times.assign(T, EventTiming{});
     rep.tensor_times.assign(D, EventTiming{});
-
-    cand_fresh_ = true;
-    cand_parsed_ = &parsed;
-    cand_budget_ = buffer_budget;
-    cand_ops_ = total_ops;
-
-    if (!RunTimeline(soa, &side, 0, 0, 0.0)) {
+    if (!RunTimeline(parsed, side, 0, 0, 0.0)) {
         rep.why_invalid = "schedule deadlock (DLSA order)";
-        return rep;
+        return true;
     }
-
-    FinalizeAggregates(soa, hw, total_ops, &side);
+    FinalizeAggregates(parsed, side);
     rep.valid = true;
-    return rep;
+    return true;
 }
 
 const EvalReport &
-EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
-                           const ParsedSchedule &parsed,
-                           const DlsaEncoding &cand, const DlsaDelta &delta,
-                           Bytes buffer_budget, Ops total_ops)
+EvalContext::Evaluate(const ParsedSchedule &parsed, const DlsaEncoding &dlsa)
+{
+    SOMA_PROF_SCOPE("eval.full");
+    // Keep the base's buckets coherent before the simulation claims
+    // them for this candidate: the committed base itself survives full
+    // evaluations (EvaluateDelta restores the buckets lazily).
+    RevertPendingStoreMove();
+    cand_fresh_ = false;
+    Side &side = sides_[cand_];
+    if (!parsed.valid ||
+        !DlsaValid(parsed, dlsa, &why_scratch_, &check_scratch_)) {
+        ResetReportForEval(parsed, &side.report);
+        side.report.why_invalid =
+            parsed.valid ? "dlsa: " + why_scratch_ : parsed.why_invalid;
+        return side.report;
+    }
+
+    // Parse only guards the context-owned slot, so a caller-owned parse
+    // is re-derived on every full pass.
+    if (&parsed != &parsed_) derived_for_ = nullptr;
+    cand_fresh_ = Simulate(parsed, dlsa, &side);
+    cand_parsed_ = &parsed;
+    return side.report;
+}
+
+const EvalReport &
+EvalContext::EvaluateDelta(const ParsedSchedule &parsed,
+                           const DlsaEncoding &cand, const DlsaDelta &delta)
 {
     SOMA_PROF_SCOPE("eval.delta");
     RevertPendingStoreMove();
     if (!base_ok_ || base_parsed_ != &parsed ||
-        base_budget_ != buffer_budget || base_ops_ != total_ops ||
         delta.kind == DlsaDelta::Kind::kNone) {
         ++delta_stats_.full_fallbacks;
-        return Evaluate(graph, hw, parsed, cand, buffer_budget, total_ops);
+        return Evaluate(parsed, cand);
     }
 
     ++delta_stats_.delta_evals;
     const Side &base = sides_[base_];
     if (!buckets_for_base_) {
-        // A full evaluation since the last Commit rebuilt the buckets
+        // A full simulation since the last Commit rebuilt the buckets
         // for its own candidate; restore the base's view.
-        RebuildStoreBuckets(parsed, base);
+        RebuildStoreBuckets(parsed, base.free_point);
         buckets_for_base_ = true;
     }
 
@@ -478,8 +430,6 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
     side.free_point = cand.free_point;
     cand_fresh_ = true;
     cand_parsed_ = &parsed;
-    cand_budget_ = buffer_budget;
-    cand_ops_ = total_ops;
 
     rep.valid = false;
     rep.why_invalid.clear();
@@ -534,7 +484,7 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
             }
         }
         rep.peak_buffer = peak;
-        if (peak > buffer_budget) {
+        if (peak > budget_) {
             // Mirror the full evaluator's early buffer-overflow report.
             ResetAggregates(&rep);
             rep.tile_times.clear();
@@ -577,16 +527,12 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
     }
 
     // Prefix copies only: the resumed run rewrites everything from
-    // (ci0, di0) to the end. tensor_finish doubles as the issued flag
-    // the gating checks read, so unissued ranks are invalidated in the
-    // same pass.
-    side.tile_finish.resize(T);
+    // (ci0, di0) to the end, and reads a tensor's finish time only once
+    // its rank is below the DRAM head.
     side.rank_at_tile.resize(T);
-    side.tensor_finish.resize(D);
     side.ci_at_rank.resize(D);
     rep.tile_times.resize(T);
     rep.tensor_times.resize(D);
-    std::copy_n(base.tile_finish.begin(), ci0, side.tile_finish.begin());
     std::copy_n(base.rank_at_tile.begin(), ci0,
                 side.rank_at_tile.begin());
     std::copy_n(base.ci_at_rank.begin(), di0, side.ci_at_rank.begin());
@@ -594,18 +540,15 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
                 rep.tile_times.begin());
     for (int r = 0; r < di0; ++r) {
         const int j = base.order[r];  // == side.order[r] below di0
-        side.tensor_finish[j] = base.tensor_finish[j];
         rep.tensor_times[j] = base.report.tensor_times[j];
     }
-    for (int r = di0; r < D; ++r)
-        side.tensor_finish[side.order[r]] = -1.0;
 
     delta_stats_.last_resume_ci = ci0;
     delta_stats_.last_resume_di = di0;
     const double dram_prev =
-        di0 > 0 ? side.tensor_finish[side.order[di0 - 1]] : 0.0;
-    const TimelineSoA &soa = SoAFor(parsed, hw);
-    if (!RunTimeline(soa, &side, ci0, di0, dram_prev)) {
+        di0 > 0 ? rep.tensor_times[side.order[di0 - 1]].finish : 0.0;
+    if (derived_for_ != &parsed) DeriveFromParse(parsed);
+    if (!RunTimeline(parsed, &side, ci0, di0, dram_prev)) {
         // Deadlock. The resumed run reproduced the full trajectory up to
         // the stalled heads; everything beyond them is stale prefix-copy
         // leftovers the canonical report zero-fills.
@@ -617,62 +560,31 @@ EvalContext::EvaluateDelta(const Graph &graph, const HardwareConfig &hw,
         rep.why_invalid = "schedule deadlock (DLSA order)";
         return rep;
     }
-    FinalizeAggregates(soa, hw, total_ops, &side, known_avg);
+    FinalizeAggregates(parsed, &side, known_avg);
     rep.valid = true;
     if (cross_check_) {
-        CrossCheckAgainstFull(hw, parsed, cand, buffer_budget, total_ops);
+        CrossCheckAgainstFull(parsed, cand);
         ++delta_stats_.cross_check_passes;
     }
     return rep;
 }
 
 void
-EvalContext::CrossCheckAgainstFull(const HardwareConfig &hw,
-                                   const ParsedSchedule &parsed,
-                                   const DlsaEncoding &dlsa,
-                                   Bytes buffer_budget, Ops total_ops)
+EvalContext::CrossCheckAgainstFull(const ParsedSchedule &parsed,
+                                   const DlsaEncoding &dlsa)
 {
+    // The reference rebuilds the store buckets from the candidate's
+    // free points, so the next delta restores the base's view.
+    Simulate(parsed, dlsa, &check_side_);
     const Side &got = sides_[cand_];
-    Side &ref = check_side_;
-    EvalReport &rrep = ref.report;
-    ResetReportForEval(parsed, &rrep);
-    const int T = parsed.NumTiles();
-    const int D = parsed.NumTensors();
-    ref.order = dlsa.order;
-    ref.free_point = dlsa.free_point;
-    ref.rank_of.assign(D, 0);
-    for (int r = 0; r < D; ++r) ref.rank_of[ref.order[r]] = r;
-    ComputeBufferBySlot(parsed, ref.free_point, &buffer_diff_, &ref.usage);
-    Bytes peak = 0;
-    for (Bytes b : ref.usage) peak = std::max(peak, b);
-    rrep.peak_buffer = peak;
-    ref.tile_finish.assign(T, 0.0);
-    ref.tensor_finish.assign(D, -1.0);
-    ref.ci_at_rank.assign(D, 0);
-    ref.rank_at_tile.assign(T, 0);
-    rrep.tile_times.assign(T, EventTiming{});
-    rrep.tensor_times.assign(D, EventTiming{});
-    const TimelineSoA &soa = SoAFor(parsed, hw);
-    // The store buckets describe `dlsa` after every fast path (order
-    // and load moves leave them untouched, a store move was applied) —
-    // the reference run uses them as-is.
-    const bool ok =
-        peak <= buffer_budget && RunTimeline(soa, &ref, 0, 0, 0.0);
-    if (ok) {
-        FinalizeAggregates(soa, hw, total_ops, &ref);
-        rrep.valid = true;
-    }
+    const Side &ref = check_side_;
     // The two-pointer bookkeeping (ci_at_rank / rank_at_tile) records
     // the traversal, which a resumed run may legally interleave
     // differently; every *value* must match bit-for-bit.
-    const bool same = ok && ReportsEqual(got.report, rrep) &&
-                      got.tile_finish == ref.tile_finish &&
-                      got.tensor_finish == ref.tensor_finish &&
-                      got.usage == ref.usage;
-    if (!same) {
+    if (!ReportsEqual(got.report, ref.report) || got.usage != ref.usage) {
         SOMA_ERROR << "delta evaluation diverged from full simulation: "
                    << "fast-path latency=" << got.report.latency
-                   << " full latency=" << rrep.latency
+                   << " full latency=" << ref.report.latency
                    << " — delta evaluator bug";
         std::abort();
     }
@@ -686,12 +598,10 @@ EvalContext::Commit()
     cand_fresh_ = false;
     // The buckets describe the just-promoted base: a delta fast path
     // left them matching its candidate (any pending store move is now
-    // permanent) and the full path rebuilt them for it.
+    // permanent) and a full simulation rebuilt them for it.
     pending_move_ = false;
     buckets_for_base_ = true;
     base_parsed_ = cand_parsed_;
-    base_budget_ = cand_budget_;
-    base_ops_ = cand_ops_;
     base_ok_ = sides_[base_].report.valid;
 }
 

@@ -14,9 +14,11 @@
  * it to the end. LFA candidates change the parse and go through
  * Evaluate.
  *
- * Timeline state is mirrored into SoA arrays (per-tile seconds, CSR
- * operand lists, per-tensor DRAM seconds, cached aggregate sums) so the
- * timeline runs over contiguous memory.
+ * The timeline reads the parse's tiles and DRAM tensors directly and
+ * writes only the report's timings. From a parse the context derives
+ * nothing but what no DLSA change can move: the memory model's
+ * per-tensor DRAM seconds, the channel-busy aggregate and the compute,
+ * energy and byte sums.
  *
  * Incremental results are bit-identical to full evaluation: the resumed
  * timeline executes the same recurrences on the same operands from a
@@ -71,6 +73,7 @@ void ComputeBufferBySlot(const ParsedSchedule &parsed,
 /**
  * Per-thread evaluation context. Typical SA usage:
  *
+ *   EvalContext ctx(hw, budget, total_ops);
  *   ctx.Evaluate(...);          // full evaluation of the initial state
  *   ctx.Commit();               // make it the incremental base
  *   loop:
@@ -82,7 +85,14 @@ void ComputeBufferBySlot(const ParsedSchedule &parsed,
  */
 class EvalContext {
   public:
-    EvalContext();
+    /**
+     * Bind what every report of this context is computed against: the
+     * hardware point (its DRAM timing backend included), the GBUF bytes
+     * a scheme may use (hw.gbuf_bytes, or a smaller stage budget) and
+     * the utilization numerator (graph.TotalOps()).
+     */
+    EvalContext(const HardwareConfig &hw, Bytes buffer_budget,
+                Ops total_ops);
 
     /** Counters for the delta fast paths (cumulative per context). */
     struct DeltaStats {
@@ -108,29 +118,26 @@ class EvalContext {
      * reusable report. The returned reference is overwritten by the next
      * evaluation. The committed base (if any) is left intact, so a full
      * evaluation of one candidate does not cost later candidates their
-     * delta path.
+     * delta path. A parse the context does not own may have been
+     * rewritten in place since the last call, so a full evaluation
+     * re-derives what the context derives from it.
      */
-    const EvalReport &Evaluate(const Graph &graph, const HardwareConfig &hw,
-                               const ParsedSchedule &parsed,
-                               const DlsaEncoding &dlsa, Bytes buffer_budget,
-                               Ops total_ops);
+    const EvalReport &Evaluate(const ParsedSchedule &parsed,
+                               const DlsaEncoding &dlsa);
 
     /**
      * Evaluate a candidate that differs from the committed base by
      * @p delta. Resumes the two-pointer timeline from the earliest
      * affected (tile, rank) checkpoint instead of replaying it from
      * slot 0. Falls back to Evaluate when there is no usable base (not
-     * committed, different parse/budget, or delta.kind == kNone).
+     * committed, a different parse, or delta.kind == kNone).
      *
      * Precondition: @p cand is a legal DLSA (the mutation operators only
      * produce legal moves); the data-existence check is skipped here.
      */
-    const EvalReport &EvaluateDelta(const Graph &graph,
-                                    const HardwareConfig &hw,
-                                    const ParsedSchedule &parsed,
+    const EvalReport &EvaluateDelta(const ParsedSchedule &parsed,
                                     const DlsaEncoding &cand,
-                                    const DlsaDelta &delta,
-                                    Bytes buffer_budget, Ops total_ops);
+                                    const DlsaDelta &delta);
 
     /** Promote the last evaluated candidate to the incremental base. */
     void Commit();
@@ -160,11 +167,10 @@ class EvalContext {
     /** One copy of all per-evaluation result state. Two instances are
      *  kept so a candidate can be evaluated without clobbering the base
      *  it resumes from; Commit swaps them. (A third backs cross-check
-     *  reference runs.) */
+     *  reference runs.) The report's tile_times / tensor_times are the
+     *  timeline itself: the recurrence reads its finish times back. */
     struct Side {
         EvalReport report;
-        std::vector<double> tile_finish;
-        std::vector<double> tensor_finish;  ///< -1: unscheduled
         std::vector<int> ci_at_rank;   ///< compute head when rank issued
         std::vector<int> rank_at_tile; ///< DRAM head when tile issued
         std::vector<Bytes> usage;      ///< buffer occupancy per slot
@@ -173,42 +179,19 @@ class EvalContext {
         std::vector<TilePos> free_point;
     };
 
-    /** SoA mirror of the timeline-relevant parse content: contiguous
-     *  arrays the inner loop streams over, plus the aggregate sums
-     *  FinalizeAggregates would otherwise recompute per candidate.
-     *  Rebuilt only when the backing parse changes (tracked by pointer
-     *  identity, like the base parse). */
-    struct TimelineSoA {
-        const ParsedSchedule *built_for = nullptr;
-        const HardwareConfig *hw_for = nullptr;
-        std::vector<double> tile_seconds;
-        /// Per tile: operand-load tensor ids [load_begin, load_end).
-        std::vector<int> load_begin;
-        std::vector<int> load_end;
-        std::vector<Bytes> t_bytes;
-        /// Per-tensor channel seconds from the hw's MemoryModel seam
-        /// (hw.DramSeconds(bytes) for the analytical/null backend).
-        std::vector<double> t_dram_seconds;
-        std::vector<unsigned char> t_is_load;
-        std::vector<TilePos> t_first_use;
-        double sum_seconds = 0.0;    ///< == full-eval compute_busy
-        double sum_energy_pj = 0.0;  ///< == full-eval core picojoules
-        Bytes sum_dram_bytes = 0;    ///< == parsed.TotalDramBytes()
-        /// Model-provided aggregate for EvalReport::dram_busy, filled
-        /// alongside t_dram_seconds (constant per (parse, hw)).
-        double dram_busy_seconds = 0.0;
-        int T() const { return static_cast<int>(tile_seconds.size()); }
-        int D() const { return static_cast<int>(t_bytes.size()); }
-    };
-
     void ResetReportForEval(const ParsedSchedule &parsed, EvalReport *rep);
     static void ResetAggregates(EvalReport *rep);
 
-    /** The SoA mirror of @p parsed, rebuilt/refreshed on demand. */
-    const TimelineSoA &SoAFor(const ParsedSchedule &parsed,
-                              const HardwareConfig &hw);
-    static void BuildSoA(const ParsedSchedule &parsed, TimelineSoA *soa);
-    static void FillDramSeconds(const HardwareConfig &hw, TimelineSoA *soa);
+    /** Derive from @p parsed what no DLSA can move (the members below
+     *  derived_for_). */
+    void DeriveFromParse(const ParsedSchedule &parsed);
+
+    /** The full simulation of @p dlsa into @p side: copy the DLSA,
+     *  build the occupancy, rebuild the store buckets for it, run the
+     *  timeline from (0, 0) and finalize. False when the occupancy
+     *  overflows the budget, before any timeline ran. */
+    bool Simulate(const ParsedSchedule &parsed, const DlsaEncoding &dlsa,
+                  Side *side);
 
     /** Where a failed (deadlocked) timeline run left its heads — the
      *  first unwritten tile slot / DRAM rank, so delta callers can
@@ -217,36 +200,43 @@ class EvalContext {
     int run_dead_di_ = 0;
     /** Run the two-pointer timeline from heads (@p ci, @p di) to the
      *  end; false on deadlock. */
-    bool RunTimeline(const TimelineSoA &soa, Side *side, int ci, int di,
-                     double dram_prev_finish);
+    bool RunTimeline(const ParsedSchedule &parsed, Side *side, int ci,
+                     int di, double dram_prev_finish);
 
     /** @p known_avg >= 0 skips the weighted-usage scan (the buffer
      *  profile is bitwise the base's, e.g. after an order move). */
-    void FinalizeAggregates(const TimelineSoA &soa, const HardwareConfig &hw,
-                            Ops total_ops, Side *side,
+    void FinalizeAggregates(const ParsedSchedule &parsed, Side *side,
                             double known_avg = -1.0);
-    void RebuildStoreBuckets(const ParsedSchedule &parsed, const Side &side);
+    void RebuildStoreBuckets(const ParsedSchedule &parsed,
+                             const std::vector<TilePos> &free_point);
     void ApplyStoreMove(int tensor, TilePos from, TilePos to);
     void RevertPendingStoreMove();
 
-    /** Run the reference full simulation into check_side_ and abort on
-     *  any divergence from the fast-path result in sides_[cand_].
-     *  Requires the store buckets to describe @p dlsa (true after any
-     *  fast path). */
-    void CrossCheckAgainstFull(const HardwareConfig &hw,
-                               const ParsedSchedule &parsed,
-                               const DlsaEncoding &dlsa, Bytes buffer_budget,
-                               Ops total_ops);
+    /** Run the full simulation into check_side_ and abort on any
+     *  divergence from the fast-path result in sides_[cand_]. */
+    void CrossCheckAgainstFull(const ParsedSchedule &parsed,
+                               const DlsaEncoding &dlsa);
+
+    const HardwareConfig hw_;
+    const Bytes budget_;
+    const Ops total_ops_;
 
     ParseScratch parse_scratch_;
     ParsedSchedule parsed_;  ///< the slot Parse writes
     DlsaCheckScratch check_scratch_;
     std::string why_scratch_;
 
-    /** SoA mirrors of parsed_ and of external parses (DLSA-stage walks
-     *  evaluate one caller-owned parse). */
-    TimelineSoA soa_;
-    TimelineSoA soa_ext_;
+    /** What DeriveFromParse last derived, and from which parse. */
+    const ParsedSchedule *derived_for_ = nullptr;
+    std::vector<double> dram_seconds_;  ///< per tensor, hw_'s model
+    double dram_busy_ = 0.0;            ///< EvalReport::dram_busy
+    double compute_busy_ = 0.0;         ///< tile seconds, by position
+    double core_energy_pj_ = 0.0;       ///< tile energy, by position
+    Bytes dram_bytes_ = 0;              ///< tensor bytes, by index
+    /** The byte and direction views of the transfer list the model
+     *  fills from; kept so a warmed-up context does no heap work. */
+    std::vector<Bytes> transfer_bytes_;
+    std::vector<unsigned char> transfer_is_load_;
 
     /** Buffer difference array (ComputeBufferBySlot scratch); keeps
      *  its capacity, so warmed-up evaluations do no heap work. */
@@ -254,7 +244,7 @@ class EvalContext {
 
     /** Stores indexed by their End slot, kept in sync with either the
      *  base free points (plus at most one pending candidate move) or —
-     *  after a full evaluation — the last candidate's
+     *  after a full simulation — the last simulated candidate's
      *  (buckets_for_base_ says which). */
     std::vector<std::vector<int>> stores_by_end_;
 
@@ -265,10 +255,6 @@ class EvalContext {
 
     const ParsedSchedule *base_parsed_ = nullptr;  ///< base's parse
     const ParsedSchedule *cand_parsed_ = nullptr;  ///< last eval's parse
-    Bytes base_budget_ = -1;
-    Ops base_ops_ = -1;
-    Bytes cand_budget_ = -1;
-    Ops cand_ops_ = -1;
     bool base_ok_ = false;
     bool cand_fresh_ = false;  ///< cand side holds an uncommitted result
     bool buckets_for_base_ = false;

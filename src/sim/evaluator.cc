@@ -31,15 +31,15 @@ EvalReport::Cost(double n, double m) const
 }
 
 EvalReport
-EvaluateSchedule(const Graph &graph, const HardwareConfig &hw,
+EvaluateSchedule(const Graph &, const HardwareConfig &hw,
                  const ParsedSchedule &parsed, const DlsaEncoding &dlsa,
                  Bytes buffer_budget, Ops total_ops)
 {
     // Compatibility wrapper: the implementation lives in EvalContext so
     // the full and incremental paths share one timeline. Search loops
     // should hold a per-thread EvalContext instead of calling this.
-    EvalContext ctx;
-    return ctx.Evaluate(graph, hw, parsed, dlsa, buffer_budget, total_ops);
+    EvalContext ctx(hw, buffer_budget, total_ops);
+    return ctx.Evaluate(parsed, dlsa);
 }
 
 }  // namespace soma

@@ -222,6 +222,18 @@ TEST(RequestJson, GarbageNumericsAreRejectedNotTruncated)
         EXPECT_NE(err.find("an integer"), std::string::npos) << err;
     }
 
+    // A GBUF size is a whole byte count: a fraction is rejected, not
+    // truncated to a neighbouring size or to 0, which keeps the preset.
+    for (const char *gbuf : {"0.5", "4194304.7"}) {
+        ASSERT_TRUE(Json::Parse(std::string("{\"model\": \"resnet50\", "
+                                            "\"gbuf_bytes\": ") +
+                                    gbuf + "}",
+                                &json, &err));
+        EXPECT_FALSE(ScheduleRequest::FromJson(json, &request, &err))
+            << gbuf;
+        EXPECT_NE(err.find("gbuf_bytes"), std::string::npos) << err;
+    }
+
     // Seeds are integers below 2^64: fractions and out-of-range values
     // are rejected, never truncated; the largest seed stays exact.
     for (const char *seed : {"1e30", "1.5", "18446744073709551616"}) {

@@ -66,9 +66,10 @@ TEST(Cocco, WeightsResidentForWholeGroup)
     CoccoResult res =
         RunCocco(g, hw, CoccoOptionsFor(SearchProfile::kQuick, 5));
     ASSERT_TRUE(res.report.valid);
-    for (const DramTensor &t : res.parsed.tensors) {
+    const ParsedSchedule &p = res.parsed;
+    for (const DramTensor &t : p.tensors) {
         if (t.kind == DramTensorKind::kWeight) {
-            EXPECT_EQ(t.fixed_end, t.lg_end);
+            EXPECT_EQ(t.fixed_end, p.lg_base[p.tiles[t.first_use].lg + 1]);
         }
     }
 }

@@ -133,7 +133,7 @@ RunMixedWalk(std::uint64_t seed, int phases, bool cross_check)
     const Ops ops = g.TotalOps();
     const Bytes budget = hw.gbuf_bytes;
 
-    EvalContext ctx;
+    EvalContext ctx(hw, budget, ops);
     ctx.set_cross_check(cross_check);
 
     LfaEncoding cur = MakeInitialLfa(g, hw, 16);
@@ -157,7 +157,7 @@ RunMixedWalk(std::uint64_t seed, int phases, bool cross_check)
             if (!p.valid) continue;
             MakeDoubleBufferDlsaInto(p, &dlsa_scratch);
             const EvalReport &inc =
-                ctx.Evaluate(g, hw, p, dlsa_scratch, budget, ops);
+                ctx.Evaluate(p, dlsa_scratch);
             EvalReport ref =
                 EvaluateSchedule(g, hw, full, dlsa_scratch, budget, ops);
             ExpectReportsIdentical(inc, ref);
@@ -171,7 +171,7 @@ RunMixedWalk(std::uint64_t seed, int phases, bool cross_check)
         ParsedSchedule full = ParseLfa(g, cur, ce);
         ASSERT_TRUE(ParsedSchedulesIdentical(p, full));
         DlsaEncoding cur_d = MakeDoubleBufferDlsa(p);
-        ASSERT_TRUE(ctx.Evaluate(g, hw, p, cur_d, budget, ops).valid);
+        ASSERT_TRUE(ctx.Evaluate(p, cur_d).valid);
         ctx.Commit();
         DlsaMutator mutate(p);
         DlsaEncoding cand_d;
@@ -179,7 +179,7 @@ RunMixedWalk(std::uint64_t seed, int phases, bool cross_check)
         for (int i = 0; i < 25; ++i) {
             if (!mutate(cur_d, &cand_d, rng, &delta)) continue;
             const EvalReport &inc =
-                ctx.EvaluateDelta(g, hw, p, cand_d, delta, budget, ops);
+                ctx.EvaluateDelta(p, cand_d, delta);
             EvalReport ref =
                 EvaluateSchedule(g, hw, full, cand_d, budget, ops);
             ExpectReportsIdentical(inc, ref);
@@ -229,13 +229,13 @@ TEST(DeltaEval, ParseDropsTheBaseItOverwrites)
     const Ops ops = g.TotalOps();
     const Bytes budget = hw.gbuf_bytes;
 
-    EvalContext ctx;
+    EvalContext ctx(hw, budget, ops);
     const LfaEncoding first = MakeInitialLfa(g, hw, 16);
     {
         const ParsedSchedule &p = ctx.Parse(g, first, ce);
         ASSERT_TRUE(p.valid);
         ASSERT_TRUE(
-            ctx.Evaluate(g, hw, p, MakeDoubleBufferDlsa(p), budget, ops)
+            ctx.Evaluate(p, MakeDoubleBufferDlsa(p))
                 .valid);
         ctx.Commit();
         ASSERT_TRUE(ctx.HasBase());
@@ -256,7 +256,7 @@ TEST(DeltaEval, ParseDropsTheBaseItOverwrites)
 
     const std::uint64_t fallbacks = ctx.delta_stats().full_fallbacks;
     const EvalReport &inc =
-        ctx.EvaluateDelta(g, hw, p, cand, delta, budget, ops);
+        ctx.EvaluateDelta(p, cand, delta);
     EXPECT_EQ(ctx.delta_stats().full_fallbacks, fallbacks + 1);
     ExpectReportsIdentical(
         inc, EvaluateSchedule(g, hw, full, cand, budget, ops));
@@ -285,19 +285,19 @@ TEST(DeltaEval, ReusedScratchKeepsCandidatesIndependent)
     ASSERT_TRUE(mutate(base, &cand_b, rng, &delta_b));
 
     // Warm context: A then B through the same scratch.
-    EvalContext warm;
-    ASSERT_TRUE(warm.Evaluate(g, hw, parsed, base, budget, ops).valid);
+    EvalContext warm(hw, budget, ops);
+    ASSERT_TRUE(warm.Evaluate(parsed, base).valid);
     warm.Commit();
-    warm.EvaluateDelta(g, hw, parsed, cand_a, delta_a, budget, ops);
+    warm.EvaluateDelta(parsed, cand_a, delta_a);
     EvalReport through_warm =
-        warm.EvaluateDelta(g, hw, parsed, cand_b, delta_b, budget, ops);
+        warm.EvaluateDelta(parsed, cand_b, delta_b);
 
     // Fresh context: B with cold scratch.
-    EvalContext fresh;
-    ASSERT_TRUE(fresh.Evaluate(g, hw, parsed, base, budget, ops).valid);
+    EvalContext fresh(hw, budget, ops);
+    ASSERT_TRUE(fresh.Evaluate(parsed, base).valid);
     fresh.Commit();
     const EvalReport &through_fresh =
-        fresh.EvaluateDelta(g, hw, parsed, cand_b, delta_b, budget, ops);
+        fresh.EvaluateDelta(parsed, cand_b, delta_b);
 
     ExpectReportsIdentical(through_warm, through_fresh);
 }

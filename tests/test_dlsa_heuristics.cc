@@ -136,7 +136,8 @@ TEST(DlsaHeuristics, CoccoBurstsWeightsAtGroupHead)
     for (int j = 0; j < p.NumTensors(); ++j) {
         const DramTensor &t = p.tensors[j];
         if (t.kind != DramTensorKind::kWeight) continue;
-        TilePos expected = std::max<TilePos>(0, t.lg_begin - 1);
+        TilePos expected =
+            std::max<TilePos>(0, p.lg_base[p.tiles[t.first_use].lg] - 1);
         EXPECT_EQ(d.free_point[j], expected)
             << t.Label(g) << " should start at its LG head";
     }

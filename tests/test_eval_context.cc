@@ -9,6 +9,8 @@
 
 #include <limits>
 
+#include "hw/banked_dram.h"
+#include "hw/memory_model.h"
 #include "search/dlsa_heuristics.h"
 #include "search/dlsa_stage.h"
 #include "sim/eval_context.h"
@@ -88,9 +90,9 @@ RunIncrementalWalk(Bytes budget, std::uint64_t seed, int steps)
     ASSERT_GT(parsed.NumTensors(), 4);
     const Ops ops = g.TotalOps();
 
-    EvalContext ctx;
+    EvalContext ctx(hw, budget, ops);
     DlsaEncoding current = MakeDoubleBufferDlsa(parsed);
-    ctx.Evaluate(g, hw, parsed, current, budget, ops);
+    ctx.Evaluate(parsed, current);
     ctx.Commit();
 
     DlsaMutator mutate(parsed);
@@ -102,7 +104,7 @@ RunIncrementalWalk(Bytes budget, std::uint64_t seed, int steps)
         if (!mutate(current, &cand, rng, &delta)) continue;
         if (ctx.HasBase()) ++incremental_hits;
         const EvalReport &inc =
-            ctx.EvaluateDelta(g, hw, parsed, cand, delta, budget, ops);
+            ctx.EvaluateDelta(parsed, cand, delta);
         EvalReport full = EvaluateSchedule(g, hw, parsed, cand, budget, ops);
         ExpectReportsIdentical(inc, full);
         ++evaluated;
@@ -150,9 +152,9 @@ TEST(EvalContext, CommitIsOptionalBetweenEvaluations)
     ASSERT_TRUE(parsed.valid);
     const Ops ops = g.TotalOps();
 
-    EvalContext ctx;
+    EvalContext ctx(hw, hw.gbuf_bytes, ops);
     DlsaEncoding base = MakeDoubleBufferDlsa(parsed);
-    ctx.Evaluate(g, hw, parsed, base, hw.gbuf_bytes, ops);
+    ctx.Evaluate(parsed, base);
     ctx.Commit();
 
     DlsaMutator mutate(parsed);
@@ -161,18 +163,17 @@ TEST(EvalContext, CommitIsOptionalBetweenEvaluations)
     DlsaDelta delta;
     ASSERT_TRUE(mutate(base, &cand, rng, &delta));
     EvalReport first =
-        ctx.EvaluateDelta(g, hw, parsed, cand, delta, hw.gbuf_bytes, ops);
+        ctx.EvaluateDelta(parsed, cand, delta);
 
     DlsaEncoding other;
     DlsaDelta other_delta;
     for (int i = 0; i < 10; ++i) {
         if (mutate(base, &other, rng, &other_delta)) {
-            ctx.EvaluateDelta(g, hw, parsed, other, other_delta,
-                              hw.gbuf_bytes, ops);  // rejected
+            ctx.EvaluateDelta(parsed, other, other_delta);  // rejected
         }
     }
     const EvalReport &again =
-        ctx.EvaluateDelta(g, hw, parsed, cand, delta, hw.gbuf_bytes, ops);
+        ctx.EvaluateDelta(parsed, cand, delta);
     ExpectReportsIdentical(first, again);
 }
 
@@ -234,8 +235,8 @@ TEST(EvalContext, IncrementalDeadlockMatchesFull)
     base.order = {0, 1};
     base.free_point = {0, 2};
 
-    EvalContext ctx;
-    ASSERT_TRUE(ctx.Evaluate(g, hw, p, base, budget, ops).valid);
+    EvalContext ctx(hw, budget, ops);
+    ASSERT_TRUE(ctx.Evaluate(p, base).valid);
     ctx.Commit();
 
     // Swap the order: tensor 0 moves behind tensor 1 -> deadlock.
@@ -248,7 +249,7 @@ TEST(EvalContext, IncrementalDeadlockMatchesFull)
     delta.to_rank = 1;
 
     const EvalReport &inc =
-        ctx.EvaluateDelta(g, hw, p, cand, delta, budget, ops);
+        ctx.EvaluateDelta(p, cand, delta);
     EvalReport full = EvaluateSchedule(g, hw, p, cand, budget, ops);
     ExpectReportsIdentical(inc, full);
     EXPECT_FALSE(inc.valid);
@@ -262,9 +263,63 @@ TEST(EvalContext, IncrementalDeadlockMatchesFull)
     d2.old_point = 2;
     d2.new_point = 1;
     const EvalReport &inc2 =
-        ctx.EvaluateDelta(g, hw, p, cand2, d2, budget, ops);
+        ctx.EvaluateDelta(p, cand2, d2);
     EvalReport full2 = EvaluateSchedule(g, hw, p, cand2, budget, ops);
     ExpectReportsIdentical(inc2, full2);
+}
+
+TEST(EvalContext, ExternalParseRewrittenInPlaceIsReEvaluated)
+{
+    // A caller-owned parse has no invalidation hook. Re-parsed in place
+    // at the same address, its next full evaluation must re-derive the
+    // DRAM seconds and sums from the new content, and the delta path
+    // must resume from the base that evaluation committed.
+    Graph g = MakeConvChain(6);
+    const Ops ops = g.TotalOps();
+    LfaEncoding second = MakeTwoLgLfa(g);
+    second.dram_cuts.clear();  // one LG: other tensors, other bytes
+    second.tiling = {4, 2};
+    const MemoryModel *models[] = {&AnalyticalMemoryModel(),
+                                   &BankedMemoryModel()};
+    for (const MemoryModel *model : models) {
+        SCOPED_TRACE(model->name());
+        HardwareConfig hw = EdgeAccelerator();
+        hw.memory_model = model;
+        CoreArrayEvaluator ce(g, hw);
+        EvalContext ctx(hw, hw.gbuf_bytes, ops);
+        ParseScratch scratch;
+        ParsedSchedule p;
+
+        ParseLfaInto(g, MakeTwoLgLfa(g), ce, {}, &scratch, &p);
+        ASSERT_TRUE(p.valid);
+        const DlsaEncoding first = MakeDoubleBufferDlsa(p);
+        ExpectReportsIdentical(
+            ctx.Evaluate(p, first),
+            EvaluateSchedule(g, hw, ParsedSchedule(p), first, hw.gbuf_bytes,
+                             ops));
+        ctx.Commit();
+
+        ParseLfaInto(g, second, ce, {}, &scratch, &p);
+        ASSERT_TRUE(p.valid);
+        const ParsedSchedule copy = p;
+        const DlsaEncoding base = MakeDoubleBufferDlsa(p);
+        const EvalReport full = ctx.Evaluate(p, base);
+        ASSERT_TRUE(full.valid);
+        ExpectReportsIdentical(
+            full, EvaluateSchedule(g, hw, copy, base, hw.gbuf_bytes, ops));
+        ctx.Commit();
+
+        DlsaMutator mutate(p);
+        Rng rng(13);
+        DlsaEncoding cand;
+        DlsaDelta delta;
+        ASSERT_TRUE(mutate(base, &cand, rng, &delta));
+        const std::uint64_t fast = ctx.delta_stats().delta_evals;
+        ExpectReportsIdentical(
+            ctx.EvaluateDelta(p, cand, delta),
+            EvaluateSchedule(g, hw, copy, cand, hw.gbuf_bytes, ops));
+        EXPECT_EQ(ctx.delta_stats().delta_evals, fast + 1);
+    }
 }
 
 TEST(EvalContext, ParseMatchesParseLfa)
@@ -274,7 +329,7 @@ TEST(EvalContext, ParseMatchesParseLfa)
     CoreArrayEvaluator ce(g, hw);
     LfaEncoding lfa = MakeTwoLgLfa(g);
 
-    EvalContext ctx;
+    EvalContext ctx(hw, hw.gbuf_bytes, g.TotalOps());
     // Parse twice through the same scratch: the second result must be
     // unaffected by the first's leftovers.
     ctx.Parse(g, lfa, ce);

@@ -66,7 +66,7 @@ RunParseWalk(std::uint64_t seed, int steps)
     CoreArrayEvaluator ce(g, hw);
     const Ops ops = g.TotalOps();
 
-    EvalContext ctx;
+    EvalContext ctx(hw, hw.gbuf_bytes, ops);
 
     LfaEncoding current = MakeInitialLfa(g, hw, 16);
     Rng rng(seed);
@@ -83,7 +83,7 @@ RunParseWalk(std::uint64_t seed, int steps)
             ++parsed_valid;
             DlsaEncoding dlsa = MakeDoubleBufferDlsa(inc);
             const EvalReport &inc_rep =
-                ctx.Evaluate(g, hw, inc, dlsa, hw.gbuf_bytes, ops);
+                ctx.Evaluate(inc, dlsa);
             EvalReport full_rep =
                 EvaluateSchedule(g, hw, full, dlsa, hw.gbuf_bytes, ops);
             ExpectReportsIdentical(inc_rep, full_rep);
@@ -106,7 +106,7 @@ TEST(IncrementalParse, CrossCheckModeAcceptsTheWalk)
     Graph g = MakeBranchy();
     HardwareConfig hw = EdgeAccelerator();
     CoreArrayEvaluator ce(g, hw);
-    EvalContext ctx;
+    EvalContext ctx(hw, hw.gbuf_bytes, g.TotalOps());
     ParseOptions popts;
     popts.cross_check = true;
 

@@ -277,12 +277,12 @@ TEST(MemoryModel, DeltaEvalByteIdentityWalkWithBankedSeam)
     const Ops ops = g.TotalOps();
     const Bytes budget = hw.gbuf_bytes;
 
-    EvalContext ctx;
+    EvalContext ctx(hw, budget, ops);
     LfaEncoding lfa = MakeInitialLfa(g, hw, 16);
     ParsedSchedule parsed = ParseLfa(g, lfa, ce);
     ASSERT_TRUE(parsed.valid);
     DlsaEncoding cur = MakeDoubleBufferDlsa(parsed);
-    ASSERT_TRUE(ctx.Evaluate(g, hw, parsed, cur, budget, ops).valid);
+    ASSERT_TRUE(ctx.Evaluate(parsed, cur).valid);
     ctx.Commit();
 
     DlsaMutator mutate(parsed);
@@ -293,7 +293,7 @@ TEST(MemoryModel, DeltaEvalByteIdentityWalkWithBankedSeam)
     for (int i = 0; i < 120; ++i) {
         if (!mutate(cur, &cand, rng, &delta)) continue;
         const EvalReport &inc =
-            ctx.EvaluateDelta(g, hw, parsed, cand, delta, budget, ops);
+            ctx.EvaluateDelta(parsed, cand, delta);
         EvalReport ref =
             EvaluateSchedule(g, hw, parsed, cand, budget, ops);
         ExpectReportsIdentical(inc, ref);

@@ -400,8 +400,10 @@ DigestParse(const ParsedSchedule &p, Digest *d)
         d->Add<std::int64_t>(t.bytes);
         d->Add<std::int32_t>(t.first_use);
         d->Add<std::int32_t>(t.fixed_end);
-        d->Add<std::int32_t>(t.lg_begin);
-        d->Add<std::int32_t>(t.lg_end);
+        // The tensor's LG range [begin, end), through the per-LG table.
+        const int lg = p.tiles[t.first_use].lg;
+        d->Add<std::int32_t>(p.lg_base[lg]);
+        d->Add<std::int32_t>(p.lg_base[lg + 1]);
     }
     d->Add<std::int64_t>(static_cast<std::int64_t>(p.onchip.size()));
     for (const OnchipInterval &iv : p.onchip) {
@@ -488,7 +490,7 @@ TEST(ParserGolden, WalkDigestsArePinned)
         HardwareConfig hw = EdgeAccelerator();
         CoreArrayEvaluator ce(g, hw);
         const Ops ops = g.TotalOps();
-        EvalContext ctx;
+        EvalContext ctx(hw, hw.gbuf_bytes, ops);
         ParseOptions popts;
         popts.lg_resident_weights = walk.lg_resident_weights;
 
@@ -515,7 +517,7 @@ TEST(ParserGolden, WalkDigestsArePinned)
                 }
                 const DlsaEncoding dlsa = MakeDoubleBufferDlsa(p);
                 DigestReport(
-                    ctx.Evaluate(g, hw, p, dlsa, hw.gbuf_bytes, ops),
+                    ctx.Evaluate(p, dlsa),
                     &digest);
                 if (rng.Flip()) current = cand;
             }

@@ -159,12 +159,15 @@ ParseDoubleArg(const std::string &flag, const std::string &text,
 }
 
 /** @p mb MiB as a byte count. False for a negative, non-finite or
- *  overflowing size, which the cast to Bytes cannot express. */
+ *  overflowing size, which the cast to Bytes cannot express, and for a
+ *  nonzero size below one byte, which would truncate to 0 and so run
+ *  on the preset. */
 bool
 MbToBytes(double mb, Bytes *out)
 {
     const double bytes = mb * 1024 * 1024;
     if (!(bytes >= 0) || bytes >= 9223372036854775808.0) return false;
+    if (bytes > 0 && bytes < 1) return false;
     *out = static_cast<Bytes>(bytes);
     return true;
 }
@@ -373,7 +376,7 @@ CmdRun(const std::vector<std::string> &args)
             if (!ParseDoubleArg(arg, *v, &mb)) return 2;
             if (!MbToBytes(mb, &request.gbuf_bytes)) {
                 std::cerr << arg << ": \"" << *v
-                          << "\" is not a size in [0, 2^63) bytes\n";
+                          << "\" is not 0 or a size in [1, 2^63) bytes\n";
                 return 2;
             }
             ++i;
@@ -730,7 +733,7 @@ ExpandSweepSpec(const Json &spec_json,
     for (double mb : gbuf_mb) {
         Bytes bytes = 0;
         if (!MbToBytes(mb, &bytes)) {
-            *err = "sweep gbuf_mb must be sizes in [0, 2^63) bytes";
+            *err = "sweep gbuf_mb must be 0 or sizes in [1, 2^63) bytes";
             return false;
         }
         gbuf_axis.push_back(bytes);
