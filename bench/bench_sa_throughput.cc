@@ -13,7 +13,8 @@
  *                 the end)
  *   driver KxN    RunDlsaStage on the SearchDriver with K chains on N
  *                 threads (aggregate candidates/s at equal per-chain
- *                 budget)
+ *                 budget, plus the process CPU over wall time of the
+ *                 best window: about N when every worker got a core)
  *
  * plus the LFA loop (parse-dominated) as legacy / incremental
  * (group-memoized partial re-parse, full timeline per candidate), with cross-check passes asserting incremental parses
@@ -35,6 +36,8 @@
  *
  * Run: ./build/bench_sa_throughput [--json <path>]
  */
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdint>
@@ -82,10 +85,22 @@ ProbeWithScope(std::uint64_t x)
     return x * 2654435761ULL + 12345;
 }
 
+/** Process CPU time (user + system) in seconds. */
+double
+ProcessCpuSeconds()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+           1e-6 * static_cast<double>(ru.ru_utime.tv_usec +
+                                      ru.ru_stime.tv_usec);
+}
+
 struct Row {
     std::string name;
     int candidates = 0;
     double seconds = 0.0;
+    double cpu_seconds = 0.0;  ///< process CPU; driver rows only
     double PerSecond() const
     {
         return seconds > 0.0 ? candidates / seconds : 0.0;
@@ -124,6 +139,7 @@ Window(WalkFn &walk)
         const Row more = walk();
         row.candidates += more.candidates;
         row.seconds += more.seconds;
+        row.cpu_seconds += more.cpu_seconds;
     }
     return row;
 }
@@ -365,10 +381,12 @@ main(int argc, char **argv)
             Row row;
             row.name = "driver/" + std::to_string(chains) + "x" +
                        std::to_string(std::min(chains, hw_threads));
+            const double cpu0 = ProcessCpuSeconds();
             const MonotonicTime t0 = MonotonicNow();
             DlsaStageResult res = RunDlsaStage(graph, hw, parsed, initial,
                                                hw.gbuf_bytes, opts, rng);
             row.seconds = SecondsSince(t0);
+            row.cpu_seconds = ProcessCpuSeconds() - cpu0;
             row.candidates = res.stats.evaluated;
             return row;
         }));
@@ -377,6 +395,17 @@ main(int argc, char **argv)
                 "threads):\n",
                 stage_cap, hw_threads);
     PrintRows(driver_rows, driver_rows.front().name);
+    // A KxN row gains over 1x1 only if its workers ran in parallel:
+    // cpu/wall near 1 means they shared about one core.
+    for (const Row &r : driver_rows) {
+        const double cpu_per_wall =
+            r.seconds > 0.0 ? r.cpu_seconds / r.seconds : 0.0;
+        std::printf("  %-22s %8.3f s cpu %8.3f s wall %5.2f cpu/wall\n",
+                    r.name.c_str(), r.cpu_seconds, r.seconds,
+                    cpu_per_wall);
+        bench::JsonSink::Instance().Add("sa_throughput/" + r.name,
+                                        "cpu_per_wall", cpu_per_wall);
+    }
 
     // ---------------------------- observability overhead (obs layer)
     // The delta walk crosses two SOMA_PROF_SCOPE sites per candidate

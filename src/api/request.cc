@@ -33,30 +33,35 @@ ExpectBool(const Json &v, const std::string &key, std::string *err)
     return v.IsBool() ? true : TypeError(err, key, "a boolean");
 }
 
-// Sanity bound for counts (batch, chains, threads, rows): large enough
-// for any real request, small enough to catch garbage numerics.
+// Sanity bound for counts (batch, threads, rows): large enough for any
+// real request, small enough to catch garbage numerics.
 constexpr std::int64_t kMaxCount = 1000000;
+// Every search chain owns an evaluation context sized by its parse
+// (about 1-4 MB each on the bundled models), so the chain count is
+// bounded by memory, far below kMaxCount.
+constexpr std::int64_t kMaxChains = 256;
 
 bool
-RangeError(std::string *err, const std::string &key, const char *range)
+RangeError(std::string *err, const std::string &key,
+           const std::string &range)
 {
     if (err) *err = "field \"" + key + "\" must be " + range;
     return false;
 }
 
-/** Integer in [@p lo, kMaxCount], range-checked before narrowing;
+/** Integer in [@p lo, @p hi], range-checked before narrowing;
  *  fractions are rejected, never truncated. */
 bool
 CountFromJson(const Json &value, const std::string &key, std::int64_t lo,
-              int *out, std::string *err)
+              int *out, std::string *err, std::int64_t hi = kMaxCount)
 {
     if (!ExpectNumber(value, key, err)) return false;
     const double d = value.AsDouble();
     const std::int64_t v = value.AsInt();
-    if (d != std::floor(d) || v < lo || v > kMaxCount)
+    if (d != std::floor(d) || v < lo || v > hi)
         return RangeError(err, key,
-                          lo == 0 ? "an integer in [0, 1000000]"
-                                  : "an integer in [1, 1000000]");
+                          "an integer in [" + std::to_string(lo) + ", " +
+                              std::to_string(hi) + "]");
     *out = static_cast<int>(v);
     return true;
 }
@@ -217,7 +222,8 @@ ScheduleRequest::FromJson(const Json &json, ScheduleRequest *out,
             if (!FiniteFromJson(value, key, &out->cost_m, err))
                 return false;
         } else if (key == "chains") {
-            if (!CountFromJson(value, key, 0, &out->chains, err))
+            if (!CountFromJson(value, key, 0, &out->chains, err,
+                               kMaxChains))
                 return false;
         } else if (key == "threads") {
             if (!CountFromJson(value, key, 0, &out->threads, err))

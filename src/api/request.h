@@ -109,8 +109,8 @@ struct ScheduleRequest {
     double cost_n = 1.0;
     double cost_m = 1.0;
 
-    /** SearchDriver overrides (0 = profile default). `chains` changes
-     *  results deterministically; `threads` never does. */
+    /** SearchDriver overrides (0 = profile default). `chains` (at most
+     *  256) changes results deterministically; `threads` never does. */
     int chains = 0;
     int threads = 0;
 

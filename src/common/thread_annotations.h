@@ -10,16 +10,15 @@
  *     annotations cost nothing outside the clang CI job that builds
  *     with -Werror=thread-safety.
  *
- *  2. Capability-annotated synchronization wrappers — Mutex,
- *     SharedMutex, CondVar and their scoped lock guards — over
- *     std::mutex / std::shared_mutex / std::condition_variable.
- *     libstdc++'s std::lock_guard / std::unique_lock carry no
- *     annotations, so locking through them is invisible to the
- *     analysis; locking through MutexLock / SharedMutexLock /
- *     SharedReaderLock is tracked. `somalint`'s raw-mutex check
- *     enforces that everything under src/ tools/ bench/ uses these
- *     wrappers (this header is the one exemption), which is what makes
- *     the annotation coverage structural rather than best-effort.
+ *  2. Capability-annotated synchronization wrappers — Mutex, its
+ *     scoped MutexLock and CondVar — over std::mutex /
+ *     std::condition_variable. libstdc++'s std::lock_guard /
+ *     std::unique_lock carry no annotations, so locking through them
+ *     is invisible to the analysis; locking through MutexLock is
+ *     tracked. `somalint`'s raw-mutex check enforces that everything
+ *     under src/ tools/ bench/ uses these wrappers (this header is the
+ *     one exemption), which is what makes the annotation coverage
+ *     structural rather than best-effort.
  *
  * Conventions (see DESIGN.md "Static analysis & concurrency
  * discipline"):
@@ -28,8 +27,8 @@
  *    carry SOMA_REQUIRES(lock);
  *  - public entry points that take the lock carry SOMA_EXCLUDES(lock)
  *    so accidental re-entry is a compile error, not a deadlock;
- *  - condition waits go through CondVar, whose Wait/WaitFor require
- *    the mutex capability, and use explicit while-loops rather than
+ *  - condition waits go through CondVar, whose WaitFor requires the
+ *    mutex capability, and use explicit while-loops rather than
  *    predicate lambdas (lambda bodies are analyzed without the
  *    caller's lock set).
  */
@@ -39,7 +38,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #if defined(__clang__)
 #define SOMA_THREAD_ANNOTATION__(x) __attribute__((x))
@@ -51,34 +49,14 @@
 #define SOMA_SCOPED_CAPABILITY SOMA_THREAD_ANNOTATION__(scoped_lockable)
 #define SOMA_GUARDED_BY(x) SOMA_THREAD_ANNOTATION__(guarded_by(x))
 #define SOMA_PT_GUARDED_BY(x) SOMA_THREAD_ANNOTATION__(pt_guarded_by(x))
-#define SOMA_ACQUIRED_BEFORE(...) \
-    SOMA_THREAD_ANNOTATION__(acquired_before(__VA_ARGS__))
-#define SOMA_ACQUIRED_AFTER(...) \
-    SOMA_THREAD_ANNOTATION__(acquired_after(__VA_ARGS__))
 #define SOMA_REQUIRES(...) \
     SOMA_THREAD_ANNOTATION__(requires_capability(__VA_ARGS__))
-#define SOMA_REQUIRES_SHARED(...) \
-    SOMA_THREAD_ANNOTATION__(requires_shared_capability(__VA_ARGS__))
 #define SOMA_ACQUIRE(...) \
     SOMA_THREAD_ANNOTATION__(acquire_capability(__VA_ARGS__))
-#define SOMA_ACQUIRE_SHARED(...) \
-    SOMA_THREAD_ANNOTATION__(acquire_shared_capability(__VA_ARGS__))
 #define SOMA_RELEASE(...) \
     SOMA_THREAD_ANNOTATION__(release_capability(__VA_ARGS__))
-#define SOMA_RELEASE_SHARED(...) \
-    SOMA_THREAD_ANNOTATION__(release_shared_capability(__VA_ARGS__))
-#define SOMA_RELEASE_GENERIC(...) \
-    SOMA_THREAD_ANNOTATION__(release_generic_capability(__VA_ARGS__))
-#define SOMA_TRY_ACQUIRE(...) \
-    SOMA_THREAD_ANNOTATION__(try_acquire_capability(__VA_ARGS__))
 #define SOMA_EXCLUDES(...) \
     SOMA_THREAD_ANNOTATION__(locks_excluded(__VA_ARGS__))
-#define SOMA_ASSERT_CAPABILITY(x) \
-    SOMA_THREAD_ANNOTATION__(assert_capability(x))
-#define SOMA_RETURN_CAPABILITY(x) \
-    SOMA_THREAD_ANNOTATION__(lock_returned(x))
-#define SOMA_NO_THREAD_SAFETY_ANALYSIS \
-    SOMA_THREAD_ANNOTATION__(no_thread_safety_analysis)
 
 namespace soma {
 
@@ -93,29 +71,12 @@ class SOMA_CAPABILITY("mutex") Mutex {
 
     void lock() SOMA_ACQUIRE() { mu_.lock(); }
     void unlock() SOMA_RELEASE() { mu_.unlock(); }
-    bool try_lock() SOMA_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
     /** The wrapped std::mutex — for CondVar only. */
     std::mutex &native() { return mu_; }
 
   private:
     std::mutex mu_;
-};
-
-/** Capability-annotated reader/writer mutex (std::shared_mutex). */
-class SOMA_CAPABILITY("shared_mutex") SharedMutex {
-  public:
-    SharedMutex() = default;
-    SharedMutex(const SharedMutex &) = delete;
-    SharedMutex &operator=(const SharedMutex &) = delete;
-
-    void lock() SOMA_ACQUIRE() { mu_.lock(); }
-    void unlock() SOMA_RELEASE() { mu_.unlock(); }
-    void lock_shared() SOMA_ACQUIRE_SHARED() { mu_.lock_shared(); }
-    void unlock_shared() SOMA_RELEASE_SHARED() { mu_.unlock_shared(); }
-
-  private:
-    std::shared_mutex mu_;
 };
 
 /** Scoped exclusive lock on a Mutex; supports the mid-scope
@@ -150,37 +111,6 @@ class SOMA_SCOPED_CAPABILITY MutexLock {
     bool owned_;
 };
 
-/** Scoped exclusive (writer) lock on a SharedMutex. */
-class SOMA_SCOPED_CAPABILITY SharedMutexLock {
-  public:
-    explicit SharedMutexLock(SharedMutex &mu) SOMA_ACQUIRE(mu) : mu_(mu)
-    {
-        mu_.lock();
-    }
-    ~SharedMutexLock() SOMA_RELEASE() { mu_.unlock(); }
-    SharedMutexLock(const SharedMutexLock &) = delete;
-    SharedMutexLock &operator=(const SharedMutexLock &) = delete;
-
-  private:
-    SharedMutex &mu_;
-};
-
-/** Scoped shared (reader) lock on a SharedMutex. */
-class SOMA_SCOPED_CAPABILITY SharedReaderLock {
-  public:
-    explicit SharedReaderLock(SharedMutex &mu) SOMA_ACQUIRE_SHARED(mu)
-        : mu_(mu)
-    {
-        mu_.lock_shared();
-    }
-    ~SharedReaderLock() SOMA_RELEASE_GENERIC() { mu_.unlock_shared(); }
-    SharedReaderLock(const SharedReaderLock &) = delete;
-    SharedReaderLock &operator=(const SharedReaderLock &) = delete;
-
-  private:
-    SharedMutex &mu_;
-};
-
 /**
  * Condition variable bound to Mutex. Waits require the capability, so
  * the analysis proves every wait happens with the lock held; waking
@@ -195,13 +125,6 @@ class CondVar {
     CondVar(const CondVar &) = delete;
     CondVar &operator=(const CondVar &) = delete;
 
-    void Wait(Mutex &mu) SOMA_REQUIRES(mu)
-    {
-        std::unique_lock<std::mutex> lk(mu.native(), std::adopt_lock);
-        cv_.wait(lk);
-        lk.release();
-    }
-
     template <typename Rep, typename Period>
     std::cv_status WaitFor(Mutex &mu,
                            const std::chrono::duration<Rep, Period> &d)
@@ -213,7 +136,6 @@ class CondVar {
         return status;
     }
 
-    void NotifyOne() noexcept { cv_.notify_one(); }
     void NotifyAll() noexcept { cv_.notify_all(); }
 
   private:

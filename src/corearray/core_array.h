@@ -37,8 +37,8 @@ struct TileCost {
 /**
  * Analytical per-tile mapper. Stateless: a const function of (graph,
  * hardware), so one evaluator serves every search chain of a stage
- * concurrently. The parser caches the costs it derives per fused group
- * (ParseScratch::group_memo).
+ * concurrently. The parser caches the costs it derives per fused group,
+ * in ascending layer-id order (ParseScratch::group_memo).
  */
 class CoreArrayEvaluator {
   public:

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <cstdlib>
-#include <numeric>
 
 #include "common/logging.h"
 #include "obs/prof.h"
@@ -69,28 +69,25 @@ ProducerShape(const Graph &graph, const InputRef &in, int *c, int *h, int *w)
     }
 }
 
-/** FNV-1a over a fused group's sorted member list, then its Tiling
- *  Number: the group memo's signature (collision-checked against the
- *  full key). */
-std::uint64_t
-GroupKeyHash(const std::vector<LayerId> &layers, int tiles)
-{
-    std::uint64_t h = 1469598103934665603ULL;
-    for (LayerId id : layers) {
-        h ^= static_cast<std::uint64_t>(id);
-        h *= 1099511628211ULL;
-    }
-    h ^= static_cast<std::uint64_t>(tiles);
-    h *= 1099511628211ULL;
-    return h;
-}
-
 void ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
                       const CoreArrayEvaluator &core_eval,
                       const ParseOptions &popts, ParseScratch *scratch,
                       ParsedSchedule *out_ptr);
 
 }  // namespace
+
+std::size_t
+ParseScratch::GroupKey::Hash::operator()(const GroupKey &key) const
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (LayerId id : key.layers) {
+        h ^= static_cast<std::uint64_t>(id);
+        h *= 1099511628211ULL;
+    }
+    h ^= static_cast<std::uint64_t>(key.tiles);
+    h *= 1099511628211ULL;
+    return static_cast<std::size_t>(h);
+}
 
 ParsedSchedule
 ParseLfa(const Graph &graph, const LfaEncoding &lfa,
@@ -183,14 +180,15 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
         }
     }
 
-    // Tile and cost the FLGs. Group blocks are content-addressed by
-    // their sink-set signature (canonical member set + Tiling Number):
-    // groups untouched by the last mutation ("clean") reuse their
-    // memoized block — tiling (backward halo propagation) and per-tile
-    // core-array costs — verbatim; a clean group whose *interior order*
-    // moved re-indexes the block (regions and costs are order-invariant
-    // per layer, only their positional indexing follows the order);
-    // only dirty groups re-derive it.
+    // Tile and cost the FLGs. A group's block — the backward halo
+    // propagation and the per-tile core-array costs — is a function of
+    // its member set and Tiling Number alone, so the memo is keyed by
+    // (members in ascending layer-id order, Tiling Number) and blocks
+    // are derived in that order, which is dependency-legal: a producer's
+    // id is below its consumers' (Graph::AddLayer). Each layer reads its
+    // block row through its index in the key, so groups untouched by
+    // the last mutation and groups whose interior order moved are both
+    // memo hits ("clean"); only new keys ("dirty") derive a block.
     if (scratch->memo_graph != static_cast<const void *>(&graph) ||
         scratch->memo_eval != static_cast<const void *>(&core_eval)) {
         scratch->group_memo.clear();
@@ -199,96 +197,47 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
     }
     if (scratch->group_memo.size() > ParseScratch::kGroupMemoCap)
         scratch->group_memo.clear();
-    scratch->group_overflow.clear();
     scratch->last_dirty_groups = 0;
     scratch->last_clean_groups = 0;
-    scratch->last_remapped_groups = 0;
+    std::vector<int> &key_idx = scratch->key_idx;
+    key_idx.assign(n, -1);
+    ParseScratch::GroupKey &key = scratch->lookup;
     std::vector<const ParseScratch::GroupParse *> &groups = scratch->groups;
     groups.assign(lfa.NumFlgs(), nullptr);
     for (int g = 0; g < lfa.NumFlgs(); ++g) {
-        const int rounds = lfa.tiling[g];
-        const auto &layers = flg_layers[g];
-        // Sink-set signature (collision-checked below against the full
-        // sorted-members/tiles key).
-        std::vector<LayerId> &sorted = scratch->sorted_members;
-        sorted = layers;
-        std::sort(sorted.begin(), sorted.end());
-        const std::uint64_t sig = GroupKeyHash(sorted, rounds);
-        auto it = scratch->group_memo.find(sig);
-        const bool key_matches = it != scratch->group_memo.end() &&
-                                 it->second.tiles == rounds &&
-                                 it->second.sorted_layers == sorted;
-        if (key_matches && it->second.layers == layers) {
-            groups[g] = &it->second;
+        key.layers = flg_layers[g];
+        std::sort(key.layers.begin(), key.layers.end());
+        key.tiles = lfa.tiling[g];
+        const std::size_t n_layers = key.layers.size();
+        for (std::size_t k = 0; k < n_layers; ++k)
+            key_idx[key.layers[k]] = static_cast<int>(k);
+        auto it = scratch->group_memo.find(key);
+        if (it != scratch->group_memo.end()) {
             ++scratch->last_clean_groups;
-        } else if (key_matches) {
-            // Same member set (hence same sink set and tiling), new
-            // interior order: re-point the block's permutation view at
-            // the new order. Regions and costs stay untouched in their
-            // derivation order — an order move is allocation-free, no
-            // matter how large the group. The update is safe mid-parse:
-            // FLGs partition the layers, so no other group of this
-            // parse can share the member set behind `sig`, and reads
-            // from an earlier clean hit of the same block in this parse
-            // are impossible for the same reason.
-            ParseScratch::GroupParse &blk = it->second;
-            std::vector<int> &pos = scratch->view_pos;
-            if (pos.size() < static_cast<std::size_t>(n)) pos.resize(n);
-            for (std::size_t i = 0; i < blk.layers.size(); ++i)
-                pos[blk.layers[i]] = static_cast<int>(i);
-            // Compose with the existing view so repeated moves stay a
-            // single indirection deep: new[i] = derivation-order index
-            // of layers[i], found via its position in the old view.
-            std::vector<std::size_t> &next = scratch->view_perm;
-            next.resize(layers.size());
-            for (std::size_t i = 0; i < layers.size(); ++i)
-                next[i] = blk.Perm(
-                    static_cast<std::size_t>(pos[layers[i]]));
-            blk.perm.swap(next);
-            blk.layers = layers;
-            groups[g] = &blk;
-            ++scratch->last_clean_groups;
-            ++scratch->last_remapped_groups;
         } else {
             ParseScratch::GroupParse block;
-            block.layers = layers;
-            block.sorted_layers = sorted;
-            block.tiles = rounds;
             {
                 SOMA_PROF_SCOPE("tiling.derive");
-                block.tiling = ComputeFlgTiling(graph, layers, rounds);
+                block.tiling = ComputeFlgTiling(graph, key.layers, key.tiles);
             }
             if (block.tiling.valid) {
                 SOMA_PROF_SCOPE("tilecost.compute");
-                const std::size_t n_layers = layers.size();
                 block.costs.resize(n_layers *
-                                   static_cast<std::size_t>(rounds));
-                for (int t = 0; t < rounds; ++t) {
+                                   static_cast<std::size_t>(key.tiles));
+                for (int t = 0; t < key.tiles; ++t) {
                     const std::size_t row =
                         static_cast<std::size_t>(t) * n_layers;
-                    for (std::size_t i = 0; i < n_layers; ++i)
-                        block.costs[row + i] = core_eval.Evaluate(
-                            layers[i], block.tiling.regions[i][t]);
+                    for (std::size_t k = 0; k < n_layers; ++k)
+                        block.costs[row + k] = core_eval.Evaluate(
+                            key.layers[k], block.tiling.regions[k][t]);
                 }
             }
-            if (it != scratch->group_memo.end()) {
-                // Not memoized: the signature collided with a
-                // *different* resident group, which must never be
-                // evicted mid-parse (an earlier group may already point
-                // at it). Park the block in per-parse overflow storage.
-                scratch->group_overflow.push_back(
-                    std::make_unique<ParseScratch::GroupParse>(
-                        std::move(block)));
-                groups[g] = scratch->group_overflow.back().get();
-            } else {
-                groups[g] = &scratch->group_memo
-                                 .emplace(sig, std::move(block))
-                                 .first->second;
-            }
+            it = scratch->group_memo.emplace(key, std::move(block)).first;
             ++scratch->last_dirty_groups;
         }
+        groups[g] = &it->second;
         if (!groups[g]->tiling.valid) {
-            out.why_invalid = "tiling " + std::to_string(rounds) +
+            out.why_invalid = "tiling " + std::to_string(key.tiles) +
                               " infeasible for FLG " + std::to_string(g);
             return;
         }
@@ -345,8 +294,7 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
         }
         stores[id] = store;
         if (last_same_idx >= 0) {
-            const auto &regions = groups[g]->tiling.regions[groups[g]->Perm(
-                static_cast<std::size_t>(idx_in_flg[id]))];
+            const auto &regions = groups[g]->tiling.regions[key_idx[id]];
             for (int t = 0; t < lfa.tiling[g]; ++t) {
                 OnchipInterval iv;
                 iv.from = pos_of(id, t);
@@ -394,7 +342,7 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
             for (std::size_t i = 0; i < size; ++i) {
                 const LayerId id = layers[i];
                 const Layer &l = graph.layer(id);
-                const std::size_t k = block.Perm(i);
+                const std::size_t k = key_idx[id];
                 const TilePos pos = static_cast<TilePos>(out.tiles.size());
                 TileInfo tile;
                 tile.layer = id;

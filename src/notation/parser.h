@@ -9,8 +9,7 @@
 #ifndef SOMA_NOTATION_PARSER_H
 #define SOMA_NOTATION_PARSER_H
 
-#include <cstdint>
-#include <memory>
+#include <cstddef>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -159,78 +158,73 @@ struct ParsedSchedule {
  *
  * The scratch additionally carries the *group memo* behind the
  * incremental parse: the expensive per-FLG work (halo-propagated
- * tiling + per-tile core-array costs) is cached by the group's
- * sink-set content signature (canonical member set, Tiling Number) —
- * an FLG's tiling depends on its sink set, which the member set
- * determines, not on the interior computing order. An LFA operator
- * touches at most two fused groups, so consecutive parses re-derive
- * only the dirty groups and reuse every clean group's block verbatim;
- * an order move *within* a group is also a memo hit — the stored
- * block's permutation view (GroupParse::perm) is re-pointed at the new
- * order instead of re-deriving (or even deep-copying) regions and
- * costs. The schedule itself is rebuilt every call by one pass in tile-
- * position order that emits tiles and DRAM tensors already in canonical
- * order (plus one consumer pass per layer for stores and on-chip
- * intervals), which keeps the result bit-identical to a full parse
- * (ParseOptions::cross_check asserts this).
+ * tiling + per-tile core-array costs) is cached by the group's member
+ * set and Tiling Number — an FLG's tiling depends on its sink set,
+ * which the member set determines, not on the interior computing
+ * order. Every block is derived in one canonical order, ascending
+ * layer id, and each layer reads its row through its index in the
+ * key, so a block is independent of the group's interior order and of
+ * its position in the scheme. An LFA operator touches at most two
+ * fused groups, so consecutive parses re-derive only the dirty groups
+ * and reuse every clean group's block verbatim; an order move *within*
+ * a group is a plain memo hit. The schedule itself is rebuilt every
+ * call by one pass in tile-position order that emits tiles and DRAM
+ * tensors already in canonical order (plus one consumer pass per layer
+ * for stores and on-chip intervals), which keeps the result
+ * bit-identical to a full parse (ParseOptions::cross_check asserts
+ * this).
  */
 struct ParseScratch {
-    /** One fused group's memoized parse block. `sorted_layers`/`tiles`
-     *  are the full canonical key (signature hashes are collision-
-     *  checked); `layers` is the order the block is indexed by, and
-     *  `costs` is round-major: costs[t * layers.size() + Perm(i)]
-     *  belongs to layers[i] at tile round t. Blocks are
-     *  content-addressed pure values. */
-    struct GroupParse {
+    /** A fused group's memo key: its members in ascending layer-id
+     *  order, then its Tiling Number. */
+    struct GroupKey {
         std::vector<LayerId> layers;
-        std::vector<LayerId> sorted_layers;
         int tiles = 0;
+
+        bool operator==(const GroupKey &o) const
+        {
+            return tiles == o.tiles && layers == o.layers;
+        }
+
+        /** FNV-1a over the members, then the Tiling Number. */
+        struct Hash {
+            std::size_t operator()(const GroupKey &key) const;
+        };
+    };
+
+    /** One fused group's memoized parse block, derived in its key's
+     *  layer order: tiling.regions[k] and the round-major
+     *  costs[t * layers.size() + k] belong to key.layers[k] at tile
+     *  round t. Blocks are pure values of their key. */
+    struct GroupParse {
         FlgTiling tiling;
         std::vector<TileCost> costs;
-        /** Permutation view: `tiling.regions` and `costs` stay in the
-         *  order the block was first derived in; an interior order move
-         *  only re-points this view (perm[i] = derivation-order index
-         *  of layers[i]) instead of deep-copying regions and costs.
-         *  Empty means identity (freshly derived blocks). */
-        std::vector<std::size_t> perm;
-
-        std::size_t Perm(std::size_t i) const
-        {
-            return perm.empty() ? i : perm[i];
-        }
     };
 
     std::vector<int> flg_of_layer, lg_of_layer, idx_in_flg;
+    std::vector<int> key_idx;             ///< per layer: index in its key
     std::vector<std::vector<LayerId>> flg_layers;
-    std::vector<LayerId> sorted_members;  ///< per-group signature scratch
-    std::vector<int> view_pos;            ///< perm-composition scratch
-    std::vector<std::size_t> view_perm;   ///< perm-composition scratch
+    GroupKey lookup;                      ///< reused memo lookup key
     std::vector<const GroupParse *> groups;  ///< per-FLG view, this parse
     std::vector<TilePos> flg_base;        ///< first tile position per FLG
     std::vector<char> stores;             ///< per layer: ofmap stored
     std::vector<Region> prev_need;        ///< residency-extension scratch
     std::vector<int> prev_load;           ///< residency-extension scratch
 
-    /** Signature-keyed group memo (cleared wholesale beyond the cap).
-     *  Blocks are only valid for one (graph, evaluator) pair — layer
-     *  ids restart at 0 in every graph — so ParseLfaInto drops the
-     *  memo whenever either identity changes (tracked below, same
-     *  pointer-identity convention as EvalContext's incremental base). */
-    std::unordered_map<std::uint64_t, GroupParse> group_memo;
-    /** Per-parse home for blocks whose signature collided with a
-     *  different resident group (never evict mid-parse). */
-    std::vector<std::unique_ptr<GroupParse>> group_overflow;
+    /** The group memo (cleared wholesale beyond the cap). Blocks are
+     *  only valid for one (graph, evaluator) pair — layer ids restart
+     *  at 0 in every graph — so ParseLfaInto drops the memo whenever
+     *  either identity changes (tracked below, same pointer-identity
+     *  convention as EvalContext's incremental base). */
+    std::unordered_map<GroupKey, GroupParse, GroupKey::Hash> group_memo;
     static constexpr std::size_t kGroupMemoCap = 1 << 12;
     const void *memo_graph = nullptr;  ///< graph the memo describes
     const void *memo_eval = nullptr;   ///< evaluator the costs came from
 
     /** Dirty-set telemetry of the most recent ParseLfaInto call: groups
-     *  re-derived vs reused; `last_remapped_groups` counts the reused
-     *  subset that was re-indexed to a new interior order (sink-set
-     *  signature hits). Exposed for tests and benches. */
+     *  re-derived vs reused. Exposed for tests and benches. */
     int last_dirty_groups = 0;
     int last_clean_groups = 0;
-    int last_remapped_groups = 0;
 };
 
 /**

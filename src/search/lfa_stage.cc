@@ -276,8 +276,6 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
                    static_cast<std::int64_t>(scratch.last_dirty_groups));
     stage_span.Arg("parse_clean_groups",
                    static_cast<std::int64_t>(scratch.last_clean_groups));
-    stage_span.Arg("parse_remapped_groups",
-                   static_cast<std::int64_t>(scratch.last_remapped_groups));
     return result;
 }
 

@@ -160,7 +160,7 @@ class EvalContext {
 
     /** The incremental-parse scratch (read-only): span tracers read the
      *  group-memo telemetry off it (last_dirty_groups /
-     *  last_clean_groups / last_remapped_groups) after a Parse call. */
+     *  last_clean_groups) after a Parse call. */
     const ParseScratch &parse_scratch() const { return parse_scratch_; }
 
   private:

@@ -68,8 +68,9 @@ struct FlgTiling {
  * per-tile region is the union of what its in-FLG consumers need — a
  * bottom-up value that is identical under every dependency-legal
  * computing order of the same member set. Only the positional indexing
- * of `regions` follows @p flg_layers; the parser's group memo exploits
- * this with a permutation view (ParseScratch::GroupParse::perm).
+ * of `regions` follows @p flg_layers; the parser's group memo relies on
+ * this to derive every block in ascending layer-id order and serve it
+ * to any interior order (ParseScratch::GroupParse).
  */
 FlgTiling ComputeFlgTiling(const Graph &graph,
                            const std::vector<LayerId> &flg_layers,

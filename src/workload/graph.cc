@@ -1,6 +1,5 @@
 #include "workload/graph.h"
 
-#include <cassert>
 #include <cstdlib>
 #include <memory>
 
@@ -8,16 +7,37 @@
 
 namespace soma {
 
+namespace {
+
+/** Whether @p ref's producer, if any, has an id below @p consumer: the
+ *  topological-id rule TopoOrder() and the parser's canonical group
+ *  order rely on. Checked in every build, like Graph::Validate. */
+bool
+ProducerPrecedes(const InputRef &ref, LayerId consumer)
+{
+    return ref.producer == kNoLayer ||
+           (ref.producer >= 0 && ref.producer < consumer);
+}
+
+[[noreturn]] void
+DieOutOfTopoOrder(const std::string &name, LayerId consumer,
+                  LayerId producer)
+{
+    SOMA_ERROR << "layer " << name << " (id " << consumer
+               << ") reads producer " << producer
+               << ": graph layers must be appended in topological order";
+    std::abort();
+}
+
+}  // namespace
+
 LayerId
 Graph::AddLayer(Layer layer)
 {
     LayerId id = static_cast<LayerId>(layers_.size());
-    for (const InputRef &in : layer.inputs()) {
-        if (in.producer != kNoLayer) {
-            assert(in.producer >= 0 && in.producer < id &&
-                   "graph layers must be appended in topological order");
-        }
-    }
+    for (const InputRef &in : layer.inputs())
+        if (!ProducerPrecedes(in, id))
+            DieOutOfTopoOrder(layer.name(), id, in.producer);
     layers_.push_back(std::move(layer));
     consumers_.Reset();
     return id;
@@ -26,8 +46,12 @@ Graph::AddLayer(Layer layer)
 void
 Graph::AddInput(LayerId id, const InputRef &ref)
 {
-    assert(ref.producer == kNoLayer ||
-           (ref.producer >= 0 && ref.producer < id));
+    if (id < 0 || id >= NumLayers()) {
+        SOMA_ERROR << "AddInput on unknown layer id " << id;
+        std::abort();
+    }
+    if (!ProducerPrecedes(ref, id))
+        DieOutOfTopoOrder(layers_[id].name(), id, ref.producer);
     layers_[id].addInput(ref);
     consumers_.Reset();
 }

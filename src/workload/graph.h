@@ -43,7 +43,8 @@ class Graph {
 
     int NumLayers() const { return static_cast<int>(layers_.size()); }
 
-    /** Append a layer; returns its id. Inputs must reference earlier ids. */
+    /** Append a layer; returns its id. Inputs must reference earlier
+     *  ids; a violation dies in every build. */
     LayerId AddLayer(Layer layer);
 
     /** Layers are read-only once added: the consumer index mirrors
@@ -51,7 +52,7 @@ class Graph {
     const Layer &layer(LayerId id) const { return layers_[id]; }
 
     /** Append input @p ref to layer @p id after AddLayer. The producer
-     *  (if any) must precede @p id. */
+     *  (if any) must precede @p id; a violation dies in every build. */
     void AddInput(LayerId id, const InputRef &ref);
 
     /** Mark (or unmark) layer @p id's ofmap as a network output. */

@@ -208,6 +208,18 @@ TEST(RequestJson, GarbageNumericsAreRejectedNotTruncated)
         "{\"model\": \"resnet50\", \"chains\": 2000000}", &json, &err));
     EXPECT_FALSE(ScheduleRequest::FromJson(json, &request, &err));
 
+    // Every chain owns an evaluation context, so the count is bounded
+    // by memory: 256 chains is the most a request may ask for.
+    ASSERT_TRUE(Json::Parse("{\"model\": \"resnet50\", \"chains\": 257}",
+                            &json, &err));
+    EXPECT_FALSE(ScheduleRequest::FromJson(json, &request, &err));
+    EXPECT_NE(err.find("chains"), std::string::npos) << err;
+    EXPECT_NE(err.find("must be"), std::string::npos) << err;
+    ASSERT_TRUE(Json::Parse("{\"model\": \"resnet50\", \"chains\": 256}",
+                            &json, &err));
+    EXPECT_TRUE(ScheduleRequest::FromJson(json, &request, &err)) << err;
+    EXPECT_EQ(request.chains, 256);
+
     // Counts and the deadline are integers: a fraction is rejected, not
     // truncated to a neighbouring request's value.
     for (const char *field :

@@ -155,7 +155,7 @@ TEST(IncrementalParse, DirtySetShrinksToMutatedGroups)
     EXPECT_EQ(scratch.last_clean_groups, 3);
 
     // DRAM-cut toggle: LG structure is not part of any group's
-    // signature, so nothing re-derives.
+    // key, so nothing re-derives.
     LfaEncoding cut = lfa;
     cut.dram_cuts = {2, 4};
     ParseLfaInto(g, cut, ce, ParseOptions{}, &scratch, &out);
@@ -163,7 +163,7 @@ TEST(IncrementalParse, DirtySetShrinksToMutatedGroups)
     EXPECT_EQ(scratch.last_dirty_groups, 0);
     EXPECT_EQ(scratch.last_clean_groups, 4);
 
-    // Deleting an FLC merges two groups into one new signature: one
+    // Deleting an FLC merges two groups into one new key: one
     // dirty group, the other two untouched.
     LfaEncoding merged = lfa;
     merged.flc_cuts = {2, 6};
@@ -219,10 +219,10 @@ MutateOrderWithinGroup(const Graph &g, LfaEncoding *lfa, Rng &rng)
 
 TEST(IncrementalParse, IntraGroupOrderMoveIsAMemoHit)
 {
-    // The sink-set signature coarsening: an order move that stays
-    // inside one group leaves every group's member set (hence sink set
-    // and tiling) unchanged, so nothing re-derives — the moved group's
-    // block is re-indexed to the new order.
+    // An order move that stays inside one group leaves every group's
+    // member set (hence sink set and tiling) unchanged, so nothing
+    // re-derives — the moved group's block, derived in ascending
+    // layer-id order, serves the new order as it is.
     Graph g = MakeBranchy();
     HardwareConfig hw = EdgeAccelerator();
     CoreArrayEvaluator ce(g, hw);
@@ -249,9 +249,8 @@ TEST(IncrementalParse, IntraGroupOrderMoveIsAMemoHit)
     ASSERT_TRUE(out.valid);
     EXPECT_EQ(scratch.last_dirty_groups, 0);
     EXPECT_EQ(scratch.last_clean_groups, 2);
-    EXPECT_EQ(scratch.last_remapped_groups, 1);
 
-    // Re-indexing must be invisible in the output: bit-identical to a
+    // The hit must be invisible in the output: bit-identical to a
     // from-scratch parse of the moved LFA.
     ParsedSchedule full = ParseLfa(g, moved, ce);
     EXPECT_TRUE(ParsedSchedulesIdentical(out, full));
@@ -259,7 +258,7 @@ TEST(IncrementalParse, IntraGroupOrderMoveIsAMemoHit)
 
 TEST(IncrementalParse, SinkSetSignatureSurvivesRandomizedOrderMoves)
 {
-    // Property test for the coarsened signature: over a randomized
+    // Property test for the member-set key: over a randomized
     // chain of sink-set-preserving moves, every parse must be (a) a
     // full group-memo hit — zero dirty groups — and (b) bit-identical
     // to a from-scratch parse, enforced twice: by the explicit
@@ -292,9 +291,6 @@ TEST(IncrementalParse, SinkSetSignatureSurvivesRandomizedOrderMoves)
         ASSERT_TRUE(out.valid) << "step " << step;
         EXPECT_EQ(scratch.last_dirty_groups, 0) << "step " << step;
         EXPECT_EQ(scratch.last_clean_groups, cand.NumFlgs());
-        if (cand.order != lfa.order) {
-            EXPECT_GE(scratch.last_remapped_groups, 1);
-        }
         ParsedSchedule full = ParseLfa(g, cand, ce);
         ASSERT_TRUE(ParsedSchedulesIdentical(out, full))
             << "step " << step << ": " << cand.ToString(g);

@@ -243,8 +243,8 @@ TEST(FlgTiling, RegionsAreOrderInvariantPerLayer)
     // Two sibling consumers of one stem: both interior orders of the
     // group are dependency-legal. The split and each layer's per-tile
     // regions depend on the member set alone — the invariant the
-    // parser's group memo relies on when it re-points a memoized block
-    // at a new interior order instead of re-deriving it.
+    // parser's group memo relies on when it derives every block in
+    // ascending layer-id order and serves it to any interior order.
     GraphBuilder builder("orders", 1);
     LayerId stem =
         builder.InputConv("stem", ExtShape{3, 16, 16}, 8, 3, 1, 1);

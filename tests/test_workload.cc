@@ -281,6 +281,30 @@ TEST(Graph, AddInputKeepsConsumerIndexCoherent)
     ExpectConsumersMatchRebuild(g);
 }
 
+TEST(GraphDeathTest, ProducerIdMustBeBelowConsumerInEveryBuild)
+{
+    // TopoOrder() and the parser's canonical group order rely on every
+    // producer id being below its consumers': a hand-built graph that
+    // breaks the rule dies at construction, in Release builds too.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    auto self_input = [] {
+        Graph g("bad", 1);
+        Layer l("a", LayerKind::kConv, 8, 8, 8);
+        l.addInput(InputRef{0, AccessPattern::kRowAligned, {}});
+        g.AddLayer(std::move(l));
+    };
+    EXPECT_DEATH(self_input(), "topological order");
+
+    auto later_producer = [] {
+        GraphBuilder b("bad", 1);
+        LayerId a = b.InputConv("a", ExtShape{3, 8, 8}, 8, 3, 1, 1);
+        LayerId c = b.Conv("c", a, 8, 3, 1, 1);
+        Graph g = b.Take();
+        g.AddInput(a, InputRef{c, AccessPattern::kFull, {}});
+    };
+    EXPECT_DEATH(later_producer(), "topological order");
+}
+
 TEST(Graph, ValidOrderChecks)
 {
     GraphBuilder b("t", 1);

@@ -85,7 +85,7 @@ Usage(std::ostream &os, int code)
           "  --profile P         quick|default|full (default quick)\n"
           "  --seed N            search seed (default 1)\n"
           "  --cost-n X --cost-m Y   objective Energy^n x Delay^m\n"
-          "  --chains K          SA chains (deterministic knob)\n"
+          "  --chains K          SA chains <= 256 (deterministic knob)\n"
           "  --threads T         driver threads (wall-clock only)\n"
           "  --deadline-ms N     wall-clock budget (0 = none)\n"
           "  --ir --asm --traces --exec-graph   request artifacts\n"
