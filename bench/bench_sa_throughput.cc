@@ -4,8 +4,10 @@
  * every search-stage speedup ultimately cashes out as. Tracks these
  * configurations of the DLSA inner loop —
  *
- *   legacy        mutate + EvaluateSchedule (the pre-refactor shape:
- *                 every candidate rebuilds all evaluation state)
+ *   legacy        mutate + PriceDramTensors + EvaluateSchedule (the
+ *                 pre-refactor shape: every candidate rebuilds all
+ *                 evaluation state, its DRAM prices included, which
+ *                 the pre-refactor evaluator derived on every call)
  *   context-full  mutate + EvalContext::Evaluate (reused scratch,
  *                 allocation-free after warm-up)
  *   delta         mutate + EvalContext::EvaluateDelta (timeline resumed
@@ -242,6 +244,7 @@ main(int argc, char **argv)
         return DlsaWalk(
             "dlsa/legacy", parsed, initial, initial_cost, dlsa_iters,
             [&](const DlsaEncoding &d, const DlsaDelta &) {
+                PriceDramTensors(hw, &parsed);
                 return EvaluateSchedule(graph, hw, parsed, d, hw.gbuf_bytes,
                                         total_ops)
                     .Cost();

@@ -19,6 +19,7 @@ ExecuteProgram(const Program &prog,
     const int n = static_cast<int>(prog.instructions.size());
     res.events.resize(n);
 
+    const MemoryModel &model = MemoryModelOf(hw);
     double dram_free = 0.0;
     double core_free = 0.0;
     int compute_ordinal = 0;
@@ -41,8 +42,7 @@ ExecuteProgram(const Program &prog,
             unit_free = &core_free;
             res.core_busy += duration;
         } else {
-            duration = ModelTransferSeconds(hw, instr.bytes,
-                                            instr.op == Opcode::kLoad);
+            duration = model.TransferSeconds(hw, instr.bytes);
             unit_free = &dram_free;
             res.dram_busy += duration;
         }

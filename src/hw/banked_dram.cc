@@ -41,12 +41,9 @@ BankedDramModel::description() const
            "state and read<->write turnaround)";
 }
 
-void
-BankedDramModel::FillTransferSeconds(const HardwareConfig &hw,
-                                     const DramTransferList &transfers,
-                                     std::vector<double> *seconds) const
+double
+BankedDramModel::TransferSeconds(const HardwareConfig &hw, Bytes bytes) const
 {
-    seconds->resize(transfers.count);
     // Fresh-bank closed form. Row-aligned layout means a transfer's
     // cost depends only on its byte count: every burst pays bus time
     // (peak bandwidth = the analytical ceiling), every row touched
@@ -54,34 +51,25 @@ BankedDramModel::FillTransferSeconds(const HardwareConfig &hw,
     // whose buffer holds an earlier row of the same transfer — a
     // precharge on top of the activate. Matches ReplayTensorStream on
     // a single transfer from cold banks (pinned by tests).
+    if (bytes <= 0) return 0.0;
     const double burst_s = hw.DramSeconds(params_.burst_bytes);
     const double rcd_s = params_.t_rcd_ns * kNsToSeconds;
     const double rp_s = params_.t_rp_ns * kNsToSeconds;
-    for (int j = 0; j < transfers.count; ++j) {
-        const Bytes b = transfers.bytes[j];
-        if (b <= 0) {
-            (*seconds)[j] = 0.0;
-            continue;
-        }
-        const std::int64_t bursts = CeilDiv(b, params_.burst_bytes);
-        const std::int64_t rows = CeilDiv(b, params_.row_bytes);
-        const std::int64_t conflicts =
-            rows > params_.banks ? rows - params_.banks : 0;
-        (*seconds)[j] = (double)bursts * burst_s + (double)rows * rcd_s +
-                        (double)conflicts * rp_s;
-    }
+    const std::int64_t bursts = CeilDiv(bytes, params_.burst_bytes);
+    const std::int64_t rows = CeilDiv(bytes, params_.row_bytes);
+    const std::int64_t conflicts =
+        rows > params_.banks ? rows - params_.banks : 0;
+    return (double)bursts * burst_s + (double)rows * rcd_s +
+           (double)conflicts * rp_s;
 }
 
 double
-BankedDramModel::ChannelBusySeconds(const HardwareConfig &,
-                                    Bytes,
-                                    const std::vector<double> &seconds) const
+BankedDramModel::ChannelBusySeconds(const HardwareConfig &, Bytes,
+                                    double total_seconds) const
 {
     // One serial channel: busy time is the sum of the per-transfer
-    // costs (fixed summation order: tensor-index order).
-    double total = 0.0;
-    for (double s : seconds) total += s;
-    return total;
+    // costs (summed by the caller in tensor-index order).
+    return total_seconds;
 }
 
 void
@@ -108,7 +96,7 @@ BankedDramModel::ReplayTensorStream(const HardwareConfig &hw,
         if (t.bytes <= 0) continue;
         // Count events per transfer, then multiply — the same
         // arithmetic shape as the closed form, so a single transfer
-        // replayed from cold banks reproduces FillTransferSeconds bit
+        // replayed from cold banks reproduces TransferSeconds bit
         // for bit (an additive per-burst accumulation would drift by
         // ulps over the thousands of bursts in a large tensor).
         std::int64_t turns = 0, misses = 0, conflicts = 0;

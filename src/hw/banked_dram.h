@@ -21,8 +21,8 @@
  *
  *  - MemoryModel (search path): per-tensor cost in *fresh-bank*
  *    isolation, closed form — a pure function of the byte count, so
- *    the seam contract (memory_model.h) holds and the incremental
- *    evaluator stays bitwise-safe with this backend steering the SA.
+ *    the seam contract (memory_model.h) holds and the parse prices
+ *    every tensor with it while this backend steers the SA.
  *  - ReplayTensorStream (validation path): trace-driven replay of the
  *    full DRAM Tensor Order stream with bank state carried *across*
  *    tensors and read<->write bus turnaround — the history-dependent
@@ -85,16 +85,14 @@ class BankedDramModel final : public MemoryModel {
     const char *name() const override { return "banked"; }
     const char *description() const override;
 
-    /** Fresh-bank closed form per transfer (pure in the byte count):
+    /** Fresh-bank closed form (pure in the byte count):
      *  bursts * burst_time + rows * t_rcd + conflicts * t_rp. */
-    void FillTransferSeconds(const HardwareConfig &hw,
-                             const DramTransferList &transfers,
-                             std::vector<double> *seconds) const override;
+    double TransferSeconds(const HardwareConfig &hw,
+                           Bytes bytes) const override;
 
     /** The channel is serial: the sum of the per-transfer seconds. */
-    double ChannelBusySeconds(
-        const HardwareConfig &hw, Bytes total_bytes,
-        const std::vector<double> &seconds) const override;
+    double ChannelBusySeconds(const HardwareConfig &hw, Bytes total_bytes,
+                              double total_seconds) const override;
 
     /**
      * Trace-driven replay of @p stream in order, burst by burst, with

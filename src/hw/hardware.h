@@ -53,7 +53,8 @@ struct HardwareConfig {
     EnergyModel energy;
 
     /**
-     * DRAM timing backend for the evaluator's seam (hw/memory_model.h).
+     * DRAM timing backend the parse prices transfers with
+     * (hw/memory_model.h).
      * nullptr means the analytical model (MemoryModelOf resolves it
      * to &AnalyticalMemoryModel()). Non-owning:
      * points at a process-wide registry singleton.

@@ -11,22 +11,16 @@ AnalyticalDramModel::description() const
            "(the paper's model; the default)";
 }
 
-void
-AnalyticalDramModel::FillTransferSeconds(const HardwareConfig &hw,
-                                         const DramTransferList &transfers,
-                                         std::vector<double> *seconds) const
+double
+AnalyticalDramModel::TransferSeconds(const HardwareConfig &hw,
+                                     Bytes bytes) const
 {
-    seconds->resize(transfers.count);
-    // One HardwareConfig::DramSeconds call per transfer, in list order
-    // (pinned by tests/test_memory_model.cc).
-    for (int j = 0; j < transfers.count; ++j)
-        (*seconds)[j] = hw.DramSeconds(transfers.bytes[j]);
+    return hw.DramSeconds(bytes);
 }
 
 double
-AnalyticalDramModel::ChannelBusySeconds(
-    const HardwareConfig &hw, Bytes total_bytes,
-    const std::vector<double> &) const
+AnalyticalDramModel::ChannelBusySeconds(const HardwareConfig &hw,
+                                        Bytes total_bytes, double) const
 {
     // One division over the summed bytes — NOT the sum of the
     // per-transfer seconds, which would differ in the last ulps.
@@ -44,19 +38,6 @@ const MemoryModel &
 MemoryModelOf(const HardwareConfig &hw)
 {
     return hw.memory_model ? *hw.memory_model : AnalyticalMemoryModel();
-}
-
-double
-ModelTransferSeconds(const HardwareConfig &hw, Bytes bytes, bool is_load)
-{
-    const unsigned char load_flag = is_load ? 1 : 0;
-    DramTransferList one;
-    one.bytes = &bytes;
-    one.is_load = &load_flag;
-    one.count = 1;
-    std::vector<double> seconds;
-    MemoryModelOf(hw).FillTransferSeconds(hw, one, &seconds);
-    return seconds[0];
 }
 
 MemoryModelRegistry

@@ -1,21 +1,21 @@
 /**
  * @file
- * The DRAM-timing seam of the timeline evaluator: a MemoryModel turns
- * the per-tensor DRAM transfer list of a parsed schedule into
- * per-transfer seconds (and the channel-busy aggregate), so the
- * evaluator never hard-codes one bandwidth formula.
+ * The DRAM-timing seam of the parse: a MemoryModel prices one DRAM
+ * transfer at a time (and the channel-busy aggregate), so neither the
+ * parse nor the timeline evaluator hard-codes one bandwidth formula.
  *
  * Seam contract (see DESIGN.md "Memory timing backends"):
  *
- *  - FillTransferSeconds is a *pure function* of the transfer list and
- *    the hardware point: no cross-call state, no dependence on the
- *    DLSA order. That is what keeps every incremental-evaluation
- *    invariant intact — the per-tensor seconds stay constants of the
- *    parse, so delta resumption and the cross-check reference work
- *    unchanged no matter which backend filled the array.
+ *  - TransferSeconds is a *pure function* of the byte count and the
+ *    hardware point: no cross-call state, no dependence on the DLSA
+ *    order. The parse prices every tensor it emits with it
+ *    (PriceDramTensors), so the seconds are constants of the parse and
+ *    delta resumption, the cross-check reference and the compiler VM
+ *    (which prices its transfers one by one) agree bit for bit no
+ *    matter which backend priced them.
  *  - The analytical backend reproduces HardwareConfig::DramSeconds
- *    bit for bit (same arithmetic, same order); a null seam resolves
- *    to it (MemoryModelOf), pinned by tests/test_memory_model.cc.
+ *    bit for bit (same arithmetic); a null seam resolves to it
+ *    (MemoryModelOf), pinned by tests/test_memory_model.cc.
  *  - History-dependent effects (row-buffer state across tensors,
  *    read/write turnaround) deliberately do NOT fit this interface;
  *    they live in the banked backend's trace replay
@@ -34,17 +34,6 @@
 namespace soma {
 
 /**
- * The per-tensor DRAM transfer list, in tensor-index order (the parse's
- * canonical order, NOT the DLSA issue order). Pointer views into
- * caller-owned arrays.
- */
-struct DramTransferList {
-    const Bytes *bytes = nullptr;          ///< transfer sizes
-    const unsigned char *is_load = nullptr;///< 1 = DRAM->GBUF read
-    int count = 0;
-};
-
-/**
  * One pluggable DRAM timing backend. Implementations must be stateless
  * (const methods, no mutable members): one instance is shared by every
  * search thread.
@@ -59,22 +48,21 @@ class MemoryModel {
     virtual const char *description() const = 0;
 
     /**
-     * Seconds the DRAM channel is busy with each transfer, written to
-     * @p seconds[0..count). Must be a pure, deterministic function of
-     * (@p hw, @p transfers) — see the seam contract above.
+     * Seconds the DRAM channel is busy moving @p bytes. Must be a pure,
+     * deterministic function of (@p hw, @p bytes) — see the seam
+     * contract above.
      */
-    virtual void FillTransferSeconds(const HardwareConfig &hw,
-                                     const DramTransferList &transfers,
-                                     std::vector<double> *seconds) const = 0;
+    virtual double TransferSeconds(const HardwareConfig &hw,
+                                   Bytes bytes) const = 0;
 
     /**
      * Aggregate channel-busy seconds reported as EvalReport::dram_busy.
-     * @p total_bytes is the summed transfer size; @p seconds the vector
-     * FillTransferSeconds produced for the same list.
+     * @p total_bytes and @p total_seconds are the transfers' summed
+     * bytes and TransferSeconds, in tensor-index order.
      */
-    virtual double ChannelBusySeconds(
-        const HardwareConfig &hw, Bytes total_bytes,
-        const std::vector<double> &seconds) const = 0;
+    virtual double ChannelBusySeconds(const HardwareConfig &hw,
+                                      Bytes total_bytes,
+                                      double total_seconds) const = 0;
 };
 
 /**
@@ -86,12 +74,10 @@ class AnalyticalDramModel final : public MemoryModel {
   public:
     const char *name() const override { return "analytical"; }
     const char *description() const override;
-    void FillTransferSeconds(const HardwareConfig &hw,
-                             const DramTransferList &transfers,
-                             std::vector<double> *seconds) const override;
-    double ChannelBusySeconds(
-        const HardwareConfig &hw, Bytes total_bytes,
-        const std::vector<double> &seconds) const override;
+    double TransferSeconds(const HardwareConfig &hw,
+                           Bytes bytes) const override;
+    double ChannelBusySeconds(const HardwareConfig &hw, Bytes total_bytes,
+                              double total_seconds) const override;
 };
 
 /** The process-wide analytical instance (the default backend a null
@@ -101,16 +87,6 @@ const MemoryModel &AnalyticalMemoryModel();
 /** @p hw's DRAM timing backend: hw.memory_model, or the analytical
  *  model when that is null. The one place a null seam is resolved. */
 const MemoryModel &MemoryModelOf(const HardwareConfig &hw);
-
-/**
- * One transfer's channel seconds through @p hw's seam
- * (MemoryModelOf). Both builtin backends are element-wise
- * pure, so a single-transfer call equals that transfer's entry in a
- * full-list fill — the property the compiler VM cross-check relies on
- * to stay bitwise-consistent with the evaluator under any backend.
- */
-double ModelTransferSeconds(const HardwareConfig &hw, Bytes bytes,
-                            bool is_load);
 
 /**
  * Name -> MemoryModel registry, mirroring the api-layer registries:

@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "common/logging.h"
+#include "hw/memory_model.h"
 #include "obs/prof.h"
 
 namespace soma {
@@ -41,14 +42,6 @@ ParsedSchedule::FreePointMax(int j) const
 {
     const DramTensor &t = tensors[j];
     return t.IsLoad() ? t.first_use : NumTiles();
-}
-
-Bytes
-ParsedSchedule::TotalDramBytes() const
-{
-    Bytes total = 0;
-    for (const DramTensor &t : tensors) total += t.bytes;
-    return total;
 }
 
 namespace {
@@ -99,13 +92,31 @@ ParseLfa(const Graph &graph, const LfaEncoding &lfa,
     return out;
 }
 
+void
+PriceDramTensors(const HardwareConfig &hw, ParsedSchedule *parsed)
+{
+    const MemoryModel &model = MemoryModelOf(hw);
+    Bytes bytes = 0;
+    double seconds = 0.0;
+    for (DramTensor &t : parsed->tensors) {
+        t.seconds = model.TransferSeconds(hw, t.bytes);
+        bytes += t.bytes;
+        seconds += t.seconds;
+    }
+    parsed->dram_bytes = bytes;
+    parsed->dram_busy = model.ChannelBusySeconds(hw, bytes, seconds);
+}
+
 bool
 ParsedSchedulesIdentical(const ParsedSchedule &a, const ParsedSchedule &b)
 {
     return a.valid == b.valid && a.why_invalid == b.why_invalid &&
            a.num_flgs == b.num_flgs && a.num_lgs == b.num_lgs &&
            a.lg_base == b.lg_base && a.tiles == b.tiles &&
-           a.tensors == b.tensors && a.onchip == b.onchip;
+           a.tensors == b.tensors && a.onchip == b.onchip &&
+           a.compute_busy == b.compute_busy &&
+           a.core_energy_pj == b.core_energy_pj &&
+           a.dram_bytes == b.dram_bytes && a.dram_busy == b.dram_busy;
 }
 
 void
@@ -152,6 +163,10 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
     out.lg_base.clear();
     out.num_flgs = 0;
     out.num_lgs = 0;
+    out.compute_busy = 0.0;
+    out.core_energy_pj = 0.0;
+    out.dram_bytes = 0;
+    out.dram_busy = 0.0;
     if (!lfa.StructurallyValid(graph, &out.why_invalid)) return;
 
     const int n = graph.NumLayers();
@@ -320,7 +335,7 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
     // exactly one (layer, round), so this *is* the canonical tensor
     // order — by need position; weights, then ifmaps, then stores — and
     // each tile's loads are the contiguous id range
-    // [load_begin, load_end).
+    // [load_begin, load_end). The tile sums fold in the same order.
     out.tiles.reserve(static_cast<std::size_t>(flg_base[lfa.NumFlgs()]));
     std::vector<Region> &prev_need = scratch->prev_need;
     std::vector<int> &prev_load = scratch->prev_load;
@@ -409,6 +424,8 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
                     }
                 }
                 tile.load_end = out.NumTensors();
+                out.compute_busy += tile.cost.seconds;
+                out.core_energy_pj += tile.cost.energy_pj;
                 out.tiles.push_back(tile);
 
                 // Ofmaps: the canonical (non-overlapping) slice is
@@ -428,6 +445,7 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
         }
     }
 
+    PriceDramTensors(core_eval.hw(), &out);
     out.valid = true;
 }
 

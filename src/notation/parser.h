@@ -3,8 +3,10 @@
  * Parsing the Tensor-centric Notation into concrete hardware behaviour
  * (Sec. IV-A): stage 1 lowers the LFA into the serial tile compute
  * sequence, the set of DRAM tensors, and the on-chip fmap buffer
- * intervals; stage 2 (the DLSA, applied by the evaluator) supplies each
- * DRAM tensor's order and Living Duration.
+ * intervals, and prices both serial resources' items (tile costs from
+ * the core array evaluator, transfer seconds from its hardware's
+ * memory model); stage 2 (the DLSA, applied by the evaluator) supplies
+ * each DRAM tensor's order and Living Duration.
  */
 #ifndef SOMA_NOTATION_PARSER_H
 #define SOMA_NOTATION_PARSER_H
@@ -69,6 +71,9 @@ struct DramTensor {
      */
     TilePos fixed_end = 0;
 
+    /** DRAM channel seconds of the transfer (PriceDramTensors). */
+    double seconds = 0.0;
+
     bool IsLoad() const { return kind != DramTensorKind::kOfmap; }
 
     bool operator==(const DramTensor &o) const
@@ -76,7 +81,8 @@ struct DramTensor {
         return kind == o.kind && layer == o.layer &&
                src_layer == o.src_layer && round == o.round &&
                input_index == o.input_index && bytes == o.bytes &&
-               first_use == o.first_use && fixed_end == o.fixed_end;
+               first_use == o.first_use && fixed_end == o.fixed_end &&
+               seconds == o.seconds;
     }
 
     /** "WA", "IC2", "OE1"-style label for execution-graph dumps. */
@@ -119,7 +125,9 @@ struct OnchipInterval {
 };
 
 /**
- * The LFA parse result: everything about a scheme except DRAM timing.
+ * The LFA parse result: everything about a scheme that no DLSA can
+ * move, priced for the hardware it was parsed for. Only the DRAM order
+ * and Living Durations are left to the DLSA.
  */
 struct ParsedSchedule {
     bool valid = false;
@@ -137,6 +145,14 @@ struct ParsedSchedule {
      *  consecutive FLGs. A tensor's LG is tiles[first_use].lg. */
     std::vector<TilePos> lg_base;
 
+    /** The schedule sums, folded as the parse emits: tile seconds and
+     *  energy in position order, tensor bytes and seconds in index
+     *  order (the pinned results depend on these exact bits). */
+    double compute_busy = 0.0;    ///< EvalReport::compute_busy
+    double core_energy_pj = 0.0;  ///< tile energy
+    Bytes dram_bytes = 0;         ///< EvalReport::dram_bytes
+    double dram_busy = 0.0;       ///< the model's ChannelBusySeconds
+
     int NumTiles() const { return static_cast<int>(tiles.size()); }
     int NumTensors() const { return static_cast<int>(tensors.size()); }
 
@@ -145,9 +161,6 @@ struct ParsedSchedule {
      *  for stores. */
     TilePos FreePointMin(int j) const;
     TilePos FreePointMax(int j) const;
-
-    /** Sum of all DRAM tensor bytes. */
-    Bytes TotalDramBytes() const;
 };
 
 /**
@@ -231,8 +244,9 @@ struct ParseScratch {
  * Parse the LFA: build the tile sequence (per-tile regions from the
  * backward halo propagation, costs from the core array evaluator), the
  * DRAM tensor list in canonical order (by need position; at equal
- * positions the weight, then ifmaps by input slot, then the store), and
- * the on-chip reuse intervals (by producer layer id).
+ * positions the weight, then ifmaps by input slot, then the store),
+ * priced under core_eval.hw()'s memory model, and the on-chip reuse
+ * intervals (by producer layer id).
  * Returns an invalid schedule (with a reason) when the encoding cannot
  * be realized.
  */
@@ -252,9 +266,18 @@ void ParseLfaInto(const Graph &graph, const LfaEncoding &lfa,
                   ParsedSchedule *out);
 
 /**
+ * Price every DRAM tensor of @p parsed under @p hw's memory model, in
+ * tensor-index order, and set dram_bytes and dram_busy. ParseLfaInto
+ * calls it for core_eval.hw(); call it again to re-price a copy for
+ * other hardware.
+ */
+void PriceDramTensors(const HardwareConfig &hw, ParsedSchedule *parsed);
+
+/**
  * Bit-exact equality of two parse results (every tile, tensor and
- * interval field, including cost doubles). The contract the incremental
- * parse upholds against the from-scratch parse.
+ * interval field and every sum, including cost and price doubles). The
+ * contract the incremental parse upholds against the from-scratch
+ * parse.
  */
 bool ParsedSchedulesIdentical(const ParsedSchedule &a,
                               const ParsedSchedule &b);

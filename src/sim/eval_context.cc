@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "hw/memory_model.h"
 #include "obs/prof.h"
 
 namespace soma {
@@ -91,13 +90,11 @@ EvalContext::Parse(const Graph &graph, const LfaEncoding &lfa,
                    const CoreArrayEvaluator &core_eval,
                    const ParseOptions &popts)
 {
-    // The slot is overwritten: a base, an uncommitted evaluation or a
-    // derivation against it would describe a schedule that no longer
-    // exists.
+    // The slot is overwritten: a base or an uncommitted evaluation
+    // against it would describe a schedule that no longer exists.
     if (base_parsed_ == &parsed_) InvalidateBase();
     cand_fresh_ = false;
     cand_parsed_ = nullptr;
-    derived_for_ = nullptr;
     ParseOptions opts = popts;
     opts.cross_check = opts.cross_check || cross_check_;
     ParseLfaInto(graph, lfa, core_eval, opts, &parse_scratch_, &parsed_);
@@ -174,43 +171,6 @@ EvalContext::RevertPendingStoreMove()
     pending_move_ = false;
 }
 
-void
-EvalContext::DeriveFromParse(const ParsedSchedule &parsed)
-{
-    // Separate accumulators in a fixed order, tiles by position and
-    // tensors by index: the pinned results depend on these exact bits.
-    double seconds = 0.0;
-    double energy = 0.0;
-    for (const TileInfo &tile : parsed.tiles) {
-        energy += tile.cost.energy_pj;
-        seconds += tile.cost.seconds;
-    }
-    const int D = parsed.NumTensors();
-    transfer_bytes_.resize(D);
-    transfer_is_load_.resize(D);
-    Bytes bytes = 0;
-    for (int j = 0; j < D; ++j) {
-        const DramTensor &t = parsed.tensors[j];
-        transfer_bytes_[j] = t.bytes;
-        transfer_is_load_[j] = t.IsLoad() ? 1 : 0;
-        bytes += t.bytes;
-    }
-    compute_busy_ = seconds;
-    core_energy_pj_ = energy;
-    dram_bytes_ = bytes;
-    // The model sees the tensor-index-ordered transfer list; its
-    // contract (memory_model.h) makes the fill a pure function of
-    // (parse, hw), which is all the delta logic relies on.
-    DramTransferList transfers;
-    transfers.bytes = transfer_bytes_.data();
-    transfers.is_load = transfer_is_load_.data();
-    transfers.count = D;
-    const MemoryModel &model = MemoryModelOf(hw_);
-    model.FillTransferSeconds(hw_, transfers, &dram_seconds_);
-    dram_busy_ = model.ChannelBusySeconds(hw_, bytes, dram_seconds_);
-    derived_for_ = &parsed;
-}
-
 bool
 EvalContext::RunTimeline(const ParsedSchedule &parsed, Side *side, int ci,
                          int di, double dram_prev_finish)
@@ -220,7 +180,6 @@ EvalContext::RunTimeline(const ParsedSchedule &parsed, Side *side, int ci,
     const int D = parsed.NumTensors();
     const TileInfo *tiles = parsed.tiles.data();
     const DramTensor *tensors = parsed.tensors.data();
-    const double *dram_seconds = dram_seconds_.data();
     const int *order = side->order.data();
     const int *rank_of = side->rank_of.data();
     const TilePos *free_point = side->free_point.data();
@@ -245,7 +204,7 @@ EvalContext::RunTimeline(const ParsedSchedule &parsed, Side *side, int ci,
                 ready = tile_times[t.first_use].finish;
             }
             const double start = std::max(dram_prev_finish, ready);
-            const double finish = start + dram_seconds[j];
+            const double finish = start + t.seconds;
             tensor_times[j] = EventTiming{start, finish};
             side->ci_at_rank[di] = ci;
             dram_prev_finish = finish;
@@ -299,11 +258,11 @@ EvalContext::FinalizeAggregates(const ParsedSchedule &parsed, Side *side,
         makespan = std::max(makespan, e.finish);
     rep.latency = makespan;
 
-    rep.compute_busy = compute_busy_;
-    rep.dram_bytes = dram_bytes_;
-    rep.dram_busy = dram_busy_;
-    rep.core_energy_j = core_energy_pj_ * 1e-12;
-    rep.dram_energy_j = static_cast<double>(dram_bytes_) *
+    rep.compute_busy = parsed.compute_busy;
+    rep.dram_bytes = parsed.dram_bytes;
+    rep.dram_busy = parsed.dram_busy;
+    rep.core_energy_j = parsed.core_energy_pj * 1e-12;
+    rep.dram_energy_j = static_cast<double>(parsed.dram_bytes) *
                         hw_.energy.dram_pj_per_byte * 1e-12;
 
     double peak_ops = hw_.PeakOpsPerSecond();
@@ -356,7 +315,6 @@ EvalContext::Simulate(const ParsedSchedule &parsed, const DlsaEncoding &dlsa,
 
     RebuildStoreBuckets(parsed, side->free_point);
     buckets_for_base_ = false;
-    if (derived_for_ != &parsed) DeriveFromParse(parsed);
 
     // --- Two serial resources, two-pointer list scheduling ---
     side->ci_at_rank.resize(D);
@@ -390,9 +348,6 @@ EvalContext::Evaluate(const ParsedSchedule &parsed, const DlsaEncoding &dlsa)
         return side.report;
     }
 
-    // Parse only guards the context-owned slot, so a caller-owned parse
-    // is re-derived on every full pass.
-    if (&parsed != &parsed_) derived_for_ = nullptr;
     cand_fresh_ = Simulate(parsed, dlsa, &side);
     cand_parsed_ = &parsed;
     return side.report;
@@ -547,7 +502,6 @@ EvalContext::EvaluateDelta(const ParsedSchedule &parsed,
     delta_stats_.last_resume_di = di0;
     const double dram_prev =
         di0 > 0 ? rep.tensor_times[side.order[di0 - 1]].finish : 0.0;
-    if (derived_for_ != &parsed) DeriveFromParse(parsed);
     if (!RunTimeline(parsed, &side, ci0, di0, dram_prev)) {
         // Deadlock. The resumed run reproduced the full trajectory up to
         // the stalled heads; everything beyond them is stale prefix-copy

@@ -15,10 +15,10 @@
  * Evaluate.
  *
  * The timeline reads the parse's tiles and DRAM tensors directly and
- * writes only the report's timings. From a parse the context derives
- * nothing but what no DLSA change can move: the memory model's
- * per-tensor DRAM seconds, the channel-busy aggregate and the compute,
- * energy and byte sums.
+ * writes only the report's timings. The parse carries everything no
+ * DLSA change can move, priced for its hardware: tile costs, per-tensor
+ * DRAM seconds, the channel-busy aggregate and the compute, energy and
+ * byte sums. The context derives nothing from it.
  *
  * Incremental results are bit-identical to full evaluation: the resumed
  * timeline executes the same recurrences on the same operands from a
@@ -87,9 +87,10 @@ class EvalContext {
   public:
     /**
      * Bind what every report of this context is computed against: the
-     * hardware point (its DRAM timing backend included), the GBUF bytes
-     * a scheme may use (hw.gbuf_bytes, or a smaller stage budget) and
-     * the utilization numerator (graph.TotalOps()).
+     * hardware point's DRAM energy per byte and peak throughput (the
+     * parse carries every duration), the GBUF bytes a scheme may use
+     * (hw.gbuf_bytes, or a smaller stage budget) and the utilization
+     * numerator (graph.TotalOps()).
      */
     EvalContext(const HardwareConfig &hw, Bytes buffer_budget,
                 Ops total_ops);
@@ -118,9 +119,7 @@ class EvalContext {
      * reusable report. The returned reference is overwritten by the next
      * evaluation. The committed base (if any) is left intact, so a full
      * evaluation of one candidate does not cost later candidates their
-     * delta path. A parse the context does not own may have been
-     * rewritten in place since the last call, so a full evaluation
-     * re-derives what the context derives from it.
+     * delta path.
      */
     const EvalReport &Evaluate(const ParsedSchedule &parsed,
                                const DlsaEncoding &dlsa);
@@ -182,10 +181,6 @@ class EvalContext {
     void ResetReportForEval(const ParsedSchedule &parsed, EvalReport *rep);
     static void ResetAggregates(EvalReport *rep);
 
-    /** Derive from @p parsed what no DLSA can move (the members below
-     *  derived_for_). */
-    void DeriveFromParse(const ParsedSchedule &parsed);
-
     /** The full simulation of @p dlsa into @p side: copy the DLSA,
      *  build the occupancy, rebuild the store buckets for it, run the
      *  timeline from (0, 0) and finalize. False when the occupancy
@@ -225,18 +220,6 @@ class EvalContext {
     ParsedSchedule parsed_;  ///< the slot Parse writes
     DlsaCheckScratch check_scratch_;
     std::string why_scratch_;
-
-    /** What DeriveFromParse last derived, and from which parse. */
-    const ParsedSchedule *derived_for_ = nullptr;
-    std::vector<double> dram_seconds_;  ///< per tensor, hw_'s model
-    double dram_busy_ = 0.0;            ///< EvalReport::dram_busy
-    double compute_busy_ = 0.0;         ///< tile seconds, by position
-    double core_energy_pj_ = 0.0;       ///< tile energy, by position
-    Bytes dram_bytes_ = 0;              ///< tensor bytes, by index
-    /** The byte and direction views of the transfer list the model
-     *  fills from; kept so a warmed-up context does no heap work. */
-    std::vector<Bytes> transfer_bytes_;
-    std::vector<unsigned char> transfer_is_load_;
 
     /** Buffer difference array (ComputeBufferBySlot scratch); keeps
      *  its capacity, so warmed-up evaluations do no heap work. */

@@ -18,6 +18,9 @@ namespace soma {
 /**
  * Evaluate a complete scheme.
  *
+ * @param hw supplies the DRAM energy per byte and the peak throughput;
+ *        every duration comes from @p parsed, priced for the hardware
+ *        it was parsed for.
  * @param buffer_budget GBUF bytes available to the scheme; pass
  *        hw.gbuf_bytes for hardware-constrained evaluation or a smaller
  *        stage budget (Buffer Allocator).

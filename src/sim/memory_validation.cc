@@ -3,55 +3,9 @@
 #include <cmath>
 #include <vector>
 
-#include "hw/memory_model.h"
 #include "sim/evaluator.h"
 
 namespace soma {
-
-namespace {
-
-/**
- * Override backend that hands the evaluator precomputed per-tensor
- * seconds (tensor-index order) — how the replay's history-dependent
- * costs re-enter the timeline without violating the seam contract:
- * for *this one parse* the array is a constant, so the fill is still
- * pure.
- */
-class PrecomputedSecondsModel final : public MemoryModel {
-  public:
-    explicit PrecomputedSecondsModel(const std::vector<double> *seconds)
-        : seconds_(seconds)
-    {
-    }
-
-    const char *name() const override { return "precomputed"; }
-    const char *description() const override
-    {
-        return "validation-internal: replayed per-tensor seconds";
-    }
-
-    void FillTransferSeconds(const HardwareConfig &,
-                             const DramTransferList &transfers,
-                             std::vector<double> *seconds) const override
-    {
-        seconds->assign(seconds_->begin(), seconds_->end());
-        seconds->resize(transfers.count, 0.0);
-    }
-
-    double ChannelBusySeconds(
-        const HardwareConfig &, Bytes,
-        const std::vector<double> &seconds) const override
-    {
-        double total = 0.0;
-        for (double s : seconds) total += s;
-        return total;
-    }
-
-  private:
-    const std::vector<double> *seconds_;
-};
-
-}  // namespace
 
 MemoryValidationResult
 ValidateMemoryTiming(const Graph &graph, const HardwareConfig &hw,
@@ -66,11 +20,15 @@ ValidateMemoryTiming(const Graph &graph, const HardwareConfig &hw,
         return out;
     }
 
+    // Both sides time a copy of the parse: whatever backend priced
+    // @p parsed, it is re-priced under the analytical model here.
     HardwareConfig hw_analytical = hw;
     hw_analytical.memory_model = nullptr;
+    ParsedSchedule priced = parsed;
+    PriceDramTensors(hw_analytical, &priced);
     const Ops total_ops = graph.TotalOps();
     EvalReport analytical = EvaluateSchedule(
-        graph, hw_analytical, parsed, dlsa, hw.gbuf_bytes, total_ops);
+        graph, hw_analytical, priced, dlsa, hw.gbuf_bytes, total_ops);
     if (!analytical.valid) {
         out.error =
             "analytical re-evaluation invalid: " + analytical.why_invalid;
@@ -98,14 +56,14 @@ ValidateMemoryTiming(const Graph &graph, const HardwareConfig &hw,
     std::vector<double> seconds_by_rank;
     model.ReplayTensorStream(hw, stream, &seconds_by_rank, &out.replay);
 
-    std::vector<double> seconds_by_tensor(static_cast<size_t>(D), 0.0);
+    // The replayed seconds re-enter the timeline as the copy's prices;
+    // the channel is serial, so it is busy for their index-order sum.
     for (int r = 0; r < D; ++r)
-        seconds_by_tensor[dlsa.order[r]] = seconds_by_rank[r];
-
-    PrecomputedSecondsModel replay_model(&seconds_by_tensor);
-    HardwareConfig hw_banked = hw;
-    hw_banked.memory_model = &replay_model;
-    EvalReport banked = EvaluateSchedule(graph, hw_banked, parsed, dlsa,
+        priced.tensors[dlsa.order[r]].seconds = seconds_by_rank[r];
+    double busy = 0.0;
+    for (const DramTensor &t : priced.tensors) busy += t.seconds;
+    priced.dram_busy = busy;
+    EvalReport banked = EvaluateSchedule(graph, hw, priced, dlsa,
                                          hw.gbuf_bytes, total_ops);
     if (!banked.valid) {
         out.error = "banked re-evaluation invalid: " + banked.why_invalid;

@@ -9,11 +9,11 @@
  * the scheduled DLSA order gives a concrete DRAM Tensor Order
  * transaction stream, which ReplayTensorStream walks burst by burst
  * with bank row state carried across tensors and read<->write bus
- * turnaround. The replayed per-tensor seconds are then fed back
- * through the evaluator (via an override backend), so the banked
- * latency includes compute/DRAM overlap exactly the way the search's
- * own timeline does — the gap isolates the memory model, not the
- * timeline semantics.
+ * turnaround. The replayed per-tensor seconds are then written into a
+ * copy of the parse as its prices and timed by the evaluator, so the
+ * banked latency includes compute/DRAM overlap exactly the way the
+ * search's own timeline does — the gap isolates the memory model, not
+ * the timeline semantics.
  */
 #ifndef SOMA_SIM_MEMORY_VALIDATION_H
 #define SOMA_SIM_MEMORY_VALIDATION_H
@@ -42,12 +42,13 @@ struct MemoryValidationResult {
 };
 
 /**
- * Re-time (@p parsed, @p dlsa) twice — once with the analytical
+ * Re-time (@p parsed, @p dlsa) twice — once priced by the analytical
  * backend, once with per-tensor seconds from the banked model's
  * trace replay of the DLSA-ordered transaction stream — and report
  * the latency gap. Pure function of its arguments (deterministic
- * across runs and thread counts); @p hw's own memory_model pointer is
- * ignored, both sides override it.
+ * across runs and thread counts); the prices @p parsed carries and
+ * @p hw's own memory_model pointer are ignored, both sides re-price a
+ * copy.
  */
 MemoryValidationResult ValidateMemoryTiming(const Graph &graph,
                                             const HardwareConfig &hw,

@@ -99,6 +99,7 @@ ParseModel(const std::string &text, Graph *graph, std::string *error)
         if (tok == "model") {
             if (!(ls >> model_name >> batch))
                 return fail("malformed model line", line_no);
+            if (batch <= 0) return fail("batch must be positive", line_no);
         } else if (tok == "layer") {
             std::string kind_name, name;
             int c, h, w, elem, is_out;
@@ -106,6 +107,8 @@ ParseModel(const std::string &text, Graph *graph, std::string *error)
             if (!(ls >> kind_name >> name >> c >> h >> w >> wbytes >>
                   opselem >> elem >> is_out))
                 return fail("malformed layer line", line_no);
+            if (c <= 0 || h <= 0 || w <= 0)
+                return fail("layer output shape must be positive", line_no);
             LayerKind kind;
             if (!LayerKindFromName(kind_name, &kind))
                 return fail("unknown layer kind " + kind_name, line_no);
@@ -146,6 +149,10 @@ ParseModel(const std::string &text, Graph *graph, std::string *error)
                 if (!(ls >> pat >> ref.ext.channels >> ref.ext.height >>
                       ref.ext.width))
                     return fail("malformed ext input", line_no);
+                if (ref.ext.channels <= 0 || ref.ext.height <= 0 ||
+                    ref.ext.width <= 0)
+                    return fail("external input shape must be positive",
+                                line_no);
                 ref.producer = kNoLayer;
             } else {
                 return fail("unknown input source " + src, line_no);

@@ -178,7 +178,8 @@ TEST(EvalContext, CommitIsOptionalBetweenEvaluations)
 }
 
 /** Hand-built two-load schedule whose DRAM order deadlocks: the first
- *  tensor in DRAM order waits for tile 0, which waits for the second. */
+ *  tensor in DRAM order waits for tile 0, which waits for the second.
+ *  Its tensors are priced for the edge preset. */
 ParsedSchedule
 MakeDeadlockParse()
 {
@@ -202,6 +203,7 @@ MakeDeadlockParse()
     p.tiles[0].load_end = 1;
     p.tiles[2].load_begin = 1;  // tile 2 needs tensor 1
     p.tiles[2].load_end = 2;
+    PriceDramTensors(EdgeAccelerator(), &p);
     return p;
 }
 
@@ -271,9 +273,9 @@ TEST(EvalContext, IncrementalDeadlockMatchesFull)
 TEST(EvalContext, ExternalParseRewrittenInPlaceIsReEvaluated)
 {
     // A caller-owned parse has no invalidation hook. Re-parsed in place
-    // at the same address, its next full evaluation must re-derive the
-    // DRAM seconds and sums from the new content, and the delta path
-    // must resume from the base that evaluation committed.
+    // at the same address, its next full evaluation must read the DRAM
+    // seconds and sums of the new content, and the delta path must
+    // resume from the base that evaluation committed.
     Graph g = MakeConvChain(6);
     const Ops ops = g.TotalOps();
     LfaEncoding second = MakeTwoLgLfa(g);

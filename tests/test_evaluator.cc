@@ -285,10 +285,13 @@ TEST(Evaluator, DramEnergyMatchesBytes)
     EvalReport r = EvaluateSchedule(g, hw, p, dlsa, hw.gbuf_bytes,
                                     g.TotalOps());
     ASSERT_TRUE(r.valid);
-    double expected = static_cast<double>(p.TotalDramBytes()) *
+    Bytes bytes = 0;
+    for (const DramTensor &t : p.tensors) bytes += t.bytes;
+    EXPECT_EQ(p.dram_bytes, bytes);
+    double expected = static_cast<double>(bytes) *
                       hw.energy.dram_pj_per_byte * 1e-12;
     EXPECT_NEAR(r.dram_energy_j, expected, expected * 1e-9);
-    EXPECT_EQ(r.dram_bytes, p.TotalDramBytes());
+    EXPECT_EQ(r.dram_bytes, bytes);
 }
 
 TEST(Evaluator, CostFunction)

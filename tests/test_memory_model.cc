@@ -2,6 +2,7 @@
  * @file
  * MemoryModel seam tests: the analytical backend must reproduce the
  * legacy inline DRAM math byte for byte over randomized schemes, the
+ * parse must price every tensor under its hardware's backend, the
  * banked backend must be deterministic (across thread counts and in
  * its validation replay), the delta-evaluation byte-identity walk must
  * hold with the seam active, and memory_model must be part of the
@@ -78,37 +79,34 @@ ExpectReportsIdentical(const EvalReport &a, const EvalReport &b)
 // ---------------------------------------------------------------------
 // Backend #1: analytical == the legacy inline math, byte for byte.
 
-TEST(MemoryModel, AnalyticalFillMatchesDramSecondsExactly)
+TEST(MemoryModel, AnalyticalTransferSecondsMatchDramSecondsExactly)
 {
     HardwareConfig hw = EdgeAccelerator();
+    const MemoryModel &model = AnalyticalMemoryModel();
     const Bytes bytes[] = {0, 1, 63, 64, 4096, 1 << 20, 123456789};
-    const unsigned char is_load[] = {1, 0, 1, 1, 0, 1, 0};
-    DramTransferList list;
-    list.bytes = bytes;
-    list.is_load = is_load;
-    list.count = 7;
-    std::vector<double> seconds;
-    AnalyticalMemoryModel().FillTransferSeconds(hw, list, &seconds);
-    ASSERT_EQ(seconds.size(), 7u);
-    for (int j = 0; j < 7; ++j)
-        EXPECT_EQ(seconds[j], hw.DramSeconds(bytes[j])) << j;
     Bytes total = 0;
-    for (Bytes b : bytes) total += b;
-    EXPECT_EQ(AnalyticalMemoryModel().ChannelBusySeconds(hw, total,
-                                                         seconds),
+    double seconds = 0.0;
+    for (Bytes b : bytes) {
+        EXPECT_EQ(model.TransferSeconds(hw, b), hw.DramSeconds(b)) << b;
+        total += b;
+        seconds += model.TransferSeconds(hw, b);
+    }
+    EXPECT_EQ(model.ChannelBusySeconds(hw, total, seconds),
               hw.DramSeconds(total));
 }
 
 TEST(MemoryModel, AnalyticalSeamIsByteIdenticalOverRandomSchemes)
 {
-    // The acceptance pin: evaluating through an explicit analytical
-    // MemoryModel must produce bit-identical reports to the null seam
-    // (the pre-refactor inline math) over randomized schemes.
+    // The acceptance pin: parsing and evaluating through an explicit
+    // analytical MemoryModel must produce bit-identical parses and
+    // reports to the null seam (the pre-refactor inline math) over
+    // randomized schemes.
     Graph g = MakeBranchy();
     HardwareConfig hw_null = EdgeAccelerator();
     HardwareConfig hw_seam = EdgeAccelerator();
     hw_seam.memory_model = &AnalyticalMemoryModel();
-    CoreArrayEvaluator ce(g, hw_null);
+    CoreArrayEvaluator ce_null(g, hw_null);
+    CoreArrayEvaluator ce_seam(g, hw_seam);
     const Ops ops = g.TotalOps();
     const Bytes budget = hw_null.gbuf_bytes;
 
@@ -118,18 +116,57 @@ TEST(MemoryModel, AnalyticalSeamIsByteIdenticalOverRandomSchemes)
     int checked = 0;
     for (int i = 0; i < 24; ++i) {
         if (!MutateLfaEncoding(g, cur, &cand, 16, rng)) continue;
-        ParsedSchedule parsed = ParseLfa(g, cand, ce);
-        if (!parsed.valid) continue;
-        DlsaEncoding dlsa = MakeDoubleBufferDlsa(parsed);
+        ParsedSchedule null_parsed = ParseLfa(g, cand, ce_null);
+        if (!null_parsed.valid) continue;
+        ParsedSchedule seam_parsed = ParseLfa(g, cand, ce_seam);
+        EXPECT_TRUE(ParsedSchedulesIdentical(null_parsed, seam_parsed));
+        DlsaEncoding dlsa = MakeDoubleBufferDlsa(null_parsed);
         EvalReport null_rep =
-            EvaluateSchedule(g, hw_null, parsed, dlsa, budget, ops);
+            EvaluateSchedule(g, hw_null, null_parsed, dlsa, budget, ops);
         EvalReport seam_rep =
-            EvaluateSchedule(g, hw_seam, parsed, dlsa, budget, ops);
+            EvaluateSchedule(g, hw_seam, seam_parsed, dlsa, budget, ops);
         ExpectReportsIdentical(null_rep, seam_rep);
         ++checked;
         if (rng.Flip()) cur = cand;
     }
     EXPECT_GT(checked, 8);
+}
+
+TEST(MemoryModel, ParsePricesEveryTensorUnderItsHardware)
+{
+    // The parse prices each tensor with its hardware's backend and
+    // folds bytes and seconds in tensor-index order; re-pricing a copy
+    // for other hardware equals parsing for that hardware.
+    Graph g = MakeBranchy();
+    const LfaEncoding lfa = MakeInitialLfa(g, EdgeAccelerator(), 16);
+    const MemoryModel *models[] = {&AnalyticalMemoryModel(),
+                                   &BankedMemoryModel()};
+    ParsedSchedule priced[2];
+    HardwareConfig hws[2];
+    for (int m = 0; m < 2; ++m) {
+        SCOPED_TRACE(models[m]->name());
+        HardwareConfig &hw = hws[m];
+        hw = EdgeAccelerator();
+        hw.memory_model = models[m];
+        CoreArrayEvaluator ce(g, hw);
+        ParsedSchedule &p = priced[m];
+        p = ParseLfa(g, lfa, ce);
+        ASSERT_TRUE(p.valid);
+        Bytes bytes = 0;
+        double seconds = 0.0;
+        for (const DramTensor &t : p.tensors) {
+            EXPECT_EQ(t.seconds, models[m]->TransferSeconds(hw, t.bytes));
+            bytes += t.bytes;
+            seconds += t.seconds;
+        }
+        EXPECT_EQ(p.dram_bytes, bytes);
+        EXPECT_EQ(p.dram_busy,
+                  models[m]->ChannelBusySeconds(hw, bytes, seconds));
+    }
+    EXPECT_FALSE(ParsedSchedulesIdentical(priced[0], priced[1]));
+    ParsedSchedule repriced = priced[0];
+    PriceDramTensors(hws[1], &repriced);
+    EXPECT_TRUE(ParsedSchedulesIdentical(repriced, priced[1]));
 }
 
 // ---------------------------------------------------------------------
@@ -145,13 +182,7 @@ TEST(MemoryModel, BankedClosedFormMatchesFreshBankReplay)
     const Bytes sizes[] = {1,      64,      2048,       2049,
                            16384,  16448,   1 << 20,    (1 << 20) + 7};
     for (Bytes bytes : sizes) {
-        const unsigned char load = 1;
-        DramTransferList list;
-        list.bytes = &bytes;
-        list.is_load = &load;
-        list.count = 1;
-        std::vector<double> closed;
-        model.FillTransferSeconds(hw, list, &closed);
+        const double closed = model.TransferSeconds(hw, bytes);
 
         std::vector<BankedTransfer> stream(1);
         stream[0].address = 0;
@@ -160,7 +191,7 @@ TEST(MemoryModel, BankedClosedFormMatchesFreshBankReplay)
         std::vector<double> replayed;
         BankedReplayStats stats;
         model.ReplayTensorStream(hw, stream, &replayed, &stats);
-        EXPECT_EQ(closed[0], replayed[0]) << bytes;
+        EXPECT_EQ(closed, replayed[0]) << bytes;
         EXPECT_EQ(stats.turnarounds, 0u);
         EXPECT_EQ(stats.busy_seconds, replayed[0]);
     }
@@ -172,17 +203,11 @@ TEST(MemoryModel, BankedCostsExceedAnalyticalAndStayFinite)
     // per-transfer cost can never undercut the analytical one.
     HardwareConfig hw = EdgeAccelerator();
     const Bytes bytes[] = {1, 64, 2048, 65536, 1 << 22};
-    const unsigned char is_load[] = {1, 1, 0, 1, 0};
-    DramTransferList list;
-    list.bytes = bytes;
-    list.is_load = is_load;
-    list.count = 5;
-    std::vector<double> banked, analytical;
-    BankedMemoryModel().FillTransferSeconds(hw, list, &banked);
-    AnalyticalMemoryModel().FillTransferSeconds(hw, list, &analytical);
-    for (int j = 0; j < 5; ++j) {
-        EXPECT_GT(banked[j], analytical[j]) << j;
-        EXPECT_TRUE(std::isfinite(banked[j])) << j;
+    for (Bytes b : bytes) {
+        const double banked = BankedMemoryModel().TransferSeconds(hw, b);
+        EXPECT_GT(banked, AnalyticalMemoryModel().TransferSeconds(hw, b))
+            << b;
+        EXPECT_TRUE(std::isfinite(banked)) << b;
     }
 }
 
@@ -260,6 +285,22 @@ TEST(MemoryModel, ValidationGapIsDeterministicAndFinite)
     EXPECT_EQ(a.replay.transactions, b.replay.transactions);
     EXPECT_EQ(a.replay.row_hits, b.replay.row_hits);
     EXPECT_GT(a.replay.transactions, 0u);
+
+    // Validation re-prices its input: the same scheme parsed under the
+    // banked backend and validated under the banked hardware must read
+    // the same gap as the analytical parse.
+    HardwareConfig hw_banked = hw;
+    hw_banked.memory_model = &BankedMemoryModel();
+    CoreArrayEvaluator ce_banked(g, hw_banked);
+    ParsedSchedule banked_parsed = ParseLfa(g, lfa, ce_banked);
+    ASSERT_TRUE(banked_parsed.valid);
+    ASSERT_NE(banked_parsed.dram_busy, parsed.dram_busy);
+    MemoryValidationResult c =
+        ValidateMemoryTiming(g, hw_banked, banked_parsed, dlsa);
+    ASSERT_TRUE(c.ok) << c.error;
+    EXPECT_EQ(c.analytical_latency, a.analytical_latency);
+    EXPECT_EQ(c.banked_latency, a.banked_latency);
+    EXPECT_EQ(c.gap_pct, a.gap_pct);
 }
 
 // ---------------------------------------------------------------------

@@ -192,6 +192,16 @@ TEST(ModelParser, RejectsMalformedInput)
     EXPECT_FALSE(
         ParseModel("layer conv a 1 1 1 0 1 1 0\nin 0 ext bogus 1 1 1", &g,
                    &err));
+    // Non-positive shapes and batches fail with a line number instead
+    // of reaching Graph::Validate's abort.
+    EXPECT_FALSE(ParseModel("layer conv a 0 16 16 0 1 1 1", &g, &err));
+    EXPECT_EQ(err, "line 1: layer output shape must be positive");
+    EXPECT_FALSE(ParseModel("layer conv a 4 4 4 36 54 1 1\n"
+                            "in 0 ext row 0 4 4",
+                            &g, &err));
+    EXPECT_EQ(err, "line 2: external input shape must be positive");
+    EXPECT_FALSE(ParseModel("model m 0", &g, &err));
+    EXPECT_EQ(err, "line 1: batch must be positive");
 }
 
 TEST(ModelParser, CommentsAndBlankLinesIgnored)

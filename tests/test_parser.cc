@@ -214,7 +214,7 @@ TEST_F(ParserTest, FusionReducesDramTraffic)
     ParsedSchedule pu = ParseLfa(graph_, unfused, eval_);
     ASSERT_TRUE(pu.valid);
 
-    EXPECT_LT(pf.TotalDramBytes(), pu.TotalDramBytes());
+    EXPECT_LT(pf.dram_bytes, pu.dram_bytes);
     // Fused: 4 weights + 1 input + 2 outputs = 7 tensors.
     EXPECT_EQ(pf.NumTensors(), 7);
 }

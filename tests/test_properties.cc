@@ -184,7 +184,7 @@ TEST_P(FusionProperty, MoreCutsMoreTraffic)
         lfa.tiling.assign(k + 1, 1);
         ParsedSchedule p = ParseLfa(g, lfa, eval);
         EXPECT_TRUE(p.valid);
-        return p.TotalDramBytes();
+        return p.dram_bytes;
     };
 
     EXPECT_GE(traffic_with_cuts(cuts), traffic_with_cuts(0));
@@ -262,7 +262,7 @@ TEST_P(TrafficProperty, SearchNeverAddsDramTraffic)
     SomaOptions opts = SomaOptionsFor(SearchProfile::kQuick, 31);
     SomaSearchResult res = RunSoma(g, hw, opts);
     ASSERT_TRUE(res.report.valid);
-    EXPECT_LE(res.report.dram_bytes, p0.TotalDramBytes());
+    EXPECT_LE(res.report.dram_bytes, p0.dram_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, TrafficProperty,

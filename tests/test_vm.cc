@@ -10,6 +10,7 @@
 #include "baselines/cocco.h"
 #include "compiler/vm.h"
 #include "corearray/core_array.h"
+#include "hw/banked_dram.h"
 #include "search/dlsa_heuristics.h"
 #include "search/soma.h"
 #include "sim/evaluator.h"
@@ -67,6 +68,27 @@ TEST(Vm, MatchesEvaluatorOnFusedChain)
                 run.report.latency * 1e-12);
     EXPECT_NEAR(run.vm.core_busy, run.report.compute_busy, 1e-15);
     EXPECT_NEAR(run.vm.dram_busy, run.report.dram_busy, 1e-15);
+}
+
+TEST(Vm, MatchesEvaluatorUnderBankedBackend)
+{
+    // The parse prices its tensors and the VM its load/store
+    // instructions through the same per-transfer seam, so the two
+    // timelines agree under the banked backend too.
+    Graph g = MakeChain(4);
+    HardwareConfig hw = EdgeAccelerator();
+    hw.memory_model = &BankedMemoryModel();
+    LfaEncoding lfa;
+    lfa.order = g.TopoOrder();
+    lfa.tiling = {2};
+    BothResults run = RunBothPipelines(g, hw, lfa);
+    ASSERT_TRUE(run.report.valid);
+    ASSERT_TRUE(run.vm.ok) << run.vm.error;
+    EXPECT_NEAR(run.vm.makespan, run.report.latency,
+                run.report.latency * 1e-12);
+    EXPECT_NEAR(run.vm.dram_busy, run.report.dram_busy, 1e-15);
+    BothResults flat = RunBothPipelines(g, EdgeAccelerator(), lfa);
+    EXPECT_GT(run.report.dram_busy, flat.report.dram_busy);
 }
 
 TEST(Vm, MatchesEvaluatorOnUnfusedChain)

@@ -658,6 +658,11 @@ SeedAxis(const Json &value, const std::string &key,
     return true;
 }
 
+/** The largest grid a sweep expands. Every point holds a request and
+ *  a result row (about 1.8 KB before any search), so a few-KB spec
+ *  could otherwise ask for more points than memory holds. */
+constexpr std::size_t kMaxSweepPoints = 100000;
+
 /** Expand @p spec_json into the grid's requests, in deterministic
  *  nested-loop order (models, batches, hardware, gbuf, dram,
  *  schedulers, profiles, seeds — innermost last). */
@@ -749,6 +754,20 @@ ExpandSweepSpec(const Json &spec_json,
     }
     std::vector<std::uint64_t> seed_axis = seeds;
     if (seed_axis.empty()) seed_axis.push_back(base.seed);
+
+    // Every axis holds at least one value; multiply without overflow.
+    std::size_t points = 1;
+    for (std::size_t len :
+         {models.size(), batch_axis.size(), hardware.size(),
+          gbuf_axis.size(), dram_axis.size(), schedulers.size(),
+          profile_axis.size(), seed_axis.size()}) {
+        if (points > kMaxSweepPoints / len) {
+            *err = "sweep spec expands to more than " +
+                   std::to_string(kMaxSweepPoints) + " requests";
+            return false;
+        }
+        points *= len;
+    }
 
     for (const std::string &model : models)
         for (int batch : batch_axis)
