@@ -48,7 +48,7 @@ StageContribution(benchmark::State &state, const char *net)
     for (auto _ : state) {
         Graph g = BuildModelByName(net, 1);
         HardwareConfig hw = EdgeAccelerator();
-        SomaSearchResult res =
+        SearchResult res =
             RunSoma(g, hw, BenchSomaOptions(ProfileFromEnv(), 1));
         AddRow("A1 two-stage", net, "stage1 only", res.stage1_report);
         AddRow("A1 two-stage", net, "stage1+stage2", res.report);
@@ -69,8 +69,8 @@ BufferAllocator(benchmark::State &state, const char *net)
         one.alloc.max_iterations = 1;
         SomaOptions loop = BenchSomaOptions(ProfileFromEnv(), 1);
         loop.alloc.max_iterations = 4;
-        SomaSearchResult r_one = RunSoma(g, hw, one);
-        SomaSearchResult r_loop = RunSoma(g, hw, loop);
+        SearchResult r_one = RunSoma(g, hw, one);
+        SearchResult r_loop = RunSoma(g, hw, loop);
         AddRow("A2 buffer allocator", net, "single iteration",
                r_one.report);
         AddRow("A2 buffer allocator", net, "shrinking loop",
@@ -91,8 +91,8 @@ GreedySeed(benchmark::State &state, const char *net)
         SomaOptions with = BenchSomaOptions(ProfileFromEnv(), 1);
         SomaOptions without = with;
         without.lfa.greedy_seed = false;
-        SomaSearchResult r_with = RunSoma(g, hw, with);
-        SomaSearchResult r_without = RunSoma(g, hw, without);
+        SearchResult r_with = RunSoma(g, hw, with);
+        SearchResult r_without = RunSoma(g, hw, without);
         AddRow("A3 greedy seed", net, "seeded", r_with.report);
         AddRow("A3 greedy seed", net, "SA only", r_without.report);
         if (r_with.report.valid && r_without.report.valid) {
@@ -108,7 +108,7 @@ DlsaStrategies(benchmark::State &state, const char *net)
     for (auto _ : state) {
         Graph g = BuildModelByName(net, 1);
         HardwareConfig hw = EdgeAccelerator();
-        SomaSearchResult res =
+        SearchResult res =
             RunSoma(g, hw, BenchSomaOptions(ProfileFromEnv(), 1));
         if (!res.report.valid) continue;
         Ops ops = g.TotalOps();

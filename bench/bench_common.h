@@ -202,9 +202,8 @@ RunComparison(const WorkloadConfig &cfg, int batch, SearchProfile profile,
     row.batch = batch;
     Graph graph = BuildModelByName(cfg.workload, batch);
     HardwareConfig hw = PlatformFor(cfg);
-    CoccoResult cocco = RunCocco(graph, hw, CoccoOptionsFor(profile, seed));
-    SomaSearchResult ours =
-        RunSoma(graph, hw, BenchSomaOptions(profile, seed));
+    SearchResult cocco = RunCocco(graph, hw, CoccoOptionsFor(profile, seed));
+    SearchResult ours = RunSoma(graph, hw, BenchSomaOptions(profile, seed));
     row.cocco = cocco.report;
     row.ours1 = ours.stage1_report;
     row.ours2 = ours.report;

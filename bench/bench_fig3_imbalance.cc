@@ -118,8 +118,8 @@ RunNet(benchmark::State &state, const char *model)
     for (auto _ : state) {
         Graph g = BuildModelByName(model, 1);
         HardwareConfig hw = EdgeAccelerator();
-        CoccoResult cocco = RunCocco(g, hw,
-                                     CoccoOptionsFor(ProfileFromEnv(), 1));
+        SearchResult cocco = RunCocco(g, hw,
+                                      CoccoOptionsFor(ProfileFromEnv(), 1));
         Fig3Result res;
         res.net = model;
         res.layers = LayerScatter(g);

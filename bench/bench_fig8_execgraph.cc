@@ -23,8 +23,8 @@ using namespace soma::bench;
 struct CaseResult {
     std::string net;
     Graph graph;
-    CoccoResult cocco;
-    SomaSearchResult ours;
+    SearchResult cocco;
+    SearchResult ours;
 };
 
 std::vector<CaseResult> g_cases;

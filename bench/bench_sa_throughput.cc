@@ -220,9 +220,9 @@ main(int argc, char **argv)
         seed_opts.lfa.max_iterations = 200;
         seed_opts.driver.chains = 1;
         seed_opts.driver.threads = 1;
-        LfaStageResult seeded = RunLfaStage(graph, hw, core_eval,
-                                            hw.gbuf_bytes, seed_opts,
-                                            seed_rng);
+        SearchResult seeded = RunLfaStage(graph, hw, core_eval,
+                                          hw.gbuf_bytes, seed_opts,
+                                          seed_rng);
         if (seeded.report.valid) lfa = seeded.lfa;
     }
     ParsedSchedule parsed = ParseLfa(graph, lfa, core_eval);

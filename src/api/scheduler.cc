@@ -181,7 +181,7 @@ Scheduler::Schedule(const ScheduleRequest &original) const
     // ---- search: the expensive phase.
     progress("search");
     const auto t_search = MonotonicNow();
-    SchedulerRunResult run = (*scheduler_fn)(*graph, hw, request);
+    SearchResult run = (*scheduler_fn)(*graph, hw, request);
     const auto t_search_end = MonotonicNow();
     result.stats.search_seconds =
         std::chrono::duration<double>(t_search_end - t_search).count();

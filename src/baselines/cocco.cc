@@ -81,7 +81,7 @@ MutateCocco(const Graph &graph, const CoccoState &cur, CoccoState *next,
 
 }  // namespace
 
-CoccoResult
+SearchResult
 RunCocco(const Graph &graph, const HardwareConfig &hw,
          const CoccoOptions &opts)
 {
@@ -148,7 +148,7 @@ RunCocco(const Graph &graph, const HardwareConfig &hw,
         };
         return env;
     };
-    CoccoResult result;
+    SearchResult result;
     result.stats = RunDriverAndAdopt<CoccoState>(
         make_env, iterations, opts.driver, rng, &state, &cost);
     result.cost = cost;
@@ -156,6 +156,7 @@ RunCocco(const Graph &graph, const HardwareConfig &hw,
         MakeCoccoLfa(graph, hw, state.order, state.cuts, kTilingCap);
     result.parsed = ParseLfa(graph, result.lfa, core_eval, popts);
     result.dlsa = MakeCoccoDlsa(result.parsed);
+    result.stage1_dlsa = result.dlsa;
     result.report = EvaluateSchedule(graph, hw, result.parsed, result.dlsa,
                                      hw.gbuf_bytes, total_ops);
     return result;

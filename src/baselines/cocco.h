@@ -34,23 +34,14 @@ struct CoccoOptions {
     SearchDriverOptions driver;
 };
 
-/** Best scheme found by the Cocco baseline. */
-struct CoccoResult {
-    LfaEncoding lfa;
-    ParsedSchedule parsed;
-    DlsaEncoding dlsa;
-    EvalReport report;
-    double cost = 0.0;
-    SaStats stats;
-};
-
 /** The Cocco options of @p profile (the Cocco rows of BudgetsFor),
  *  seeded with @p seed. */
 CoccoOptions CoccoOptionsFor(SearchProfile profile, std::uint64_t seed = 1);
 
-/** Run the Cocco exploration. */
-CoccoResult RunCocco(const Graph &graph, const HardwareConfig &hw,
-                     const CoccoOptions &opts);
+/** Run the Cocco exploration. The result has no DLSA stage: its
+ *  `stage1_dlsa` is its `dlsa`, its `stage1_report` invalid. */
+SearchResult RunCocco(const Graph &graph, const HardwareConfig &hw,
+                      const CoccoOptions &opts);
 
 /**
  * The Cocco encoding for a given order and DRAM-cut set: FLC = DRAM

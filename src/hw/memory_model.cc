@@ -44,55 +44,10 @@ MemoryModelRegistry
 MemoryModelRegistry::WithBuiltins()
 {
     MemoryModelRegistry reg;
-    reg.Register(&AnalyticalMemoryModel());
-    reg.Register(&BankedMemoryModel());
+    const MemoryModel *const builtins[] = {&AnalyticalMemoryModel(),
+                                           &BankedMemoryModel()};
+    for (const MemoryModel *m : builtins) reg.Register(m->name(), m);
     return reg;
-}
-
-void
-MemoryModelRegistry::Register(const MemoryModel *model)
-{
-    for (auto &m : models_) {
-        if (std::string(m->name()) == model->name()) {
-            m = model;
-            return;
-        }
-    }
-    models_.push_back(model);
-}
-
-bool
-MemoryModelRegistry::Has(const std::string &name) const
-{
-    for (const MemoryModel *m : models_)
-        if (name == m->name()) return true;
-    return false;
-}
-
-std::vector<std::string>
-MemoryModelRegistry::Names() const
-{
-    std::vector<std::string> names;
-    names.reserve(models_.size());
-    for (const MemoryModel *m : models_) names.push_back(m->name());
-    return names;
-}
-
-const MemoryModel *
-MemoryModelRegistry::Find(const std::string &name, std::string *err) const
-{
-    for (const MemoryModel *m : models_)
-        if (name == m->name()) return m;
-    if (err) {
-        std::string joined;
-        for (const MemoryModel *m : models_) {
-            if (!joined.empty()) joined += ", ";
-            joined += m->name();
-        }
-        *err = "unknown memory model \"" + name + "\" (registered: " +
-               joined + ")";
-    }
-    return nullptr;
 }
 
 }  // namespace soma

@@ -26,8 +26,8 @@
 #define SOMA_HW_MEMORY_MODEL_H
 
 #include <string>
-#include <vector>
 
+#include "common/registry.h"
 #include "common/types.h"
 #include "hw/hardware.h"
 
@@ -89,36 +89,25 @@ const MemoryModel &AnalyticalMemoryModel();
 const MemoryModel &MemoryModelOf(const HardwareConfig &hw);
 
 /**
- * Name -> MemoryModel registry, mirroring the api-layer registries:
- * ordered registration, lookup failures list the registered names.
- * Registered models must outlive the registry (builtins are process-
- * wide statics).
+ * Name -> MemoryModel registry, one Registry (common/registry.h) like
+ * the api-layer registries. Registered models must outlive the
+ * registry (builtins are process-wide statics).
  */
-class MemoryModelRegistry {
+class MemoryModelRegistry : public Registry<const MemoryModel *> {
   public:
-    MemoryModelRegistry() = default;
+    MemoryModelRegistry() : Registry("memory model") {}
 
     /** Registry pre-populated with "analytical" and "banked". */
     static MemoryModelRegistry WithBuiltins();
 
-    void Register(const MemoryModel *model);
-
-    bool Has(const std::string &name) const;
-    std::vector<std::string> Names() const;  ///< registration order
-
     /** The model, or nullptr with @p err listing the registered
      *  names. */
     const MemoryModel *Find(const std::string &name,
-                            std::string *err) const;
-
-    /** All registered models, registration order (for `somac list`). */
-    const std::vector<const MemoryModel *> &models() const
+                            std::string *err) const
     {
-        return models_;
+        const MemoryModel *const *model = Registry::Find(name, err);
+        return model ? *model : nullptr;
     }
-
-  private:
-    std::vector<const MemoryModel *> models_;
 };
 
 }  // namespace soma

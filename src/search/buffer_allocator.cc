@@ -10,12 +10,13 @@
 
 namespace soma {
 
-SomaSearchResult
+SearchResult
 RunBufferAllocatedSearch(const Graph &graph, const HardwareConfig &hw,
                          const SomaOptions &opts, Rng &rng)
 {
-    SomaSearchResult best;
+    SearchResult best;
     best.cost = std::numeric_limits<double>::infinity();
+    best.outer_iterations = 0;
     obs::Tracer *const tracer = opts.driver.trace;
     obs::SpanScope search_span(tracer, "alloc.search");
 
@@ -52,9 +53,9 @@ RunBufferAllocatedSearch(const Graph &graph, const HardwareConfig &hw,
         iter_span.Arg("budget_bytes",
                       static_cast<std::int64_t>(stage_budget));
 
-        LfaStageResult s1 = RunLfaStage(graph, hw, core_eval, stage_budget,
-                                        opts, rng);
-        AccumulateSaStats(&best.lfa_stats, s1.stats);
+        SearchResult s1 = RunLfaStage(graph, hw, core_eval, stage_budget,
+                                      opts, rng);
+        AccumulateSaStats(&best.stats, s1.stats);
         if (!s1.report.valid) {
             SOMA_INFO << "buffer allocator iter " << iter
                       << ": stage 1 found no valid scheme under budget "
@@ -70,9 +71,8 @@ RunBufferAllocatedSearch(const Graph &graph, const HardwareConfig &hw,
 
         DlsaStageResult s2 = RunDlsaStage(graph, hw, s1.parsed, s1.dlsa,
                                           hw.gbuf_bytes, opts, rng);
-        AccumulateSaStats(&best.dlsa_stats, s2.stats);
+        AccumulateSaStats(&best.stats, s2.stats);
 
-        best.iteration_costs.push_back(s2.cost);
         ++best.outer_iterations;
         iter_span.Arg("cost", s2.cost);
 

@@ -11,8 +11,6 @@
 #ifndef SOMA_SEARCH_BUFFER_ALLOCATOR_H
 #define SOMA_SEARCH_BUFFER_ALLOCATOR_H
 
-#include <vector>
-
 #include "search/dlsa_stage.h"
 #include "search/lfa_stage.h"
 
@@ -30,30 +28,15 @@ struct BufferAllocatorOptions {
     int max_iterations = 6;  ///< hard cap on outer iterations
 };
 
-/** The best complete scheme found by the two-stage search. */
-struct SomaSearchResult {
-    LfaEncoding lfa;
-    ParsedSchedule parsed;
-    DlsaEncoding dlsa;          ///< stage-2 DLSA of the best scheme
-    DlsaEncoding stage1_dlsa;   ///< double-buffer DLSA of the best scheme
-    EvalReport stage1_report;   ///< "Ours_1": before DLSA exploration
-    EvalReport report;          ///< "Ours_2": final
-    double cost = 0.0;
-    int outer_iterations = 0;
-    std::vector<double> iteration_costs;  ///< best total cost per iteration
-    SaStats lfa_stats;   ///< LFA-stage counters summed over outer iters
-    SaStats dlsa_stats;  ///< DLSA-stage counters summed over outer iters
-};
-
 /**
  * Run the Buffer-Allocator-wrapped two-stage search: every stage reads
  * its budget, the objective and the driver from @p opts and draws from
- * @p rng.
+ * @p rng. `outer_iterations` counts the iterations whose stage 1 found
+ * a valid scheme, and `stats` folds both stages' walks.
  */
-SomaSearchResult RunBufferAllocatedSearch(const Graph &graph,
-                                          const HardwareConfig &hw,
-                                          const SomaOptions &opts,
-                                          Rng &rng);
+SearchResult RunBufferAllocatedSearch(const Graph &graph,
+                                      const HardwareConfig &hw,
+                                      const SomaOptions &opts, Rng &rng);
 
 }  // namespace soma
 

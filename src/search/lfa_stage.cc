@@ -149,7 +149,7 @@ MutateLfaEncoding(const Graph &graph, const LfaEncoding &cur,
     return false;
 }
 
-LfaStageResult
+SearchResult
 RunLfaStage(const Graph &graph, const HardwareConfig &hw,
             const CoreArrayEvaluator &core_eval, Bytes stage_budget,
             const SomaOptions &opts, Rng &rng)
@@ -184,7 +184,7 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
         return eval_with(serial_ctx, serial_dlsa, lfa);
     };
 
-    LfaStageResult result;
+    SearchResult result;
     {
         obs::SpanScope seed_span(tracer, "lfa.seed");
         result.lfa = MakeInitialLfa(graph, hw, kTilingCap);
@@ -263,6 +263,7 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
                                              result.dlsa, stage_budget,
                                              total_ops);
         }
+        result.stage1_dlsa = result.dlsa;
     }
     stage_span.Arg("iterations", static_cast<std::int64_t>(
                                      result.stats.iterations));

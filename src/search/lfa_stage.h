@@ -37,24 +37,35 @@ struct LfaStageOptions {
 
 struct SomaOptions;  // search/soma.h
 
-/** Best scheme found by one LFA stage run. */
-struct LfaStageResult {
+/**
+ * The best scheme one search found, whatever the strategy: the LFA
+ * stage, the two-stage SoMa search (RunBufferAllocatedSearch) and the
+ * Cocco baseline all return it, and so does every SchedulerFn. A
+ * search without a DLSA stage sets `stage1_dlsa = dlsa` and leaves
+ * `stage1_report` invalid.
+ */
+struct SearchResult {
     LfaEncoding lfa;
     ParsedSchedule parsed;
-    DlsaEncoding dlsa;     ///< the double-buffer DLSA of `lfa`
-    EvalReport report;     ///< evaluated at the stage budget
+    DlsaEncoding dlsa;         ///< the scheme's final DLSA
+    DlsaEncoding stage1_dlsa;  ///< DLSA before DLSA exploration
+    EvalReport report;         ///< "Ours_2": the final evaluation
+    EvalReport stage1_report;  ///< "Ours_1": before DLSA exploration
     double cost = 0.0;
-    SaStats stats;
+    SaStats stats;             ///< summed over every annealing walk
+    int outer_iterations = 1;  ///< Buffer Allocator iterations
 };
 
 /**
  * Run the LFA stage under @p stage_budget bytes of GBUF with the
- * budget in opts.lfa and the objective and driver of @p opts.
+ * budget in opts.lfa and the objective and driver of @p opts. The
+ * report is evaluated at the stage budget and `dlsa` is the double-
+ * buffer (or, under a tight budget, lazy) DLSA of `lfa`.
  */
-LfaStageResult RunLfaStage(const Graph &graph, const HardwareConfig &hw,
-                           const CoreArrayEvaluator &core_eval,
-                           Bytes stage_budget, const SomaOptions &opts,
-                           Rng &rng);
+SearchResult RunLfaStage(const Graph &graph, const HardwareConfig &hw,
+                         const CoreArrayEvaluator &core_eval,
+                         Bytes stage_budget, const SomaOptions &opts,
+                         Rng &rng);
 
 /**
  * "Change Computing Order" operator, shared with the Cocco baseline:

@@ -55,7 +55,7 @@ SomaOptionsFor(SearchProfile profile, std::uint64_t seed)
     return opts;
 }
 
-SomaSearchResult
+SearchResult
 RunSoma(const Graph &graph, const HardwareConfig &hw, const SomaOptions &opts)
 {
     Rng rng(opts.seed);

@@ -71,8 +71,8 @@ const ProfileBudgets &BudgetsFor(SearchProfile profile);
 SomaOptions SomaOptionsFor(SearchProfile profile, std::uint64_t seed = 1);
 
 /** Run the full two-stage, buffer-allocated exploration. */
-SomaSearchResult RunSoma(const Graph &graph, const HardwareConfig &hw,
-                         const SomaOptions &opts);
+SearchResult RunSoma(const Graph &graph, const HardwareConfig &hw,
+                     const SomaOptions &opts);
 
 }  // namespace soma
 

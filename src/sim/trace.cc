@@ -1,6 +1,9 @@
 #include "sim/trace.h"
 
 #include <algorithm>
+#include <vector>
+
+#include "sim/eval_context.h"
 
 namespace soma {
 
@@ -63,31 +66,11 @@ void
 WriteBufferTraceCsv(std::ostream &os, const ParsedSchedule &parsed,
                     const DlsaEncoding &dlsa)
 {
-    const int slots = parsed.NumTiles();
-    std::vector<Bytes> diff(slots + 1, 0);
-    auto add = [&](TilePos from, TilePos to, Bytes bytes) {
-        from = std::clamp<TilePos>(from, 0, slots);
-        to = std::clamp<TilePos>(to, 0, slots);
-        if (from >= to) return;
-        diff[from] += bytes;
-        diff[to] -= bytes;
-    };
-    for (const OnchipInterval &iv : parsed.onchip)
-        add(iv.from, iv.to, iv.bytes);
-    for (int j = 0; j < parsed.NumTensors(); ++j) {
-        const DramTensor &t = parsed.tensors[j];
-        if (t.IsLoad()) {
-            add(dlsa.free_point[j], t.fixed_end, t.bytes);
-        } else {
-            add(t.first_use, dlsa.free_point[j], t.bytes);
-        }
-    }
+    std::vector<Bytes> diff, usage;
+    ComputeBufferBySlot(parsed, dlsa.free_point, &diff, &usage);
     os << "slot,buffer_bytes\n";
-    Bytes run = 0;
-    for (int s = 0; s < slots; ++s) {
-        run += diff[s];
-        os << s << "," << run << "\n";
-    }
+    for (std::size_t s = 0; s < usage.size(); ++s)
+        os << s << "," << usage[s] << "\n";
 }
 
 }  // namespace soma

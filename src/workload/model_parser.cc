@@ -109,6 +109,12 @@ ParseModel(const std::string &text, Graph *graph, std::string *error)
                 return fail("malformed layer line", line_no);
             if (c <= 0 || h <= 0 || w <= 0)
                 return fail("layer output shape must be positive", line_no);
+            if (elem < 1)
+                return fail("element bytes must be at least 1", line_no);
+            if (wbytes < 0 || opselem < 0)
+                return fail("weight bytes and ops per element must not be "
+                            "negative",
+                            line_no);
             LayerKind kind;
             if (!LayerKindFromName(kind_name, &kind))
                 return fail("unknown layer kind " + kind_name, line_no);
@@ -125,6 +131,12 @@ ParseModel(const std::string &text, Graph *graph, std::string *error)
                 if (!(ls >> wp.kernel_h >> wp.kernel_w >> wp.stride_h >>
                       wp.stride_w >> wp.pad_h >> wp.pad_w))
                     return fail("malformed window", line_no);
+                if (wp.kernel_h < 1 || wp.kernel_w < 1 || wp.stride_h < 1 ||
+                    wp.stride_w < 1)
+                    return fail("window kernel and stride must be at least 1",
+                                line_no);
+                if (wp.pad_h < 0 || wp.pad_w < 0)
+                    return fail("window pad must not be negative", line_no);
                 l.setWindow(wp);
             }
             layers.push_back(std::move(l));

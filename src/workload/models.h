@@ -66,14 +66,25 @@ Graph BuildGpt2Prefill(const Gpt2Config &cfg, int batch, int seq_len);
  */
 Graph BuildGpt2Decode(const Gpt2Config &cfg, int batch, int past_len);
 
+/** One named builder of the zoo. */
+struct ModelZooEntry {
+    const char *name;
+    Graph (*build)(int batch);
+};
+
 /**
- * Lookup by canonical name: "resnet50", "resnet101", "ires", "randwire",
- * "transformer-large", "gpt2s-prefill", "gpt2s-decode", "gpt2xl-prefill",
- * "gpt2xl-decode". Dies on unknown names.
+ * The zoo by canonical name, in listing order: "resnet50", "resnet101",
+ * "ires", "randwire", "transformer-large", "gpt2s-prefill",
+ * "gpt2s-decode" (Small at 512 tokens), "gpt2xl-prefill",
+ * "gpt2xl-decode" (XL at 1024). The one name table: BuildModelByName,
+ * AvailableModels and ModelRegistry::WithBuiltins read it.
  */
+const std::vector<ModelZooEntry> &ModelZoo();
+
+/** Builds the ModelZoo entry @p name. Dies on unknown names. */
 Graph BuildModelByName(const std::string &name, int batch);
 
-/** All names accepted by BuildModelByName. */
+/** The ModelZoo names, in its order. */
 std::vector<std::string> AvailableModels();
 
 }  // namespace soma

@@ -1,6 +1,6 @@
 /**
  * @file
- * ResNet-50 / ResNet-101 builders plus the name-based model registry.
+ * ResNet-50 / ResNet-101 builders plus the zoo's name table (ModelZoo).
  */
 #include "workload/models.h"
 
@@ -72,22 +72,33 @@ BuildResNet101(int batch)
     return BuildResNet("resnet101", batch, {3, 4, 23, 3});
 }
 
+const std::vector<ModelZooEntry> &
+ModelZoo()
+{
+    static const std::vector<ModelZooEntry> kZoo = {
+        {"resnet50", BuildResNet50},
+        {"resnet101", BuildResNet101},
+        {"ires", BuildInceptionResNetV1},
+        {"randwire", [](int batch) { return BuildRandWire(batch); }},
+        {"transformer-large",
+         [](int batch) { return BuildTransformerLarge(batch); }},
+        {"gpt2s-prefill",
+         [](int batch) { return BuildGpt2Prefill(Gpt2Small(), batch, 512); }},
+        {"gpt2s-decode",
+         [](int batch) { return BuildGpt2Decode(Gpt2Small(), batch, 512); }},
+        {"gpt2xl-prefill",
+         [](int batch) { return BuildGpt2Prefill(Gpt2Xl(), batch, 1024); }},
+        {"gpt2xl-decode",
+         [](int batch) { return BuildGpt2Decode(Gpt2Xl(), batch, 1024); }},
+    };
+    return kZoo;
+}
+
 Graph
 BuildModelByName(const std::string &name, int batch)
 {
-    if (name == "resnet50") return BuildResNet50(batch);
-    if (name == "resnet101") return BuildResNet101(batch);
-    if (name == "ires") return BuildInceptionResNetV1(batch);
-    if (name == "randwire") return BuildRandWire(batch);
-    if (name == "transformer-large") return BuildTransformerLarge(batch);
-    if (name == "gpt2s-prefill") return BuildGpt2Prefill(Gpt2Small(), batch,
-                                                         512);
-    if (name == "gpt2s-decode") return BuildGpt2Decode(Gpt2Small(), batch,
-                                                       512);
-    if (name == "gpt2xl-prefill") return BuildGpt2Prefill(Gpt2Xl(), batch,
-                                                          1024);
-    if (name == "gpt2xl-decode") return BuildGpt2Decode(Gpt2Xl(), batch,
-                                                        1024);
+    for (const ModelZooEntry &m : ModelZoo())
+        if (name == m.name) return m.build(batch);
     SOMA_ERROR << "unknown model: " << name;
     std::abort();
 }
@@ -95,9 +106,9 @@ BuildModelByName(const std::string &name, int batch)
 std::vector<std::string>
 AvailableModels()
 {
-    return {"resnet50", "resnet101", "ires", "randwire",
-            "transformer-large", "gpt2s-prefill", "gpt2s-decode",
-            "gpt2xl-prefill", "gpt2xl-decode"};
+    std::vector<std::string> names;
+    for (const ModelZooEntry &m : ModelZoo()) names.emplace_back(m.name);
+    return names;
 }
 
 }  // namespace soma

@@ -15,8 +15,10 @@
 
 #include "api/scheduler.h"
 #include "common/hash.h"
+#include "hw/banked_dram.h"
 #include "search/soma.h"
 #include "workload/graph_builder.h"
+#include "workload/models.h"
 
 namespace soma {
 namespace {
@@ -339,13 +341,20 @@ TEST(ResultJson, RoundTripIsBitExactOnLatencyAndEnergy)
 TEST(Registries, BuiltinsArePresent)
 {
     Scheduler scheduler;
-    EXPECT_TRUE(scheduler.models().Has("resnet50"));
-    EXPECT_TRUE(scheduler.models().Has("gpt2xl-decode"));
-    EXPECT_TRUE(scheduler.hardware().Has("edge"));
-    EXPECT_TRUE(scheduler.hardware().Has("cloud"));
-    EXPECT_TRUE(scheduler.schedulers().Has("soma"));
-    EXPECT_TRUE(scheduler.schedulers().Has("cocco"));
-    EXPECT_TRUE(scheduler.schedulers().Has("lfa-only"));
+    EXPECT_NE(scheduler.models().Find("resnet50", nullptr), nullptr);
+    EXPECT_NE(scheduler.models().Find("gpt2xl-decode", nullptr), nullptr);
+    EXPECT_NE(scheduler.hardware().Find("edge", nullptr), nullptr);
+    EXPECT_NE(scheduler.hardware().Find("cloud", nullptr), nullptr);
+    EXPECT_NE(scheduler.schedulers().Find("soma", nullptr), nullptr);
+    EXPECT_NE(scheduler.schedulers().Find("cocco", nullptr), nullptr);
+    EXPECT_NE(scheduler.schedulers().Find("lfa-only", nullptr), nullptr);
+    EXPECT_EQ(scheduler.memory_models().Find("analytical", nullptr),
+              &AnalyticalMemoryModel());
+    EXPECT_EQ(scheduler.memory_models().Find("banked", nullptr),
+              &BankedMemoryModel());
+    EXPECT_EQ(scheduler.models().Names(), AvailableModels());
+    EXPECT_EQ(scheduler.memory_models().Names(),
+              (std::vector<std::string>{"analytical", "banked"}));
 }
 
 TEST(Registries, UnknownNamesErrorWithCandidates)
@@ -416,7 +425,7 @@ TEST(SchedulerFacade, MatchesLegacyRunSomaBitForBit)
 {
     std::shared_ptr<const Graph> graph = TinyNet();
     HardwareConfig hw = EdgeAccelerator();
-    SomaSearchResult legacy =
+    SearchResult legacy =
         RunSoma(*graph, hw, SomaOptionsFor(SearchProfile::kQuick, 13));
 
     Scheduler scheduler;

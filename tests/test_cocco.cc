@@ -51,7 +51,7 @@ TEST(Cocco, RunProducesValidScheme)
 {
     Graph g = MakeNet();
     HardwareConfig hw = EdgeAccelerator();
-    CoccoResult res =
+    SearchResult res =
         RunCocco(g, hw, CoccoOptionsFor(SearchProfile::kQuick, 5));
     ASSERT_TRUE(res.report.valid) << res.report.why_invalid;
     EXPECT_LE(res.report.peak_buffer, hw.gbuf_bytes);
@@ -63,7 +63,7 @@ TEST(Cocco, WeightsResidentForWholeGroup)
 {
     Graph g = MakeNet();
     HardwareConfig hw = EdgeAccelerator();
-    CoccoResult res =
+    SearchResult res =
         RunCocco(g, hw, CoccoOptionsFor(SearchProfile::kQuick, 5));
     ASSERT_TRUE(res.report.valid);
     const ParsedSchedule &p = res.parsed;
@@ -88,13 +88,13 @@ TEST(Cocco, WeightResidencyLimitsFusion)
     Graph g = b.Take();
     HardwareConfig hw = EdgeAccelerator();
 
-    CoccoResult cocco =
+    SearchResult cocco =
 
         RunCocco(g, hw, CoccoOptionsFor(SearchProfile::kQuick, 5));
     ASSERT_TRUE(cocco.report.valid);
     EXPECT_GE(cocco.report.num_lgs, 2);
 
-    SomaSearchResult ours =
+    SearchResult ours =
 
         RunSoma(g, hw, SomaOptionsFor(SearchProfile::kQuick, 5));
     ASSERT_TRUE(ours.report.valid);
@@ -109,9 +109,9 @@ TEST(Cocco, SomaNeverMeaningfullyWorse)
     // Cocco's cost (tolerance for SA noise).
     Graph g = MakeNet();
     HardwareConfig hw = EdgeAccelerator();
-    CoccoResult cocco =
+    SearchResult cocco =
         RunCocco(g, hw, CoccoOptionsFor(SearchProfile::kQuick, 1));
-    SomaSearchResult ours =
+    SearchResult ours =
         RunSoma(g, hw, SomaOptionsFor(SearchProfile::kQuick, 1));
     ASSERT_TRUE(cocco.report.valid);
     ASSERT_TRUE(ours.report.valid);
@@ -131,7 +131,7 @@ TEST(Cocco, InfeasibleWhenSingleLayerExceedsBuffer)
     b.graph().AddLayer(std::move(l));
     Graph g = b.Take();
     HardwareConfig hw = EdgeAccelerator();
-    CoccoResult res =
+    SearchResult res =
         RunCocco(g, hw, CoccoOptionsFor(SearchProfile::kQuick, 1));
     EXPECT_FALSE(res.report.valid);
 }

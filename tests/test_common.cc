@@ -1,13 +1,17 @@
 /**
  * @file
  * Unit tests for common utilities: RNG determinism and distributions,
- * table rendering, formatting helpers, logging levels.
+ * the name registry, table rendering, formatting helpers, logging
+ * levels.
  */
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/logging.h"
+#include "common/registry.h"
 #include "common/rng.h"
 #include "common/table.h"
 
@@ -83,6 +87,45 @@ TEST(Rng, WeightedIndexAllZeroReturnsMinusOne)
     std::vector<double> weights = {0.0, 0.0};
     EXPECT_EQ(rng.WeightedIndex(weights), -1);
     EXPECT_EQ(rng.WeightedIndex({}), -1);
+}
+
+TEST(Registry, NamesKeepRegistrationOrder)
+{
+    Registry<int> reg("widget");
+    reg.Register("b", 1);
+    reg.Register("a", 2);
+    reg.Register("c", 3);
+    EXPECT_EQ(reg.Names(), (std::vector<std::string>{"b", "a", "c"}));
+}
+
+TEST(Registry, ReplacingKeepsPosition)
+{
+    Registry<int> reg("widget");
+    reg.Register("b", 1);
+    reg.Register("a", 2);
+    const int *before = reg.Find("b", nullptr);
+    reg.Register("b", 7);
+    EXPECT_EQ(reg.Names(), (std::vector<std::string>{"b", "a"}));
+    ASSERT_NE(reg.Find("b", nullptr), nullptr);
+    EXPECT_EQ(*reg.Find("b", nullptr), 7);
+    EXPECT_EQ(reg.Find("b", nullptr), before);  // replaced in place
+    EXPECT_EQ(*reg.Find("a", nullptr), 2);
+}
+
+TEST(Registry, UnknownFindReturnsNullAndListsNames)
+{
+    Registry<int> reg("widget");
+    EXPECT_EQ(reg.Find("x", nullptr), nullptr);  // a null err is fine
+    std::string err;
+    EXPECT_EQ(reg.Find("x", &err), nullptr);
+    EXPECT_EQ(err, "unknown widget \"x\" (registered: )");
+    reg.Register("a", 1);
+    reg.Register("b", 2);
+    EXPECT_EQ(reg.Find("x", &err), nullptr);
+    EXPECT_EQ(err, "unknown widget \"x\" (registered: a, b)");
+    err = "untouched";
+    EXPECT_NE(reg.Find("a", &err), nullptr);
+    EXPECT_EQ(err, "untouched");  // a hit leaves err alone
 }
 
 TEST(Table, AlignedPrinting)

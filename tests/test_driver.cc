@@ -233,11 +233,11 @@ TEST(LfaStageDriver, SharedMemoDeterministicAcrossThreadCounts)
 
     opts.driver.threads = 1;
     Rng r1(13);
-    LfaStageResult a = RunLfaStage(g, hw, ce, hw.gbuf_bytes, opts, r1);
+    SearchResult a = RunLfaStage(g, hw, ce, hw.gbuf_bytes, opts, r1);
 
     opts.driver.threads = 4;
     Rng r2(13);
-    LfaStageResult b = RunLfaStage(g, hw, ce, hw.gbuf_bytes, opts, r2);
+    SearchResult b = RunLfaStage(g, hw, ce, hw.gbuf_bytes, opts, r2);
 
     ASSERT_TRUE(a.report.valid);
     EXPECT_EQ(a.cost, b.cost);
@@ -256,9 +256,9 @@ TEST(RunSomaDriver, DeterministicAcrossThreadCounts)
     opts.driver.chains = 2;
 
     opts.driver.threads = 1;
-    SomaSearchResult a = RunSoma(g, hw, opts);
+    SearchResult a = RunSoma(g, hw, opts);
     opts.driver.threads = 3;
-    SomaSearchResult b = RunSoma(g, hw, opts);
+    SearchResult b = RunSoma(g, hw, opts);
 
     ASSERT_TRUE(a.report.valid);
     EXPECT_EQ(a.cost, b.cost);
@@ -280,8 +280,8 @@ TEST(RunSomaDriver, MultiChainNoWorseThanSingleChain)
     SomaOptions multi = SomaOptionsFor(SearchProfile::kQuick, 33);
     multi.driver.chains = 3;
 
-    SomaSearchResult a = RunSoma(g, hw, single);
-    SomaSearchResult b = RunSoma(g, hw, multi);
+    SearchResult a = RunSoma(g, hw, single);
+    SearchResult b = RunSoma(g, hw, multi);
     ASSERT_TRUE(a.report.valid);
     ASSERT_TRUE(b.report.valid);
     // Not a strict guarantee per-seed (different Rng streams), but the

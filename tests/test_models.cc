@@ -202,6 +202,34 @@ TEST(ModelParser, RejectsMalformedInput)
     EXPECT_EQ(err, "line 2: external input shape must be positive");
     EXPECT_FALSE(ParseModel("model m 0", &g, &err));
     EXPECT_EQ(err, "line 1: batch must be positive");
+    // Impossible layers: zero-byte elements, negative weights or ops,
+    // and windows with a zero kernel or stride or a negative pad.
+    const char *const kExt = "\nin 0 ext row 4 4 4";
+    const char *const kWinExt = "\nin 0 ext win 4 4 4";
+    const struct {
+        std::string text;
+        const char *error;
+    } kImpossible[] = {
+        {std::string("layer conv a 4 4 4 36 54 0 1") + kExt,
+         "line 1: element bytes must be at least 1"},
+        {std::string("layer conv a 4 4 4 -36 54 1 1") + kExt,
+         "line 1: weight bytes and ops per element must not be negative"},
+        {std::string("layer conv a 4 4 4 36 -54 1 1") + kExt,
+         "line 1: weight bytes and ops per element must not be negative"},
+        {std::string("layer conv a 4 4 4 36 54 1 1 win 3 3 0 1 1 1") +
+             kWinExt,
+         "line 1: window kernel and stride must be at least 1"},
+        {std::string("layer conv a 4 4 4 36 54 1 1 win 0 3 1 1 1 1") +
+             kWinExt,
+         "line 1: window kernel and stride must be at least 1"},
+        {std::string("layer conv a 4 4 4 36 54 1 1 win 3 3 1 1 -1 1") +
+             kWinExt,
+         "line 1: window pad must not be negative"},
+    };
+    for (const auto &c : kImpossible) {
+        EXPECT_FALSE(ParseModel(c.text, &g, &err)) << c.text;
+        EXPECT_EQ(err, c.error) << c.text;
+    }
 }
 
 TEST(ModelParser, CommentsAndBlankLinesIgnored)

@@ -260,7 +260,7 @@ TEST_P(TrafficProperty, SearchNeverAddsDramTraffic)
     ASSERT_TRUE(p0.valid);
 
     SomaOptions opts = SomaOptionsFor(SearchProfile::kQuick, 31);
-    SomaSearchResult res = RunSoma(g, hw, opts);
+    SearchResult res = RunSoma(g, hw, opts);
     ASSERT_TRUE(res.report.valid);
     EXPECT_LE(res.report.dram_bytes, p0.dram_bytes);
 }

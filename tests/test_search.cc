@@ -172,7 +172,7 @@ TEST(LfaStage, ImprovesOverInitial)
     SomaOptions opts;
     opts.lfa.beta = 30;
     opts.lfa.max_iterations = 800;
-    LfaStageResult res = RunLfaStage(g, hw, eval, hw.gbuf_bytes, opts, rng);
+    SearchResult res = RunLfaStage(g, hw, eval, hw.gbuf_bytes, opts, rng);
     ASSERT_TRUE(res.report.valid);
     EXPECT_LE(res.cost, res.stats.initial_cost);
     // Fusion should kick in on this small net: fewer LGs than layers.
@@ -190,7 +190,7 @@ TEST(LfaStage, RespectsStageBudget)
     opts.lfa.beta = 20;
     opts.lfa.max_iterations = 500;
     Bytes budget = hw.gbuf_bytes / 4;
-    LfaStageResult res = RunLfaStage(g, hw, eval, budget, opts, rng);
+    SearchResult res = RunLfaStage(g, hw, eval, budget, opts, rng);
     if (res.report.valid) {
         EXPECT_LE(res.report.peak_buffer, budget);
     }
@@ -239,7 +239,7 @@ TEST(BufferAllocator, ProducesValidBestScheme)
     opts.dlsa.max_iterations = 500;
     opts.alloc.max_iterations = 3;
     Rng rng(17);
-    SomaSearchResult res = RunBufferAllocatedSearch(g, hw, opts, rng);
+    SearchResult res = RunBufferAllocatedSearch(g, hw, opts, rng);
     ASSERT_TRUE(res.report.valid);
     ASSERT_TRUE(res.stage1_report.valid);
     EXPECT_GT(res.outer_iterations, 0);
@@ -254,8 +254,8 @@ TEST(BufferAllocator, DeterministicForSeed)
     Graph g = MakeSearchNet();
     HardwareConfig hw = EdgeAccelerator();
     SomaOptions opts = SomaOptionsFor(SearchProfile::kQuick, 21);
-    SomaSearchResult a = RunSoma(g, hw, opts);
-    SomaSearchResult b = RunSoma(g, hw, opts);
+    SearchResult a = RunSoma(g, hw, opts);
+    SearchResult b = RunSoma(g, hw, opts);
     ASSERT_TRUE(a.report.valid);
     EXPECT_DOUBLE_EQ(a.cost, b.cost);
     EXPECT_EQ(a.lfa.order, b.lfa.order);

@@ -107,7 +107,7 @@ TEST(Vm, MatchesEvaluatorOnSearchedResNetScheme)
 {
     Graph g = BuildResNet50(1);
     HardwareConfig hw = EdgeAccelerator();
-    SomaSearchResult res =
+    SearchResult res =
         RunSoma(g, hw, SomaOptionsFor(SearchProfile::kQuick, 5));
     ASSERT_TRUE(res.report.valid);
     IrModule ir = GenerateIr(g, res.parsed, res.dlsa);
@@ -121,7 +121,7 @@ TEST(Vm, MatchesEvaluatorOnCoccoScheme)
 {
     Graph g = BuildRandWire(1, 7, 6);
     HardwareConfig hw = EdgeAccelerator();
-    CoccoResult res =
+    SearchResult res =
         RunCocco(g, hw, CoccoOptionsFor(SearchProfile::kQuick, 5));
     ASSERT_TRUE(res.report.valid);
     IrModule ir = GenerateIr(g, res.parsed, res.dlsa);

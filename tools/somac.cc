@@ -217,9 +217,10 @@ CmdList(const std::vector<std::string> &args)
         print("schedulers", scheduler.schedulers().Names());
     if (what == "memory-models" || what == "all") {
         std::cout << "memory-models:\n";
-        for (const MemoryModel *m : scheduler.memory_models().models())
-            std::cout << "  " << m->name() << " - " << m->description()
-                      << "\n";
+        const MemoryModelRegistry &models = scheduler.memory_models();
+        for (const std::string &n : models.Names())
+            std::cout << "  " << n << " - "
+                      << models.Find(n, nullptr)->description() << "\n";
     }
     if (what != "models" && what != "hardware" && what != "schedulers" &&
         what != "memory-models" && what != "all") {
