@@ -132,43 +132,22 @@ EvalContext::ResetReportForEval(const ParsedSchedule &parsed, EvalReport *rep)
 }
 
 void
-EvalContext::RebuildStoreBuckets(const ParsedSchedule &parsed,
-                                 const std::vector<TilePos> &free_point)
+EvalContext::BuildGateIndex(const ParsedSchedule &parsed, Side *side)
 {
     const int T = parsed.NumTiles();
-    stores_by_end_.resize(T + 1);
-    for (auto &bucket : stores_by_end_) bucket.clear();
-    for (int j = 0; j < parsed.NumTensors(); ++j) {
-        if (!parsed.tensors[j].IsLoad())
-            stores_by_end_[free_point[j]].push_back(j);
+    const int D = parsed.NumTensors();
+    side->rank_of.resize(D);
+    side->gate.assign(T, -1);
+    for (int r = 0; r < D; ++r) {
+        const int j = side->order[r];
+        side->rank_of[j] = r;
+        // A load gates the tile that first uses it, a store the tile at
+        // its End (an End of NumTiles gates none). Ranks ascend, so the
+        // last write is the highest.
+        const DramTensor &t = parsed.tensors[j];
+        const TilePos at = t.IsLoad() ? t.first_use : side->free_point[j];
+        if (at < T) side->gate[at] = r;
     }
-    pending_move_ = false;
-}
-
-void
-EvalContext::ApplyStoreMove(int tensor, TilePos from, TilePos to)
-{
-    std::vector<int> &src = stores_by_end_[from];
-    auto it = std::find(src.begin(), src.end(), tensor);
-    assert(it != src.end());
-    src.erase(it);
-    stores_by_end_[to].push_back(tensor);
-    pending_move_ = true;
-    pending_tensor_ = tensor;
-    pending_from_ = from;
-    pending_to_ = to;
-}
-
-void
-EvalContext::RevertPendingStoreMove()
-{
-    if (!pending_move_) return;
-    std::vector<int> &dst = stores_by_end_[pending_to_];
-    auto it = std::find(dst.begin(), dst.end(), pending_tensor_);
-    assert(it != dst.end());
-    dst.erase(it);
-    stores_by_end_[pending_from_].push_back(pending_tensor_);
-    pending_move_ = false;
 }
 
 bool
@@ -181,7 +160,7 @@ EvalContext::RunTimeline(const ParsedSchedule &parsed, Side *side, int ci,
     const TileInfo *tiles = parsed.tiles.data();
     const DramTensor *tensors = parsed.tensors.data();
     const int *order = side->order.data();
-    const int *rank_of = side->rank_of.data();
+    const int *gate = side->gate.data();
     const TilePos *free_point = side->free_point.data();
     EventTiming *tile_times = side->report.tile_times.data();
     EventTiming *tensor_times = side->report.tensor_times.data();
@@ -213,24 +192,15 @@ EvalContext::RunTimeline(const ParsedSchedule &parsed, Side *side, int ci,
         }
 
         // Compute head: waits for the previous tile, its operand loads,
-        // and all stores whose End equals this tile. Tensor j has been
-        // issued exactly when its rank is below the DRAM head.
+        // and all stores whose End equals this tile. The channel is
+        // serial, so the one of those with the highest rank, gate[ci],
+        // finishes last; rank r has been issued exactly when r < di.
         while (ci < T) {
-            const TileInfo &tile = tiles[ci];
+            const int g = gate[ci];
+            if (g >= di) break;
             double start = (ci == 0) ? 0.0 : tile_times[ci - 1].finish;
-            bool blocked = false;
-            for (int j = tile.load_begin; j < tile.load_end; ++j) {
-                if (rank_of[j] >= di) { blocked = true; break; }
-                start = std::max(start, tensor_times[j].finish);
-            }
-            if (!blocked) {
-                for (int j : stores_by_end_[ci]) {
-                    if (rank_of[j] >= di) { blocked = true; break; }
-                    start = std::max(start, tensor_times[j].finish);
-                }
-            }
-            if (blocked) break;
-            tile_times[ci] = EventTiming{start, start + tile.cost.seconds};
+            if (g >= 0) start = std::max(start, tensor_times[order[g]].finish);
+            tile_times[ci] = EventTiming{start, start + tiles[ci].cost.seconds};
             side->rank_at_tile[ci] = di;
             ++ci;
             progress = true;
@@ -250,13 +220,16 @@ EvalContext::FinalizeAggregates(const ParsedSchedule &parsed, Side *side,
                                 double known_avg)
 {
     EvalReport &rep = side->report;
+    const int T = parsed.NumTiles();
+    const int D = parsed.NumTensors();
 
-    double makespan = 0.0;
-    for (const EventTiming &e : rep.tile_times)
-        makespan = std::max(makespan, e.finish);
-    for (const EventTiming &e : rep.tensor_times)
-        makespan = std::max(makespan, e.finish);
-    rep.latency = makespan;
+    // Finishes never decrease along either serial resource, so the
+    // makespan is the later of the last tile's and the last rank's.
+    rep.latency = T > 0 ? rep.tile_times[T - 1].finish : 0.0;
+    if (D > 0) {
+        const double last = rep.tensor_times[side->order[D - 1]].finish;
+        rep.latency = std::max(rep.latency, last);
+    }
 
     rep.compute_busy = parsed.compute_busy;
     rep.dram_bytes = parsed.dram_bytes;
@@ -281,7 +254,7 @@ EvalContext::FinalizeAggregates(const ParsedSchedule &parsed, Side *side,
         // Compute-time-weighted average buffer usage (Fig. 6
         // definition).
         double weighted = 0.0;
-        for (int s = 0; s < parsed.NumTiles(); ++s)
+        for (int s = 0; s < T; ++s)
             weighted += static_cast<double>(side->usage[s]) *
                         parsed.tiles[s].cost.seconds;
         rep.avg_buffer =
@@ -299,8 +272,6 @@ EvalContext::Simulate(const ParsedSchedule &parsed, const DlsaEncoding &dlsa,
     const int D = parsed.NumTensors();
     side->order = dlsa.order;
     side->free_point = dlsa.free_point;
-    side->rank_of.resize(D);
-    for (int r = 0; r < D; ++r) side->rank_of[side->order[r]] = r;
 
     // --- Buffer feasibility (slot-based, Fig. 4 BUFFER row) ---
     ComputeBufferBySlot(parsed, side->free_point, &buffer_diff_,
@@ -313,8 +284,7 @@ EvalContext::Simulate(const ParsedSchedule &parsed, const DlsaEncoding &dlsa,
         return false;
     }
 
-    RebuildStoreBuckets(parsed, side->free_point);
-    buckets_for_base_ = false;
+    BuildGateIndex(parsed, side);
 
     // --- Two serial resources, two-pointer list scheduling ---
     side->ci_at_rank.resize(D);
@@ -334,10 +304,6 @@ const EvalReport &
 EvalContext::Evaluate(const ParsedSchedule &parsed, const DlsaEncoding &dlsa)
 {
     SOMA_PROF_SCOPE("eval.full");
-    // Keep the base's buckets coherent before the simulation claims
-    // them for this candidate: the committed base itself survives full
-    // evaluations (EvaluateDelta restores the buckets lazily).
-    RevertPendingStoreMove();
     cand_fresh_ = false;
     Side &side = sides_[cand_];
     if (!parsed.valid ||
@@ -358,7 +324,6 @@ EvalContext::EvaluateDelta(const ParsedSchedule &parsed,
                            const DlsaEncoding &cand, const DlsaDelta &delta)
 {
     SOMA_PROF_SCOPE("eval.delta");
-    RevertPendingStoreMove();
     if (!base_ok_ || base_parsed_ != &parsed ||
         delta.kind == DlsaDelta::Kind::kNone) {
         ++delta_stats_.full_fallbacks;
@@ -367,20 +332,12 @@ EvalContext::EvaluateDelta(const ParsedSchedule &parsed,
 
     ++delta_stats_.delta_evals;
     const Side &base = sides_[base_];
-    if (!buckets_for_base_) {
-        // A full simulation since the last Commit rebuilt the buckets
-        // for its own candidate; restore the base's view.
-        RebuildStoreBuckets(parsed, base.free_point);
-        buckets_for_base_ = true;
-    }
-
     Side &side = sides_[cand_];
     EvalReport &rep = side.report;
     const int T = parsed.NumTiles();
     const int D = parsed.NumTensors();
 
     side.usage = base.usage;
-    side.rank_of = base.rank_of;
     side.order = cand.order;
     side.free_point = cand.free_point;
     cand_fresh_ = true;
@@ -417,29 +374,15 @@ EvalContext::EvaluateDelta(const ParsedSchedule &parsed,
         const Bytes signed_bytes = grew ? t.bytes : -t.bytes;
         for (TilePos s = lo; s < hi; ++s) side.usage[s] += signed_bytes;
 
-        // Incremental peak: only [lo, hi) changed. Growth can only
-        // raise the peak; shrinkage leaves it intact unless the base
-        // peak could have sat inside the window (then rescan). Integer
-        // max, so this is exact.
-        Bytes peak;
+        // An untouched window keeps the base's profile bitwise.
         if (lo >= hi) {
-            peak = base.report.peak_buffer;
+            rep.peak_buffer = base.report.peak_buffer;
             known_avg = base.report.avg_buffer;
         } else {
-            Bytes local = 0;
-            for (TilePos s = lo; s < hi; ++s)
-                local = std::max(local, side.usage[s]);
-            if (grew) {
-                peak = std::max(base.report.peak_buffer, local);
-            } else if (base.report.peak_buffer > local + t.bytes) {
-                peak = base.report.peak_buffer;
-            } else {
-                peak = 0;
-                for (Bytes b : side.usage) peak = std::max(peak, b);
-            }
+            rep.peak_buffer =
+                *std::max_element(side.usage.begin(), side.usage.end());
         }
-        rep.peak_buffer = peak;
-        if (peak > budget_) {
+        if (rep.peak_buffer > budget_) {
             // Mirror the full evaluator's early buffer-overflow report.
             ResetAggregates(&rep);
             rep.tile_times.clear();
@@ -458,7 +401,6 @@ EvalContext::EvaluateDelta(const ParsedSchedule &parsed,
             // The store now gates a different tile slot: resume at the
             // earlier of the two affected slots. End slots >= NumTiles
             // never gate a tile, so timing is unchanged there.
-            ApplyStoreMove(delta.tensor, delta.old_point, delta.new_point);
             TilePos tstar = std::min(delta.old_point, delta.new_point);
             if (tstar >= T) {
                 ci0 = T;  // timing untouched: the "prefix" is all of it
@@ -472,14 +414,14 @@ EvalContext::EvaluateDelta(const ParsedSchedule &parsed,
         assert(delta.from_rank >= 0 && delta.from_rank < D);
         assert(delta.to_rank >= 0 && delta.to_rank < D);
         const int rmin = std::min(delta.from_rank, delta.to_rank);
-        const int rmax = std::max(delta.from_rank, delta.to_rank);
-        for (int r = rmin; r <= rmax; ++r) side.rank_of[side.order[r]] = r;
         di0 = rmin;
         ci0 = base.ci_at_rank[di0];
         // Free points (hence the whole buffer profile) are untouched.
         rep.peak_buffer = base.report.peak_buffer;
         known_avg = base.report.avg_buffer;
     }
+
+    BuildGateIndex(parsed, &side);
 
     // Prefix copies only: the resumed run rewrites everything from
     // (ci0, di0) to the end, and reads a tensor's finish time only once
@@ -527,8 +469,6 @@ void
 EvalContext::CrossCheckAgainstFull(const ParsedSchedule &parsed,
                                    const DlsaEncoding &dlsa)
 {
-    // The reference rebuilds the store buckets from the candidate's
-    // free points, so the next delta restores the base's view.
     Simulate(parsed, dlsa, &check_side_);
     const Side &got = sides_[cand_];
     const Side &ref = check_side_;
@@ -550,11 +490,6 @@ EvalContext::Commit()
     if (!cand_fresh_) return;
     std::swap(cand_, base_);
     cand_fresh_ = false;
-    // The buckets describe the just-promoted base: a delta fast path
-    // left them matching its candidate (any pending store move is now
-    // permanent) and a full simulation rebuilt them for it.
-    pending_move_ = false;
-    buckets_for_base_ = true;
     base_parsed_ = cand_parsed_;
     base_ok_ = sides_[base_].report.valid;
 }
@@ -564,8 +499,6 @@ EvalContext::InvalidateBase()
 {
     base_ok_ = false;
     cand_fresh_ = false;
-    pending_move_ = false;
-    buckets_for_base_ = false;
     base_parsed_ = nullptr;
     cand_parsed_ = nullptr;
 }

@@ -18,7 +18,9 @@
  * writes only the report's timings. The parse carries everything no
  * DLSA change can move, priced for its hardware: tile costs, per-tensor
  * DRAM seconds, the channel-busy aggregate and the compute, energy and
- * byte sums. The context derives nothing from it.
+ * byte sums. The context derives nothing from it. A tile waits on one
+ * DRAM rank, its gate: on the serial channel the highest-ranked of its
+ * loads and ending stores finishes last (DESIGN.md "One gate per tile").
  *
  * Incremental results are bit-identical to full evaluation: the resumed
  * timeline executes the same recurrences on the same operands from a
@@ -175,6 +177,9 @@ class EvalContext {
         std::vector<Bytes> usage;      ///< buffer occupancy per slot
         std::vector<int> order;        ///< DLSA copy (rank -> tensor)
         std::vector<int> rank_of;      ///< inverse of order
+        /** Per tile: the highest rank among the transfers it waits for
+         *  (its loads and the stores whose End it is), or -1. */
+        std::vector<int> gate;
         std::vector<TilePos> free_point;
     };
 
@@ -182,11 +187,15 @@ class EvalContext {
     static void ResetAggregates(EvalReport *rep);
 
     /** The full simulation of @p dlsa into @p side: copy the DLSA,
-     *  build the occupancy, rebuild the store buckets for it, run the
-     *  timeline from (0, 0) and finalize. False when the occupancy
-     *  overflows the budget, before any timeline ran. */
+     *  build the occupancy and the gate index, run the timeline from
+     *  (0, 0) and finalize. False when the occupancy overflows the
+     *  budget, before any timeline ran. */
     bool Simulate(const ParsedSchedule &parsed, const DlsaEncoding &dlsa,
                   Side *side);
+
+    /** Build @p side's rank_of and gate from its order and free
+     *  points, in one pass over the ranks. */
+    static void BuildGateIndex(const ParsedSchedule &parsed, Side *side);
 
     /** Where a failed (deadlocked) timeline run left its heads — the
      *  first unwritten tile slot / DRAM rank, so delta callers can
@@ -202,10 +211,6 @@ class EvalContext {
      *  profile is bitwise the base's, e.g. after an order move). */
     void FinalizeAggregates(const ParsedSchedule &parsed, Side *side,
                             double known_avg = -1.0);
-    void RebuildStoreBuckets(const ParsedSchedule &parsed,
-                             const std::vector<TilePos> &free_point);
-    void ApplyStoreMove(int tensor, TilePos from, TilePos to);
-    void RevertPendingStoreMove();
 
     /** Run the full simulation into check_side_ and abort on any
      *  divergence from the fast-path result in sides_[cand_]. */
@@ -225,12 +230,6 @@ class EvalContext {
      *  its capacity, so warmed-up evaluations do no heap work. */
     std::vector<Bytes> buffer_diff_;
 
-    /** Stores indexed by their End slot, kept in sync with either the
-     *  base free points (plus at most one pending candidate move) or —
-     *  after a full simulation — the last simulated candidate's
-     *  (buckets_for_base_ says which). */
-    std::vector<std::vector<int>> stores_by_end_;
-
     Side sides_[2];
     Side check_side_;  ///< cross-check reference result
     int cand_ = 0;  ///< side written by the next evaluation
@@ -240,15 +239,9 @@ class EvalContext {
     const ParsedSchedule *cand_parsed_ = nullptr;  ///< last eval's parse
     bool base_ok_ = false;
     bool cand_fresh_ = false;  ///< cand side holds an uncommitted result
-    bool buckets_for_base_ = false;
 
     bool cross_check_ = false;
     DeltaStats delta_stats_;
-
-    bool pending_move_ = false;
-    int pending_tensor_ = -1;
-    TilePos pending_from_ = 0;
-    TilePos pending_to_ = 0;
 };
 
 }  // namespace soma

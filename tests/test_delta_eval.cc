@@ -74,6 +74,47 @@ ExpectReportsIdentical(const EvalReport &a, const EvalReport &b)
     }
 }
 
+/**
+ * The start condition, restated from the parse, the DLSA and the
+ * report alone, so it holds whatever the context indexes: a tile
+ * starts at the latest of the previous tile's finish (0 for tile 0),
+ * its loads' finishes and the finishes of the stores whose End it is;
+ * tile finishes never decrease by position, tensor finishes never by
+ * DLSA rank; the latency is the latest finish of all.
+ */
+void
+ExpectStartCondition(const ParsedSchedule &p, const DlsaEncoding &dlsa,
+                     const EvalReport &rep)
+{
+    if (!rep.valid) return;
+    const int T = p.NumTiles();
+    const int D = p.NumTensors();
+    std::vector<double> waits(T, 0.0);  // latest transfer each tile needs
+    for (int j = 0; j < D; ++j) {
+        const DramTensor &t = p.tensors[j];
+        const TilePos at = t.IsLoad() ? t.first_use : dlsa.free_point[j];
+        if (at < T)
+            waits[at] = std::max(waits[at], rep.tensor_times[j].finish);
+    }
+    double latency = 0.0;
+    for (int t = 0; t < T; ++t) {
+        const double prev = t == 0 ? 0.0 : rep.tile_times[t - 1].finish;
+        EXPECT_EQ(rep.tile_times[t].start, std::max(prev, waits[t]))
+            << "tile " << t;
+        EXPECT_GE(rep.tile_times[t].finish, prev) << "tile " << t;
+        latency = std::max(latency, rep.tile_times[t].finish);
+    }
+    for (int r = 0; r < D; ++r) {
+        const double finish = rep.tensor_times[dlsa.order[r]].finish;
+        if (r > 0) {
+            EXPECT_GE(finish, rep.tensor_times[dlsa.order[r - 1]].finish)
+                << "rank " << r;
+        }
+        latency = std::max(latency, finish);
+    }
+    EXPECT_EQ(rep.latency, latency);
+}
+
 /** Move one layer to another dependency-legal position *within its own
  *  FLG* — the sink-set-preserving subset of "Change Computing Order",
  *  the move the permutation-view group blocks exist for. */
@@ -120,7 +161,8 @@ MutateOrderWithinGroup(const Graph &g, LfaEncoding *lfa, Rng &rng)
  * the context's incremental parse) with DLSA phases (order/free-point
  * deltas on the committed parse, evaluated through EvaluateDelta);
  * every candidate is independently re-parsed and re-simulated from
- * scratch and the two reports compared field by field, bit for bit.
+ * scratch and the two reports compared field by field, bit for bit,
+ * and every valid report must satisfy the restated start condition.
  * Random acceptances advance the walk (and, in DLSA phases, the
  * committed base) exactly like the SA walk does.
  */
@@ -161,6 +203,7 @@ RunMixedWalk(std::uint64_t seed, int phases, bool cross_check)
             EvalReport ref =
                 EvaluateSchedule(g, hw, full, dlsa_scratch, budget, ops);
             ExpectReportsIdentical(inc, ref);
+            ExpectStartCondition(p, dlsa_scratch, inc);
             ++lfa_checked;
             if (inc.valid && rng.Flip()) cur = cand;
         }
@@ -183,6 +226,7 @@ RunMixedWalk(std::uint64_t seed, int phases, bool cross_check)
             EvalReport ref =
                 EvaluateSchedule(g, hw, full, cand_d, budget, ops);
             ExpectReportsIdentical(inc, ref);
+            ExpectStartCondition(p, cand_d, inc);
             ++dlsa_checked;
             if (inc.valid && rng.Flip()) {
                 ctx.Commit();

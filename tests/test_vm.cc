@@ -12,7 +12,9 @@
 #include "corearray/core_array.h"
 #include "hw/banked_dram.h"
 #include "search/dlsa_heuristics.h"
+#include "search/dlsa_stage.h"
 #include "search/soma.h"
+#include "sim/eval_context.h"
 #include "sim/evaluator.h"
 #include "workload/graph_builder.h"
 #include "workload/models.h"
@@ -64,8 +66,7 @@ TEST(Vm, MatchesEvaluatorOnFusedChain)
     BothResults run = RunBothPipelines(g, hw, lfa);
     ASSERT_TRUE(run.report.valid);
     ASSERT_TRUE(run.vm.ok) << run.vm.error;
-    EXPECT_NEAR(run.vm.makespan, run.report.latency,
-                run.report.latency * 1e-12);
+    EXPECT_EQ(run.vm.makespan, run.report.latency);
     EXPECT_NEAR(run.vm.core_busy, run.report.compute_busy, 1e-15);
     EXPECT_NEAR(run.vm.dram_busy, run.report.dram_busy, 1e-15);
 }
@@ -84,8 +85,7 @@ TEST(Vm, MatchesEvaluatorUnderBankedBackend)
     BothResults run = RunBothPipelines(g, hw, lfa);
     ASSERT_TRUE(run.report.valid);
     ASSERT_TRUE(run.vm.ok) << run.vm.error;
-    EXPECT_NEAR(run.vm.makespan, run.report.latency,
-                run.report.latency * 1e-12);
+    EXPECT_EQ(run.vm.makespan, run.report.latency);
     EXPECT_NEAR(run.vm.dram_busy, run.report.dram_busy, 1e-15);
     BothResults flat = RunBothPipelines(g, EdgeAccelerator(), lfa);
     EXPECT_GT(run.report.dram_busy, flat.report.dram_busy);
@@ -99,8 +99,7 @@ TEST(Vm, MatchesEvaluatorOnUnfusedChain)
     BothResults run = RunBothPipelines(g, hw, lfa);
     ASSERT_TRUE(run.report.valid);
     ASSERT_TRUE(run.vm.ok) << run.vm.error;
-    EXPECT_NEAR(run.vm.makespan, run.report.latency,
-                run.report.latency * 1e-12);
+    EXPECT_EQ(run.vm.makespan, run.report.latency);
 }
 
 TEST(Vm, MatchesEvaluatorOnSearchedResNetScheme)
@@ -113,8 +112,7 @@ TEST(Vm, MatchesEvaluatorOnSearchedResNetScheme)
     IrModule ir = GenerateIr(g, res.parsed, res.dlsa);
     VmResult vm = ExecuteIr(ir, hw);
     ASSERT_TRUE(vm.ok) << vm.error;
-    EXPECT_NEAR(vm.makespan, res.report.latency,
-                res.report.latency * 1e-9);
+    EXPECT_EQ(vm.makespan, res.report.latency);
 }
 
 TEST(Vm, MatchesEvaluatorOnCoccoScheme)
@@ -127,8 +125,55 @@ TEST(Vm, MatchesEvaluatorOnCoccoScheme)
     IrModule ir = GenerateIr(g, res.parsed, res.dlsa);
     VmResult vm = ExecuteIr(ir, hw);
     ASSERT_TRUE(vm.ok) << vm.error;
-    EXPECT_NEAR(vm.makespan, res.report.latency,
-                res.report.latency * 1e-9);
+    EXPECT_EQ(vm.makespan, res.report.latency);
+}
+
+/**
+ * The VM as an oracle over DLSA walks: from a searched scheme, walk
+ * DLSA mutations through EvaluateDelta (committing about half the
+ * valid moves, as the SA walk does) and require every valid
+ * candidate's instruction replay to finish exactly when the evaluator
+ * says. The VM shares the tile costs and the transfer model with the
+ * evaluator, but not its recurrence: it replays the generated
+ * instructions by their dependency edges, so a timeline indexing bug
+ * that moves the makespan (a wrong gate rank, a stale resume point)
+ * shows up as a mismatch.
+ */
+TEST(Vm, MakespanEqualsLatencyAlongDlsaWalks)
+{
+    for (const char *model : {"resnet50", "ires", "gpt2s-decode"}) {
+        SCOPED_TRACE(model);
+        Graph g = BuildModelByName(model, 1);
+        HardwareConfig hw = EdgeAccelerator();
+        SearchResult res =
+            RunSoma(g, hw, SomaOptionsFor(SearchProfile::kQuick, 3));
+        ASSERT_TRUE(res.report.valid);
+        const ParsedSchedule &parsed = res.parsed;
+        EvalContext ctx(hw, hw.gbuf_bytes, g.TotalOps());
+        DlsaEncoding cur = res.dlsa;
+        ASSERT_TRUE(ctx.Evaluate(parsed, cur).valid);
+        ctx.Commit();
+
+        DlsaMutator mutate(parsed);
+        Rng rng(3);
+        DlsaEncoding cand;
+        DlsaDelta delta;
+        int checked = 0;
+        for (int step = 0; step < 400; ++step) {
+            if (!mutate(cur, &cand, rng, &delta)) continue;
+            const EvalReport &report = ctx.EvaluateDelta(parsed, cand, delta);
+            if (!report.valid) continue;
+            VmResult vm = ExecuteIr(GenerateIr(g, parsed, cand), hw);
+            ASSERT_TRUE(vm.ok) << vm.error;
+            EXPECT_EQ(vm.makespan, report.latency) << "step " << step;
+            ++checked;
+            if (rng.Flip()) {
+                ctx.Commit();
+                std::swap(cur, cand);
+            }
+        }
+        EXPECT_GE(checked, 50);
+    }
 }
 
 TEST(Vm, SurvivesIrTextRoundTripApproximately)

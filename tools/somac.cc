@@ -707,26 +707,25 @@ ExpandSweepSpec(const Json &spec_json,
         }
     }
 
-    // Missing axes collapse to the base request's value.
-    if (models.empty()) models.push_back(base.model);
-    if (hardware.empty()) hardware.push_back(base.hardware);
-    if (schedulers.empty()) schedulers.push_back(base.scheduler);
+    // An absent axis collapses to the base request's value; an empty
+    // one empties the grid.
+    auto absent = [&](const char *key) { return !spec_json.Find(key); };
+    if (absent("models")) models.push_back(base.model);
+    if (absent("hardware")) hardware.push_back(base.hardware);
+    if (absent("schedulers")) schedulers.push_back(base.scheduler);
     std::vector<SearchProfile> profile_axis;
-    if (profiles.empty()) {
-        profile_axis.push_back(base.profile);
-    } else {
-        for (const std::string &p : profiles) {
-            SearchProfile parsed;
-            if (!ParseSearchProfile(p, &parsed)) {
-                *err = "unknown profile \"" + p +
-                       "\" (expected quick, default or full)";
-                return false;
-            }
-            profile_axis.push_back(parsed);
+    if (absent("profiles")) profile_axis.push_back(base.profile);
+    for (const std::string &p : profiles) {
+        SearchProfile parsed;
+        if (!ParseSearchProfile(p, &parsed)) {
+            *err = "unknown profile \"" + p +
+                   "\" (expected quick, default or full)";
+            return false;
         }
+        profile_axis.push_back(parsed);
     }
     std::vector<int> batch_axis;
-    if (batches.empty()) batch_axis.push_back(base.batch);
+    if (absent("batches")) batch_axis.push_back(base.batch);
     for (double b : batches) {
         if (b < 1 || b > 1000000 || b != std::floor(b)) {
             *err = "sweep batches must be integers in [1, 1000000]";
@@ -735,7 +734,7 @@ ExpandSweepSpec(const Json &spec_json,
         batch_axis.push_back(static_cast<int>(b));
     }
     std::vector<Bytes> gbuf_axis;
-    if (gbuf_mb.empty()) gbuf_axis.push_back(base.gbuf_bytes);
+    if (absent("gbuf_mb")) gbuf_axis.push_back(base.gbuf_bytes);
     for (double mb : gbuf_mb) {
         Bytes bytes = 0;
         if (!MbToBytes(mb, &bytes)) {
@@ -745,7 +744,7 @@ ExpandSweepSpec(const Json &spec_json,
         gbuf_axis.push_back(bytes);
     }
     std::vector<double> dram_axis;
-    if (dram_gbps.empty()) dram_axis.push_back(base.dram_gbps);
+    if (absent("dram_gbps")) dram_axis.push_back(base.dram_gbps);
     for (double g : dram_gbps) {
         if (g < 0) {
             *err = "sweep dram_gbps must be non-negative";
@@ -754,14 +753,21 @@ ExpandSweepSpec(const Json &spec_json,
         dram_axis.push_back(g);
     }
     std::vector<std::uint64_t> seed_axis = seeds;
-    if (seed_axis.empty()) seed_axis.push_back(base.seed);
+    if (absent("seeds")) seed_axis.push_back(base.seed);
 
+    const std::size_t axis_lens[] = {models.size(), batch_axis.size(),
+                                     hardware.size(), gbuf_axis.size(),
+                                     dram_axis.size(), schedulers.size(),
+                                     profile_axis.size(), seed_axis.size()};
+    for (std::size_t len : axis_lens) {
+        if (len == 0) {
+            *err = "sweep spec expands to zero requests";
+            return false;
+        }
+    }
     // Every axis holds at least one value; multiply without overflow.
     std::size_t points = 1;
-    for (std::size_t len :
-         {models.size(), batch_axis.size(), hardware.size(),
-          gbuf_axis.size(), dram_axis.size(), schedulers.size(),
-          profile_axis.size(), seed_axis.size()}) {
+    for (std::size_t len : axis_lens) {
         if (points > kMaxSweepPoints / len) {
             *err = "sweep spec expands to more than " +
                    std::to_string(kMaxSweepPoints) + " requests";
@@ -789,10 +795,6 @@ ExpandSweepSpec(const Json &spec_json,
                                     r.seed = seed;
                                     requests->push_back(std::move(r));
                                 }
-    if (requests->empty()) {
-        *err = "sweep spec expands to zero requests";
-        return false;
-    }
     return true;
 }
 
