@@ -139,12 +139,15 @@ RunCocco(const Graph &graph, const HardwareConfig &hw,
         ChainEnv<CoccoState> env;
         auto ctx = std::make_shared<EvalContext>(hw, hw.gbuf_bytes,
                                                  total_ops);
+        auto memo = std::make_shared<ChainCostMemo>();
         env.mutate = [&graph](const CoccoState &cur, CoccoState *next,
                               Rng &r) {
             return MutateCocco(graph, cur, next, r);
         };
-        env.evaluate = [eval_with, ctx](const CoccoState &s) {
-            return eval_with(*ctx, s);
+        env.evaluate = [eval_with, ctx, memo](const CoccoState &s) {
+            memo->SetKey(s.order, s.cuts);
+            return memo->Price(ctx->cross_check(),
+                               [&] { return eval_with(*ctx, s); });
         };
         return env;
     };

@@ -32,10 +32,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "obs/clock.h"
 #include "obs/trace.h"
@@ -195,6 +199,69 @@ struct ChainEnv {
      *  window, so the stage can attach evaluation telemetry (delta
      *  evaluation and fallback counts, resume points) to the trace. */
     std::function<void(obs::SpanScope &)> annotate;
+};
+
+/**
+ * The costs one annealing chain has already priced, for a stage whose
+ * cost is a pure function of the candidate: the LFA stage and the
+ * Cocco baseline (DESIGN.md "Chain cost memo"). SetKey flattens the
+ * candidate into one reused key buffer, each part prefixed by its
+ * length; Price looks the key up in kSlots direct-mapped slots picked
+ * by FNV-1a. Only a full key match is a hit; a miss evaluates and
+ * takes the slot. One memo per chain per driver run, never shared.
+ */
+class ChainCostMemo {
+  public:
+    static constexpr std::size_t kSlots = 256;
+
+    template <typename... Parts>
+    void SetKey(const Parts &...parts)
+    {
+        key_.clear();
+        (Append(parts), ...);
+    }
+
+    /** The stored cost on a hit, else @p eval(). With @p verify on, a
+     *  hit is evaluated again and aborts unless the costs are bitwise
+     *  equal. */
+    template <typename Eval>
+    double Price(bool verify, const Eval &eval)
+    {
+        const std::size_t bytes = key_.size() * sizeof(std::int32_t);
+        Slot &slot = slots_[Fnv1a64(key_.data(), bytes) % kSlots];
+        // An empty slot never matches: every key holds a length prefix.
+        if (slot.key != key_) {
+            slot.cost = eval();
+            slot.key = key_;
+            return slot.cost;
+        }
+        ++hits_;
+        const double again = verify ? eval() : slot.cost;
+        if (std::memcmp(&again, &slot.cost, sizeof again) != 0) {
+            SOMA_ERROR << "chain cost memo hit " << slot.cost
+                       << " != re-evaluated cost " << again;
+            std::abort();
+        }
+        return slot.cost;
+    }
+
+    std::int64_t hits() const { return hits_; }
+
+  private:
+    // Lengths are bounded by the layer count, an int.
+    void Append(const std::vector<std::int32_t> &part)
+    {
+        key_.push_back(static_cast<std::int32_t>(part.size()));
+        key_.insert(key_.end(), part.begin(), part.end());
+    }
+
+    struct Slot {
+        std::vector<std::int32_t> key;
+        double cost = 0.0;
+    };
+    std::vector<std::int32_t> key_;
+    std::vector<Slot> slots_ = std::vector<Slot>(kSlots);
+    std::int64_t hits_ = 0;
 };
 
 /** Result of a driver run. */

@@ -232,17 +232,22 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
                                     opts.lfa.beta * graph.NumLayers());
 
     // Anneal K chains; each owns an EvalContext of parse/eval scratch
-    // (and so its own group memo).
+    // (and so its own group memo) and a memo of the costs it priced.
+    std::vector<std::shared_ptr<ChainCostMemo>> memos;
     auto make_env = [&](int /*chain*/) {
         ChainEnv<LfaEncoding> env;
         auto ctx = std::make_shared<EvalContext>(hw, stage_budget, total_ops);
         auto dlsa = std::make_shared<DlsaEncoding>();
+        auto memo = memos.emplace_back(std::make_shared<ChainCostMemo>());
         env.mutate = [&graph](const LfaEncoding &cur, LfaEncoding *next,
                               Rng &r) {
             return MutateLfaEncoding(graph, cur, next, kTilingCap, r);
         };
-        env.evaluate = [eval_with, ctx, dlsa](const LfaEncoding &lfa) {
-            return eval_with(*ctx, *dlsa, lfa);
+        env.evaluate = [eval_with, ctx, dlsa, memo](const LfaEncoding &lfa) {
+            memo->SetKey(lfa.order, lfa.flc_cuts, lfa.dram_cuts, lfa.tiling);
+            return memo->Price(ctx->cross_check(), [&] {
+                return eval_with(*ctx, *dlsa, lfa);
+            });
         };
         return env;
     };
@@ -270,6 +275,9 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
     stage_span.Arg("evaluated", static_cast<std::int64_t>(
                                     result.stats.evaluated));
     stage_span.Arg("best_cost", result.cost);
+    std::int64_t memo_hits = 0;
+    for (const auto &memo : memos) memo_hits += memo->hits();
+    stage_span.Arg("cost_memo_hits", memo_hits);
     // Incremental-parse effectiveness for the trace viewer: the serial
     // context's group-memo telemetry.
     const ParseScratch &scratch = serial_ctx.parse_scratch();

@@ -39,7 +39,8 @@ bool SaAccept(double c, double c_new, double temperature, bool greedy,
  */
 struct SaStats {
     int iterations = 0;  ///< budget consumed (incl. failed mutations)
-    int evaluated = 0;   ///< candidates actually evaluated
+    int evaluated = 0;   ///< candidates priced (evaluated, or served
+                         ///< by the chain's cost memo)
     int no_move = 0;     ///< mutations that produced no candidate
     int accepted = 0;    ///< evaluated and accepted
     int rejected = 0;    ///< evaluated and rejected

@@ -2,9 +2,10 @@
  * @file
  * SearchDriver tests: worker-pool correctness and its core cap,
  * per-chain seed streams, thread-count-independent determinism
- * (generic, DLSA-stage and full RunSoma level), exchange behaviour, and
+ * (generic, DLSA-stage and full RunSoma level), exchange behaviour,
  * the SaStats budget accounting contract
- * (iterations == no_move + evaluated == budget).
+ * (iterations == no_move + evaluated == budget), and the chains' cost
+ * memo (exact hits, eviction, key boundaries, verification).
  */
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -22,6 +25,7 @@
 #include "search/soma.h"
 #include "sim/evaluator.h"
 #include "workload/graph_builder.h"
+#include "workload/models.h"
 
 namespace soma {
 namespace {
@@ -171,6 +175,128 @@ TEST(SaStats, FailedMutationsStillConsumeBudget)
     EXPECT_EQ(stats.evaluated, stats.accepted + stats.rejected);
 }
 
+/** Key the memo with @p parts and price it through @p eval. */
+template <typename Eval, typename... Parts>
+double
+PriceKey(ChainCostMemo &memo, bool verify, const Eval &eval,
+         const Parts &...parts)
+{
+    memo.SetKey(parts...);
+    return memo.Price(verify, eval);
+}
+
+TEST(ChainCostMemo, HitReturnsTheStoredCostWithoutEvaluating)
+{
+    ChainCostMemo memo;
+    const std::vector<int> order = {3, 1, 2}, cuts = {1};
+    const double cost = 0.1 + 0.2;  // no round number
+    const double inf = std::numeric_limits<double>::infinity();
+    int calls = 0;
+    EXPECT_EQ(PriceKey(memo, false, [&] { ++calls; return cost; }, order,
+                       cuts),
+              cost);
+    EXPECT_EQ(PriceKey(memo, false, [&] { ++calls; return inf; }, cuts,
+                       order),
+              inf);
+    const auto never = [&] {
+        ++calls;
+        return -1.0;
+    };
+    const double hit = PriceKey(memo, false, never, order, cuts);
+    EXPECT_EQ(std::memcmp(&hit, &cost, sizeof hit), 0);
+    EXPECT_EQ(PriceKey(memo, false, never, cuts, order), inf);
+    EXPECT_EQ(calls, 2);
+    EXPECT_EQ(memo.hits(), 2);
+}
+
+TEST(ChainCostMemo, CollidingKeyEvictsAndTheOldKeyIsEvaluatedAgain)
+{
+    ChainCostMemo memo;
+    const std::vector<int> a = {0};
+    int a_calls = 0;
+    const auto eval_a = [&] {
+        ++a_calls;
+        return 1.0;
+    };
+    PriceKey(memo, false, eval_a, a);
+    // Some key among many shares a's slot in a direct-mapped table.
+    const int tries = 64 * static_cast<int>(ChainCostMemo::kSlots);
+    int evictor = -1;
+    for (int i = 1; i <= tries && evictor < 0; ++i) {
+        PriceKey(memo, false, [] { return 2.0; }, std::vector<int>{i});
+        const int before = a_calls;
+        EXPECT_EQ(PriceKey(memo, false, eval_a, a), 1.0);
+        if (a_calls > before) evictor = i;
+    }
+    ASSERT_GT(evictor, 0) << "no key shared a's slot";
+    EXPECT_EQ(a_calls, 2);
+    // a took its slot back, so the evictor is evaluated again as well.
+    int evictor_calls = 0;
+    EXPECT_EQ(PriceKey(memo, false, [&] { ++evictor_calls; return 2.0; },
+                       std::vector<int>{evictor}),
+              2.0);
+    EXPECT_EQ(evictor_calls, 1);
+}
+
+TEST(ChainCostMemo, HoldsAtMostKSlotsKeys)
+{
+    ChainCostMemo memo;
+    const int keys = 4 * static_cast<int>(ChainCostMemo::kSlots);
+    const auto price = [&](int i) {
+        PriceKey(memo, false, [] { return 1.0; }, std::vector<int>{i});
+    };
+    for (int i = 0; i < keys; ++i) price(i);
+    // Newest first: every key the first pass left in the memo hits,
+    // and nothing else can.
+    for (int i = keys - 1; i >= 0; --i) price(i);
+    EXPECT_GT(memo.hits(), 0);
+    EXPECT_LE(memo.hits(), static_cast<std::int64_t>(ChainCostMemo::kSlots));
+}
+
+TEST(ChainCostMemo, PartBoundariesKeepKeysApart)
+{
+    // flc_cuts {1,2}, dram_cuts {} and flc_cuts {1}, dram_cuts {2} hold
+    // the same values; only the length prefixes tell them apart.
+    ChainCostMemo memo;
+    int calls = 0;
+    const auto eval = [&] { return static_cast<double>(++calls); };
+    using V = std::vector<int>;
+    EXPECT_EQ(PriceKey(memo, false, eval, V{1, 2}, V{}), 1.0);
+    EXPECT_EQ(PriceKey(memo, false, eval, V{1}, V{2}), 2.0);
+    EXPECT_EQ(PriceKey(memo, false, eval, V{}, V{1, 2}), 3.0);
+    EXPECT_EQ(PriceKey(memo, false, eval, V{1, 2}), 4.0);
+    EXPECT_EQ(memo.hits(), 0);
+    EXPECT_EQ(PriceKey(memo, false, eval, V{1}, V{2}), 2.0);
+    EXPECT_EQ(memo.hits(), 1);
+}
+
+TEST(ChainCostMemo, VerifiedHitEvaluatesAgain)
+{
+    ChainCostMemo memo;
+    const std::vector<int> key = {4, 2};
+    int calls = 0;
+    const auto eval = [&] {
+        ++calls;
+        return 7.5;
+    };
+    EXPECT_EQ(PriceKey(memo, true, eval, key), 7.5);
+    EXPECT_EQ(PriceKey(memo, true, eval, key), 7.5);
+    EXPECT_EQ(calls, 2);
+    EXPECT_EQ(memo.hits(), 1);
+}
+
+TEST(ChainCostMemoDeathTest, VerifiedHitAbortsOnADifferentCost)
+{
+    const auto drifting = [] {
+        ChainCostMemo memo;
+        double cost = 1.0;
+        for (int i = 0; i < 2; ++i)
+            PriceKey(memo, true, [&] { return cost += 1.0; },
+                     std::vector<int>{4, 2});
+    };
+    EXPECT_DEATH(drifting(), "chain cost memo");
+}
+
 Graph
 MakeDriverNet()
 {
@@ -246,6 +372,35 @@ TEST(LfaStageDriver, SharedMemoDeterministicAcrossThreadCounts)
     EXPECT_EQ(a.lfa.dram_cuts, b.lfa.dram_cuts);
     EXPECT_EQ(a.lfa.tiling, b.lfa.tiling);
     EXPECT_EQ(a.report.latency, b.report.latency);
+}
+
+TEST(LfaStageDriver, TracedStageReportsCostMemoHits)
+{
+    // The LFA operators undo one another, so a chain keeps proposing
+    // candidates it has priced; the stage span sums the chains' hits.
+    Graph g = BuildModelByName("gpt2s-decode", 1);
+    HardwareConfig hw = EdgeAccelerator();
+    const CoreArrayEvaluator ce(g, hw);
+    obs::Tracer tracer;
+    SomaOptions opts = SomaOptionsFor(SearchProfile::kDefault, 1);
+    opts.driver.trace = &tracer;
+    Rng rng(opts.seed);
+    SearchResult res = RunLfaStage(g, hw, ce, hw.gbuf_bytes, opts, rng);
+    ASSERT_TRUE(res.report.valid);
+
+    const Json trace = tracer.ToJson();
+    const Json *events = trace.Find("traceEvents");
+    ASSERT_NE(events, nullptr);
+    int stages = 0;
+    for (const Json &e : events->array_items()) {
+        if (e.Find("name")->AsString() != "lfa.stage") continue;
+        ++stages;
+        const Json *hits = e.Find("args")->Find("cost_memo_hits");
+        ASSERT_NE(hits, nullptr);
+        EXPECT_GT(hits->AsInt(), 0);
+        EXPECT_LE(hits->AsInt(), res.stats.evaluated);
+    }
+    EXPECT_EQ(stages, 1);
 }
 
 TEST(RunSomaDriver, DeterministicAcrossThreadCounts)

@@ -129,50 +129,112 @@ TEST(Vm, MatchesEvaluatorOnCoccoScheme)
 }
 
 /**
- * The VM as an oracle over DLSA walks: from a searched scheme, walk
- * DLSA mutations through EvaluateDelta (committing about half the
- * valid moves, as the SA walk does) and require every valid
- * candidate's instruction replay to finish exactly when the evaluator
- * says. The VM shares the tile costs and the transfer model with the
- * evaluator, but not its recurrence: it replays the generated
+ * True if some tile of @p rep starts exactly when a store whose End it
+ * is finishes, strictly after the previous tile's finish and after the
+ * tile's loads: the store, not the compute chain or a load, binds it.
+ */
+bool
+StoreBindsATileStart(const ParsedSchedule &p, const DlsaEncoding &dlsa,
+                     const EvalReport &rep)
+{
+    const int T = p.NumTiles();
+    std::vector<double> loads(T, 0.0), stores(T, 0.0);
+    for (int j = 0; j < p.NumTensors(); ++j) {
+        const DramTensor &t = p.tensors[j];
+        const TilePos at = t.IsLoad() ? t.first_use : dlsa.free_point[j];
+        if (at >= T) continue;
+        double &wait = t.IsLoad() ? loads[at] : stores[at];
+        wait = std::max(wait, rep.tensor_times[j].finish);
+    }
+    for (int t = 0; t < T; ++t) {
+        const double prev = t == 0 ? 0.0 : rep.tile_times[t - 1].finish;
+        if (stores[t] > prev && stores[t] > loads[t] &&
+            stores[t] == rep.tile_times[t].start)
+            return true;
+    }
+    return false;
+}
+
+/** Counts of one DLSA walk replayed on the VM. */
+struct VmWalk {
+    int checked = 0;      ///< valid candidates replayed
+    int store_bound = 0;  ///< of which a store binds a tile start
+};
+
+/**
+ * The VM as an oracle over DLSA walks: from the searched scheme
+ * @p res, walk 400 DLSA mutations through EvaluateDelta (committing
+ * about half the valid moves, as the SA walk does) and require every
+ * valid candidate's instruction replay to finish exactly when the
+ * evaluator says. The VM shares the tile costs and the transfer model
+ * with the evaluator, but not its recurrence: it replays the generated
  * instructions by their dependency edges, so a timeline indexing bug
  * that moves the makespan (a wrong gate rank, a stale resume point)
  * shows up as a mismatch.
  */
+void
+WalkDlsaOnVm(const Graph &g, const HardwareConfig &hw,
+             const SearchResult &res, VmWalk *walk)
+{
+    ASSERT_TRUE(res.report.valid);
+    const ParsedSchedule &parsed = res.parsed;
+    EvalContext ctx(hw, hw.gbuf_bytes, g.TotalOps());
+    DlsaEncoding cur = res.dlsa;
+    ASSERT_TRUE(ctx.Evaluate(parsed, cur).valid);
+    ctx.Commit();
+
+    DlsaMutator mutate(parsed);
+    Rng rng(3);
+    DlsaEncoding cand;
+    DlsaDelta delta;
+    for (int step = 0; step < 400; ++step) {
+        if (!mutate(cur, &cand, rng, &delta)) continue;
+        const EvalReport &report = ctx.EvaluateDelta(parsed, cand, delta);
+        if (!report.valid) continue;
+        VmResult vm = ExecuteIr(GenerateIr(g, parsed, cand), hw);
+        ASSERT_TRUE(vm.ok) << vm.error;
+        EXPECT_EQ(vm.makespan, report.latency) << "step " << step;
+        ++walk->checked;
+        if (StoreBindsATileStart(parsed, cand, report)) ++walk->store_bound;
+        if (rng.Flip()) {
+            ctx.Commit();
+            std::swap(cur, cand);
+        }
+    }
+}
+
 TEST(Vm, MakespanEqualsLatencyAlongDlsaWalks)
 {
     for (const char *model : {"resnet50", "ires", "gpt2s-decode"}) {
         SCOPED_TRACE(model);
         Graph g = BuildModelByName(model, 1);
         HardwareConfig hw = EdgeAccelerator();
-        SearchResult res =
-            RunSoma(g, hw, SomaOptionsFor(SearchProfile::kQuick, 3));
-        ASSERT_TRUE(res.report.valid);
-        const ParsedSchedule &parsed = res.parsed;
-        EvalContext ctx(hw, hw.gbuf_bytes, g.TotalOps());
-        DlsaEncoding cur = res.dlsa;
-        ASSERT_TRUE(ctx.Evaluate(parsed, cur).valid);
-        ctx.Commit();
+        VmWalk walk;
+        WalkDlsaOnVm(g, hw,
+                     RunSoma(g, hw, SomaOptionsFor(SearchProfile::kQuick, 3)),
+                     &walk);
+        EXPECT_GE(walk.checked, 50);
+    }
+}
 
-        DlsaMutator mutate(parsed);
-        Rng rng(3);
-        DlsaEncoding cand;
-        DlsaDelta delta;
-        int checked = 0;
-        for (int step = 0; step < 400; ++step) {
-            if (!mutate(cur, &cand, rng, &delta)) continue;
-            const EvalReport &report = ctx.EvaluateDelta(parsed, cand, delta);
-            if (!report.valid) continue;
-            VmResult vm = ExecuteIr(GenerateIr(g, parsed, cand), hw);
-            ASSERT_TRUE(vm.ok) << vm.error;
-            EXPECT_EQ(vm.makespan, report.latency) << "step " << step;
-            ++checked;
-            if (rng.Flip()) {
-                ctx.Commit();
-                std::swap(cur, cand);
-            }
-        }
-        EXPECT_GE(checked, 50);
+/**
+ * The same oracle from Cocco schemes, on which store Ends bind tile
+ * starts (on every valid candidate of both walks): a gate that dropped
+ * or misranked the stores moves the makespan here, while the walks
+ * above never see a store bind.
+ */
+TEST(Vm, MakespanEqualsLatencyAlongStoreBoundCoccoWalks)
+{
+    for (const char *model : {"randwire", "ires"}) {
+        SCOPED_TRACE(model);
+        Graph g = BuildModelByName(model, 1);
+        HardwareConfig hw = EdgeAccelerator();
+        VmWalk walk;
+        WalkDlsaOnVm(g, hw,
+                     RunCocco(g, hw, CoccoOptionsFor(SearchProfile::kQuick, 3)),
+                     &walk);
+        EXPECT_GE(walk.checked, 50);
+        EXPECT_GT(walk.store_bound, 0);
     }
 }
 
