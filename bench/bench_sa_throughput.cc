@@ -18,11 +18,14 @@
  *                 budget, plus the process CPU over wall time of the
  *                 best window: about N when every worker got a core)
  *
- * plus the LFA loop (parse-dominated) as legacy / incremental
- * (group-memoized partial re-parse, full timeline per candidate), with cross-check passes asserting incremental parses
- * bit-identical to full parses and delta evaluations bit-identical to
- * full simulations. CI gates lfa/incremental >= 2x lfa/legacy and
- * dlsa/delta >= 4x dlsa/legacy.
+ * plus the LFA loop (parse-dominated) as legacy (ParseLfa +
+ * EvaluateSchedule of the double-buffer DLSA) / incremental (the
+ * LFA-stage production path: group-memoized partial re-parse +
+ * EvalContext::PriceCanonical), with cross-check passes asserting
+ * incremental parses bit-identical to full parses, canonical prices
+ * bitwise equal to evaluating the DLSA they stand for, and delta
+ * evaluations bit-identical to full simulations. CI gates
+ * lfa/incremental >= 2x lfa/legacy and dlsa/delta >= 4x dlsa/legacy.
  *
  * An observability section replays the incremental walk with the
  * SOMA_PROF_SCOPE hot-path hooks disabled (the default) and enabled
@@ -287,8 +290,8 @@ main(int argc, char **argv)
     // Two shapes of the parse-dominated loop:
     //   legacy       rebuild everything per candidate (ParseLfa +
     //                EvaluateSchedule)
-    //   incremental  group-memoized partial re-parse (the LFA-stage
-    //                production path)
+    //   incremental  group-memoized partial re-parse + canonical
+    //                price (the LFA-stage production path)
     std::vector<Row> lfa_rows;
     lfa_rows.push_back(BestOf([&] {
         Row row;
@@ -308,21 +311,17 @@ main(int argc, char **argv)
         row.seconds = SecondsSince(t0);
         return row;
     }));
-    // One LFA walk through @p ctx (a fresh context: cold group memo);
-    // returns the number of candidates.
-    auto lfa_context_walk = [&](EvalContext &ctx, const ParseOptions &popts,
-                                int iters) {
+    // One LFA walk through @p ctx (a fresh context: cold group memo),
+    // priced as RunLfaStage prices; returns the number of candidates.
+    auto lfa_context_walk = [&](EvalContext &ctx, int iters) {
         Rng rng(23);
-        DlsaEncoding dlsa_scratch;
         LfaEncoding cur = lfa, cand;
         int candidates = 0;
         for (int i = 0; i < iters; ++i) {
             if (!MutateLfaEncoding(graph, cur, &cand, 64, rng)) continue;
-            const ParsedSchedule &p = ctx.Parse(graph, cand, core_eval, popts);
-            if (p.valid) {
-                MakeDoubleBufferDlsaInto(p, &dlsa_scratch);
-                ctx.Evaluate(p, dlsa_scratch);
-            }
+            ctx.PriceCanonical(ctx.Parse(graph, cand, core_eval),
+                               CanonicalDlsa::kDoubleBufferElseLazy, 1.0,
+                               1.0);
             ++candidates;
         }
         return candidates;
@@ -332,7 +331,7 @@ main(int argc, char **argv)
         row.name = "lfa/incremental";
         EvalContext ctx(hw, hw.gbuf_bytes, total_ops);
         const MonotonicTime t0 = MonotonicNow();
-        row.candidates = lfa_context_walk(ctx, ParseOptions{}, lfa_iters);
+        row.candidates = lfa_context_walk(ctx, lfa_iters);
         row.seconds = SecondsSince(t0);
         return row;
     }));
@@ -341,25 +340,23 @@ main(int argc, char **argv)
                 lfa_iters, kRepeats);
     PrintRows(lfa_rows, "lfa/legacy");
 
-    // The debug cross-checks: replay a slice of the LFA walk with every
+    // The debug cross-checks (EvalContext's cross_check mode aborts on
+    // divergence): replay a slice of the LFA walk with every
     // incremental parse verified bit-identical against a from-scratch
-    // parse (ParseLfaInto aborts on divergence), and a slice of the
-    // DLSA delta walk with every delta evaluation verified
-    // bit-identical against a full simulation (EvalContext's
-    // cross_check mode aborts on divergence).
+    // parse and every canonical price against evaluating its DLSA, and
+    // a slice of the DLSA delta walk with every delta evaluation
+    // verified bit-identical against a full simulation.
     {
-        ParseOptions popts;
-        popts.cross_check = true;
         EvalContext lfa_ctx(hw, hw.gbuf_bytes, total_ops);
-        const int parses =
-            lfa_context_walk(lfa_ctx, popts, std::min(lfa_iters, 100));
+        lfa_ctx.set_cross_check(true);
+        const int parses = lfa_context_walk(lfa_ctx, std::min(lfa_iters, 100));
         EvalContext ctx(hw, hw.gbuf_bytes, total_ops);
         ctx.set_cross_check(true);
         delta_walk(ctx, "dlsa/cross_check", std::min(dlsa_iters, 1000));
         const auto &ds = ctx.delta_stats();
-        std::printf("  cross-check: %d incremental parses bit-identical "
-                    "to full parses, %llu delta evals bit-identical to "
-                    "full simulations\n",
+        std::printf("  cross-check: %d incremental parses and canonical "
+                    "prices bit-identical to full parses and evaluations, "
+                    "%llu delta evals bit-identical to full simulations\n",
                     parses,
                     static_cast<unsigned long long>(ds.cross_check_passes));
         bench::JsonSink::Instance().Add("sa_throughput/lfa/cross_check",

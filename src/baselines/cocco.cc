@@ -95,14 +95,11 @@ RunCocco(const Graph &graph, const HardwareConfig &hw,
 
     auto eval_with = [&graph, &hw, &core_eval, popts, n = opts.cost_n,
                       m = opts.cost_m](
-                         EvalContext &ctx, const CoccoState &state) -> double {
+                         EvalContext &ctx, const CoccoState &state) {
         LfaEncoding lfa = MakeCoccoLfa(graph, hw, state.order, state.cuts,
                                        kTilingCap);
-        const ParsedSchedule &parsed =
-            ctx.Parse(graph, lfa, core_eval, popts);
-        if (!parsed.valid) return std::numeric_limits<double>::infinity();
-        DlsaEncoding dlsa = MakeCoccoDlsa(parsed);
-        return ctx.Evaluate(parsed, dlsa).Cost(n, m);
+        return ctx.PriceCanonical(ctx.Parse(graph, lfa, core_eval, popts),
+                                  CanonicalDlsa::kCoccoPrefetch, n, m);
     };
 
     EvalContext serial_ctx(hw, hw.gbuf_bytes, total_ops);

@@ -45,17 +45,6 @@ DlsaEncoding MakeCoccoDlsa(const ParsedSchedule &parsed);
 DlsaEncoding MakeSlackDlsa(const ParsedSchedule &parsed, TilePos load_lead,
                            TilePos store_lag);
 
-/**
- * Allocation-lean variants for the SA inner loop: write into @p out,
- * which retains its capacity across calls (LFA-stage chains build a
- * double-buffer DLSA for every candidate parse).
- */
-void MakeDoubleBufferDlsaInto(const ParsedSchedule &parsed,
-                              DlsaEncoding *out);
-void MakeLazyDlsaInto(const ParsedSchedule &parsed, DlsaEncoding *out);
-void MakeSlackDlsaInto(const ParsedSchedule &parsed, TilePos load_lead,
-                       TilePos store_lag, DlsaEncoding *out);
-
 }  // namespace soma
 
 #endif  // SOMA_SEARCH_DLSA_HEURISTICS_H

@@ -133,13 +133,12 @@ RunDlsaStage(const Graph &graph, const HardwareConfig &hw,
     // Heuristic seeds: deeper uniform prefetch leads when the buffer
     // allows (the "push weights forward" move). The SA then refines the
     // best starting point.
-    DlsaEncoding cand;
     for (TilePos lead : {2, 4, 8, 16, 32}) {
         for (TilePos lag : {2, 4}) {
-            MakeSlackDlsaInto(parsed, lead, lag, &cand);
+            DlsaEncoding cand = MakeSlackDlsa(parsed, lead, lag);
             double cand_cost = evaluate_serial(cand);
             if (cand_cost < result.cost) {
-                result.dlsa = cand;
+                result.dlsa = std::move(cand);
                 result.cost = cand_cost;
             }
         }

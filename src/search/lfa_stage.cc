@@ -159,29 +159,20 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
     obs::SpanScope stage_span(tracer, "lfa.stage");
     stage_span.Arg("budget_bytes", static_cast<std::int64_t>(stage_budget));
 
-    // One evaluation = parse + classical double-buffer DLSA (lazy
-    // fallback under tight budgets). The context keeps parse and
-    // timeline scratch (and the incremental group memo) alive across
-    // candidates; @p ctx is per-chain.
+    // One evaluation = parse + the price under the classical
+    // double-buffer DLSA (the lazy one when only that fits). The context
+    // keeps parse and pricing scratch (and the incremental group memo)
+    // alive across candidates; @p ctx is per-chain.
     auto eval_with = [&graph, &core_eval, n = opts.cost_n, m = opts.cost_m](
-                         EvalContext &ctx, DlsaEncoding &dlsa_scratch,
-                         const LfaEncoding &lfa) -> double {
-        const ParsedSchedule &parsed = ctx.Parse(graph, lfa, core_eval);
-        if (!parsed.valid) return std::numeric_limits<double>::infinity();
-        MakeDoubleBufferDlsaInto(parsed, &dlsa_scratch);
-        {
-            const EvalReport &rep = ctx.Evaluate(parsed, dlsa_scratch);
-            if (rep.valid) return rep.Cost(n, m);
-        }
-        // A tight budget may only fit the lazy variant.
-        MakeLazyDlsaInto(parsed, &dlsa_scratch);
-        return ctx.Evaluate(parsed, dlsa_scratch).Cost(n, m);
+                         EvalContext &ctx, const LfaEncoding &lfa) {
+        return ctx.PriceCanonical(ctx.Parse(graph, lfa, core_eval),
+                                  CanonicalDlsa::kDoubleBufferElseLazy, n,
+                                  m);
     };
 
     EvalContext serial_ctx(hw, stage_budget, total_ops);
-    DlsaEncoding serial_dlsa;
-    auto evaluate = [&](const LfaEncoding &lfa) -> double {
-        return eval_with(serial_ctx, serial_dlsa, lfa);
+    auto evaluate = [&](const LfaEncoding &lfa) {
+        return eval_with(serial_ctx, lfa);
     };
 
     SearchResult result;
@@ -233,21 +224,21 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
 
     // Anneal K chains; each owns an EvalContext of parse/eval scratch
     // (and so its own group memo) and a memo of the costs it priced.
+    std::vector<std::shared_ptr<EvalContext>> contexts;
     std::vector<std::shared_ptr<ChainCostMemo>> memos;
     auto make_env = [&](int /*chain*/) {
         ChainEnv<LfaEncoding> env;
-        auto ctx = std::make_shared<EvalContext>(hw, stage_budget, total_ops);
-        auto dlsa = std::make_shared<DlsaEncoding>();
+        auto ctx = contexts.emplace_back(
+            std::make_shared<EvalContext>(hw, stage_budget, total_ops));
         auto memo = memos.emplace_back(std::make_shared<ChainCostMemo>());
         env.mutate = [&graph](const LfaEncoding &cur, LfaEncoding *next,
                               Rng &r) {
             return MutateLfaEncoding(graph, cur, next, kTilingCap, r);
         };
-        env.evaluate = [eval_with, ctx, dlsa, memo](const LfaEncoding &lfa) {
+        env.evaluate = [eval_with, ctx, memo](const LfaEncoding &lfa) {
             memo->SetKey(lfa.order, lfa.flc_cuts, lfa.dram_cuts, lfa.tiling);
-            return memo->Price(ctx->cross_check(), [&] {
-                return eval_with(*ctx, *dlsa, lfa);
-            });
+            return memo->Price(ctx->cross_check(),
+                               [&] { return eval_with(*ctx, lfa); });
         };
         return env;
     };
@@ -278,6 +269,14 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
     std::int64_t memo_hits = 0;
     for (const auto &memo : memos) memo_hits += memo->hits();
     stage_span.Arg("cost_memo_hits", memo_hits);
+    // The candidates the double buffer did not fit, seed and chains.
+    EvalContext::CanonicalStats priced = serial_ctx.canonical_stats();
+    for (const auto &ctx : contexts) {
+        priced.priced_lazy += ctx->canonical_stats().priced_lazy;
+        priced.priced_infeasible += ctx->canonical_stats().priced_infeasible;
+    }
+    stage_span.Arg("priced_lazy", priced.priced_lazy);
+    stage_span.Arg("priced_infeasible", priced.priced_infeasible);
     // Incremental-parse effectiveness for the trace viewer: the serial
     // context's group-memo telemetry.
     const ParseScratch &scratch = serial_ctx.parse_scratch();

@@ -3,42 +3,65 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 
 #include "common/logging.h"
 #include "obs/prof.h"
+#include "search/dlsa_heuristics.h"
 
 namespace soma {
+
+namespace {
+
+/** Hold @p bytes over slots [from, to), clamped into @p diff. */
+void
+AddSlots(std::vector<Bytes> *diff, TilePos from, TilePos to, Bytes bytes)
+{
+    const TilePos slots = static_cast<TilePos>(diff->size()) - 1;
+    from = std::clamp<TilePos>(from, 0, slots);
+    to = std::clamp<TilePos>(to, 0, slots);
+    if (from >= to) return;
+    (*diff)[from] += bytes;
+    (*diff)[to] -= bytes;
+}
+
+double
+CoreEnergyJ(const ParsedSchedule &parsed)
+{
+    return parsed.core_energy_pj * 1e-12;
+}
+
+double
+DramEnergyJ(const ParsedSchedule &parsed, const HardwareConfig &hw)
+{
+    return static_cast<double>(parsed.dram_bytes) *
+           hw.energy.dram_pj_per_byte * 1e-12;
+}
+
+}  // namespace
 
 void
 ComputeBufferBySlot(const ParsedSchedule &parsed,
                     const std::vector<TilePos> &free_point,
-                    std::vector<Bytes> *diff_out, std::vector<Bytes> *usage)
+                    std::vector<Bytes> *diff, std::vector<Bytes> *usage)
 {
     const int slots = parsed.NumTiles();
-    diff_out->assign(slots + 1, 0);
-    std::vector<Bytes> &diff = *diff_out;
-    auto add = [&](TilePos from, TilePos to, Bytes bytes) {
-        from = std::clamp<TilePos>(from, 0, slots);
-        to = std::clamp<TilePos>(to, 0, slots);
-        if (from >= to) return;
-        diff[from] += bytes;
-        diff[to] -= bytes;
-    };
+    diff->assign(slots + 1, 0);
     for (const OnchipInterval &iv : parsed.onchip)
-        add(iv.from, iv.to, iv.bytes);
+        AddSlots(diff, iv.from, iv.to, iv.bytes);
     for (int j = 0; j < parsed.NumTensors(); ++j) {
         const DramTensor &t = parsed.tensors[j];
         if (t.IsLoad()) {
-            add(free_point[j], t.fixed_end, t.bytes);
+            AddSlots(diff, free_point[j], t.fixed_end, t.bytes);
         } else {
-            add(t.first_use, free_point[j], t.bytes);
+            AddSlots(diff, t.first_use, free_point[j], t.bytes);
         }
     }
     usage->assign(slots, 0);
     Bytes run = 0;
     for (int s = 0; s < slots; ++s) {
-        run += diff[s];
+        run += (*diff)[s];
         (*usage)[s] = run;
     }
 }
@@ -234,9 +257,8 @@ EvalContext::FinalizeAggregates(const ParsedSchedule &parsed, Side *side,
     rep.compute_busy = parsed.compute_busy;
     rep.dram_bytes = parsed.dram_bytes;
     rep.dram_busy = parsed.dram_busy;
-    rep.core_energy_j = parsed.core_energy_pj * 1e-12;
-    rep.dram_energy_j = static_cast<double>(parsed.dram_bytes) *
-                        hw_.energy.dram_pj_per_byte * 1e-12;
+    rep.core_energy_j = CoreEnergyJ(parsed);
+    rep.dram_energy_j = DramEnergyJ(parsed, hw_);
 
     double peak_ops = hw_.PeakOpsPerSecond();
     rep.compute_util = static_cast<double>(total_ops_) /
@@ -482,6 +504,117 @@ EvalContext::CrossCheckAgainstFull(const ParsedSchedule &parsed,
                    << " — delta evaluator bug";
         std::abort();
     }
+}
+
+double
+EvalContext::PriceCanonical(const ParsedSchedule &parsed, CanonicalDlsa kind,
+                            double n, double m)
+{
+    if (!parsed.valid) return std::numeric_limits<double>::infinity();
+    const double cost = CanonicalCost(parsed, kind, n, m);
+    if (!cross_check_) return cost;
+    // Evaluate's path on the check side: DlsaValid, then Simulate.
+    const bool cocco = kind == CanonicalDlsa::kCoccoPrefetch;
+    bool dlsa_valid = true;
+    auto evaluate = [&](const DlsaEncoding &dlsa) {
+        dlsa_valid &= DlsaValid(parsed, dlsa, &why_scratch_, &check_scratch_);
+        Simulate(parsed, dlsa, &check_side_);
+        return check_side_.report.Cost(n, m);
+    };
+    double ref = evaluate(cocco ? MakeCoccoDlsa(parsed)
+                                : MakeDoubleBufferDlsa(parsed));
+    if (!cocco && !check_side_.report.valid)
+        ref = evaluate(MakeLazyDlsa(parsed));
+    if (!dlsa_valid || std::memcmp(&ref, &cost, sizeof ref) != 0) {
+        SOMA_ERROR << "canonical price " << cost << " != evaluated cost "
+                   << ref << " (DLSA " << (dlsa_valid ? "valid" : why_scratch_)
+                   << ") — canonical pricing bug";
+        std::abort();
+    }
+    return cost;
+}
+
+double
+EvalContext::CanonicalCost(const ParsedSchedule &parsed, CanonicalDlsa kind,
+                           double n, double m)
+{
+    SOMA_PROF_SCOPE("eval.canonical");
+    const int T = parsed.NumTiles();
+    const bool cocco = kind == CanonicalDlsa::kCoccoPrefetch;
+    // A load's double-buffer Start: the tile before its first use, or
+    // before its LG for Cocco's weights (MakeSlackDlsa's clamp).
+    auto early_start = [&](const DramTensor &t) {
+        const TilePos from =
+            cocco && t.kind == DramTensorKind::kWeight
+                ? parsed.lg_base[parsed.tiles[t.first_use].lg]
+                : t.first_use;
+        return std::max<TilePos>(from - 1, 0);
+    };
+
+    // One occupancy pass: the lazy DLSA's profile, and the slots the
+    // double buffer adds (a load's early Start to its first use, and
+    // the slot at a store's lazy End). One prefix sum: both peaks.
+    buffer_diff_.assign(T + 1, 0);
+    early_diff_.assign(T + 1, 0);
+    for (const OnchipInterval &iv : parsed.onchip)
+        AddSlots(&buffer_diff_, iv.from, iv.to, iv.bytes);
+    for (const DramTensor &t : parsed.tensors) {
+        if (t.IsLoad()) {
+            AddSlots(&buffer_diff_, t.first_use, t.fixed_end, t.bytes);
+            AddSlots(&early_diff_, early_start(t),
+                     std::min(t.first_use, t.fixed_end), t.bytes);
+        } else {
+            AddSlots(&buffer_diff_, t.first_use, t.first_use + 1, t.bytes);
+            AddSlots(&early_diff_, t.first_use + 1, t.first_use + 2, t.bytes);
+        }
+    }
+    Bytes lazy = 0, extra = 0, lazy_peak = 0, early_peak = 0;
+    for (int s = 0; s < T; ++s) {
+        lazy += buffer_diff_[s];
+        extra += early_diff_[s];
+        lazy_peak = std::max(lazy_peak, lazy);
+        early_peak = std::max(early_peak, lazy + extra);
+    }
+    const bool early = early_peak <= budget_;
+    if (!early && (cocco || lazy_peak > budget_)) {
+        ++canonical_stats_.priced_infeasible;
+        return std::numeric_limits<double>::infinity();
+    }
+    if (!early) ++canonical_stats_.priced_lazy;
+
+    // One in-order sweep: the order is the index order, and a tile's
+    // transfers (its loads, the stores whose End it is) lie below its
+    // load_end, so each tile first issues those up to there. Finishes
+    // ascend with the index, so a tile's last gate write is its latest.
+    tile_finish_.resize(T);
+    gate_finish_.assign(T, 0.0);
+    double dram = 0.0, compute = 0.0;  // the last transfer's, tile's finish
+    int j = 0;
+    auto issue_to = [&](int end) {
+        for (; j < end; ++j) {
+            // It waits for the tiles before `after` (a store: for its
+            // producer), and the tile at `gated` waits for it.
+            const DramTensor &t = parsed.tensors[j];
+            const bool load = t.IsLoad();
+            const TilePos after = !load  ? t.first_use + 1
+                                  : early ? early_start(t)
+                                          : t.first_use;
+            dram = std::max(dram, after == 0 ? 0.0 : tile_finish_[after - 1]) +
+                   t.seconds;
+            const TilePos gated = t.first_use + (load ? 0 : early ? 2 : 1);
+            if (gated < T) gate_finish_[gated] = dram;
+        }
+    };
+    for (int i = 0; i < T; ++i) {
+        issue_to(parsed.tiles[i].load_end);
+        compute = std::max(compute, gate_finish_[i]) +
+                  parsed.tiles[i].cost.seconds;
+        tile_finish_[i] = compute;
+    }
+    issue_to(parsed.NumTensors());
+    const double latency = j > 0 ? std::max(compute, dram) : compute;
+    return ObjectiveCost(CoreEnergyJ(parsed) + DramEnergyJ(parsed, hw_),
+                         latency, n, m);
 }
 
 void

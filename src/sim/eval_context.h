@@ -11,8 +11,9 @@
  * mutations (free-point / order moves): EvaluateDelta patches the
  * committed base's buffer occupancy and resumes the two-pointer
  * timeline at the earliest affected (tile, rank) checkpoint, running
- * it to the end. LFA candidates change the parse and go through
- * Evaluate.
+ * it to the end. LFA-stage and Cocco candidates change the parse and
+ * need only a cost under a canonical DLSA, which PriceCanonical gives
+ * without building it (DESIGN.md "Canonical pricing").
  *
  * The timeline reads the parse's tiles and DRAM tensors directly and
  * writes only the report's timings. The parse carries everything no
@@ -26,8 +27,9 @@
  * timeline executes the same recurrences on the same operands from a
  * checkpoint the base trajectory passed through, and the integer
  * buffer-occupancy array is patched exactly. `set_cross_check(true)`
- * (or SOMA_CROSS_CHECK=1) re-parses every Parse from scratch and runs
- * the full simulation after every delta evaluation, aborting on any
+ * (or SOMA_CROSS_CHECK=1) re-parses every Parse from scratch, runs the
+ * full simulation after every delta evaluation and builds and
+ * evaluates the DLSA behind every canonical price, aborting on any
  * divergence.
  */
 #ifndef SOMA_SIM_EVAL_CONTEXT_H
@@ -60,6 +62,12 @@ struct DlsaDelta {
     int to_rank = -1;         ///< kOrderMove: rank of `tensor` in the cand
     TilePos old_point = 0;    ///< kFreePoint: base free endpoint
     TilePos new_point = 0;    ///< kFreePoint: candidate free endpoint
+};
+
+/** The fixed DLSA an LFA-stage or Cocco candidate is priced under. */
+enum class CanonicalDlsa {
+    kDoubleBufferElseLazy,  ///< MakeDoubleBufferDlsa, else MakeLazyDlsa
+    kCoccoPrefetch,         ///< MakeCoccoDlsa: weights from the LG head
 };
 
 /**
@@ -140,6 +148,24 @@ class EvalContext {
                                     const DlsaEncoding &cand,
                                     const DlsaDelta &delta);
 
+    /**
+     * Energy^n x Delay^m of @p parsed under its canonical DLSA (+inf
+     * when the parse is invalid or none fits the budget), bitwise
+     * Evaluate(parsed, <that DLSA>).Cost(n, m), but from one occupancy
+     * pass and one in-order sweep over ParseLfaInto's tensor order,
+     * building no DLSA, gate index or timings; the base and candidate
+     * sides stay as they were.
+     */
+    double PriceCanonical(const ParsedSchedule &parsed, CanonicalDlsa kind,
+                          double n, double m);
+
+    /** PriceCanonical outcomes besides the double buffer (cumulative). */
+    struct CanonicalStats {
+        std::int64_t priced_lazy = 0;        ///< only the lazy DLSA fit
+        std::int64_t priced_infeasible = 0;  ///< no canonical DLSA fit
+    };
+    const CanonicalStats &canonical_stats() const { return canonical_stats_; }
+
     /** Promote the last evaluated candidate to the incremental base. */
     void Commit();
 
@@ -151,9 +177,10 @@ class EvalContext {
 
     /** Cross-check mode (default: off, unless SOMA_CROSS_CHECK is set
      *  to a value other than "" or "0"): every Parse also runs the
-     *  from-scratch reference parse (ParseOptions::cross_check), and
-     *  every delta evaluation the full simulation; any divergence
-     *  aborts. */
+     *  from-scratch reference parse (ParseOptions::cross_check), every
+     *  delta evaluation the full simulation, and every PriceCanonical
+     *  builds its DLSA and evaluates it in full, DlsaValid included;
+     *  any divergence aborts. */
     void set_cross_check(bool on) { cross_check_ = on; }
     bool cross_check() const { return cross_check_; }
 
@@ -217,6 +244,10 @@ class EvalContext {
     void CrossCheckAgainstFull(const ParsedSchedule &parsed,
                                const DlsaEncoding &dlsa);
 
+    /** PriceCanonical of a valid parse, without the cross-check. */
+    double CanonicalCost(const ParsedSchedule &parsed, CanonicalDlsa kind,
+                         double n, double m);
+
     const HardwareConfig hw_;
     const Bytes budget_;
     const Ops total_ops_;
@@ -226,9 +257,11 @@ class EvalContext {
     DlsaCheckScratch check_scratch_;
     std::string why_scratch_;
 
-    /** Buffer difference array (ComputeBufferBySlot scratch); keeps
-     *  its capacity, so warmed-up evaluations do no heap work. */
-    std::vector<Bytes> buffer_diff_;
+    /** Difference arrays (ComputeBufferBySlot's; CanonicalCost's lazy
+     *  and double-buffer extra) and CanonicalCost's per-tile finishes,
+     *  kept at capacity so warmed-up evaluations do no heap work. */
+    std::vector<Bytes> buffer_diff_, early_diff_;
+    std::vector<double> tile_finish_, gate_finish_;
 
     Side sides_[2];
     Side check_side_;  ///< cross-check reference result
@@ -242,6 +275,7 @@ class EvalContext {
 
     bool cross_check_ = false;
     DeltaStats delta_stats_;
+    CanonicalStats canonical_stats_;
 };
 
 }  // namespace soma

@@ -20,14 +20,19 @@ PeakBufferUsage(const ParsedSchedule &parsed, const DlsaEncoding &dlsa)
 }
 
 double
+ObjectiveCost(double energy_j, double latency, double n, double m)
+{
+    // Integer-ish exponents dominate in practice; std::pow is fine here
+    // but called in the SA inner loop, so special-case n = m = 1.
+    if (n == 1.0 && m == 1.0) return energy_j * latency;
+    return std::pow(energy_j, n) * std::pow(latency, m);
+}
+
+double
 EvalReport::Cost(double n, double m) const
 {
     if (!valid) return std::numeric_limits<double>::infinity();
-    double e = EnergyJ();
-    // Integer-ish exponents dominate in practice; std::pow is fine here
-    // but called in the SA inner loop, so special-case n = m = 1.
-    if (n == 1.0 && m == 1.0) return e * latency;
-    return std::pow(e, n) * std::pow(latency, m);
+    return ObjectiveCost(EnergyJ(), latency, n, m);
 }
 
 EvalReport

@@ -58,6 +58,10 @@ struct EvalReport {
     double Cost(double n = 1.0, double m = 1.0) const;
 };
 
+/** Energy^n x Delay^m of a valid schedule: the one objective formula
+ *  behind EvalReport::Cost and EvalContext::PriceCanonical. */
+double ObjectiveCost(double energy_j, double latency, double n, double m);
+
 /**
  * Render the DRAM / COMPUTE / BUFFER execution graph (Fig. 8 style) as
  * text: one row per tile with its layer, start/stall, and the DRAM

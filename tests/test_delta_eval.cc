@@ -197,7 +197,7 @@ RunMixedWalk(std::uint64_t seed, int phases, bool cross_check)
             ASSERT_TRUE(ParsedSchedulesIdentical(p, full))
                 << "phase " << phase << " step " << i;
             if (!p.valid) continue;
-            MakeDoubleBufferDlsaInto(p, &dlsa_scratch);
+            dlsa_scratch = MakeDoubleBufferDlsa(p);
             const EvalReport &inc =
                 ctx.Evaluate(p, dlsa_scratch);
             EvalReport ref =

@@ -2,20 +2,27 @@
  * @file
  * EvalContext tests: incremental (suffix-resumed) re-evaluation must be
  * bit-identical to full evaluation across randomized DLSA mutations,
- * including the invalid paths (buffer overflow, schedule deadlock), and
- * the reusable parse must match the allocating ParseLfa.
+ * including the invalid paths (buffer overflow, schedule deadlock), the
+ * canonical price of an LFA candidate must equal evaluating the DLSA it
+ * stands for, and the reusable parse must match the allocating
+ * ParseLfa.
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 
+#include "compiler/ir.h"
+#include "compiler/vm.h"
 #include "hw/banked_dram.h"
 #include "hw/memory_model.h"
 #include "search/dlsa_heuristics.h"
 #include "search/dlsa_stage.h"
+#include "search/lfa_stage.h"
 #include "sim/eval_context.h"
 #include "sim/evaluator.h"
 #include "workload/graph_builder.h"
+#include "workload/models.h"
 
 namespace soma {
 namespace {
@@ -321,6 +328,147 @@ TEST(EvalContext, ExternalParseRewrittenInPlaceIsReEvaluated)
             ctx.EvaluateDelta(p, cand, delta),
             EvaluateSchedule(g, hw, copy, cand, hw.gbuf_bytes, ops));
         EXPECT_EQ(ctx.delta_stats().delta_evals, fast + 1);
+    }
+}
+
+bool
+BitwiseEqual(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** How the candidates of one canonical-pricing walk were priced. */
+struct CanonicalWalk {
+    int early = 0;       ///< under the double buffer (Cocco's prefetch)
+    int lazy = 0;        ///< under the lazy DLSA
+    int infeasible = 0;  ///< no canonical DLSA fits
+    int vm_checked = 0;  ///< latencies replayed on the VM
+};
+
+/**
+ * Price a random LFA walk on @p g with PriceCanonical under SoMa's or
+ * Cocco's semantics and require every cost to equal, bitwise, building
+ * the canonical DLSA (which must pass DlsaValid) and evaluating it in
+ * full; every fourth valid candidate's latency must also equal the
+ * VM's makespan of that DLSA's instructions. The budgets come from one
+ * candidate whose lazy peak is below its double-buffer peak: that peak,
+ * the lazy peak and one byte less, so the double buffer fits, only the
+ * lazy DLSA fits, and nothing fits, each at least once. One context
+ * per budget prices the whole walk, so its scratch is reused; the
+ * middle one runs in cross-check mode.
+ */
+void
+PriceCanonicalWalk(const Graph &g, bool cocco, CanonicalWalk *walk)
+{
+    const HardwareConfig hw = EdgeAccelerator();
+    const CoreArrayEvaluator ce(g, hw);
+    const Ops ops = g.TotalOps();
+    ParseOptions popts;
+    popts.lg_resident_weights = cocco;
+    const CanonicalDlsa kind = cocco ? CanonicalDlsa::kCoccoPrefetch
+                                     : CanonicalDlsa::kDoubleBufferElseLazy;
+    auto early_dlsa = [cocco](const ParsedSchedule &p) {
+        return cocco ? MakeCoccoDlsa(p) : MakeDoubleBufferDlsa(p);
+    };
+
+    // The walk takes every move whose parse is valid and keeps every
+    // candidate, invalid parses included.
+    std::vector<LfaEncoding> cands;
+    Bytes early_peak = 0, lazy_peak = 0;
+    LfaEncoding cur = MakeInitialLfa(g, hw, kTilingCap), next;
+    Rng rng(7);
+    for (int step = 0; step < 60; ++step) {
+        if (!MutateLfaEncoding(g, cur, &next, kTilingCap, rng)) continue;
+        cands.push_back(next);
+        const ParsedSchedule p = ParseLfa(g, next, ce, popts);
+        if (!p.valid) continue;
+        cur = next;
+        const Bytes early = PeakBufferUsage(p, early_dlsa(p));
+        const Bytes lazy = PeakBufferUsage(p, MakeLazyDlsa(p));
+        if (lazy < early && early > early_peak) {
+            early_peak = early;
+            lazy_peak = lazy;
+        }
+    }
+    ASSERT_GT(early_peak, 0);
+
+    for (const Bytes budget : {early_peak, lazy_peak, lazy_peak - 1}) {
+        SCOPED_TRACE(budget);
+        EvalContext ctx(hw, budget, ops);
+        ctx.set_cross_check(budget == lazy_peak);
+        for (const LfaEncoding &lfa : cands) {
+            const ParsedSchedule &p = ctx.Parse(g, lfa, ce, popts);
+            const double cost = ctx.PriceCanonical(p, kind, 1.0, 1.0);
+            if (!p.valid) {
+                EXPECT_EQ(cost, std::numeric_limits<double>::infinity());
+                continue;
+            }
+            DlsaEncoding dlsa = early_dlsa(p);
+            std::string why;
+            ASSERT_TRUE(DlsaValid(p, dlsa, &why)) << why;
+            EvalReport ref = EvaluateSchedule(g, hw, p, dlsa, budget, ops);
+            int *outcome = &walk->early;
+            if (!ref.valid && !cocco) {
+                dlsa = MakeLazyDlsa(p);
+                ASSERT_TRUE(DlsaValid(p, dlsa, &why)) << why;
+                ref = EvaluateSchedule(g, hw, p, dlsa, budget, ops);
+                outcome = &walk->lazy;
+            }
+            if (!ref.valid) outcome = &walk->infeasible;
+            ++*outcome;
+            EXPECT_TRUE(BitwiseEqual(cost, ref.Cost(1.0, 1.0)))
+                << cost << " vs " << ref.Cost(1.0, 1.0);
+            EXPECT_TRUE(BitwiseEqual(ctx.PriceCanonical(p, kind, 2.0, 0.5),
+                                     ref.Cost(2.0, 0.5)));
+            if (!ref.valid || (walk->early + walk->lazy) % 4 != 0) continue;
+            // Energy^0 x Delay^1 is the latency itself.
+            const double latency = ctx.PriceCanonical(p, kind, 0.0, 1.0);
+            EXPECT_EQ(latency, ref.latency);
+            const VmResult vm = ExecuteIr(GenerateIr(g, p, dlsa), hw);
+            ASSERT_TRUE(vm.ok) << vm.error;
+            EXPECT_EQ(vm.makespan, latency);
+            ++walk->vm_checked;
+        }
+    }
+}
+
+TEST(EvalContext, CanonicalPriceEqualsEvaluatingItsDlsa)
+{
+    for (const char *model : {"resnet50", "ires", "randwire",
+                              "gpt2s-decode"}) {
+        SCOPED_TRACE(model);
+        const Graph g = BuildModelByName(model, 1);
+        CanonicalWalk soma, cocco;
+        PriceCanonicalWalk(g, /*cocco=*/false, &soma);
+        EXPECT_GT(soma.early, 0);
+        EXPECT_GT(soma.lazy, 0);
+        EXPECT_GT(soma.infeasible, 0);
+        EXPECT_GT(soma.vm_checked, 0);
+        PriceCanonicalWalk(g, /*cocco=*/true, &cocco);
+        EXPECT_GT(cocco.early, 0);
+        EXPECT_EQ(cocco.lazy, 0);
+        EXPECT_GT(cocco.infeasible, 0);
+        EXPECT_GT(cocco.vm_checked, 0);
+    }
+}
+
+TEST(EvalContext, CanonicalStatsCountLazyAndInfeasiblePrices)
+{
+    Graph g = MakeConvChain(6);
+    HardwareConfig hw = EdgeAccelerator();
+    CoreArrayEvaluator ce(g, hw);
+    ParsedSchedule p = ParseLfa(g, MakeTwoLgLfa(g), ce);
+    ASSERT_TRUE(p.valid);
+    const Bytes early = PeakBufferUsage(p, MakeDoubleBufferDlsa(p));
+    const Bytes lazy = PeakBufferUsage(p, MakeLazyDlsa(p));
+    ASSERT_LT(lazy, early);
+    for (const Bytes budget : {early, lazy, lazy - 1}) {
+        EvalContext ctx(hw, budget, g.TotalOps());
+        ctx.PriceCanonical(p, CanonicalDlsa::kDoubleBufferElseLazy, 1.0,
+                           1.0);
+        const EvalContext::CanonicalStats &stats = ctx.canonical_stats();
+        EXPECT_EQ(stats.priced_lazy, budget == lazy ? 1 : 0) << budget;
+        EXPECT_EQ(stats.priced_infeasible, budget < lazy ? 1 : 0) << budget;
     }
 }
 

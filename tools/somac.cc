@@ -70,7 +70,8 @@ Usage(std::ostream &os, int code)
           "run overrides (flag form of the request JSON fields):\n"
           "  --model NAME        workload (see `somac list models`)\n"
           "  --batch N           batch size (default 1)\n"
-          "  --hw NAME           hardware preset (edge|cloud|custom)\n"
+          "  --hw NAME           hardware preset (edge|cloud; see\n"
+          "                      `somac list hardware`)\n"
           "  --gbuf-mb MB        override GBUF size\n"
           "  --dram-gbps GBPS    override DRAM bandwidth\n"
           "  --memory-model M    DRAM timing backend (analytical|banked;\n"
