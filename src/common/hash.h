@@ -1,8 +1,7 @@
 /**
  * @file
  * Small non-cryptographic hashing helpers. The service layer keys its
- * caches on Fnv1a64 over canonical request JSON, and the annealing
- * chains' cost memos pick their slots with it; FNV-1a is stable
+ * caches on Fnv1a64 over canonical request JSON; FNV-1a is stable
  * across platforms and process restarts (unlike std::hash), which the
  * on-disk result cache depends on.
  */

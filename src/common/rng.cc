@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace soma {
@@ -34,18 +35,14 @@ Rng::Flip(double p)
 }
 
 int
-Rng::WeightedIndex(const std::vector<double> &weights)
+Rng::CumulativeWeightedIndex(const std::vector<double> &cumulative)
 {
-    double total = 0.0;
-    for (double w : weights) total += w;
-    if (total <= 0.0) return -1;
-    double draw = UniformReal() * total;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-        acc += weights[i];
-        if (draw < acc) return static_cast<int>(i);
-    }
-    return static_cast<int>(weights.size()) - 1;
+    if (cumulative.empty() || cumulative.back() <= 0.0) return -1;
+    const double draw = UniformReal() * cumulative.back();
+    // A draw rounded up to the total still picks the last index.
+    const auto it =
+        std::upper_bound(cumulative.begin(), cumulative.end() - 1, draw);
+    return static_cast<int>(it - cumulative.begin());
 }
 
 }  // namespace soma

@@ -36,11 +36,15 @@ class Rng {
     bool Flip(double p = 0.5);
 
     /**
-     * Sample an index in [0, weights.size()) with probability proportional
-     * to the (non-negative) weights. Returns -1 when all weights are zero
-     * or the vector is empty.
+     * Sample an index with probability proportional to non-negative
+     * weights, given their running sums in index order:
+     * @p cumulative[i] = weights[0] + ... + weights[i], so the last
+     * entry is the total. One UniformReal draw, scaled by the total,
+     * picks the first index whose running sum exceeds it. Returns
+     * -1, without a draw, when the vector is empty or the total is not
+     * positive.
      */
-    int WeightedIndex(const std::vector<double> &weights);
+    int CumulativeWeightedIndex(const std::vector<double> &cumulative);
 
     /** Access the underlying engine (for std::shuffle etc.). */
     std::mt19937_64 &engine() { return engine_; }

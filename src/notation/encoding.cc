@@ -34,17 +34,6 @@ LfaEncoding::FlgOfPos(int pos) const
     return g;
 }
 
-int
-LfaEncoding::LgOfPos(int pos) const
-{
-    int lg = 0;
-    for (int cut : dram_cuts) {
-        if (pos < cut) break;
-        ++lg;
-    }
-    return lg;
-}
-
 bool
 LfaEncoding::StructurallyValid(const Graph &graph, std::string *why) const
 {

@@ -47,9 +47,6 @@ struct LfaEncoding {
     /** Index of the FLG containing order position @p pos. */
     int FlgOfPos(int pos) const;
 
-    /** Index of the LG containing order position @p pos. */
-    int LgOfPos(int pos) const;
-
     /**
      * Structural validity: order is a valid permutation w.r.t. @p graph
      * dependencies, cuts sorted/unique/in-range, dram_cuts subset of

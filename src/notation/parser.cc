@@ -82,6 +82,26 @@ ParseScratch::GroupKey::Hash::operator()(const GroupKey &key) const
     return static_cast<std::size_t>(h);
 }
 
+std::size_t
+ParseScratch::TileKey::Hash::operator()(const TileKey &key) const
+{
+    const Region &r = key.region;
+    std::uint64_t h = 1469598103934665603ULL;
+    for (int word : {key.layer, r.b0, r.b1, r.r0, r.r1, r.c0, r.c1}) {
+        h ^= static_cast<std::uint64_t>(word);
+        h *= 1099511628211ULL;
+    }
+    return static_cast<std::size_t>(h);
+}
+
+std::size_t
+ParseScratch::MemoCells() const
+{
+    std::size_t cells = 0;
+    for (const auto &entry : group_memo) cells += entry.second.tile_ids.size();
+    return cells;
+}
+
 ParsedSchedule
 ParseLfa(const Graph &graph, const LfaEncoding &lfa,
          const CoreArrayEvaluator &core_eval, const ParseOptions &popts)
@@ -183,13 +203,16 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
     std::vector<std::vector<LayerId>> &flg_layers = scratch->flg_layers;
     flg_layers.resize(lfa.NumFlgs());
     for (int g = 0; g < lfa.NumFlgs(); ++g) flg_layers[g].clear();
-    for (int g = 0; g < lfa.NumFlgs(); ++g) {
+    // Every DRAM cut is an FLC, so the LG index only advances where an
+    // FLG begins at the next DRAM cut: one pass places every layer.
+    for (int g = 0, lg = 0; g < lfa.NumFlgs(); ++g) {
         int begin, end;
         lfa.FlgRange(g, &begin, &end);
+        if (lg < out.num_lgs - 1 && lfa.dram_cuts[lg] == begin) ++lg;
         for (int p = begin; p < end; ++p) {
             LayerId id = lfa.order[p];
             flg_of_layer[id] = g;
-            lg_of_layer[id] = lfa.LgOfPos(p);
+            lg_of_layer[id] = lg;
             idx_in_flg[id] = p - begin;
             flg_layers[g].push_back(id);
         }
@@ -203,15 +226,18 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
     // id is below its consumers' (Graph::AddLayer). Each layer reads its
     // block row through its index in the key, so groups untouched by
     // the last mutation and groups whose interior order moved are both
-    // memo hits ("clean"); only new keys ("dirty") derive a block.
+    // memo hits ("clean"); only new keys ("dirty") derive a block. A
+    // block holds tile ids: each (layer, region) is costed once per
+    // memo lifetime, however many blocks hold it.
     if (scratch->memo_graph != static_cast<const void *>(&graph) ||
-        scratch->memo_eval != static_cast<const void *>(&core_eval)) {
+        scratch->memo_eval != static_cast<const void *>(&core_eval) ||
+        scratch->group_memo.size() > ParseScratch::kGroupMemoCap) {
         scratch->group_memo.clear();
+        scratch->tiles.clear();
+        scratch->tile_index.clear();
         scratch->memo_graph = &graph;
         scratch->memo_eval = &core_eval;
     }
-    if (scratch->group_memo.size() > ParseScratch::kGroupMemoCap)
-        scratch->group_memo.clear();
     scratch->last_dirty_groups = 0;
     scratch->last_clean_groups = 0;
     std::vector<int> &key_idx = scratch->key_idx;
@@ -230,28 +256,43 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
         if (it != scratch->group_memo.end()) {
             ++scratch->last_clean_groups;
         } else {
-            ParseScratch::GroupParse block;
+            FlgTiling tiling;
             {
                 SOMA_PROF_SCOPE("tiling.derive");
-                block.tiling = ComputeFlgTiling(graph, key.layers, key.tiles);
+                tiling = ComputeFlgTiling(graph, key.layers, key.tiles);
             }
-            if (block.tiling.valid) {
+            ParseScratch::GroupParse block;
+            block.valid = tiling.valid;
+            block.split = tiling.split;
+            if (tiling.valid) {
                 SOMA_PROF_SCOPE("tilecost.compute");
-                block.costs.resize(n_layers *
-                                   static_cast<std::size_t>(key.tiles));
+                block.tile_ids.resize(n_layers *
+                                      static_cast<std::size_t>(key.tiles));
                 for (int t = 0; t < key.tiles; ++t) {
                     const std::size_t row =
                         static_cast<std::size_t>(t) * n_layers;
-                    for (std::size_t k = 0; k < n_layers; ++k)
-                        block.costs[row + k] = core_eval.Evaluate(
-                            key.layers[k], block.tiling.regions[k][t]);
+                    for (std::size_t k = 0; k < n_layers; ++k) {
+                        const ParseScratch::TileKey tile{
+                            key.layers[k], tiling.regions[k][t]};
+                        const auto [id, fresh] =
+                            scratch->tile_index.try_emplace(
+                                tile,
+                                static_cast<int>(scratch->tiles.size()));
+                        if (fresh) {
+                            // somalint: allow(hot-alloc) once per distinct tile
+                            scratch->tiles.push_back(
+                                {tile.region,
+                                 core_eval.Evaluate(tile.layer, tile.region)});
+                        }
+                        block.tile_ids[row + k] = id->second;
+                    }
                 }
             }
             it = scratch->group_memo.emplace(key, std::move(block)).first;
             ++scratch->last_dirty_groups;
         }
         groups[g] = &it->second;
-        if (!groups[g]->tiling.valid) {
+        if (!groups[g]->valid) {
             out.why_invalid = "tiling " + std::to_string(key.tiles) +
                               " infeasible for FLG " + std::to_string(g);
             return;
@@ -309,12 +350,15 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
         }
         stores[id] = store;
         if (last_same_idx >= 0) {
-            const auto &regions = groups[g]->tiling.regions[key_idx[id]];
+            const std::vector<int> &ids = groups[g]->tile_ids;
+            const std::size_t size = flg_layers[g].size();
             for (int t = 0; t < lfa.tiling[g]; ++t) {
+                const int tile_id = ids[static_cast<std::size_t>(t) * size +
+                                        key_idx[id]];
                 OnchipInterval iv;
                 iv.from = pos_of(id, t);
                 iv.to = iv.from + (last_same_idx - idx_in_flg[id]) + 1;
-                iv.bytes = l.OutputBytes(regions[t]);
+                iv.bytes = l.OutputBytes(scratch->tiles[tile_id].region);
                 iv.producer = id;
                 out.onchip.push_back(iv);
             }
@@ -357,17 +401,18 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
             for (std::size_t i = 0; i < size; ++i) {
                 const LayerId id = layers[i];
                 const Layer &l = graph.layer(id);
-                const std::size_t k = key_idx[id];
+                const ParseScratch::Tile &memo_tile =
+                    scratch->tiles[block.tile_ids[
+                        static_cast<std::size_t>(t) * size + key_idx[id]]];
                 const TilePos pos = static_cast<TilePos>(out.tiles.size());
                 TileInfo tile;
                 tile.layer = id;
                 tile.flg = g;
                 tile.lg = lg;
                 tile.round = t;
-                tile.region = block.tiling.regions[k][t];
+                tile.region = memo_tile.region;
                 assert(!tile.region.Empty());
-                tile.cost =
-                    block.costs[static_cast<std::size_t>(t) * size + k];
+                tile.cost = memo_tile.cost;
                 tile.load_begin = out.NumTensors();
                 // The fields every tensor needed at this position shares.
                 DramTensor at;
@@ -433,7 +478,7 @@ ParseLfaIntoImpl(const Graph &graph, const LfaEncoding &lfa,
                 // knob.
                 if (stores[id]) {
                     const Region slice =
-                        CanonicalSlice(block.tiling.split, t, graph.batch(),
+                        CanonicalSlice(block.split, t, graph.batch(),
                                        l.outHeight(), l.outWidth());
                     DramTensor dt = at;
                     dt.kind = DramTensorKind::kOfmap;

@@ -180,12 +180,14 @@ struct ParsedSchedule {
  * its position in the scheme. An LFA operator touches at most two
  * fused groups, so consecutive parses re-derive only the dirty groups
  * and reuse every clean group's block verbatim; an order move *within*
- * a group is a plain memo hit. The schedule itself is rebuilt every
- * call by one pass in tile-position order that emits tiles and DRAM
- * tensors already in canonical order (plus one consumer pass per layer
- * for stores and on-chip intervals), which keeps the result
- * bit-identical to a full parse (ParseOptions::cross_check asserts
- * this).
+ * a group is a plain memo hit. Blocks hold tile ids into one table of
+ * the context's distinct tiles (a layer's region and its cost), since
+ * most (layer, round) cells of the memo repeat a tile another block
+ * already holds. The schedule itself is rebuilt every call by one pass
+ * in tile-position order that emits tiles and DRAM tensors already in
+ * canonical order (plus one consumer pass per layer for stores and
+ * on-chip intervals), which keeps the result bit-identical to a full
+ * parse (ParseOptions::cross_check asserts this).
  */
 struct ParseScratch {
     /** A fused group's memo key: its members in ascending layer-id
@@ -206,12 +208,39 @@ struct ParseScratch {
     };
 
     /** One fused group's memoized parse block, derived in its key's
-     *  layer order: tiling.regions[k] and the round-major
-     *  costs[t * layers.size() + k] belong to key.layers[k] at tile
-     *  round t. Blocks are pure values of their key. */
+     *  layer order: the round-major tile_ids[t * layers.size() + k]
+     *  names key.layers[k]'s tile at round t in `tiles`. Blocks are
+     *  pure values of their key and of the table. */
     struct GroupParse {
-        FlgTiling tiling;
-        std::vector<TileCost> costs;
+        bool valid = false;  ///< the Tiling Number splits the group
+        TileSplit split;
+        std::vector<int> tile_ids;
+    };
+
+    /** A distinct tile: the region of a layer's ofmap one round
+     *  computes, and its cost. */
+    struct Tile {
+        Region region;
+        TileCost cost;
+    };
+
+    /** A tile's table key: its layer and its whole region, positions
+     *  included, compared in full (a border tile's clipped input
+     *  bytes make its cost differ from an interior tile's of equal
+     *  extents). */
+    struct TileKey {
+        LayerId layer = kNoLayer;
+        Region region;
+
+        bool operator==(const TileKey &o) const
+        {
+            return layer == o.layer && region == o.region;
+        }
+
+        /** FNV-1a over the layer, then the region's bounds. */
+        struct Hash {
+            std::size_t operator()(const TileKey &key) const;
+        };
     };
 
     std::vector<int> flg_of_layer, lg_of_layer, idx_in_flg;
@@ -224,12 +253,16 @@ struct ParseScratch {
     std::vector<Region> prev_need;        ///< residency-extension scratch
     std::vector<int> prev_load;           ///< residency-extension scratch
 
-    /** The group memo (cleared wholesale beyond the cap). Blocks are
-     *  only valid for one (graph, evaluator) pair — layer ids restart
-     *  at 0 in every graph — so ParseLfaInto drops the memo whenever
-     *  either identity changes (tracked below, same pointer-identity
-     *  convention as EvalContext's incremental base). */
+    /** The group memo and its tile table, cleared together and
+     *  wholesale beyond the cap. Both are only valid for one (graph,
+     *  evaluator) pair — layer ids restart at 0 in every graph, and
+     *  costs follow the evaluator's hardware — so ParseLfaInto drops
+     *  them whenever either identity changes (tracked below, same
+     *  pointer-identity convention as EvalContext's incremental
+     *  base). */
     std::unordered_map<GroupKey, GroupParse, GroupKey::Hash> group_memo;
+    std::vector<Tile> tiles;  ///< indexed by tile id
+    std::unordered_map<TileKey, int, TileKey::Hash> tile_index;
     static constexpr std::size_t kGroupMemoCap = 1 << 12;
     const void *memo_graph = nullptr;  ///< graph the memo describes
     const void *memo_eval = nullptr;   ///< evaluator the costs came from
@@ -238,6 +271,10 @@ struct ParseScratch {
      *  re-derived vs reused. Exposed for tests and benches. */
     int last_dirty_groups = 0;
     int last_clean_groups = 0;
+
+    /** Tile ids the memo's blocks hold; `tiles.size()` of them are
+     *  distinct. */
+    std::size_t MemoCells() const;
 };
 
 /**

@@ -46,9 +46,12 @@ RankBounds(const ParsedSchedule &parsed, const std::vector<int> &order,
 
 DlsaMutator::DlsaMutator(const ParsedSchedule &parsed) : parsed_(parsed)
 {
-    weights_.reserve(parsed.NumTensors());
-    for (const DramTensor &t : parsed.tensors)
-        weights_.push_back(static_cast<double>(t.bytes));
+    cumulative_bytes_.reserve(parsed.NumTensors());
+    double sum = 0.0;
+    for (const DramTensor &t : parsed.tensors) {
+        sum += static_cast<double>(t.bytes);
+        cumulative_bytes_.push_back(sum);
+    }
 }
 
 bool
@@ -61,7 +64,7 @@ DlsaMutator::operator()(const DlsaEncoding &cur, DlsaEncoding *next,
     *next = cur;
     delta->kind = DlsaDelta::Kind::kNone;
     for (int attempt = 0; attempt < 4; ++attempt) {
-        int picked = rng.WeightedIndex(weights_);
+        int picked = rng.CumulativeWeightedIndex(cumulative_bytes_);
         int j = picked < 0 ? 0 : picked;
         if (rng.Flip()) {
             // Change DRAM Tensor Order: move j to another legal rank.

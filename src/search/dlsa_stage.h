@@ -34,7 +34,8 @@ class DlsaMutator {
 
   private:
     const ParsedSchedule &parsed_;
-    std::vector<double> weights_;  ///< per-tensor byte sizes
+    /** Running sums of the per-tensor byte sizes, in tensor order. */
+    std::vector<double> cumulative_bytes_;
 };
 
 /** Budget of the DLSA stage; the objective and driver come from the

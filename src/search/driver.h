@@ -38,7 +38,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/hash.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "obs/clock.h"
@@ -207,8 +206,9 @@ struct ChainEnv {
  * Cocco baseline (DESIGN.md "Chain cost memo"). SetKey flattens the
  * candidate into one reused key buffer, each part prefixed by its
  * length; Price looks the key up in kSlots direct-mapped slots picked
- * by FNV-1a. Only a full key match is a hit; a miss evaluates and
- * takes the slot. One memo per chain per driver run, never shared.
+ * by FNV-1a over the key's words. Only a full key match is a hit; a
+ * miss evaluates and takes the slot. One memo per chain per driver
+ * run, never shared.
  */
 class ChainCostMemo {
   public:
@@ -227,8 +227,7 @@ class ChainCostMemo {
     template <typename Eval>
     double Price(bool verify, const Eval &eval)
     {
-        const std::size_t bytes = key_.size() * sizeof(std::int32_t);
-        Slot &slot = slots_[Fnv1a64(key_.data(), bytes) % kSlots];
+        Slot &slot = slots_[SlotOfKey()];
         // An empty slot never matches: every key holds a length prefix.
         if (slot.key != key_) {
             slot.cost = eval();
@@ -248,6 +247,22 @@ class ChainCostMemo {
     std::int64_t hits() const { return hits_; }
 
   private:
+    /** FNV-1a over the key's 32-bit words, one multiply per word
+     *  instead of per byte. Each step is a bijection on the low bits,
+     *  so two keys that differ in the low byte of one word never share
+     *  a slot: the neighbours a chain proposes rarely evict the state
+     *  they came from. Slots are process-local, so nothing else
+     *  depends on this hash. */
+    std::size_t SlotOfKey() const
+    {
+        std::uint64_t h = 1469598103934665603ULL;
+        for (std::int32_t w : key_) {
+            h ^= static_cast<std::uint32_t>(w);
+            h *= 1099511628211ULL;
+        }
+        return static_cast<std::size_t>(h % kSlots);
+    }
+
     // Lengths are bounded by the layer count, an int.
     void Append(const std::vector<std::int32_t> &part)
     {

@@ -284,6 +284,16 @@ RunLfaStage(const Graph &graph, const HardwareConfig &hw,
                    static_cast<std::int64_t>(scratch.last_dirty_groups));
     stage_span.Arg("parse_clean_groups",
                    static_cast<std::int64_t>(scratch.last_clean_groups));
+    // What the group memos hold at stage end, serial context and
+    // chains: distinct tiles, and the tile ids their blocks hold.
+    std::size_t memo_tiles = scratch.tiles.size();
+    std::size_t memo_cells = scratch.MemoCells();
+    for (const auto &ctx : contexts) {
+        memo_tiles += ctx->parse_scratch().tiles.size();
+        memo_cells += ctx->parse_scratch().MemoCells();
+    }
+    stage_span.Arg("memo_tiles", static_cast<std::int64_t>(memo_tiles));
+    stage_span.Arg("memo_cells", static_cast<std::int64_t>(memo_cells));
     return result;
 }
 

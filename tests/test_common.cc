@@ -75,18 +75,61 @@ TEST(Rng, FlipProbabilityRoughlyRespected)
 TEST(Rng, WeightedIndexProportional)
 {
     Rng rng(17);
-    std::vector<double> weights = {1.0, 3.0};
+    const std::vector<double> cumulative = {1.0, 4.0};  // weights 1, 3
     int counts[2] = {0, 0};
-    for (int i = 0; i < 20000; ++i) ++counts[rng.WeightedIndex(weights)];
+    for (int i = 0; i < 20000; ++i)
+        ++counts[rng.CumulativeWeightedIndex(cumulative)];
     EXPECT_NEAR(counts[1] / 20000.0, 0.75, 0.03);
 }
 
 TEST(Rng, WeightedIndexAllZeroReturnsMinusOne)
 {
     Rng rng(19);
-    std::vector<double> weights = {0.0, 0.0};
-    EXPECT_EQ(rng.WeightedIndex(weights), -1);
-    EXPECT_EQ(rng.WeightedIndex({}), -1);
+    Rng twin(19);
+    EXPECT_EQ(rng.CumulativeWeightedIndex({0.0, 0.0}), -1);
+    EXPECT_EQ(rng.CumulativeWeightedIndex({}), -1);
+    // Neither call drew.
+    EXPECT_EQ(rng.engine()(), twin.engine()());
+}
+
+/** The linear scan the binary search replaced: sum the weights, draw
+ *  once, return the first index whose running sum exceeds the draw. */
+int
+ScanWeightedIndex(Rng &rng, const std::vector<double> &weights)
+{
+    double total = 0.0;
+    for (double w : weights) total += w;
+    if (total <= 0.0) return -1;
+    const double draw = rng.UniformReal() * total;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        acc += weights[i];
+        if (draw < acc) return static_cast<int>(i);
+    }
+    return static_cast<int>(weights.size()) - 1;
+}
+
+TEST(Rng, CumulativeWeightedIndexEqualsTheScan)
+{
+    // Byte-sized weights with zero runs, as the DLSA mutator draws
+    // them: the same index and the same draws as the scan, call by call.
+    Rng gen(23);
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<double> weights(gen.UniformInt(1, 40));
+        for (double &w : weights)
+            w = gen.Flip(0.3) ? 0.0 : gen.UniformInt(1, 1 << 20);
+        std::vector<double> cumulative(weights.size());
+        double sum = 0.0;
+        for (std::size_t i = 0; i < weights.size(); ++i)
+            cumulative[i] = sum += weights[i];
+        Rng fast(trial), scan(trial);
+        for (int draw = 0; draw < 50; ++draw) {
+            ASSERT_EQ(fast.CumulativeWeightedIndex(cumulative),
+                      ScanWeightedIndex(scan, weights))
+                << "trial " << trial << " draw " << draw;
+        }
+        EXPECT_EQ(fast.engine()(), scan.engine()());
+    }
 }
 
 TEST(Registry, NamesKeepRegistrationOrder)

@@ -16,18 +16,22 @@
 #include "sim/eval_context.h"
 #include "sim/evaluator.h"
 #include "workload/graph_builder.h"
+#include "workload/models.h"
 
 namespace soma {
 namespace {
 
-/** A residual-ish graph: branches give order mutations room to move. */
+/** A residual-ish graph: branches give order mutations room to move.
+ *  @p width sets the first block's channel count; every layer's
+ *  spatial shape, and so every tile region, stays the same. */
 Graph
-MakeBranchy()
+MakeBranchy(int width = 32)
 {
     GraphBuilder b("branchy", 1);
-    LayerId stem = b.InputConv("stem", ExtShape{3, 32, 32}, 32, 3, 1, 1);
-    LayerId a1 = b.Conv("a1", stem, 32, 3, 1, 1);
-    LayerId a2 = b.Conv("a2", a1, 32, 3, 1, 1);
+    LayerId stem =
+        b.InputConv("stem", ExtShape{3, 32, 32}, width, 3, 1, 1);
+    LayerId a1 = b.Conv("a1", stem, width, 3, 1, 1);
+    LayerId a2 = b.Conv("a2", a1, width, 3, 1, 1);
     LayerId skip = b.Eltwise("skip", {stem, a2});
     LayerId b1 = b.Conv("b1", skip, 64, 3, 2, 1);
     LayerId b2 = b.Conv("b2", b1, 64, 3, 1, 1);
@@ -297,6 +301,83 @@ TEST(IncrementalParse, SinkSetSignatureSurvivesRandomizedOrderMoves)
         lfa = std::move(cand);
     }
     EXPECT_GT(moves, 30);
+}
+
+/** Parse @p lfa through the reused @p scratch and expect the result of
+ *  a fresh scratch, bit for bit. */
+void
+ExpectReusedScratchParsesFresh(const Graph &g, const LfaEncoding &lfa,
+                               const CoreArrayEvaluator &ce,
+                               ParseScratch *scratch, ParsedSchedule *out,
+                               const std::string &when)
+{
+    ParseLfaInto(g, lfa, ce, ParseOptions{}, scratch, out);
+    EXPECT_TRUE(ParsedSchedulesIdentical(*out, ParseLfa(g, lfa, ce)))
+        << when << ": " << lfa.ToString(g);
+}
+
+TEST(IncrementalParse, OneScratchAcrossGraphsEvaluatorsAndTheCap)
+{
+    // Blocks hold ids into the scratch's tile table, keyed by layer id
+    // and region. A table kept across a change of graph or evaluator
+    // would serve the other one's costs under equal keys: two graphs
+    // whose layers share ids and regions but not channel counts, and
+    // one graph on edge and on cloud hardware.
+    ParseScratch scratch;
+    ParsedSchedule out;
+    LfaEncoding lfa;
+    const Graph narrow = MakeBranchy(32), wide = MakeBranchy(48);
+    lfa.order = narrow.TopoOrder();
+    lfa.flc_cuts = {2, 4, 6};
+    lfa.dram_cuts = {4};
+    lfa.tiling = {2, 2, 2, 2};
+    const CoreArrayEvaluator narrow_edge(narrow, EdgeAccelerator());
+    const CoreArrayEvaluator wide_edge(wide, EdgeAccelerator());
+    const CoreArrayEvaluator narrow_cloud(narrow, CloudAccelerator());
+    ExpectReusedScratchParsesFresh(narrow, lfa, narrow_edge, &scratch,
+                                   &out, "first graph");
+    ASSERT_TRUE(out.valid);
+    const double narrow_busy = out.compute_busy;
+    ExpectReusedScratchParsesFresh(wide, lfa, wide_edge, &scratch, &out,
+                                   "second graph");
+    EXPECT_NE(out.compute_busy, narrow_busy);
+    ExpectReusedScratchParsesFresh(narrow, lfa, narrow_edge, &scratch,
+                                   &out, "first graph again");
+    ExpectReusedScratchParsesFresh(narrow, lfa, narrow_cloud, &scratch,
+                                   &out, "cloud evaluator");
+    EXPECT_NE(out.compute_busy, narrow_busy);
+    ExpectReusedScratchParsesFresh(narrow, lfa, narrow_edge, &scratch,
+                                   &out, "edge evaluator again");
+    EXPECT_EQ(out.compute_busy, narrow_busy);
+
+    // An accept-if-valid walk on resnet50 derives more blocks than
+    // kGroupMemoCap, so the memo and its table are cleared mid-walk.
+    const Graph r50 = BuildResNet50(1);
+    const HardwareConfig hw = EdgeAccelerator();
+    const CoreArrayEvaluator ce(r50, hw);
+    LfaEncoding current = MakeInitialLfa(r50, hw, kTilingCap);
+    ExpectReusedScratchParsesFresh(r50, current, ce, &scratch, &out,
+                                   "resnet50 seed");
+    Rng rng(2025);
+    LfaEncoding cand;
+    int clears = 0;
+    bool check_next = false;
+    for (int step = 0; step < 12000; ++step) {
+        if (!MutateLfaEncoding(r50, current, &cand, kTilingCap, rng))
+            continue;
+        const std::size_t blocks = scratch.group_memo.size();
+        ParseLfaInto(r50, cand, ce, ParseOptions{}, &scratch, &out);
+        const bool cleared = scratch.group_memo.size() < blocks;
+        clears += cleared;
+        if (cleared || check_next || step % 500 == 0) {
+            EXPECT_TRUE(ParsedSchedulesIdentical(out, ParseLfa(r50, cand, ce)))
+                << "step " << step << ": " << cand.ToString(r50);
+        }
+        check_next = cleared;
+        if (out.valid) current = cand;
+    }
+    EXPECT_GE(clears, 1);
+    EXPECT_LE(scratch.tiles.size(), scratch.MemoCells());
 }
 
 }  // namespace

@@ -49,8 +49,6 @@ TEST(LfaEncoding, FlgRangesAndMembership)
     EXPECT_EQ(lfa.FlgOfPos(0), 0);
     EXPECT_EQ(lfa.FlgOfPos(1), 1);
     EXPECT_EQ(lfa.FlgOfPos(4), 2);
-    EXPECT_EQ(lfa.LgOfPos(1), 0);
-    EXPECT_EQ(lfa.LgOfPos(2), 1);
 
     EXPECT_EQ(lfa.FlgLayers(2), (std::vector<LayerId>{2, 3, 4}));
     EXPECT_TRUE(lfa.StructurallyValid(g));
